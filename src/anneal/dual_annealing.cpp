@@ -1,5 +1,7 @@
 #include "anneal/dual_annealing.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 #include <numbers>
@@ -63,6 +65,13 @@ void validate(const std::vector<double>& lower,
   }
 }
 
+/// std::lgamma's value without its write to the global `signgam`, which
+/// races whenever anneals run on several threads.
+double log_gamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
 /// Draws a step from the Tsallis visiting distribution at temperature
 /// `temperature` with shape `qv`. Implementation follows the standard GSA
 /// formulation (Tsallis & Stariolo, 1996): a ratio of a Gaussian to a
@@ -79,7 +88,7 @@ double visit_step(util::Rng& rng, double qv, double temperature) {
   const double d1 = 2.0 - factor5;
   const double factor6 = std::numbers::pi * (1.0 - factor5) /
                          std::sin(std::numbers::pi * (1.0 - factor5)) /
-                         std::exp(std::lgamma(d1));
+                         std::exp(log_gamma(d1));
   const double sigma_x =
       std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
 
@@ -110,7 +119,7 @@ struct VisitConstants {
     const double d1 = 2.0 - factor5;
     factor6 = std::numbers::pi * (1.0 - factor5) /
               std::sin(std::numbers::pi * (1.0 - factor5)) /
-              std::exp(std::lgamma(d1));
+              std::exp(log_gamma(d1));
     tail_exponent = (qv - 1.0) / (3.0 - qv);
   }
 
@@ -122,15 +131,8 @@ struct VisitConstants {
                     (3.0 - qv));
   }
 
-  [[nodiscard]] double step(util::Rng& rng, double sigma_x) const {
-    const double x = sigma_x * rng.normal();
-    const double y = rng.normal();
-    const double den = std::exp(tail_exponent * std::log(std::abs(y)));
-    return den != 0.0 ? x / den : x;
-  }
-
-  /// The same heavy-tailed step assembled from two pre-drawn normals (the
-  /// batched stream's layout: numerator first, tail normal second).
+  /// The heavy-tailed step assembled from two pre-drawn normals (the block
+  /// stream's layout: numerator first, tail normal second).
   [[nodiscard]] double step_from(double num, double tail,
                                  double sigma_x) const {
     const double x = sigma_x * num;
@@ -141,7 +143,7 @@ struct VisitConstants {
 
 /// Fills `out[0, count)` with standard normals via Box-Muller, keeping BOTH
 /// halves of every pair (util::Rng::normal draws the same u1/u2 but discards
-/// the sin half — one of the reasons the batched walk is a distinct stream).
+/// the sin half).
 void fill_normals(util::Rng& rng, double* out, std::size_t count) {
   std::size_t i = 0;
   while (i < count) {
@@ -162,11 +164,6 @@ AnnealResult dual_annealing(const Objective& f,
                             const DualAnnealingOptions& options) {
   const std::size_t n = lower.size();
   validate(lower, upper, n, options);
-  if (options.batched_proposals) {
-    throw std::invalid_argument(
-        "dual_annealing: batched_proposals requires the incremental "
-        "(single-coordinate) overload");
-  }
   util::Rng rng(options.seed);
 
   auto clamp_wrap = [&](std::vector<double>& x) {
@@ -335,14 +332,6 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
   const double t_coeff = std::pow(2.0, qv - 1.0) - 1.0;
   const VisitConstants visit(qv);
 
-  // Nelder-Mead probes score the exact full objective (same bits the
-  // incremental path maintains), so a local win reloads cleanly via
-  // reset().
-  const Objective polish = [&](const std::vector<double>& x) {
-    ++best.evaluations;
-    return objective.full(x);
-  };
-
   // One outer iteration proposes `sites` single-site moves, so the local
   // search cadence scales with the site count to match the full-vector
   // mode's per-sweep rhythm.
@@ -352,25 +341,14 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
   std::int64_t accepted_since_local = 0;
 
   const auto run_local_search = [&] {
-    if (options.batched_proposals) {
-      // Lean simplex over the shared incremental interface: O(n) per
-      // iteration bookkeeping, probes scored with objective.full().
-      LocalResult local =
-          nelder_mead(objective, best.x, lower, upper, options.local_options);
-      ++best.local_searches;
-      best.evaluations += local.evaluations;
-      if (local.value < best.value) {
-        best.x = std::move(local.x);
-        best.value = local.value;
-        current = best.x;
-        current_value = objective.reset(current);
-        ++best.evaluations;
-      }
-      return;
-    }
+    // Lean simplex over the shared incremental interface: O(n) per
+    // iteration bookkeeping, probes scored with objective.full() (the same
+    // bits the incremental path maintains), so a local win reloads cleanly
+    // via reset().
     LocalResult local =
-        nelder_mead(polish, best.x, lower, upper, options.local_options);
+        nelder_mead(objective, best.x, lower, upper, options.local_options);
     ++best.local_searches;
+    best.evaluations += local.evaluations;
     if (local.value < best.value) {
       best.x = std::move(local.x);
       best.value = local.value;
@@ -380,18 +358,12 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
     }
   };
 
-  // Batched proposal staging: every draw an outer iteration needs, in a
-  // fixed layout (4 normals per site: x numerator, x tail, y numerator, y
-  // tail; then one acceptance uniform per site), from a counter-based
-  // stream keyed on the iteration number alone — so the accept loop below
-  // is branch-light and the sequence never depends on acceptance history
-  // or on the SIMD width of the scoring kernels.
-  std::vector<double> normals, uniforms, steps;
-  if (options.batched_proposals) {
-    normals.resize(4 * sites);
-    uniforms.resize(sites);
-    steps.resize(2 * sites);
-  }
+  // Proposal staging: every draw an outer iteration needs, in a fixed
+  // layout (4 normals per site: x numerator, x tail, y numerator, y tail;
+  // then one acceptance uniform per site), from a counter-based stream
+  // keyed on the iteration number alone — so the accept loop below is
+  // branch-light and the sequence never depends on acceptance history.
+  std::vector<double> normals(4 * sites), uniforms(sites), steps(2 * sites);
 
   int k = 0;
   for (int iter = 0; iter < options.max_iterations; ++iter, ++k) {
@@ -405,36 +377,28 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
     const double sigma = visit.sigma(qv, temperature);
     const double t_accept = temperature / static_cast<double>(k + 1);
 
-    if (options.batched_proposals) {
-      // `iter` (not the reanneal-reset k) keys the block so every outer
-      // iteration consumes a distinct stream.
-      util::Rng block(util::derive_seed(options.seed, "visit-block",
-                                        static_cast<std::uint64_t>(iter)));
-      fill_normals(block, normals.data(), normals.size());
-      for (std::size_t q = 0; q < sites; ++q) {
-        uniforms[q] = block.next_double();
-      }
-      for (std::size_t j = 0; j < 2 * sites; ++j) {
-        steps[j] = std::clamp(
-            visit.step_from(normals[2 * j], normals[2 * j + 1], sigma), -1e8,
-            1e8);
-      }
+    // `iter` (not the reanneal-reset k) keys the block so every outer
+    // iteration consumes a distinct stream.
+    util::Rng block(util::derive_seed(options.seed, "visit-block",
+                                      static_cast<std::uint64_t>(iter)));
+    fill_normals(block, normals.data(), normals.size());
+    for (std::size_t q = 0; q < sites; ++q) {
+      uniforms[q] = block.next_double();
+    }
+    for (std::size_t j = 0; j < 2 * sites; ++j) {
+      steps[j] = std::clamp(
+          visit.step_from(normals[2 * j], normals[2 * j + 1], sigma), -1e8,
+          1e8);
     }
 
     for (std::size_t q = 0; q < sites; ++q) {
       const std::size_t xi = 2 * q, yi = 2 * q + 1;
-      double sx, sy;
-      if (options.batched_proposals) {
-        sx = steps[xi];
-        sy = steps[yi];
-      } else {
-        sx = std::clamp(visit.step(rng, sigma), -1e8, 1e8);
-        sy = std::clamp(visit.step(rng, sigma), -1e8, 1e8);
-      }
-      const double cx = wrap(current[xi] + sx * (upper[xi] - lower[xi]) * 1e-2,
-                             lower[xi], upper[xi]);
-      const double cy = wrap(current[yi] + sy * (upper[yi] - lower[yi]) * 1e-2,
-                             lower[yi], upper[yi]);
+      const double cx =
+          wrap(current[xi] + steps[xi] * (upper[xi] - lower[xi]) * 1e-2,
+               lower[xi], upper[xi]);
+      const double cy =
+          wrap(current[yi] + steps[yi] * (upper[yi] - lower[yi]) * 1e-2,
+               lower[yi], upper[yi]);
       const double candidate_value = objective.propose(q, cx, cy);
       ++best.delta_evaluations;
 
@@ -446,9 +410,7 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
         const double base = 1.0 + (qa - 1.0) * delta;
         if (base > 0.0) {
           const double p = std::exp(std::log(base) / (1.0 - qa));
-          const double u = options.batched_proposals ? uniforms[q]
-                                                     : rng.next_double();
-          accept = u < std::min(1.0, p);
+          accept = uniforms[q] < std::min(1.0, p);
         }
       }
 

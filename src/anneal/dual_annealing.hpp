@@ -10,7 +10,12 @@
 //   * single-coordinate (IncrementalObjective overload): one site moves per
 //     proposal and only its delta is re-scored — one outer iteration sweeps
 //     every site, so an "iteration" explores comparably but each proposal
-//     costs O(local interactions).
+//     costs O(local interactions). Each outer iteration draws all of its
+//     visit normals and acceptance uniforms up front from a counter-based
+//     stream (derive_seed(seed, "visit-block", iteration)), so the accept
+//     loop carries no RNG calls and the draw order is independent of
+//     acceptance decisions; local search uses the lean incremental
+//     Nelder-Mead overload.
 #pragma once
 
 #include <cstdint>
@@ -49,15 +54,6 @@ struct DualAnnealingOptions {
   /// instead of a uniform random draw (and the final answer is never worse
   /// than the local refinement of this state).
   std::optional<std::vector<double>> initial;
-  /// Batched proposal generation (single-coordinate overload only): each
-  /// outer iteration draws all of its visit normals and acceptance uniforms
-  /// up front from a counter-based stream (derive_seed(seed, "visit-block",
-  /// iteration)), so the accept loop carries no RNG calls and the draw order
-  /// is independent of acceptance decisions and SIMD vector width. A
-  /// different (still deterministic) random walk than the per-site stream —
-  /// callers expose it only behind fingerprint-visible modes. Local search
-  /// uses the lean incremental Nelder-Mead overload.
-  bool batched_proposals = false;
 };
 
 /// Per-optimizer accounting of a portfolio race (see anneal/portfolio.hpp).
@@ -100,8 +96,9 @@ struct AnnealResult {
 
 /// Single-coordinate mode: minimizes `objective` over the box (bounds sized
 /// 2 * objective.sites(), interleaved x,y). Each outer iteration proposes
-/// one heavy-tailed move per site, scored incrementally; local search runs
-/// on the exact full() objective. Same option validation as above.
+/// one heavy-tailed move per site from its pre-drawn block, scored
+/// incrementally; local search probes the exact full() objective. Same
+/// option validation as above.
 [[nodiscard]] AnnealResult dual_annealing(IncrementalObjective& objective,
                                           const std::vector<double>& lower,
                                           const std::vector<double>& upper,

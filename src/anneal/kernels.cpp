@@ -1,169 +1,144 @@
 #include "anneal/kernels.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-
-#include "anneal/kernels_impl.hpp"
+#include <cmath>
 
 namespace parallax::anneal::kernels {
 
-namespace detail {
-// Implemented in kernels_avx2.cpp (the only TU built with -mavx2).
-bool avx2_tu_compiled() noexcept;
-void avx2_edge_terms_gather(const std::int32_t* idx, const double* w,
-                            std::size_t count, double px, double py,
-                            const double* xs, const double* ys,
-                            double* out) noexcept;
-void avx2_edge_terms_pairs(const std::int32_t* a, const std::int32_t* b,
-                           const double* w, std::size_t count,
-                           const double* xs, const double* ys,
-                           double* out) noexcept;
-std::size_t avx2_crowding_terms_excluding_self(
-    const std::int32_t* idx, std::size_t count, std::int32_t self, double px,
-    double py, const double* xs, const double* ys, double d_min, double denom,
-    double weight, double* out) noexcept;
-std::size_t avx2_crowding_terms_above_self(
-    const std::int32_t* idx, std::size_t count, std::int32_t self, double px,
-    double py, const double* xs, const double* ys, double d_min, double denom,
-    double weight, double* out) noexcept;
-}  // namespace detail
-
 namespace {
 
-bool cpu_has_avx2() noexcept {
-#if defined(__x86_64__) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
+// A 4-wide vocabulary spelled out element by element, so each kernel body
+// below reads as one block step plus a scalar tail. All arithmetic here must
+// stay plain sub/mul/add/sqrt: this TU is built with -ffp-contract=off so the
+// compiler cannot fuse them into FMAs, which is what makes every term
+// bit-identical to the scalar expressions in placement/objective.cpp.
+constexpr unsigned kWidth = 4;
+
+struct Vec {
+  double v[kWidth];
+};
+
+Vec broadcast(double x) noexcept { return {{x, x, x, x}}; }
+
+Vec load(const double* p) noexcept { return {{p[0], p[1], p[2], p[3]}}; }
+
+Vec gather(const double* base, const std::int32_t* idx) noexcept {
+  return {{base[idx[0]], base[idx[1]], base[idx[2]], base[idx[3]]}};
 }
 
-bool sse2_usable() noexcept {
-#if defined(__x86_64__) || defined(_M_X64)
-  return true;  // SSE2 is the x86-64 baseline.
-#else
-  return false;
-#endif
+Vec add(Vec a, Vec b) noexcept {
+  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2], a.v[3] + b.v[3]}};
 }
 
-Lane widest_available() noexcept {
-  if (detail::avx2_tu_compiled() && cpu_has_avx2()) return Lane::kAvx2;
-  if (sse2_usable()) return Lane::kSse2;
-  return Lane::kScalar;
+Vec sub(Vec a, Vec b) noexcept {
+  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2], a.v[3] - b.v[3]}};
 }
 
-// Resolves PARALLAX_SIMD once; unknown or unavailable values warn to stderr
-// and fall back to auto (the widest available lane).
-Lane resolve_env_lane() noexcept {
-  const char* raw = std::getenv("PARALLAX_SIMD");
-  if (raw == nullptr || *raw == '\0' || std::strcmp(raw, "auto") == 0) {
-    return widest_available();
+Vec mul(Vec a, Vec b) noexcept {
+  return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2], a.v[3] * b.v[3]}};
+}
+
+Vec vsqrt(Vec a) noexcept {
+  return {{std::sqrt(a.v[0]), std::sqrt(a.v[1]), std::sqrt(a.v[2]),
+           std::sqrt(a.v[3])}};
+}
+
+void store(double* p, Vec a) noexcept {
+  p[0] = a.v[0];
+  p[1] = a.v[1];
+  p[2] = a.v[2];
+  p[3] = a.v[3];
+}
+
+int lt_mask(Vec a, Vec b) noexcept {
+  int mask = 0;
+  for (unsigned l = 0; l < kWidth; ++l) {
+    if (a.v[l] < b.v[l]) mask |= 1 << l;
   }
-  if (std::strcmp(raw, "scalar") == 0) return Lane::kScalar;
-  if (std::strcmp(raw, "sse2") == 0 && lane_available(Lane::kSse2)) {
-    return Lane::kSse2;
-  }
-  if (std::strcmp(raw, "avx2") == 0 && lane_available(Lane::kAvx2)) {
-    return Lane::kAvx2;
-  }
-  std::fprintf(stderr,
-               "parallax: PARALLAX_SIMD=%s is unknown or unavailable on this "
-               "CPU; using %s\n",
-               raw, lane_name(widest_available()));
-  return widest_available();
+  return mask;
 }
 
-// -1 means "not forced"; tests pin a lane through force_lane().
-std::atomic<int> g_forced_lane{-1};
+// Crowding scan. The block part computes dsq 4-wide and uses a mask to skip
+// blocks with no candidate inside the cutoff; the (rare) passing elements
+// finish with the exact scalar formula ((weight * v) * v) / denom, where dsq
+// is already bit-identical either way. kAboveSelf selects the pair-dedup
+// rule (keep j > self) instead of the skip-self rule (drop j == self).
+template <bool kAboveSelf>
+std::size_t crowding_terms(const std::int32_t* idx, std::size_t count,
+                           std::int32_t self, double px, double py,
+                           const double* xs, const double* ys, double d_min,
+                           double denom, double weight, double* out) noexcept {
+  const Vec vpx = broadcast(px);
+  const Vec vpy = broadcast(py);
+  const Vec vdenom = broadcast(denom);
+  std::size_t produced = 0;
+  std::size_t i = 0;
+  for (; i + kWidth <= count; i += kWidth) {
+    const Vec dx = sub(vpx, gather(xs, idx + i));
+    const Vec dy = sub(vpy, gather(ys, idx + i));
+    const Vec dsq = add(mul(dx, dx), mul(dy, dy));
+    const int mask = lt_mask(dsq, vdenom);
+    if (mask == 0) continue;
+    for (unsigned l = 0; l < kWidth; ++l) {
+      if (((mask >> l) & 1) == 0) continue;
+      const std::int32_t j = idx[i + l];
+      if (kAboveSelf ? (j <= self) : (j == self)) continue;
+      const double v = d_min - std::sqrt(dsq.v[l]);
+      out[produced++] = weight * v * v / denom;
+    }
+  }
+  for (; i < count; ++i) {
+    const std::int32_t j = idx[i];
+    if (kAboveSelf ? (j <= self) : (j == self)) continue;
+    const double dx = px - xs[j];
+    const double dy = py - ys[j];
+    const double dsq = dx * dx + dy * dy;
+    if (!(dsq < denom)) continue;
+    const double v = d_min - std::sqrt(dsq);
+    out[produced++] = weight * v * v / denom;
+  }
+  return produced;
+}
 
 }  // namespace
 
-const char* lane_name(Lane lane) noexcept {
-  switch (lane) {
-    case Lane::kScalar:
-      return "scalar";
-    case Lane::kSse2:
-      return "sse2";
-    case Lane::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
-}
+const char* lane_name(Lane) noexcept { return "scalar"; }
 
-bool lane_available(Lane lane) noexcept {
-  switch (lane) {
-    case Lane::kScalar:
-      return true;
-    case Lane::kSse2:
-      return sse2_usable();
-    case Lane::kAvx2:
-      return detail::avx2_tu_compiled() && cpu_has_avx2();
-  }
-  return false;
-}
-
-Lane active_lane() noexcept {
-  const int forced = g_forced_lane.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Lane>(forced);
-  static const Lane resolved = resolve_env_lane();
-  return resolved;
-}
-
-void force_lane(Lane lane) {
-  if (!lane_available(lane)) {
-    throw std::invalid_argument(std::string("kernels::force_lane: lane '") +
-                                lane_name(lane) +
-                                "' is unavailable on this build/CPU");
-  }
-  g_forced_lane.store(static_cast<int>(lane), std::memory_order_relaxed);
-}
-
-void clear_forced_lane() noexcept {
-  g_forced_lane.store(-1, std::memory_order_relaxed);
-}
+Lane active_lane() noexcept { return Lane::kScalar; }
 
 void edge_terms_gather(const std::int32_t* idx, const double* w,
                        std::size_t count, double px, double py,
                        const double* xs, const double* ys,
                        double* out) noexcept {
-  switch (active_lane()) {
-    case Lane::kAvx2:
-      detail::avx2_edge_terms_gather(idx, w, count, px, py, xs, ys, out);
-      return;
-#if defined(__x86_64__) || defined(_M_X64)
-    case Lane::kSse2:
-      detail::edge_terms_gather_impl<detail::Sse2Lane>(idx, w, count, px, py,
-                                                       xs, ys, out);
-      return;
-#endif
-    default:
-      detail::edge_terms_gather_impl<detail::ScalarLane>(idx, w, count, px, py,
-                                                         xs, ys, out);
-      return;
+  const Vec vpx = broadcast(px);
+  const Vec vpy = broadcast(py);
+  std::size_t i = 0;
+  for (; i + kWidth <= count; i += kWidth) {
+    const Vec dx = sub(vpx, gather(xs, idx + i));
+    const Vec dy = sub(vpy, gather(ys, idx + i));
+    const Vec dsq = add(mul(dx, dx), mul(dy, dy));
+    store(out + i, mul(load(w + i), vsqrt(dsq)));
+  }
+  for (; i < count; ++i) {
+    const double dx = px - xs[idx[i]];
+    const double dy = py - ys[idx[i]];
+    out[i] = w[i] * std::sqrt(dx * dx + dy * dy);
   }
 }
 
 void edge_terms_pairs(const std::int32_t* a, const std::int32_t* b,
                       const double* w, std::size_t count, const double* xs,
                       const double* ys, double* out) noexcept {
-  switch (active_lane()) {
-    case Lane::kAvx2:
-      detail::avx2_edge_terms_pairs(a, b, w, count, xs, ys, out);
-      return;
-#if defined(__x86_64__) || defined(_M_X64)
-    case Lane::kSse2:
-      detail::edge_terms_pairs_impl<detail::Sse2Lane>(a, b, w, count, xs, ys,
-                                                      out);
-      return;
-#endif
-    default:
-      detail::edge_terms_pairs_impl<detail::ScalarLane>(a, b, w, count, xs, ys,
-                                                        out);
-      return;
+  std::size_t i = 0;
+  for (; i + kWidth <= count; i += kWidth) {
+    const Vec dx = sub(gather(xs, a + i), gather(xs, b + i));
+    const Vec dy = sub(gather(ys, a + i), gather(ys, b + i));
+    const Vec dsq = add(mul(dx, dx), mul(dy, dy));
+    store(out + i, mul(load(w + i), vsqrt(dsq)));
+  }
+  for (; i < count; ++i) {
+    const double dx = xs[a[i]] - xs[b[i]];
+    const double dy = ys[a[i]] - ys[b[i]];
+    out[i] = w[i] * std::sqrt(dx * dx + dy * dy);
   }
 }
 
@@ -173,19 +148,8 @@ std::size_t crowding_terms_excluding_self(const std::int32_t* idx,
                                           const double* xs, const double* ys,
                                           double d_min, double denom,
                                           double weight, double* out) noexcept {
-  switch (active_lane()) {
-    case Lane::kAvx2:
-      return detail::avx2_crowding_terms_excluding_self(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-#if defined(__x86_64__) || defined(_M_X64)
-    case Lane::kSse2:
-      return detail::crowding_terms_impl<detail::Sse2Lane, false>(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-#endif
-    default:
-      return detail::crowding_terms_impl<detail::ScalarLane, false>(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-  }
+  return crowding_terms<false>(idx, count, self, px, py, xs, ys, d_min, denom,
+                               weight, out);
 }
 
 std::size_t crowding_terms_above_self(const std::int32_t* idx,
@@ -194,19 +158,8 @@ std::size_t crowding_terms_above_self(const std::int32_t* idx,
                                       const double* ys, double d_min,
                                       double denom, double weight,
                                       double* out) noexcept {
-  switch (active_lane()) {
-    case Lane::kAvx2:
-      return detail::avx2_crowding_terms_above_self(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-#if defined(__x86_64__) || defined(_M_X64)
-    case Lane::kSse2:
-      return detail::crowding_terms_impl<detail::Sse2Lane, true>(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-#endif
-    default:
-      return detail::crowding_terms_impl<detail::ScalarLane, true>(
-          idx, count, self, px, py, xs, ys, d_min, denom, weight, out);
-  }
+  return crowding_terms<true>(idx, count, self, px, py, xs, ys, d_min, denom,
+                              weight, out);
 }
 
 }  // namespace parallax::anneal::kernels

@@ -1,19 +1,15 @@
-// Batched distance/edge-cost kernels for the anneal hot loops, dispatched at
-// runtime over SIMD lanes (scalar / SSE2 / AVX2). Every kernel computes the
-// *same per-term doubles* as the scalar expressions in
+// Batched distance/edge-cost kernels for the anneal hot loops. Every kernel
+// computes the *same per-term doubles* as the scalar expressions in
 // placement::DeltaPlacementObjective — sub/mul/add/div/sqrt are all IEEE-754
-// correctly rounded elementwise, the kernel translation units are compiled
-// with -ffp-contract=off (no FMA contraction), and term accumulation stays in
+// correctly rounded elementwise, the kernel translation unit is compiled with
+// -ffp-contract=off (no FMA contraction), and term accumulation stays in
 // util::ExactSum (whose add/subtract are associative) — so kernel output is
-// bit-identical to the scalar path on every lane, which is what keeps cached
-// fingerprints and goldens valid regardless of the host CPU. Locked by the
-// cross-lane fuzz tests in tests/test_kernels.cpp.
+// bit-identical to the scalar formulas, which is what keeps cached
+// fingerprints and goldens valid. Locked by the reference fuzz tests in
+// tests/test_kernels.cpp.
 //
-// Lane selection: widest available lane by default (AVX2 when the binary
-// carries the AVX2 translation unit and the CPU reports support, else SSE2 on
-// x86-64, else the portable scalar fallback). The PARALLAX_SIMD environment
-// knob (scalar|sse2|avx2|auto) overrides the choice for CI legs and bit-
-// identity tests; tests can also force a lane programmatically.
+// The bodies are portable and manually unrolled 4 wide. A hardware SIMD lane
+// returns only with an end-to-end benchmark gain to justify it.
 #pragma once
 
 #include <cstddef>
@@ -22,28 +18,14 @@
 namespace parallax::anneal::kernels {
 
 enum class Lane : std::uint8_t {
-  kScalar = 0,  // portable 4-wide manually unrolled fallback
-  kSse2 = 1,    // 2x2 doubles per step (x86-64 baseline)
-  kAvx2 = 2,    // 4 doubles per step, hardware gather
+  kScalar = 0,  // portable 4-wide manually unrolled bodies
 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2") — the PARALLAX_SIMD
-/// vocabulary and the perf-snapshot field value.
+/// Stable lowercase name ("scalar") — recorded in benchmark metadata.
 [[nodiscard]] const char* lane_name(Lane lane) noexcept;
 
-/// Whether this build + CPU can run the lane (kScalar is always available).
-[[nodiscard]] bool lane_available(Lane lane) noexcept;
-
-/// The lane every kernel below currently dispatches to. Resolved once from
-/// PARALLAX_SIMD (an unavailable or unknown value falls back to the widest
-/// available lane, with a one-time stderr note), unless a test forced one.
+/// The lane every kernel below runs on.
 [[nodiscard]] Lane active_lane() noexcept;
-
-/// Test hook: pin dispatch to `lane` until clear_forced_lane(). Throws
-/// std::invalid_argument if the lane is unavailable on this build/CPU. Not
-/// thread-safe against concurrent kernel calls — tests only.
-void force_lane(Lane lane);
-void clear_forced_lane() noexcept;
 
 // --- kernels ------------------------------------------------------------------
 // out[i] = w[i] * sqrt((px - xs[idx[i]])^2 + (py - ys[idx[i]])^2)

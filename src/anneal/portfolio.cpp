@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "anneal/multi_chain.hpp"
 #include "anneal/nelder_mead.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -73,74 +72,79 @@ AnnealResult race(
     }
   }
 
-  const std::size_t count = options.entrants.size();
-  std::vector<AnnealResult> results(count);
-  std::vector<double> walls(count, 0.0);
-
-  const auto run_entrant = [&](std::size_t i) {
+  // One job per (entrant, chain), entrant-major — the selection order.
+  struct Job {
+    std::size_t entrant = 0;
+    int chain = 0;
+    std::uint64_t seed = 0;
+  };
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < options.entrants.size(); ++i) {
     const PortfolioEntrant& e = options.entrants[i];
+    for (int c = 0; c < e.chains; ++c) {
+      jobs.push_back({i, c,
+                      e.chains > 1
+                          ? util::derive_seed(e.anneal.seed, "chain",
+                                              static_cast<std::uint64_t>(c))
+                          : e.anneal.seed});
+    }
+  }
+
+  std::vector<AnnealResult> results(jobs.size());
+  std::vector<double> walls(jobs.size(), 0.0);
+  const auto run_job = [&](std::size_t j) {
+    const PortfolioEntrant& e = options.entrants[jobs[j].entrant];
     DualAnnealingOptions opts = e.anneal;
-    // Entrants explore independently even when configured identically.
-    opts.seed = util::derive_seed(e.anneal.seed, "entrant", i);
+    opts.seed = jobs[j].seed;
     if (e.fresh_start) opts.initial.reset();
 
     const auto start = std::chrono::steady_clock::now();
-    if (e.polish_only) {
-      const std::unique_ptr<IncrementalObjective> objective = make_objective();
-      results[i] = run_polish(*objective, lower, upper, opts);
-    } else if (e.chains > 1) {
-      // Chains run sequentially inside the entrant (pool = nullptr):
-      // entrants are the unit of parallelism, and a pool's worker must not
-      // re-enter parallel_for.
-      MultiChainOptions mc;
-      mc.chains = e.chains;
-      mc.anneal = opts;
-      mc.pool = nullptr;
-      MultiChainResult reduced =
-          multi_chain(make_objective, lower, upper, mc);
-      AnnealResult r = std::move(reduced.best);
-      // The account tracks the entrant's full spend, not just the winning
-      // chain's share.
-      r.evaluations = reduced.evaluations;
-      r.delta_evaluations = reduced.delta_evaluations;
-      r.restarts = reduced.restarts;
-      r.local_searches = reduced.local_searches;
-      results[i] = std::move(r);
-    } else {
-      const std::unique_ptr<IncrementalObjective> objective = make_objective();
-      results[i] = dual_annealing(*objective, lower, upper, opts);
-    }
-    walls[i] =
+    const std::unique_ptr<IncrementalObjective> objective = make_objective();
+    results[j] = e.polish_only ? run_polish(*objective, lower, upper, opts)
+                               : dual_annealing(*objective, lower, upper, opts);
+    walls[j] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
   };
 
-  if (options.pool != nullptr && count > 1) {
-    options.pool->parallel_for(count, run_entrant);
+  if (options.pool != nullptr && jobs.size() > 1) {
+    options.pool->parallel_for(jobs.size(), run_job);
   } else {
-    for (std::size_t i = 0; i < count; ++i) run_entrant(i);
+    for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
   }
 
-  // Fixed selection order: ascending entrant index, strict `<` only — an
-  // exact value tie keeps the lower index. Wall time is reported below but
-  // never read here.
+  // Fixed selection order: the first minimum in job order, strict `<` only.
+  // Wall time is reported below but never read here.
   std::size_t winner = 0;
-  for (std::size_t i = 1; i < count; ++i) {
-    if (results[i].value < results[winner].value) winner = i;
+  for (std::size_t j = 1; j < jobs.size(); ++j) {
+    if (results[j].value < results[winner].value) winner = j;
   }
 
-  std::vector<EntrantAccount> accounts(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  std::vector<EntrantAccount> accounts(options.entrants.size());
+  AnnealResult totals;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const AnnealResult& r = results[j];
+    EntrantAccount& account = accounts[jobs[j].entrant];
+    if (jobs[j].chain == 0 || r.value < account.value) account.value = r.value;
+    account.wall_seconds += walls[j];
+    account.evaluations += r.evaluations;
+    account.delta_evaluations += r.delta_evaluations;
+    totals.evaluations += r.evaluations;
+    totals.delta_evaluations += r.delta_evaluations;
+    totals.restarts += r.restarts;
+    totals.local_searches += r.local_searches;
+  }
+  for (std::size_t i = 0; i < accounts.size(); ++i) {
     accounts[i].name = options.entrants[i].name;
-    accounts[i].value = results[i].value;
-    accounts[i].wall_seconds = walls[i];
-    accounts[i].evaluations = results[i].evaluations;
-    accounts[i].delta_evaluations = results[i].delta_evaluations;
-    accounts[i].winner = i == winner;
+    accounts[i].winner = i == jobs[winner].entrant;
   }
 
   AnnealResult best = std::move(results[winner]);
-  best.winner = options.entrants[winner].name;
+  best.evaluations = totals.evaluations;
+  best.delta_evaluations = totals.delta_evaluations;
+  best.restarts = totals.restarts;
+  best.local_searches = totals.local_searches;
+  best.winner = options.entrants[jobs[winner].entrant].name;
   best.entrants = std::move(accounts);
   return best;
 }

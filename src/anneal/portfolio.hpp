@@ -1,11 +1,13 @@
-// Deterministic optimizer portfolio: K configured entrants (single-chain
-// dual annealing, multi-chain reduction, Nelder-Mead polish, fresh restart)
-// race on the same objective under one configured budget, and the winner is
-// selected in fixed ascending-entrant order with strict-< on the final
-// objective value — exact ties keep the lower index. Like multi_chain, the
-// winner is a pure function of (objective, bounds, options): thread count
-// and completion order never influence it, so portfolio techniques inherit
-// content-addressed caching, sharding, and serving unchanged.
+// Deterministic optimizer race: K configured entrants (single-chain dual
+// annealing, K-chain annealing, Nelder-Mead polish, fresh restart) run on the
+// same objective, each chain of each entrant as one job, and the winner is
+// the first minimum of the final objective value in fixed job order
+// (ascending entrant, then ascending chain; strict-<, so exact ties keep the
+// earlier job). The winner is a pure function of (objective, bounds,
+// options): thread count and completion order never influence it, so every
+// technique built on it inherits content-addressed caching, sharding, and
+// serving unchanged. A lone entrant with K chains is plain deterministic
+// multi-chain annealing.
 //
 // Budgeting: each entrant carries its own DualAnnealingOptions — the roster
 // builder (see placement::graphine) splits one anneal budget across the
@@ -34,13 +36,12 @@ struct PortfolioEntrant {
   /// Stable display name ("delta", "mc4", "nm", "restart", ...); reported in
   /// AnnealResult::winner and the per-entrant accounts.
   std::string name;
-  /// Entrant budget + schedule. `seed` is re-derived per entrant index by
-  /// race() (derive_seed(seed, "entrant", index)), so entrants with the same
-  /// base options still explore independently.
+  /// Entrant budget + schedule. `seed` is used verbatim by a single-chain
+  /// entrant; roster builders derive distinct seeds for entrants that should
+  /// explore independently.
   DualAnnealingOptions anneal{};
-  /// > 1 runs the entrant as a deterministic multi-chain reduction (the
-  /// chains run sequentially inside the entrant — entrants are the unit of
-  /// parallelism, so a racing pool is never re-entered).
+  /// Independent chains; at least 1. With more than one, chain c runs with
+  /// derive_seed(anneal.seed, "chain", c), and each chain is its own job.
   int chains = 1;
   /// Skip annealing entirely: one lean Nelder-Mead descent from the warm
   /// start (budgeted by anneal.local_options.max_evaluations).
@@ -51,19 +52,21 @@ struct PortfolioEntrant {
 };
 
 struct PortfolioOptions {
-  /// At least one entrant; selection prefers lower indices on exact ties.
+  /// At least one entrant; selection prefers earlier jobs on exact ties.
   std::vector<PortfolioEntrant> entrants;
-  /// Optional borrowed pool: entrants fan out across it (the caller must
-  /// not race from one of the pool's own workers — parallel_for blocks).
-  /// Null runs entrants sequentially; the winner is identical either way.
+  /// Optional borrowed pool: jobs fan out across it (the caller must not
+  /// race from one of the pool's own workers — parallel_for blocks). Null
+  /// runs jobs sequentially; the winner is identical either way.
   util::ThreadPool* pool = nullptr;
 };
 
-/// Races the configured entrants, each over a fresh objective from
-/// `make_objective` (entrants mutate their objective). Returns the winning
-/// entrant's AnnealResult with `winner` set to its name and `entrants`
-/// holding every entrant's accounting. Throws std::invalid_argument for an
-/// empty roster, a non-positive chain count, or invalid entrant options.
+/// Races the configured entrants, each job over a fresh objective from
+/// `make_objective` (jobs mutate their objective). Returns the winning job's
+/// AnnealResult with `winner` set to its entrant's name and `entrants`
+/// holding every entrant's accounting; its evaluations, delta_evaluations,
+/// restarts and local_searches total the whole race's spend. Throws
+/// std::invalid_argument for an empty roster, a non-positive chain count,
+/// or invalid entrant options.
 [[nodiscard]] AnnealResult race(
     const std::function<std::unique_ptr<IncrementalObjective>()>&
         make_objective,

@@ -7,9 +7,10 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
-#include "anneal/multi_chain.hpp"
 #include "anneal/portfolio.hpp"
 #include "placement/objective.hpp"
 #include "util/stopwatch.hpp"
@@ -147,7 +148,8 @@ std::vector<double> serpentine_seed(const circuit::InteractionGraph& graph) {
 /// budget splits evenly across the annealing entrants (the mc entrant
 /// further splits its share over its chains), and the polish entrant spends
 /// only the local-search evaluation budget — so a full race costs about one
-/// configured anneal.
+/// configured anneal. Entrant i explores from derive_seed(seed, "entrant",
+/// i), so identically configured entrants still search independently.
 std::vector<anneal::PortfolioEntrant> portfolio_roster(
     const anneal::DualAnnealingOptions& base, int entrants) {
   std::vector<anneal::PortfolioEntrant> roster;
@@ -184,6 +186,9 @@ std::vector<anneal::PortfolioEntrant> portfolio_roster(
     restart.fresh_start = true;
     roster.push_back(std::move(restart));
   }
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    roster[i].anneal.seed = util::derive_seed(base.seed, "entrant", i);
+  }
   return roster;
 }
 
@@ -215,6 +220,19 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
 Topology graphine_place(const circuit::InteractionGraph& graph,
                         const GraphineOptions& options,
                         PlacementStats* stats) {
+  // Multi-chain and portfolio anneals walk the batched block stream; no
+  // fingerprint ever named them with another proposal mode.
+  if (options.proposal != ProposalMode::kBatched) {
+    if (options.chains > 1) {
+      throw std::invalid_argument(
+          "graphine_place: chains > 1 requires ProposalMode::kBatched");
+    }
+    if (options.portfolio_entrants > 0) {
+      throw std::invalid_argument(
+          "graphine_place: portfolio_entrants > 0 requires "
+          "ProposalMode::kBatched");
+    }
+  }
   g_annealing_invocations.fetch_add(1, std::memory_order_relaxed);
   const auto n = static_cast<std::size_t>(graph.n_qubits());
   Topology topology;
@@ -234,74 +252,53 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
   anneal_options.local_options.max_evaluations =
       options.local_search_evaluations;
   anneal_options.seed = options.seed;
-  anneal_options.batched_proposals =
-      options.proposal == ProposalMode::kBatched;
   if (options.warm_start) {
     anneal_options.initial = serpentine_seed(graph);
   }
 
-  const bool incremental = options.proposal != ProposalMode::kFullVector ||
-                           options.chains > 1 ||
-                           options.portfolio_entrants > 0;
+  const bool portfolio = options.portfolio_entrants > 0;
   anneal::AnnealResult result;
   int chains_used = 1;
   const util::Stopwatch anneal_watch;
-  if (!incremental) {
+  if (options.proposal == ProposalMode::kFullVector) {
     // Legacy reference path — kept bit-for-bit so existing cache entries
     // and goldens replay unchanged.
     const auto objective = [&](const std::vector<double>& coords) {
       return placement_objective(coords, graph, options);
     };
     result = anneal::dual_annealing(objective, lower, upper, anneal_options);
-  } else if (options.portfolio_entrants > 0) {
-    // Raced portfolio: the configured anneal budget is split across the
-    // roster so one race costs about one single-optimizer anneal; the
-    // deterministic reduction keeps the lowest final value (ties: lowest
-    // entrant index).
+  } else {
+    // Delta-cost path: the raced portfolio (the configured anneal budget
+    // split across the roster, so one race costs about one single-optimizer
+    // anneal) or one entrant of `chains` chains.
     anneal::PortfolioOptions race_options;
-    race_options.entrants =
-        portfolio_roster(anneal_options, options.portfolio_entrants);
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    util::ThreadPool pool(std::min<std::size_t>(
-        race_options.entrants.size(), hw));
-    race_options.pool = &pool;
+    if (portfolio) {
+      race_options.entrants =
+          portfolio_roster(anneal_options, options.portfolio_entrants);
+    } else {
+      chains_used = std::max(1, options.chains);
+      anneal::PortfolioEntrant entrant;
+      entrant.anneal = anneal_options;
+      entrant.chains = chains_used;
+      race_options.entrants.push_back(std::move(entrant));
+    }
+    std::size_t jobs = 0;
+    for (const anneal::PortfolioEntrant& e : race_options.entrants) {
+      jobs += static_cast<std::size_t>(e.chains);
+    }
+    // A transient pool, never the caller's: graphine_place runs on sweep
+    // worker threads, and nesting parallel_for on the same pool would
+    // deadlock. Pool size does not affect the (deterministic) winner.
+    std::optional<util::ThreadPool> pool;
+    if (jobs > 1) {
+      const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+      race_options.pool = &pool.emplace(std::min(jobs, hw));
+    }
     result = anneal::race(
         [&]() -> std::unique_ptr<anneal::IncrementalObjective> {
           return std::make_unique<DeltaPlacementObjective>(graph, options);
         },
         lower, upper, race_options);
-    // Counters report the whole race's spend, not just the winner's.
-    result.evaluations = 0;
-    result.delta_evaluations = 0;
-    for (const anneal::EntrantAccount& account : result.entrants) {
-      result.evaluations += account.evaluations;
-      result.delta_evaluations += account.delta_evaluations;
-    }
-  } else if (options.chains <= 1) {
-    DeltaPlacementObjective objective(graph, options);
-    result = anneal::dual_annealing(objective, lower, upper, anneal_options);
-  } else {
-    anneal::MultiChainOptions mc;
-    mc.chains = options.chains;
-    mc.anneal = anneal_options;
-    // A transient pool, never the caller's: graphine_place runs on sweep
-    // worker threads, and nesting parallel_for on the same pool would
-    // deadlock. Pool size does not affect the (deterministic) winner.
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    util::ThreadPool pool(
-        std::min<std::size_t>(static_cast<std::size_t>(options.chains), hw));
-    mc.pool = &pool;
-    const anneal::MultiChainResult reduced = anneal::multi_chain(
-        [&]() -> std::unique_ptr<anneal::IncrementalObjective> {
-          return std::make_unique<DeltaPlacementObjective>(graph, options);
-        },
-        lower, upper, mc);
-    result = reduced.best;
-    result.evaluations = reduced.evaluations;
-    result.delta_evaluations = reduced.delta_evaluations;
-    result.restarts = reduced.restarts;
-    result.local_searches = reduced.local_searches;
-    chains_used = reduced.chains;
   }
   const double anneal_seconds = anneal_watch.seconds();
 
@@ -319,8 +316,10 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
     stats->local_searches = result.local_searches;
     stats->iterations = result.iterations;
     stats->chains = chains_used;
-    stats->portfolio_winner = result.winner;
-    stats->entrants = result.entrants;
+    if (portfolio) {
+      stats->portfolio_winner = result.winner;
+      stats->entrants = result.entrants;
+    }
   }
 
   for (std::size_t q = 0; q < n; ++q) {

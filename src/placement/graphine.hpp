@@ -22,14 +22,11 @@ enum class ProposalMode : std::uint8_t {
   /// builds — cached fingerprints and goldens stay valid.
   kFullVector = 0,
   /// Delta-cost hot path: one qubit moves per proposal, scored
-  /// incrementally in O(deg + local neighbors) against a spatial hash.
-  /// Fingerprint-distinct from the legacy mode.
-  kPerQubit = 1,
-  /// Delta-cost path with batched proposal generation: every iteration's
-  /// visit draws and acceptance uniforms come from a counter-based block
-  /// stream, so the accept loop is branch-light and the walk is independent
-  /// of SIMD width. A distinct deterministic walk — fingerprint-distinct
-  /// from both modes above.
+  /// incrementally in O(deg + local neighbors) against a spatial hash, with
+  /// every iteration's visit draws and acceptance uniforms taken from a
+  /// counter-based block stream. Fingerprint-distinct from the legacy mode.
+  /// The value is fed into fingerprints, so it stays 2 (1 named a retired
+  /// per-site walk).
   kBatched = 2,
 };
 
@@ -52,10 +49,10 @@ struct GraphineOptions {
   /// annealer bit-for-bit.
   ProposalMode proposal = ProposalMode::kFullVector;
   /// Independent annealing chains, reduced deterministically (lowest value,
-  /// then lowest chain index). chains > 1 implies per-qubit proposals and
-  /// fans the chains across a transient thread pool; 1 keeps a single
-  /// chain. Fingerprint-visible only when non-default, so legacy cache
-  /// keys are untouched.
+  /// then lowest chain index) and fanned across a transient thread pool; 1
+  /// keeps a single chain. chains > 1 requires kBatched (graphine_place
+  /// throws std::invalid_argument otherwise). Fingerprint-visible only when
+  /// non-default, so legacy cache keys are untouched.
   int chains = 1;
   /// Windowed placement threshold: when positive and smaller than the
   /// circuit's qubit count, the interaction graph is partitioned into
@@ -69,8 +66,9 @@ struct GraphineOptions {
   /// up to this many raced entrants (delta single-chain, mc4 reduction,
   /// Nelder-Mead polish, fresh restart — in that fixed order) and the
   /// deterministic winner is kept (anneal/portfolio.hpp). 0 keeps the
-  /// single-optimizer paths. Fingerprint-visible only when non-zero, so
-  /// every legacy cache key is untouched.
+  /// single-optimizer paths. Requires kBatched, like chains > 1.
+  /// Fingerprint-visible only when non-zero, so every legacy cache key is
+  /// untouched.
   int portfolio_entrants = 0;
 };
 
@@ -114,7 +112,9 @@ struct PlacementStats {
   std::vector<anneal::EntrantAccount> entrants;
 };
 
-/// Runs the annealed placement for a circuit's interaction graph.
+/// Runs the annealed placement for a circuit's interaction graph. Throws
+/// std::invalid_argument when chains > 1 or portfolio_entrants > 0 is set
+/// without ProposalMode::kBatched.
 [[nodiscard]] Topology graphine_place(const circuit::InteractionGraph& graph,
                                       const GraphineOptions& options = {});
 

@@ -19,10 +19,10 @@
 //
 // Term arithmetic intentionally uses sqrt(dx*dx + dy*dy), not geom::distance
 // (std::hypot): hypot's extra rounding control is irrelevant in [0,1]^2 and
-// sqrt vectorizes — the per-term math runs through the anneal::kernels SIMD
-// dispatch (scalar/SSE2/AVX2), which is bit-identical to these formulas on
-// every lane. The legacy placement_objective keeps hypot — the two paths are
-// distinct fingerprint-visible modes, not bit-equal twins.
+// sqrt batches — the per-term math runs through the 4-wide anneal::kernels,
+// which are bit-identical to these formulas. The legacy placement_objective
+// keeps hypot — the two paths are distinct fingerprint-visible modes, not
+// bit-equal twins.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,9 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   [[nodiscard]] int cell_of(double x, double y) const noexcept;
   /// Every cost term involving site q at position (px, py) against the
   /// current positions of all other sites: deg(q) edge terms plus the
-  /// crowding terms of neighbors within d_min. Batched through the
-  /// anneal::kernels SIMD dispatch; term values stay bit-identical to the
-  /// scalar formulas (see kernels.hpp).
+  /// crowding terms of neighbors within d_min. Batched through
+  /// anneal::kernels; term values stay bit-identical to the scalar formulas
+  /// (see kernels.hpp).
   void collect_terms(std::size_t q, double px, double py,
                      std::vector<double>& out);
   /// Gathers the occupants of the 3x3 cell neighborhood around (px, py)

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "anneal/kernels.hpp"
 #include "bench_circuits/registry.hpp"
 #include "cache/cache.hpp"
 #include "circuit/interaction_graph.hpp"
@@ -200,14 +199,12 @@ int run_perf_snapshot(const std::string& path, const PerfOptions& options,
                legacy.wall_seconds * 1e3, fast.wall_seconds * 1e3,
                fast_speedup, mc4.wall_seconds * 1e3, mc4_per_chain * 1e3,
                mc4.objective, legacy.objective);
-  std::fprintf(log,
-               "[perf] race %.1fms (winner %s, objective %.1f) | simd %s\n",
+  std::fprintf(log, "[perf] race %.1fms (winner %s, objective %.1f)\n",
                race.wall_seconds * 1e3,
                race.stats.portfolio_winner.empty()
                    ? "-"
                    : race.stats.portfolio_winner.c_str(),
-               race.objective,
-               anneal::kernels::lane_name(anneal::kernels::active_lane()));
+               race.objective);
 
   // --- Streaming QASM parse throughput ------------------------------------
   // Writer-realistic source (full-precision angles, exactly what
@@ -460,11 +457,6 @@ int run_perf_snapshot(const std::string& path, const PerfOptions& options,
   root["gate_circuit"] = kGateCircuit;
   root["gate_qubits"] = graph.n_qubits();
   root["seed"] = static_cast<double>(options.seed);
-  // Which kernel lane the anneal numbers above were measured with (scalar,
-  // sse2, or avx2) — snapshots from different hosts are only comparable
-  // lane-for-lane.
-  root["simd_lane"] =
-      std::string(anneal::kernels::lane_name(anneal::kernels::active_lane()));
 
   auto anneal = util::JsonValue::object();
   anneal["legacy"] = anneal_json(legacy);

@@ -213,7 +213,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
         options.customize(cell.circuit, cell.technique, cell.machine, opts);
       }
       // Technique-declared option tuning (e.g. graphine-mc4 switching the
-      // placement annealer to per-qubit multi-chain) applies after the
+      // placement annealer to batched multi-chain) applies after the
       // caller's customize hook and before any key is derived, so memo
       // keys, cache fingerprints, and the pipeline all see the same
       // effective options.

@@ -1,6 +1,7 @@
 #include "technique/registry.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "cache/cache.hpp"
@@ -10,6 +11,90 @@ namespace parallax::technique {
 
 namespace passes = pipeline::passes;
 
+namespace {
+
+pipeline::Pipeline parallax_passes(std::string technique) {
+  pipeline::Pipeline pipeline(std::move(technique));
+  pipeline.add(passes::transpile())
+      .add(passes::graphine_placement())
+      .add(passes::discretize())
+      .add(passes::aod_selection())
+      .add(passes::schedule());
+  return pipeline;
+}
+
+pipeline::Pipeline graphine_passes(std::string technique) {
+  pipeline::Pipeline pipeline(std::move(technique));
+  pipeline.add(passes::transpile())
+      .add(passes::graphine_placement())
+      .add(passes::discretize())
+      .add(passes::swap_route())
+      .add(passes::static_schedule());
+  return pipeline;
+}
+
+// Fast-annealer tunings: the placement annealer switched to the delta-cost
+// hot path. Batched sweeps propose n moves per iteration (each scored
+// incrementally, with all randomness pre-drawn per iteration), so far fewer
+// outer iterations reach legacy quality.
+void tune_fast(pipeline::CompileOptions& options) {
+  options.placement.proposal = placement::ProposalMode::kBatched;
+  // 120 batched sweeps + a 300-evaluation lean polish land at or below the
+  // legacy 600-iteration objective on every table04 circuit (TFIM-128:
+  // bit-equal 229.64) at ~11.6ms vs 147.8ms legacy wall.
+  options.placement.anneal_iterations = 120;
+  options.placement.local_search_evaluations = 300;
+}
+
+void tune_mc4(pipeline::CompileOptions& options) {
+  tune_fast(options);
+  options.placement.chains = 4;
+  // Four chains buy exploration, not just wall-clock: with the longer
+  // budget the reduced winner lands in measurably better basins than the
+  // legacy single full-vector chain (TFIM-128: ~16% lower objective),
+  // while the per-chain delta cost keeps each chain ~5x cheaper than one
+  // legacy anneal.
+  options.placement.anneal_iterations = 250;
+}
+
+// Raced optimizer portfolio: the fast anneal budget is split across four
+// entrants (delta single-chain, mc4 reduction, Nelder-Mead polish, fresh
+// restart) and the deterministic strict-< winner is kept — robustness
+// against any one optimizer stalling, at roughly the single-chain cost.
+void tune_race(pipeline::CompileOptions& options) {
+  tune_fast(options);
+  options.placement.portfolio_entrants = 4;
+}
+
+/// A tuned variant: a base technique's pass list under the variant's own
+/// name, with its option tuning.
+struct TunedVariant {
+  const char* name;
+  const char* description;
+  pipeline::Pipeline (*base)(std::string technique);
+  void (*tune)(pipeline::CompileOptions& options);
+};
+
+constexpr TunedVariant kTunedVariants[] = {
+    {"parallax-fast",
+     "parallax with delta-cost per-qubit annealing (single chain): "
+     "identical pass list, order-of-magnitude cheaper placement search",
+     parallax_passes, tune_fast},
+    {"parallax-mc4",
+     "parallax with 4-chain deterministic delta-cost annealing (best of "
+     "four independent seeds, thread-count-invariant winner)",
+     parallax_passes, tune_mc4},
+    {"graphine-mc4",
+     "graphine baseline with 4-chain deterministic delta-cost annealing",
+     graphine_passes, tune_mc4},
+    {"parallax-race",
+     "parallax with a budget-raced optimizer portfolio (delta, mc4, "
+     "Nelder-Mead polish, fresh restart; deterministic winner)",
+     parallax_passes, tune_race},
+};
+
+}  // namespace
+
 Registry Registry::with_builtins() {
   Registry registry;
   registry.add(
@@ -17,13 +102,7 @@ Registry Registry::with_builtins() {
       "the paper's four-step compiler: annealed placement, discretization, "
       "AOD selection, movement scheduling (zero SWAPs)",
       [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("parallax");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::aod_selection())
-            .add(passes::schedule());
-        return pipeline;
+        return parallax_passes("parallax");
       });
   registry.add(
       "eldi",
@@ -42,13 +121,7 @@ Registry Registry::with_builtins() {
       "GRAPHINE baseline: the same annealed placement as Parallax, but atoms "
       "stay static and out-of-range CZs cost SWAP chains",
       [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("graphine");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::swap_route())
-            .add(passes::static_schedule());
-        return pipeline;
+        return graphine_passes("graphine");
       });
   registry.add(
       "static",
@@ -62,94 +135,14 @@ Registry Registry::with_builtins() {
             .add(passes::static_schedule());
         return pipeline;
       });
-
-  // Fast-annealer variants: the same pipelines, with the placement annealer
-  // tuned to the delta-cost hot path. Batched sweeps propose n moves per
-  // iteration (each scored incrementally through the SIMD kernels, with all
-  // randomness pre-drawn per iteration), so far fewer outer iterations
-  // reach legacy quality; the mc4 variants additionally race four
-  // deterministic chains and keep the reproducible winner.
-  const auto tune_per_qubit = [](pipeline::CompileOptions& options) {
-    options.placement.proposal = placement::ProposalMode::kBatched;
-    // 120 batched sweeps + a 300-evaluation lean polish land at or below the
-    // legacy 600-iteration objective on every table04 circuit (TFIM-128:
-    // bit-equal 229.64) at ~11.6ms vs 147.8ms legacy wall.
-    options.placement.anneal_iterations = 120;
-    options.placement.local_search_evaluations = 300;
-  };
-  const auto tune_mc4 = [tune_per_qubit](pipeline::CompileOptions& options) {
-    tune_per_qubit(options);
-    options.placement.chains = 4;
-    // Four chains buy exploration, not just wall-clock: with the longer
-    // budget the reduced winner lands in measurably better basins than the
-    // legacy single full-vector chain (TFIM-128: ~16% lower objective),
-    // while the per-chain delta cost keeps each chain ~5x cheaper than one
-    // legacy anneal.
-    options.placement.anneal_iterations = 250;
-  };
-  registry.add(
-      "parallax-fast",
-      "parallax with delta-cost per-qubit annealing (single chain): "
-      "identical pass list, order-of-magnitude cheaper placement search",
-      [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("parallax-fast");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::aod_selection())
-            .add(passes::schedule());
-        return pipeline;
-      },
-      tune_per_qubit);
-  registry.add(
-      "parallax-mc4",
-      "parallax with 4-chain deterministic delta-cost annealing (best of "
-      "four independent seeds, thread-count-invariant winner)",
-      [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("parallax-mc4");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::aod_selection())
-            .add(passes::schedule());
-        return pipeline;
-      },
-      tune_mc4);
-  registry.add(
-      "graphine-mc4",
-      "graphine baseline with 4-chain deterministic delta-cost annealing",
-      [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("graphine-mc4");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::swap_route())
-            .add(passes::static_schedule());
-        return pipeline;
-      },
-      tune_mc4);
-  // Raced optimizer portfolio: the fast anneal budget is split across four
-  // entrants (delta single-chain, mc4 reduction, Nelder-Mead polish, fresh
-  // restart) and the deterministic strict-< winner is kept — robustness
-  // against any one optimizer stalling, at roughly the single-chain cost.
-  const auto tune_race = [tune_per_qubit](pipeline::CompileOptions& options) {
-    tune_per_qubit(options);
-    options.placement.portfolio_entrants = 4;
-  };
-  registry.add(
-      "parallax-race",
-      "parallax with a budget-raced optimizer portfolio (delta, mc4, "
-      "Nelder-Mead polish, fresh restart; deterministic winner)",
-      [](const pipeline::CompileOptions&) {
-        pipeline::Pipeline pipeline("parallax-race");
-        pipeline.add(passes::transpile())
-            .add(passes::graphine_placement())
-            .add(passes::discretize())
-            .add(passes::aod_selection())
-            .add(passes::schedule());
-        return pipeline;
-      },
-      tune_race);
+  for (const TunedVariant& variant : kTunedVariants) {
+    registry.add(
+        variant.name, variant.description,
+        [variant](const pipeline::CompileOptions&) {
+          return variant.base(variant.name);
+        },
+        variant.tune);
+  }
   return registry;
 }
 

@@ -35,7 +35,7 @@ struct TechniqueInfo {
   /// currently do).
   std::function<pipeline::Pipeline(const pipeline::CompileOptions&)> factory;
   /// Optional option tuning the technique declares for itself (e.g.
-  /// graphine-mc4 switching placement to per-qubit multi-chain annealing).
+  /// graphine-mc4 switching placement to batched multi-chain annealing).
   /// Every driver applies it through apply_tuning() before deriving memo
   /// keys or fingerprints, so a tuned variant is "its base pipeline with
   /// these options" uniformly across compile, sweep, shard, and serve —

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "anneal/dual_annealing.hpp"
-#include "anneal/multi_chain.hpp"
 #include "anneal/nelder_mead.hpp"
 #include "anneal/objective.hpp"
 #include "anneal/portfolio.hpp"
@@ -192,7 +191,7 @@ TEST(DualAnnealing, ReportsWorkCounters) {
   EXPECT_GE(result.restarts, 0);
 }
 
-// --- Single-coordinate (per-site) mode ------------------------------------
+// --- Single-coordinate (incremental) mode ---------------------------------
 
 namespace {
 
@@ -257,7 +256,7 @@ class IncrementalSphere final : public pa::IncrementalObjective {
 
 }  // namespace
 
-TEST(DualAnnealingPerSite, MinimizesSphereWithinBox) {
+TEST(DualAnnealingIncremental, MinimizesSphereWithinBox) {
   IncrementalSphere objective(4);
   const std::vector<double> lower(8, -5.0), upper(8, 5.0);
   pa::DualAnnealingOptions options;
@@ -270,12 +269,12 @@ TEST(DualAnnealingPerSite, MinimizesSphereWithinBox) {
     EXPECT_GE(c, -5.0);
     EXPECT_LE(c, 5.0);
   }
-  // Per-site mode pays one delta evaluation per site per iteration.
+  // Incremental mode pays one delta evaluation per site per iteration.
   EXPECT_GT(result.delta_evaluations, 0);
   EXPECT_GE(result.evaluations, 1);
 }
 
-TEST(DualAnnealingPerSite, DeterministicForSeedAndHonorsWarmStart) {
+TEST(DualAnnealingIncremental, DeterministicForSeedAndHonorsWarmStart) {
   const std::vector<double> lower(6, -2.0), upper(6, 2.0);
   pa::DualAnnealingOptions options;
   options.max_iterations = 120;
@@ -291,7 +290,7 @@ TEST(DualAnnealingPerSite, DeterministicForSeedAndHonorsWarmStart) {
   EXPECT_LE(rc.value, 1e-12);
 }
 
-TEST(DualAnnealingPerSite, ResultMatchesObjectiveFullRescore) {
+TEST(DualAnnealingIncremental, ResultMatchesObjectiveFullRescore) {
   IncrementalSphere objective(5);
   const std::vector<double> lower(10, -3.0), upper(10, 3.0);
   pa::DualAnnealingOptions options;
@@ -300,95 +299,6 @@ TEST(DualAnnealingPerSite, ResultMatchesObjectiveFullRescore) {
   const auto result = pa::dual_annealing(objective, lower, upper, options);
   IncrementalSphere oracle(5);
   EXPECT_EQ(result.value, oracle.full(result.x));
-}
-
-// --- Deterministic multi-chain --------------------------------------------
-
-TEST(MultiChain, RejectsNonPositiveChainCount) {
-  pa::MultiChainOptions options;
-  options.chains = 0;
-  EXPECT_THROW(
-      (void)pa::multi_chain(
-          [] { return std::make_unique<IncrementalSphere>(2); },
-          std::vector<double>(4, -1.0), std::vector<double>(4, 1.0), options),
-      std::invalid_argument);
-}
-
-TEST(MultiChain, ThreadCountInvariantWinner) {
-  const std::vector<double> lower(8, -4.0), upper(8, 4.0);
-  pa::MultiChainOptions options;
-  options.chains = 4;
-  options.anneal.max_iterations = 60;
-  options.anneal.seed = 0xFEEDULL;
-
-  options.pool = nullptr;  // sequential reference
-  const auto sequential = pa::multi_chain(
-      [] { return std::make_unique<IncrementalSphere>(4); }, lower, upper,
-      options);
-
-  parallax::util::ThreadPool pool(4);
-  options.pool = &pool;
-  const auto pooled = pa::multi_chain(
-      [] { return std::make_unique<IncrementalSphere>(4); }, lower, upper,
-      options);
-
-  EXPECT_EQ(sequential.winner, pooled.winner);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.best.value),
-            std::bit_cast<std::uint64_t>(pooled.best.value));
-  ASSERT_EQ(sequential.best.x.size(), pooled.best.x.size());
-  for (std::size_t i = 0; i < sequential.best.x.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.best.x[i]),
-              std::bit_cast<std::uint64_t>(pooled.best.x[i]))
-        << "coordinate " << i;
-  }
-  EXPECT_EQ(sequential.evaluations, pooled.evaluations);
-  EXPECT_EQ(sequential.delta_evaluations, pooled.delta_evaluations);
-}
-
-// --- Batched proposal generation ------------------------------------------
-
-TEST(DualAnnealingBatched, ConvergesAndIsDeterministic) {
-  const std::vector<double> lower(8, -5.0), upper(8, 5.0);
-  pa::DualAnnealingOptions options;
-  options.max_iterations = 300;
-  options.seed = 13;
-  options.batched_proposals = true;
-  IncrementalSphere a(4), b(4);
-  const auto ra = pa::dual_annealing(a, lower, upper, options);
-  const auto rb = pa::dual_annealing(b, lower, upper, options);
-  EXPECT_LT(ra.value, 1e-6);
-  EXPECT_EQ(ra.x, rb.x);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.value),
-            std::bit_cast<std::uint64_t>(rb.value));
-  for (const double c : ra.x) {
-    EXPECT_GE(c, -5.0);
-    EXPECT_LE(c, 5.0);
-  }
-  EXPECT_GT(ra.delta_evaluations, 0);
-}
-
-TEST(DualAnnealingBatched, IsADistinctWalkFromPerSiteDraws) {
-  const std::vector<double> lower(6, -2.0), upper(6, 2.0);
-  pa::DualAnnealingOptions options;
-  options.max_iterations = 40;
-  options.local_search_interval = 0;  // isolate the proposal streams
-  options.seed = 31;
-  IncrementalSphere a(3), b(3);
-  const auto per_site = pa::dual_annealing(a, lower, upper, options);
-  options.batched_proposals = true;
-  const auto batched = pa::dual_annealing(b, lower, upper, options);
-  // Both are valid anneals; the batched counter-based stream is a different
-  // (fingerprint-visible) random walk, so results should not coincide.
-  EXPECT_NE(per_site.x, batched.x);
-}
-
-TEST(DualAnnealingBatched, FullVectorOverloadRejectsBatchedProposals) {
-  pa::DualAnnealingOptions options;
-  options.max_iterations = 10;
-  options.batched_proposals = true;
-  EXPECT_THROW((void)pa::dual_annealing(sphere, {-1.0, -1.0}, {1.0, 1.0},
-                                        options),
-               std::invalid_argument);
 }
 
 // --- Lean Nelder-Mead over the incremental interface ----------------------
@@ -481,6 +391,11 @@ std::vector<pa::PortfolioEntrant> sphere_roster() {
   entrants[3].name = "restart";
   entrants[3].anneal.max_iterations = 40;
   entrants[3].fresh_start = true;
+  // Distinct seeds, derived the way placement's portfolio roster does.
+  for (std::size_t i = 0; i < entrants.size(); ++i) {
+    entrants[i].anneal.seed =
+        parallax::util::derive_seed(0x5eedULL, "entrant", i);
+  }
   return entrants;
 }
 
@@ -534,36 +449,49 @@ TEST(Portfolio, WinnerIsTheBestEntrantWithFullAccounting) {
 TEST(Portfolio, ThreadCountInvariantWinner) {
   const auto make = [] { return std::make_unique<IncrementalSphere>(4); };
   const std::vector<double> lower(8, -3.0), upper(8, 3.0);
-  pa::PortfolioOptions options;
-  options.entrants = sphere_roster();
+  // The mixed roster, and a lone 4-chain entrant (plain multi-chain
+  // annealing, every chain its own job).
+  pa::PortfolioEntrant chains;
+  chains.name = "mc4";
+  chains.chains = 4;
+  chains.anneal.max_iterations = 60;
+  chains.anneal.seed = 0xFEEDULL;
+  for (const auto& roster :
+       {sphere_roster(), std::vector<pa::PortfolioEntrant>{chains}}) {
+    SCOPED_TRACE(roster.front().name);
+    pa::PortfolioOptions options;
+    options.entrants = roster;
 
-  options.pool = nullptr;  // sequential reference
-  const auto sequential = pa::race(make, lower, upper, options);
+    options.pool = nullptr;  // sequential reference
+    const auto sequential = pa::race(make, lower, upper, options);
 
-  parallax::util::ThreadPool pool(4);
-  options.pool = &pool;
-  const auto pooled = pa::race(make, lower, upper, options);
+    parallax::util::ThreadPool pool(4);
+    options.pool = &pool;
+    const auto pooled = pa::race(make, lower, upper, options);
 
-  EXPECT_EQ(sequential.winner, pooled.winner);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.value),
-            std::bit_cast<std::uint64_t>(pooled.value));
-  ASSERT_EQ(sequential.x.size(), pooled.x.size());
-  for (std::size_t i = 0; i < sequential.x.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.x[i]),
-              std::bit_cast<std::uint64_t>(pooled.x[i]))
-        << "coordinate " << i;
-  }
-  ASSERT_EQ(sequential.entrants.size(), pooled.entrants.size());
-  for (std::size_t e = 0; e < sequential.entrants.size(); ++e) {
-    EXPECT_EQ(sequential.entrants[e].name, pooled.entrants[e].name);
-    EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(sequential.entrants[e].value),
-        std::bit_cast<std::uint64_t>(pooled.entrants[e].value));
-    EXPECT_EQ(sequential.entrants[e].evaluations,
-              pooled.entrants[e].evaluations);
-    EXPECT_EQ(sequential.entrants[e].delta_evaluations,
-              pooled.entrants[e].delta_evaluations);
-    EXPECT_EQ(sequential.entrants[e].winner, pooled.entrants[e].winner);
+    EXPECT_EQ(sequential.winner, pooled.winner);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.value),
+              std::bit_cast<std::uint64_t>(pooled.value));
+    ASSERT_EQ(sequential.x.size(), pooled.x.size());
+    for (std::size_t i = 0; i < sequential.x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.x[i]),
+                std::bit_cast<std::uint64_t>(pooled.x[i]))
+          << "coordinate " << i;
+    }
+    EXPECT_EQ(sequential.evaluations, pooled.evaluations);
+    EXPECT_EQ(sequential.delta_evaluations, pooled.delta_evaluations);
+    ASSERT_EQ(sequential.entrants.size(), pooled.entrants.size());
+    for (std::size_t e = 0; e < sequential.entrants.size(); ++e) {
+      EXPECT_EQ(sequential.entrants[e].name, pooled.entrants[e].name);
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(sequential.entrants[e].value),
+          std::bit_cast<std::uint64_t>(pooled.entrants[e].value));
+      EXPECT_EQ(sequential.entrants[e].evaluations,
+                pooled.entrants[e].evaluations);
+      EXPECT_EQ(sequential.entrants[e].delta_evaluations,
+                pooled.entrants[e].delta_evaluations);
+      EXPECT_EQ(sequential.entrants[e].winner, pooled.entrants[e].winner);
+    }
   }
 }
 
@@ -585,28 +513,31 @@ TEST(Portfolio, FreshStartIgnoresWarmStart) {
   EXPECT_NE(result.winner, "restart");
 }
 
-TEST(MultiChain, WinnerIsBestOfItsChains) {
+TEST(Portfolio, WinnerIsBestOfItsChains) {
   const std::vector<double> lower(6, -3.0), upper(6, 3.0);
-  pa::MultiChainOptions options;
-  options.chains = 3;
-  options.anneal.max_iterations = 40;
-  options.anneal.seed = 77;
-  const auto reduced = pa::multi_chain(
+  pa::PortfolioOptions options;
+  options.entrants.resize(1);
+  options.entrants[0].chains = 3;
+  options.entrants[0].anneal.max_iterations = 40;
+  options.entrants[0].anneal.seed = 77;
+  const auto raced = pa::race(
       [] { return std::make_unique<IncrementalSphere>(3); }, lower, upper,
       options);
-  ASSERT_EQ(reduced.chains, 3);
-  // Replay each chain independently: the reduction must have picked the
-  // lowest value, preferring the earliest index on exact ties.
-  for (int k = 0; k < 3; ++k) {
-    pa::DualAnnealingOptions chain = options.anneal;
-    chain.seed = parallax::util::derive_seed(options.anneal.seed, "chain",
-                                             static_cast<std::uint64_t>(k));
+  // Replay each chain on its own seed, derive_seed(seed, "chain", k): the
+  // race must have kept the first chain holding the lowest value.
+  std::vector<pa::AnnealResult> chains;
+  std::size_t first_best = 0;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    pa::DualAnnealingOptions chain = options.entrants[0].anneal;
+    chain.seed = parallax::util::derive_seed(77, "chain", k);
     IncrementalSphere objective(3);
-    const auto result = pa::dual_annealing(objective, lower, upper, chain);
-    if (k < reduced.winner) {
-      EXPECT_GT(result.value, reduced.best.value);
-    } else {
-      EXPECT_GE(result.value, reduced.best.value);
-    }
+    chains.push_back(pa::dual_annealing(objective, lower, upper, chain));
+    if (chains.back().value < chains[first_best].value) first_best = k;
   }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(raced.value),
+            std::bit_cast<std::uint64_t>(chains[first_best].value));
+  EXPECT_EQ(raced.x, chains[first_best].x);
+  std::int64_t delta_evaluations = 0;
+  for (const auto& chain : chains) delta_evaluations += chain.delta_evaluations;
+  EXPECT_EQ(raced.delta_evaluations, delta_evaluations);
 }

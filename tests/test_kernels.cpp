@@ -1,41 +1,22 @@
-// Bit-identity lock for the SIMD anneal kernels: every available lane
-// (scalar / SSE2 / AVX2) must produce exactly the bytes of the plain scalar
-// formulas, on randomized inputs including all tail lengths — this is the
-// invariant that keeps cached placement fingerprints and goldens valid
-// regardless of the host CPU (see src/anneal/kernels.hpp).
+// Bit-identity lock for the anneal kernels: the 4-wide bodies must produce
+// exactly the bytes of the plain scalar formulas, on randomized inputs
+// including all tail lengths — this is the invariant that keeps cached
+// placement fingerprints and goldens valid (see src/anneal/kernels.hpp).
+// Delta-vs-full objective identity is fuzzed in tests/test_placement.cpp.
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "anneal/kernels.hpp"
-#include "circuit/circuit.hpp"
-#include "circuit/interaction_graph.hpp"
-#include "placement/objective.hpp"
 #include "util/rng.hpp"
 
 namespace pk = parallax::anneal::kernels;
-namespace pc = parallax::circuit;
-namespace pp = parallax::placement;
 using parallax::util::Rng;
 
 namespace {
-
-std::vector<pk::Lane> available_lanes() {
-  std::vector<pk::Lane> lanes;
-  for (pk::Lane lane : {pk::Lane::kScalar, pk::Lane::kSse2, pk::Lane::kAvx2}) {
-    if (pk::lane_available(lane)) lanes.push_back(lane);
-  }
-  return lanes;
-}
-
-/// Restores auto dispatch even when an EXPECT in the forced region fails.
-struct LaneGuard {
-  ~LaneGuard() { pk::clear_forced_lane(); }
-};
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -107,96 +88,50 @@ FuzzCase make_case(Rng& rng, std::size_t n_sites, std::size_t count) {
   return c;
 }
 
-// Tail lengths around every lane width, plus block-aligned and large counts.
+// Tail lengths around the block width, plus block-aligned and large counts.
 constexpr std::size_t kCounts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16,
                                    17, 31, 33, 64, 100};
 
 }  // namespace
 
-TEST(Kernels, ScalarLaneAlwaysAvailable) {
-  EXPECT_TRUE(pk::lane_available(pk::Lane::kScalar));
-  const auto lanes = available_lanes();
-  ASSERT_FALSE(lanes.empty());
-  // active_lane always resolves to something runnable.
-  EXPECT_TRUE(pk::lane_available(pk::active_lane()));
-}
-
-TEST(Kernels, ForceLanePinsDispatchAndClearRestores) {
-  const pk::Lane resolved = pk::active_lane();
-  {
-    LaneGuard guard;
-    for (pk::Lane lane : available_lanes()) {
-      pk::force_lane(lane);
-      EXPECT_EQ(pk::active_lane(), lane) << pk::lane_name(lane);
-    }
-  }
-  EXPECT_EQ(pk::active_lane(), resolved);
-}
-
-TEST(Kernels, ForceUnavailableLaneThrows) {
-  for (pk::Lane lane : {pk::Lane::kSse2, pk::Lane::kAvx2}) {
-    if (!pk::lane_available(lane)) {
-      EXPECT_THROW(pk::force_lane(lane), std::invalid_argument)
-          << pk::lane_name(lane);
-    }
-  }
-}
-
-TEST(Kernels, LaneNamesAreStable) {
-  EXPECT_STREQ(pk::lane_name(pk::Lane::kScalar), "scalar");
-  EXPECT_STREQ(pk::lane_name(pk::Lane::kSse2), "sse2");
-  EXPECT_STREQ(pk::lane_name(pk::Lane::kAvx2), "avx2");
-}
-
-TEST(Kernels, EdgeGatherBitIdenticalAcrossLanes) {
+TEST(Kernels, EdgeGatherBitIdenticalToReference) {
   Rng rng(0xE5CAFE01u);
-  LaneGuard guard;
   for (const std::size_t count : kCounts) {
     const FuzzCase c = make_case(rng, 97, count);
-    std::vector<double> expected(count), got(count);
+    std::vector<double> expected(count), got(count, -1.0);
     ref_edge_gather(c.idx.data(), c.w.data(), count, c.px, c.py, c.xs.data(),
                     c.ys.data(), expected.data());
-    for (pk::Lane lane : available_lanes()) {
-      pk::force_lane(lane);
-      std::fill(got.begin(), got.end(), -1.0);
-      pk::edge_terms_gather(c.idx.data(), c.w.data(), count, c.px, c.py,
-                            c.xs.data(), c.ys.data(), got.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(bits(got[i]), bits(expected[i]))
-            << pk::lane_name(lane) << " count=" << count << " i=" << i;
-      }
+    pk::edge_terms_gather(c.idx.data(), c.w.data(), count, c.px, c.py,
+                          c.xs.data(), c.ys.data(), got.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(bits(got[i]), bits(expected[i]))
+          << "count=" << count << " i=" << i;
     }
   }
 }
 
-TEST(Kernels, EdgePairsBitIdenticalAcrossLanes) {
+TEST(Kernels, EdgePairsBitIdenticalToReference) {
   Rng rng(0xE5CAFE02u);
-  LaneGuard guard;
   for (const std::size_t count : kCounts) {
     const FuzzCase c = make_case(rng, 61, count);
     std::vector<std::int32_t> b(count);
     for (std::size_t e = 0; e < count; ++e) {
       b[e] = static_cast<std::int32_t>(rng.next_below(61));
     }
-    std::vector<double> expected(count), got(count);
+    std::vector<double> expected(count), got(count, -1.0);
     ref_edge_pairs(c.idx.data(), b.data(), c.w.data(), count, c.xs.data(),
                    c.ys.data(), expected.data());
-    for (pk::Lane lane : available_lanes()) {
-      pk::force_lane(lane);
-      std::fill(got.begin(), got.end(), -1.0);
-      pk::edge_terms_pairs(c.idx.data(), b.data(), c.w.data(), count,
-                           c.xs.data(), c.ys.data(), got.data());
-      for (std::size_t e = 0; e < count; ++e) {
-        ASSERT_EQ(bits(got[e]), bits(expected[e]))
-            << pk::lane_name(lane) << " count=" << count << " e=" << e;
-      }
+    pk::edge_terms_pairs(c.idx.data(), b.data(), c.w.data(), count,
+                         c.xs.data(), c.ys.data(), got.data());
+    for (std::size_t e = 0; e < count; ++e) {
+      ASSERT_EQ(bits(got[e]), bits(expected[e]))
+          << "count=" << count << " e=" << e;
     }
   }
 }
 
-TEST(Kernels, CrowdingBitIdenticalAcrossLanes) {
+TEST(Kernels, CrowdingBitIdenticalToReference) {
   Rng rng(0xE5CAFE03u);
-  LaneGuard guard;
   // d_min large enough that a meaningful fraction of random pairs pass the
   // cutoff, small enough that the pass/skip branch is exercised both ways.
   const double d_min = 0.35;
@@ -212,90 +147,18 @@ TEST(Kernels, CrowdingBitIdenticalAcrossLanes) {
       const std::size_t want = ref_crowding(
           c.idx.data(), count, self, c.px, c.py, c.xs.data(), c.ys.data(),
           d_min, denom, weight, above, expected.data());
-      for (pk::Lane lane : available_lanes()) {
-        pk::force_lane(lane);
-        std::fill(got.begin(), got.end(), -1.0);
-        const std::size_t produced =
-            above ? pk::crowding_terms_above_self(
-                        c.idx.data(), count, self, c.px, c.py, c.xs.data(),
-                        c.ys.data(), d_min, denom, weight, got.data())
-                  : pk::crowding_terms_excluding_self(
-                        c.idx.data(), count, self, c.px, c.py, c.xs.data(),
-                        c.ys.data(), d_min, denom, weight, got.data());
-        ASSERT_EQ(produced, want)
-            << pk::lane_name(lane) << " count=" << count << " above=" << above;
-        for (std::size_t i = 0; i < produced; ++i) {
-          ASSERT_EQ(bits(got[i]), bits(expected[i]))
-              << pk::lane_name(lane) << " count=" << count << " i=" << i;
-        }
+      const std::size_t produced =
+          above ? pk::crowding_terms_above_self(
+                      c.idx.data(), count, self, c.px, c.py, c.xs.data(),
+                      c.ys.data(), d_min, denom, weight, got.data())
+                : pk::crowding_terms_excluding_self(
+                      c.idx.data(), count, self, c.px, c.py, c.xs.data(),
+                      c.ys.data(), d_min, denom, weight, got.data());
+      ASSERT_EQ(produced, want) << "count=" << count << " above=" << above;
+      for (std::size_t i = 0; i < produced; ++i) {
+        ASSERT_EQ(bits(got[i]), bits(expected[i]))
+            << "count=" << count << " i=" << i;
       }
-    }
-  }
-}
-
-namespace {
-
-/// A dense-ish random interaction graph: ring + random chords, so qubits
-/// have varied degrees and the crowding grid sees real collisions.
-pc::Circuit fuzz_circuit(int n, std::uint64_t seed) {
-  pc::Circuit circuit(n, "kernel_fuzz");
-  Rng rng(seed);
-  for (int q = 0; q < n; ++q) circuit.cz(q, (q + 1) % n);
-  for (int k = 0; k < 3 * n; ++k) {
-    const auto a = static_cast<std::int32_t>(rng.next_below(n));
-    auto b = static_cast<std::int32_t>(rng.next_below(n));
-    if (b == a) b = (a + 1) % n;
-    circuit.cz(a, b);
-  }
-  return circuit;
-}
-
-/// Drives a fixed propose/commit/full sequence against the objective with
-/// dispatch pinned to `lane`; returns every intermediate value, raw bits.
-std::vector<std::uint64_t> objective_trace(
-    const parallax::circuit::InteractionGraph& graph,
-    const pp::GraphineOptions& options, pk::Lane lane) {
-  LaneGuard guard;
-  pk::force_lane(lane);
-  const auto n = static_cast<std::size_t>(graph.n_qubits());
-  Rng rng(0xD15EA5E5u);
-  std::vector<double> coords(2 * n);
-  for (auto& c : coords) c = rng.uniform(0.0, 1.0);
-
-  pp::DeltaPlacementObjective objective(graph, options);
-  std::vector<std::uint64_t> trace;
-  trace.push_back(bits(objective.reset(coords)));
-  for (int step = 0; step < 240; ++step) {
-    const std::size_t q = rng.next_below(n);
-    const double nx = rng.uniform(-0.05, 1.05);
-    const double ny = rng.uniform(-0.05, 1.05);
-    trace.push_back(bits(objective.propose(q, nx, ny)));
-    if (step % 3 != 2) objective.commit();
-    trace.push_back(bits(objective.value()));
-  }
-  std::vector<double> probe(2 * n);
-  for (auto& c : probe) c = rng.uniform(0.0, 1.0);
-  trace.push_back(bits(objective.full(probe)));
-  return trace;
-}
-
-}  // namespace
-
-TEST(Kernels, ObjectiveTraceBitIdenticalAcrossLanes) {
-  const pc::Circuit circuit = fuzz_circuit(48, 0xBEEF0001u);
-  const parallax::circuit::InteractionGraph graph(circuit);
-  pp::GraphineOptions options;
-  const auto lanes = available_lanes();
-  const std::vector<std::uint64_t> reference =
-      objective_trace(graph, options, lanes.front());
-  EXPECT_FALSE(reference.empty());
-  for (std::size_t l = 1; l < lanes.size(); ++l) {
-    const std::vector<std::uint64_t> trace =
-        objective_trace(graph, options, lanes[l]);
-    ASSERT_EQ(trace.size(), reference.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      ASSERT_EQ(trace[i], reference[i])
-          << pk::lane_name(lanes[l]) << " trace step " << i;
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "circuit/circuit.hpp"
 #include "circuit/interaction_graph.hpp"
@@ -310,11 +312,11 @@ TEST(DeltaObjective, SingleQubitGraphHasNoCrowding) {
 
 // --- graphine_place fast modes --------------------------------------------
 
-TEST(Graphine, PerQubitModeDeterministicWithStats) {
+TEST(Graphine, BatchedModeDeterministicWithStats) {
   const auto circuit = random_circuit(5, 20, 60);
   const pc::InteractionGraph graph(circuit);
   auto options = fast_options();
-  options.proposal = pp::ProposalMode::kPerQubit;
+  options.proposal = pp::ProposalMode::kBatched;
   options.anneal_iterations = 80;
   pp::PlacementStats stats_a, stats_b;
   const auto a = pp::graphine_place(graph, options, &stats_a);
@@ -340,7 +342,7 @@ TEST(Graphine, MultiChainModeReportsChainsAndStaysDeterministic) {
   const auto circuit = random_circuit(6, 16, 48);
   const pc::InteractionGraph graph(circuit);
   auto options = fast_options();
-  options.proposal = pp::ProposalMode::kPerQubit;
+  options.proposal = pp::ProposalMode::kBatched;
   options.anneal_iterations = 60;
   options.chains = 3;
   pp::PlacementStats stats;
@@ -353,4 +355,30 @@ TEST(Graphine, MultiChainModeReportsChainsAndStaysDeterministic) {
     EXPECT_EQ(a.positions[q].x, b.positions[q].x);
     EXPECT_EQ(a.positions[q].y, b.positions[q].y);
   }
+}
+
+TEST(Graphine, RejectsChainsOrPortfolioWithoutBatchedProposals) {
+  // Only the batched walk runs multi-chain and portfolio anneals; any other
+  // proposal mode with them is refused rather than silently re-routed.
+  const auto circuit = random_circuit(7, 8, 20);
+  const pc::InteractionGraph graph(circuit);
+  auto chains = fast_options();
+  chains.chains = 2;
+  try {
+    (void)pp::graphine_place(graph, chains);
+    FAIL() << "chains > 1 without kBatched must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("chains"), std::string::npos);
+  }
+  auto portfolio = fast_options();
+  portfolio.portfolio_entrants = 2;
+  try {
+    (void)pp::graphine_place(graph, portfolio);
+    FAIL() << "portfolio_entrants > 0 without kBatched must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("portfolio_entrants"),
+              std::string::npos);
+  }
+  portfolio.proposal = pp::ProposalMode::kBatched;
+  EXPECT_NO_THROW((void)pp::graphine_place(graph, portfolio));
 }
