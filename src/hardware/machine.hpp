@@ -86,6 +86,13 @@ class Machine {
   double return_all_home();
   /// Home position of an AOD atom (valid after save_home()).
   [[nodiscard]] geom::Point home_position(std::int32_t q) const;
+  /// Home coordinate of an AOD row / column (valid after save_home()).
+  [[nodiscard]] double home_row_coord(std::int32_t row) const {
+    return home_row_coords_[static_cast<std::size_t>(row)];
+  }
+  [[nodiscard]] double home_col_coord(std::int32_t col) const {
+    return home_col_coords_[static_cast<std::size_t>(col)];
+  }
 
  private:
   HardwareConfig config_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numbers>
 #include <vector>
 
@@ -54,17 +53,13 @@ geom::Point rotate(geom::Point v, double radians) {
   return {v.x * c - v.y * s, v.x * s + v.y * c};
 }
 
-// Travel accounting shared across one move operation. (File-local so the
-// header stays free of the map; the engine is not reentrant, matching its
-// single-scheduler use.)
-thread_local std::map<std::int32_t, double> t_travel;
-
 }  // namespace
 
 void MovementEngine::note_move(std::int32_t q, geom::Point from,
                                geom::Point to) {
-  t_travel[q] += geom::distance(from, to);
-  max_distance_ = std::max(max_distance_, t_travel[q]);
+  double& travel = travel_[static_cast<std::size_t>(q)];
+  travel += geom::distance(from, to);
+  max_distance_ = std::max(max_distance_, travel);
 }
 
 bool MovementEngine::move_line(bool is_row, std::int32_t line, double coord,
@@ -205,7 +200,7 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
   iterations_used_ = 0;
   max_distance_ = 0.0;
   displaced_ = 0;
-  t_travel.clear();
+  travel_.assign(static_cast<std::size_t>(machine.n_qubits()), 0.0);
 
   const double r = machine.interaction_radius();
   const double min_sep = machine.config().min_separation_um;
@@ -255,7 +250,7 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
 
       // Roll back failed attempts (machine state and travel accounting).
       const AodSnapshot attempt_start(machine);
-      const auto travel_start = t_travel;
+      const std::vector<double> travel_start = travel_;
       const double max_distance_start = max_distance_;
       const int displaced_start = displaced_;
       if (place_atom(mover, target, 0)) {
@@ -263,7 +258,7 @@ MoveOutcome MovementEngine::move_into_range(std::int32_t mover,
         break;
       }
       attempt_start.restore(machine);
-      t_travel = travel_start;
+      travel_ = travel_start;
       max_distance_ = max_distance_start;
       displaced_ = displaced_start;
       if (iterations_used_ > max_iterations_) break;  // budget exhausted

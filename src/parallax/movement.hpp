@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "hardware/machine.hpp"
 
@@ -64,6 +65,9 @@ class MovementEngine {
   int iterations_used_ = 0;
   double max_distance_ = 0.0;
   int displaced_ = 0;
+  /// Distance each qubit has travelled in the current move_into_range call
+  /// (indexed by qubit, reset per call).
+  std::vector<double> travel_;
 };
 
 }  // namespace parallax::compiler

@@ -1,8 +1,12 @@
 #include "parallax/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "circuit/dag.hpp"
 #include "parallax/movement.hpp"
@@ -41,6 +45,107 @@ bool blockade_conflict(const hardware::Machine& machine,
   return false;
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// MovementEngine::move_into_range, resolved once per (mover, partner) for
+/// the current home configuration.
+///
+/// Every call the scheduler makes starts from home: a layer runs at most one
+/// successful move and returns it home afterwards (Algorithm 1 line 24), and
+/// the engine rolls a failed move back before the trap-change fallback. So
+/// until home itself changes (save_home(), then clear()), a pair's outcome
+/// and the configuration it leaves are a function of the pair alone. A
+/// failure stores only its outcome. A success also stores the AOD atoms and
+/// lines that differ from home afterwards — a handful per step of the
+/// engine's budget — and a replay writes exactly those back.
+class MoveMemo {
+ public:
+  MoveMemo(hardware::Machine& machine, int max_iterations)
+      : machine_(&machine), engine_(machine, max_iterations) {}
+
+  MoveOutcome move_into_range(std::int32_t mover, std::int32_t partner) {
+    const std::uint64_t key =
+        (std::uint64_t{static_cast<std::uint32_t>(mover)} << 32) |
+        static_cast<std::uint32_t>(partner);
+    if (const auto it = entries_.find(key); it != entries_.end()) {
+      ++replays_;
+      replay(it->second);
+      return it->second.outcome;
+    }
+    ++evaluations_;
+    Entry entry;
+    entry.outcome = engine_.move_into_range(mover, partner);
+    if (entry.outcome.success) record_changes(entry);
+    return entries_.emplace(key, std::move(entry)).first->second.outcome;
+  }
+
+  /// Home moved: every stored outcome is stale.
+  void clear() { entries_.clear(); }
+
+  [[nodiscard]] std::size_t evaluations() const noexcept {
+    return evaluations_;
+  }
+  [[nodiscard]] std::size_t replays() const noexcept { return replays_; }
+
+ private:
+  struct Entry {
+    MoveOutcome outcome;
+    std::vector<std::pair<std::int32_t, geom::Point>> atoms;
+    std::vector<std::pair<std::int32_t, double>> rows;
+    std::vector<std::pair<std::int32_t, double>> cols;
+  };
+
+  void record_changes(Entry& entry) const {
+    const hardware::Machine& machine = *machine_;
+    const hardware::Aod& aod = machine.aod();
+    // A replayed atom move also writes the atom's two lines, so those lines
+    // are stored even if they ended where they started.
+    std::vector<char> keep_row(static_cast<std::size_t>(aod.n_rows()), 0);
+    std::vector<char> keep_col(static_cast<std::size_t>(aod.n_cols()), 0);
+    for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
+      const hardware::Atom& atom = machine.atom(q);
+      const geom::Point home = machine.home_position(q);
+      if (!atom.in_aod() || (same_bits(atom.position.x, home.x) &&
+                             same_bits(atom.position.y, home.y))) {
+        continue;
+      }
+      entry.atoms.emplace_back(q, atom.position);
+      keep_row[static_cast<std::size_t>(atom.aod_row)] = 1;
+      keep_col[static_cast<std::size_t>(atom.aod_col)] = 1;
+    }
+    for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
+      if (keep_row[static_cast<std::size_t>(r)] != 0 ||
+          !same_bits(aod.row_coord(r), machine.home_row_coord(r))) {
+        entry.rows.emplace_back(r, aod.row_coord(r));
+      }
+    }
+    for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
+      if (keep_col[static_cast<std::size_t>(c)] != 0 ||
+          !same_bits(aod.col_coord(c), machine.home_col_coord(c))) {
+        entry.cols.emplace_back(c, aod.col_coord(c));
+      }
+    }
+  }
+
+  void replay(const Entry& entry) {
+    hardware::Machine& machine = *machine_;
+    for (const auto& [q, position] : entry.atoms) {
+      machine.move_aod_atom(q, position);
+    }
+    hardware::Aod& aod = machine.aod();
+    for (const auto& [r, coord] : entry.rows) aod.set_row_coord(r, coord);
+    for (const auto& [c, coord] : entry.cols) aod.set_col_coord(c, coord);
+  }
+
+  hardware::Machine* machine_;
+  MovementEngine engine_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::size_t evaluations_ = 0;
+  std::size_t replays_ = 0;
+};
+
 }  // namespace
 
 ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
@@ -53,7 +158,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
 
   ScheduleOutput output;
   circuit::DependencyTracker dag(circuit);
-  MovementEngine mover(machine, options.max_move_iterations);
+  MoveMemo moves(machine, options.max_move_iterations);
   util::Rng rng(options.shuffle_seed);
   const auto& config = machine.config();
 
@@ -102,7 +207,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
       if ((q0_mobile || q1_mobile) && !moved_this_layer) {
         const std::int32_t mobile = q0_mobile ? g.q[0] : g.q[1];
         const std::int32_t anchor = q0_mobile ? g.q[1] : g.q[0];
-        const MoveOutcome move = mover.move_into_range(mobile, anchor);
+        const MoveOutcome move = moves.move_into_range(mobile, anchor);
         if (move.success) {
           moved_this_layer = true;
           moved_gate = gi;
@@ -225,6 +330,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     } else if (moved_this_layer) {
       // Home drifts with the atoms: future saves anchor at current state.
       machine.save_home();
+      moves.clear();
     }
 
     layer.gates = std::move(final_gates);
@@ -242,6 +348,8 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
   // one trap change.
   output.stats.out_of_range_cz =
       output.stats.aod_moves + output.stats.trap_changes;
+  output.move_evaluations = moves.evaluations();
+  output.move_replays = moves.replays();
   return output;
 }
 

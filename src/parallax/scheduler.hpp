@@ -5,8 +5,14 @@
 // the move fails, ejection back to the gate pool otherwise, (3) shuffles the
 // layer and ejects Rydberg-blockade conflicts, (4) executes, and (5) returns
 // moved atoms to their home configuration (ablatable, Fig. 12).
+//
+// Every move-into-range therefore starts from the home configuration, and
+// the pass resolves each (mover, partner) search once per home: later calls
+// replay the stored outcome and, for a success, the atoms and lines it
+// changed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "circuit/circuit.hpp"
@@ -34,6 +40,12 @@ struct ScheduleOutput {
   std::vector<Layer> layers;
   CompileStats stats;
   double runtime_us = 0.0;
+  /// Work counters of the move memo: move_into_range searches the movement
+  /// engine ran, and calls answered by replaying a stored search instead.
+  /// Observational only; they are not copied into CompileResult, so no
+  /// payload or fingerprint sees them.
+  std::size_t move_evaluations = 0;
+  std::size_t move_replays = 0;
 };
 
 /// Schedules `circuit` on `machine` (atoms already placed, AOD selection

@@ -31,7 +31,7 @@ void Ticket::finish(Summary summary) {
   cv_.notify_all();
 }
 
-const Summary& Ticket::wait() {
+Summary Ticket::wait() {
   std::unique_lock lock(mutex_);
   cv_.wait(lock, [this] { return done_; });
   return summary_;

@@ -59,8 +59,10 @@ class Ticket {
   void cancel() noexcept { token_->store(true, std::memory_order_relaxed); }
 
   /// Blocks until the request finished (completed, failed, or cancelled).
-  /// By then every on_cell/on_done callback has returned.
-  const Summary& wait();
+  /// By then every on_cell/on_done callback has returned. Returns a copy, so
+  /// `const Summary& s = service.submit(spec)->wait();` stays valid after
+  /// the temporary shared_ptr (and with it the Ticket) is gone.
+  Summary wait();
 
   [[nodiscard]] bool done() const;
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }

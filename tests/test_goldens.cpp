@@ -10,14 +10,21 @@
 // (and say so loudly in the changelog — every cached placement invalidates).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "bench_circuits/registry.hpp"
 #include "cache/fingerprint.hpp"
+#include "cache/serialize.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/transpile.hpp"
+#include "hardware/config.hpp"
+#include "pipeline/passes.hpp"
 #include "placement/graphine.hpp"
 #include "technique/registry.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -179,4 +186,262 @@ TEST(Goldens, TunedPlacementsAreByteStable) {
           << tuned.technique << " " << golden.acronym;
     }
   }
+}
+
+// --- schedule goldens --------------------------------------------------------
+//
+// The Digest128 of cache::serialize_result for whole Parallax compiles: every
+// layer's gates, move and return distances, trap changes, aod_moves and
+// recorded positions, plus the stats and the runtime. Recorded before the
+// schedule pass memoized its moves; any change to the scheduler or the
+// movement engine that moves one byte of a schedule fails here.
+
+namespace {
+
+namespace pc = parallax::circuit;
+namespace ph = parallax::hardware;
+namespace pl = parallax::pipeline;
+
+struct ScheduleGolden {
+  const char* cell;  // circuit/machine/technique[/variant]
+  const char* digest;
+};
+
+constexpr const char* kScheduleTechniques[] = {"parallax", "parallax-fast"};
+
+struct NamedMachine {
+  const char* name;
+  ph::HardwareConfig config;
+};
+
+std::vector<NamedMachine> golden_machines() {
+  return {{"quera256", ph::HardwareConfig::quera_aquila_256()},
+          {"atom1225", ph::HardwareConfig::atom_computing_1225()}};
+}
+
+/// The normalized placement `technique` anneals for `circuit` at the default
+/// seed. It is annealed once and shared by both machines and every scheduler
+/// variant, the way sweep::run shares it.
+pp::Topology anneal_once(const pc::Circuit& circuit, const char* technique) {
+  pl::CompileOptions options;
+  parallax::technique::Registry::global().apply_tuning(technique, options);
+  std::optional<pp::Topology> normalized;
+  pl::Pipeline placement(technique);
+  placement.add(pl::passes::transpile())
+      .add(pl::passes::graphine_placement())
+      .add(pl::Pass("capture", [&normalized](pl::CompileContext& ctx) {
+        normalized = ctx.normalized;
+      }));
+  (void)placement.run(circuit, ph::HardwareConfig::quera_aquila_256(),
+                      options);
+  return *normalized;
+}
+
+std::string schedule_digest(const pc::Circuit& circuit, const char* technique,
+                            const pp::Topology& placement,
+                            const ph::HardwareConfig& config,
+                            const parallax::compiler::SchedulerOptions&
+                                scheduler) {
+  pl::CompileOptions options;
+  options.scheduler = scheduler;
+  options.preset_topology = placement;
+  const std::string bytes = parallax::cache::serialize_result(
+      parallax::technique::compile(technique, circuit, config, options));
+  return parallax::util::hash128(bytes.data(), bytes.size()).hex();
+}
+
+void expect_goldens(const std::map<std::string, std::string>& actual,
+                    std::span<const ScheduleGolden> goldens) {
+  EXPECT_EQ(actual.size(), goldens.size());
+  for (const ScheduleGolden& golden : goldens) {
+    const auto it = actual.find(golden.cell);
+    ASSERT_TRUE(it != actual.end()) << golden.cell;
+    EXPECT_EQ(it->second, golden.digest) << golden.cell;
+  }
+}
+
+constexpr ScheduleGolden kSuiteScheduleGoldens[] = {
+    {"ADD/atom1225/parallax", "e06ae1c731e8e8a8bb2ec28610094463"},
+    {"ADD/atom1225/parallax-fast", "c86217fcc99e7ca23d71248229d0621f"},
+    {"ADD/quera256/parallax", "276f12e9ce5be89e933cdf5cf23de9af"},
+    {"ADD/quera256/parallax-fast", "89fa391423711b15e07b838d308a256e"},
+    {"ADV/atom1225/parallax", "b615213d5a9b684015b6e13b347f2e1b"},
+    {"ADV/atom1225/parallax-fast", "34a509d588d5cf75e61485b174ecdf2f"},
+    {"ADV/quera256/parallax", "74a26a4f698d0b15961ae24745cae264"},
+    {"ADV/quera256/parallax-fast", "db2bd72967014c70f6a8e2823f478abd"},
+    {"GCM/atom1225/parallax", "3d1d958656ca98b3cebe3603c87c6453"},
+    {"GCM/atom1225/parallax-fast", "ac73ef4103410ee35663526cf2ea1321"},
+    {"GCM/quera256/parallax", "301661fb485933385f93ce65a6579f2d"},
+    {"GCM/quera256/parallax-fast", "6cc56617e52186b8d7297e0a51d220c3"},
+    {"HLF/atom1225/parallax", "3eb04a0745fe70b6256fe2fe71f6aff1"},
+    {"HLF/atom1225/parallax-fast", "577ff2bb30733b17f7331231077ad80b"},
+    {"HLF/quera256/parallax", "790e2a019ea7cb9df847bcd3d2b4b071"},
+    {"HLF/quera256/parallax-fast", "8d12e8fc3347138f7600914a9b2cb253"},
+    {"HSB/atom1225/parallax", "84e303410df5ec06e08222b075811f74"},
+    {"HSB/atom1225/parallax-fast", "5ba2e8c3830146c4be84f07966a5fd60"},
+    {"HSB/quera256/parallax", "7f483f5d0b61aeb874d04b37ff60ac18"},
+    {"HSB/quera256/parallax-fast", "b5c5d71e8540f6a8198f5e2c6ce18720"},
+    {"KNN/atom1225/parallax", "4eed4c439191a70bed5f750b32c10db9"},
+    {"KNN/atom1225/parallax-fast", "258c288c77e16c5dfe0523db8898bd2a"},
+    {"KNN/quera256/parallax", "1b9f9aae7ac35f1fabaad848ee923448"},
+    {"KNN/quera256/parallax-fast", "e15da2013ca4e1c784040881a0604f11"},
+    {"MLT/atom1225/parallax", "d793a1146efd5aed0283dc186c29cc06"},
+    {"MLT/atom1225/parallax-fast", "3c7682233675fe13afd4b69f4e9dd0a4"},
+    {"MLT/quera256/parallax", "176c5cae53886821d194d8cccc05f04e"},
+    {"MLT/quera256/parallax-fast", "05367e310de162c75cd07d9349e7b809"},
+    {"QAOA/atom1225/parallax", "17cf1d9236f7da04c6abf1a045fd70b6"},
+    {"QAOA/atom1225/parallax-fast", "ce65bfbd1fe9dfee95c172373c1b1d61"},
+    {"QAOA/quera256/parallax", "7cd29b18045f1133724cd643bb25d28f"},
+    {"QAOA/quera256/parallax-fast", "9f323ce31b3fd396136cdd484e160fb8"},
+    {"QEC/atom1225/parallax", "cf6d8d68ec188ceecfd2fb5f842cc0d3"},
+    {"QEC/atom1225/parallax-fast", "0abb99e43f7603d11a93834fdd58de1c"},
+    {"QEC/quera256/parallax", "39f2430358d0b8cd16b0b51df0ad9485"},
+    {"QEC/quera256/parallax-fast", "2bb13c8d0a5d43a136429b3f83d8f370"},
+    {"QFT/atom1225/parallax", "f1c11264af0686fac21e897f1ad51340"},
+    {"QFT/atom1225/parallax-fast", "9e782d836dd910fc19583e9feab42ef6"},
+    {"QFT/quera256/parallax", "6b4c843869bb86ac8f65e52fdc02c735"},
+    {"QFT/quera256/parallax-fast", "84113f383f05ef56837107edcadc76f3"},
+    {"QGAN/atom1225/parallax", "47b1ecb274ceeaf61ee377e148c32f71"},
+    {"QGAN/atom1225/parallax-fast", "88be18e5cbe5f4ca0d76ad0def8ba800"},
+    {"QGAN/quera256/parallax", "e395717223aab3e3dbc733ed1317c4c5"},
+    {"QGAN/quera256/parallax-fast", "7ef2120db7ecc6b92db50adcff61def1"},
+    {"QV/atom1225/parallax", "816b0cdf8ec0a52399c7598646f511db"},
+    {"QV/atom1225/parallax-fast", "3638f7c24053ce26aa9ba6d71cf5b6fb"},
+    {"QV/quera256/parallax", "4413d7f7121c3bdbb42f0c60147d6c96"},
+    {"QV/quera256/parallax-fast", "5d2fa00f03679b141f2625e1f683aa0b"},
+    {"SAT/atom1225/parallax", "6a5572b7d9d61e2a3aee6d5d3327fe0b"},
+    {"SAT/atom1225/parallax-fast", "5038ff1a2496219639afb19c948837c0"},
+    {"SAT/quera256/parallax", "325801579a2f8600a0b49dc97d921398"},
+    {"SAT/quera256/parallax-fast", "533a5eb0d6348daef5108417098237b9"},
+    {"SECA/atom1225/parallax", "3af7e26b93f7891dec9b675c69d88408"},
+    {"SECA/atom1225/parallax-fast", "9d70729bcc085901a5a3e67708c3a9ac"},
+    {"SECA/quera256/parallax", "2ca482ae32476fc7f67a94292f9a49e5"},
+    {"SECA/quera256/parallax-fast", "9cb98f1c12858b10645b39ed571be30e"},
+    {"SQRT/atom1225/parallax", "7f3d4c3e75d0ee9e60ef2679ff5988dc"},
+    {"SQRT/atom1225/parallax-fast", "d41cb12a5410870361e5c56cda4d9a38"},
+    {"SQRT/quera256/parallax", "7679f43c3ad4fe5b1ea089bd649ed836"},
+    {"SQRT/quera256/parallax-fast", "803d863d17b58fee44751c8b494e0cf1"},
+    {"TFIM/atom1225/parallax", "7f1d5fc5e1017af809f00077152c411a"},
+    {"TFIM/atom1225/parallax-fast", "0bd9303b9d8fa86dbaba92682386913b"},
+    {"TFIM/quera256/parallax", "1079c2227e0a0ee09eac120862fc13f4"},
+    {"TFIM/quera256/parallax-fast", "b2cc9214dac36d5c7e3521ef0bfbf594"},
+    {"VQE/atom1225/parallax", "38bd3bf8411cb46a0a6fad847cdde9d7"},
+    {"VQE/atom1225/parallax-fast", "0d9cfaae953324e0adaca6badd74392d"},
+    {"VQE/quera256/parallax", "020c61dabd9fdef4a3780030c5c0b066"},
+    {"VQE/quera256/parallax-fast", "de6b3756b49b5844509085d30114436f"},
+    {"WST/atom1225/parallax", "d5953ea00fb71efe2bc4bd020e5675f0"},
+    {"WST/atom1225/parallax-fast", "51533c4f87ae2dfd1d158c022d147013"},
+    {"WST/quera256/parallax", "4f74b537b68cf4ff861b2bd701d3cabe"},
+    {"WST/quera256/parallax-fast", "06ac8cdac96280b87b658caafb493cb4"},
+};
+
+constexpr ScheduleGolden kVariantScheduleGoldens[] = {
+    {"HSB/atom1225/parallax-fast/no-home", "a516a166d481a777be8b86a42db4ab2f"},
+    {"HSB/atom1225/parallax-fast/positions",
+     "6de6d1ffb46e186485ba8a1f194329a8"},
+    {"HSB/atom1225/parallax/no-home", "56956062503b4e826477a32428984023"},
+    {"HSB/atom1225/parallax/positions", "de45485e0a2e624b2a0e9599d460a45e"},
+    {"HSB/quera256/parallax-fast/no-home", "a53a713f9e064dd971f05ff927fa698b"},
+    {"HSB/quera256/parallax-fast/positions",
+     "b515cb8634f00b5cabf1338804a89965"},
+    {"HSB/quera256/parallax/no-home", "80a0ad459fb3b3765f98b622396666a3"},
+    {"HSB/quera256/parallax/positions", "09411dc4668715ca6bc23c43fa594a0a"},
+    {"KNN/atom1225/parallax-fast/no-home", "e4c8f1635f028f9966f837c9d19173bd"},
+    {"KNN/atom1225/parallax-fast/positions",
+     "40c639d291343573324f559c1913f854"},
+    {"KNN/atom1225/parallax/no-home", "2cb071693be2dfc34d5171b1d42024a0"},
+    {"KNN/atom1225/parallax/positions", "0f9d313a79ef00c4f45bb0379bbec777"},
+    {"KNN/quera256/parallax-fast/no-home", "9a0a2d7fbb7059acc5e9a6ba096af01c"},
+    {"KNN/quera256/parallax-fast/positions",
+     "3424c6eff9ce615804a2ca2c9ffc1bc4"},
+    {"KNN/quera256/parallax/no-home", "038f8a3fd6c4abcfc7aec9c777585d70"},
+    {"KNN/quera256/parallax/positions", "12b16ff9f8e994b193c9c3ddd9a41a24"},
+    {"QGAN/atom1225/parallax-fast/no-home", "c4e9b4a51a4397eb95ee88a070891a42"},
+    {"QGAN/atom1225/parallax-fast/positions",
+     "0bc79b11873cab56deade02cd1927cc2"},
+    {"QGAN/atom1225/parallax/no-home", "58e8eeecb91bd24d06f458ecf2722928"},
+    {"QGAN/atom1225/parallax/positions", "805b3c5a47568536e6e871b8fe610fd9"},
+    {"QGAN/quera256/parallax-fast/no-home", "7eabc0801feba7023a97344fd4bd49ae"},
+    {"QGAN/quera256/parallax-fast/positions",
+     "4347e1bbe5956cfdd104d232abdc1074"},
+    {"QGAN/quera256/parallax/no-home", "9b0111dd63034fc797fb63590ab0a42e"},
+    {"QGAN/quera256/parallax/positions", "64cf7fa9281d7b65fbb98116f17a44e9"},
+    {"QV/atom1225/parallax-fast/no-home", "95525f02dea6fc2f9bb53c7842e5ab3a"},
+    {"QV/atom1225/parallax-fast/positions", "2ea8b05193f4250f22bfb5ad6c3c97f5"},
+    {"QV/atom1225/parallax/no-home", "230285ef225eb0765bcdf404a32f0eed"},
+    {"QV/atom1225/parallax/positions", "d49cf07addeee8bfaf359267ec44db1c"},
+    {"QV/quera256/parallax-fast/no-home", "b541c05e4147714227d8514e771519b8"},
+    {"QV/quera256/parallax-fast/positions", "7274c9e165364f2be18cd659ffcda421"},
+    {"QV/quera256/parallax/no-home", "97f8f109d6c48217cd83e95fc9cdb53e"},
+    {"QV/quera256/parallax/positions", "e8bc26507dde2024ced6e99018378178"},
+};
+
+/// A seeded random circuit: half U3, half CZ between uniformly drawn pairs.
+pc::Circuit random_circuit(std::int32_t n_qubits, int n_gates,
+                           std::uint64_t seed) {
+  parallax::util::Rng rng(seed);
+  pc::Circuit c(n_qubits, "random" + std::to_string(n_qubits));
+  const auto n = static_cast<std::uint64_t>(n_qubits);
+  for (int i = 0; i < n_gates; ++i) {
+    if (rng.bernoulli(0.5)) {
+      c.u3(static_cast<std::int32_t>(rng.next_below(n)), rng.uniform(-3, 3),
+           rng.uniform(-3, 3), rng.uniform(-3, 3));
+    } else {
+      const auto a = static_cast<std::int32_t>(rng.next_below(n));
+      auto b = static_cast<std::int32_t>(rng.next_below(n));
+      while (b == a) b = static_cast<std::int32_t>(rng.next_below(n));
+      c.cz(a, b);
+    }
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(Goldens, SuiteSchedulesAreByteStable) {
+  namespace pb = parallax::bench_circuits;
+  std::map<std::string, std::string> actual;
+  for (const auto& info : pb::all_benchmarks()) {
+    const pc::Circuit circuit = pb::make_benchmark(info.acronym, {});
+    for (const char* technique : kScheduleTechniques) {
+      const pp::Topology placement = anneal_once(circuit, technique);
+      for (const NamedMachine& machine : golden_machines()) {
+        actual[info.acronym + "/" + machine.name + "/" + technique] =
+            schedule_digest(circuit, technique, placement, machine.config, {});
+      }
+    }
+  }
+  expect_goldens(actual, kSuiteScheduleGoldens);
+}
+
+TEST(Goldens, SchedulerVariantsAreByteStable) {
+  namespace pb = parallax::bench_circuits;
+  parallax::compiler::SchedulerOptions no_home;
+  no_home.return_home = false;
+  parallax::compiler::SchedulerOptions positions;
+  positions.record_positions = true;
+  std::map<std::string, std::string> actual;
+  for (const char* acronym : {"QV", "QGAN", "HSB", "KNN"}) {
+    const pc::Circuit circuit = pb::make_benchmark(acronym, {});
+    for (const char* technique : kScheduleTechniques) {
+      const pp::Topology placement = anneal_once(circuit, technique);
+      for (const NamedMachine& machine : golden_machines()) {
+        const std::string cell =
+            std::string(acronym) + "/" + machine.name + "/" + technique;
+        actual[cell + "/no-home"] = schedule_digest(
+            circuit, technique, placement, machine.config, no_home);
+        actual[cell + "/positions"] = schedule_digest(
+            circuit, technique, placement, machine.config, positions);
+      }
+    }
+  }
+  expect_goldens(actual, kVariantScheduleGoldens);
+}
+
+TEST(Goldens, RandomScheduleIsByteStable) {
+  const pc::Circuit circuit = random_circuit(200, 4000, 0x5c4ed);
+  const pp::Topology placement = anneal_once(circuit, "parallax-fast");
+  EXPECT_EQ(schedule_digest(circuit, "parallax-fast", placement,
+                            ph::HardwareConfig::atom_computing_1225(), {}),
+            "e0e45d53a7b1781dba882cb4eb0779d8");
 }

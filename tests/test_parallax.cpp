@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "bench_circuits/registry.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/machine.hpp"
@@ -13,6 +14,8 @@
 #include "parallax/compiler.hpp"
 #include "parallax/movement.hpp"
 #include "parallax/scheduler.hpp"
+#include "pipeline/passes.hpp"
+#include "technique/registry.hpp"
 #include "util/rng.hpp"
 
 namespace pc = parallax::circuit;
@@ -286,6 +289,33 @@ TEST(Scheduler, AllGatesScheduledOnce) {
   }
   EXPECT_EQ(total, schedulable);
   EXPECT_GT(output.runtime_us, 0.0);
+}
+
+TEST(Scheduler, MoveMemoReplaysRecurringSearches) {
+  // QV-32's out-of-range pairs come back layer after layer from the same
+  // home configuration; the schedule pass runs each (mover, partner) search
+  // once and replays it after that.
+  namespace pl = parallax::pipeline;
+  pl::CompileOptions options;
+  parallax::technique::Registry::global().apply_tuning("parallax-fast",
+                                                       options);
+  px::ScheduleOutput output;
+  pl::Pipeline pipeline("parallax-fast");
+  pipeline.add(pl::passes::transpile())
+      .add(pl::passes::graphine_placement())
+      .add(pl::passes::discretize())
+      .add(pl::passes::aod_selection())
+      .add(pl::Pass("schedule", [&output](pl::CompileContext& ctx) {
+        output = px::schedule_gates(ctx.result.circuit, *ctx.machine,
+                                    ctx.options.scheduler);
+      }));
+  (void)pipeline.run(parallax::bench_circuits::make_benchmark("QV"),
+                     ph::HardwareConfig::atom_computing_1225(), options);
+  EXPECT_GT(output.move_evaluations, 0u);
+  EXPECT_GT(output.move_replays, output.move_evaluations);
+  // Each AOD move in the schedule came from one of those calls.
+  EXPECT_GE(output.move_evaluations + output.move_replays,
+            output.stats.aod_moves);
 }
 
 // --- end-to-end pipeline ------------------------------------------------------------

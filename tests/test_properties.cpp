@@ -6,7 +6,9 @@
 // double-charging trap changes).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "circuit/circuit.hpp"
 #include "circuit/transpile.hpp"
@@ -52,21 +54,13 @@ void park_free_lines(ph::Machine& machine) {
   }
 }
 
-}  // namespace
-
-// --- randomized movement stress ------------------------------------------------
-
-class MovementStress : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MovementStress, RandomMoveSequencesPreserveInvariants) {
-  parallax::util::Rng rng(GetParam());
-  const auto config = ph::HardwareConfig::quera_aquila_256();
-  const std::size_t n_atoms = 12 + rng.pick_index(14);  // 12..25 atoms
-  auto machine = make_machine(n_atoms, config);
-
-  // Lift 3-5 atoms into the AOD. Pick them along the layout diagonal so
-  // their rows and columns are pairwise distinct — the production selection
-  // nudges colliding coordinates; this fixture just avoids collisions.
+/// Lifts 3-5 atoms of a make_machine() layout into the AOD. They lie along
+/// the layout diagonal so their rows and columns are pairwise distinct — the
+/// production selection nudges colliding coordinates; this fixture just
+/// avoids collisions.
+std::vector<std::int32_t> lift_diagonal(ph::Machine& machine,
+                                        std::size_t n_atoms,
+                                        parallax::util::Rng& rng) {
   const auto side = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(n_atoms))));
   const std::size_t n_mobile = std::min<std::size_t>(3 + rng.pick_index(3),
@@ -85,12 +79,49 @@ TEST_P(MovementStress, RandomMoveSequencesPreserveInvariants) {
     return machine.position(a).x < machine.position(b).x;
   });
   std::map<std::int32_t, std::pair<std::int32_t, std::int32_t>> line_of;
-  for (std::size_t i = 0; i < by_y.size(); ++i) line_of[by_y[i]].first = static_cast<std::int32_t>(i);
-  for (std::size_t i = 0; i < by_x.size(); ++i) line_of[by_x[i]].second = static_cast<std::int32_t>(i);
+  for (std::size_t i = 0; i < by_y.size(); ++i) {
+    line_of[by_y[i]].first = static_cast<std::int32_t>(i);
+  }
+  for (std::size_t i = 0; i < by_x.size(); ++i) {
+    line_of[by_x[i]].second = static_cast<std::int32_t>(i);
+  }
   for (const auto q : mobile) {
     machine.assign_to_aod(q, line_of[q].first, line_of[q].second);
   }
   park_free_lines(machine);
+  return mobile;
+}
+
+/// Every atom coordinate and every AOD line coordinate, as bit patterns.
+std::vector<std::uint64_t> configuration_bits(const ph::Machine& machine) {
+  std::vector<std::uint64_t> bits;
+  for (std::int32_t q = 0; q < machine.n_qubits(); ++q) {
+    bits.push_back(std::bit_cast<std::uint64_t>(machine.position(q).x));
+    bits.push_back(std::bit_cast<std::uint64_t>(machine.position(q).y));
+  }
+  const auto& aod = machine.aod();
+  for (std::int32_t r = 0; r < aod.n_rows(); ++r) {
+    bits.push_back(std::bit_cast<std::uint64_t>(aod.row_coord(r)));
+  }
+  for (std::int32_t c = 0; c < aod.n_cols(); ++c) {
+    bits.push_back(std::bit_cast<std::uint64_t>(aod.col_coord(c)));
+  }
+  return bits;
+}
+
+}  // namespace
+
+// --- randomized movement stress ------------------------------------------------
+
+class MovementStress : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MovementStress, RandomMoveSequencesPreserveInvariants) {
+  parallax::util::Rng rng(GetParam());
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::size_t n_atoms = 12 + rng.pick_index(14);  // 12..25 atoms
+  auto machine = make_machine(n_atoms, config);
+
+  const auto mobile = lift_diagonal(machine, n_atoms, rng);
   ASSERT_TRUE(machine.aod().ordering_valid());
   machine.save_home();
 
@@ -126,6 +157,67 @@ TEST_P(MovementStress, RandomMoveSequencesPreserveInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MovementStress,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u,
+                                           55u, 89u));
+
+// --- the move memo's premise ---------------------------------------------------
+//
+// The schedule pass replays a (mover, partner) search instead of rerunning it
+// while home is unchanged. That is sound only if every search starts from
+// home (return_all_home() restores it bit for bit) and the engine carries no
+// state from one call to the next: the same pair from the same home must give
+// the same outcome and the same configuration, whatever ran in between.
+
+class MovementReplay : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MovementReplay, SamePairFromHomeRepeatsBitForBit) {
+  parallax::util::Rng rng(GetParam());
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::size_t n_atoms = 12 + rng.pick_index(14);  // 12..25 atoms
+  auto machine = make_machine(n_atoms, config);
+  const auto mobile = lift_diagonal(machine, n_atoms, rng);
+  machine.save_home();
+  const auto home = configuration_bits(machine);
+
+  struct Call {
+    std::int32_t mover;
+    std::int32_t partner;
+    px::MoveOutcome outcome;
+    std::vector<std::uint64_t> after;
+  };
+  px::MovementEngine engine(machine);
+  std::vector<Call> calls;
+  for (int i = 0; i < 12; ++i) {
+    Call call;
+    call.mover = mobile[rng.pick_index(mobile.size())];
+    do {
+      call.partner = static_cast<std::int32_t>(rng.pick_index(n_atoms));
+    } while (call.partner == call.mover);
+    call.outcome = engine.move_into_range(call.mover, call.partner);
+    call.after = configuration_bits(machine);
+    machine.return_all_home();
+    ASSERT_EQ(configuration_bits(machine), home) << "call " << i;
+    calls.push_back(std::move(call));
+  }
+
+  // Repeat every call in reverse order: each now follows different pairs.
+  for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
+    const px::MoveOutcome again =
+        engine.move_into_range(it->mover, it->partner);
+    const std::string pair =
+        std::to_string(it->mover) + "->" + std::to_string(it->partner);
+    EXPECT_EQ(again.success, it->outcome.success) << pair;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.max_distance_um),
+              std::bit_cast<std::uint64_t>(it->outcome.max_distance_um))
+        << pair;
+    EXPECT_EQ(again.displaced_atoms, it->outcome.displaced_atoms) << pair;
+    EXPECT_EQ(again.iterations, it->outcome.iterations) << pair;
+    EXPECT_EQ(configuration_bits(machine), it->after) << pair;
+    machine.return_all_home();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MovementReplay,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u,
                                            55u, 89u));
 
