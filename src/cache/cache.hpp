@@ -6,10 +6,10 @@
 // cells short-circuit on result hits with byte-identical payloads.
 //
 // Consumers:
-//   * sweep::run (sweep/sweep.hpp) consults it beneath the in-memory memos
-//     when sweep::Options::cache is set.
-//   * technique::Registry::compile has a cached overload for one-off
-//     compiles through the registry front door.
+//   * sweep::run (sweep/sweep.hpp) serves whole cells from it when
+//     sweep::Options::cache is set, and backs the run's
+//     pipeline::PlacementMemo with it (whole placements and windows), so
+//     the graphine-placement pass replays earlier runs' anneals.
 //   * tools/parallax_cli.cpp exposes `cache stats|clear|prewarm` and
 //     --cache-dir/--no-cache flags.
 //

@@ -130,11 +130,11 @@ class HashingStreamBuf final : public std::streambuf {
     const Digest128& circuit_fingerprint,
     const placement::GraphineOptions& options);
 
-/// Key for a cached whole compile result (a sweep cell or a registry
-/// compile). `noise` is non-null iff a success probability rides with the
-/// result; `shots` is non-null iff shot plans do — their option fields fold
-/// into the key so a sweep wanting different derived outputs never hits an
-/// entry that lacks them.
+/// Key for a cached whole compile result (a sweep cell). `noise` is
+/// non-null iff a success probability rides with the result; `shots` is
+/// non-null iff shot plans do — their option fields fold into the key so a
+/// sweep wanting different derived outputs never hits an entry that lacks
+/// them.
 [[nodiscard]] Digest128 result_key(
     const Digest128& circuit_fingerprint, std::string_view technique,
     const std::vector<std::string>& pass_names,

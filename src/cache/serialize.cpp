@@ -174,7 +174,17 @@ circuit::Circuit decode_circuit(Reader& reader) {
     gate.theta = reader.f64();
     gate.phi = reader.f64();
     gate.lambda = reader.f64();
-    circuit.append(gate);  // re-validates qubit indices against n_qubits
+    // Checked here, not left to Circuit::append: its std::out_of_range /
+    // std::invalid_argument are outside every decoder's ReadError contract.
+    for (int q = 0; q < gate.arity(); ++q) {
+      if (gate.q[q] < 0 || gate.q[q] >= n_qubits) {
+        throw ReadError("cache payload has a gate on an out-of-range qubit");
+      }
+    }
+    if (gate.arity() == 2 && gate.q[0] == gate.q[1]) {
+      throw ReadError("cache payload has a two-qubit gate on one qubit");
+    }
+    circuit.append(gate);
   }
   return circuit;
 }

@@ -7,6 +7,7 @@
 #include "baselines/static_schedule.hpp"
 #include "baselines/swap_router.hpp"
 #include "circuit/interaction_graph.hpp"
+#include "pipeline/placement_memo.hpp"
 #include "placement/windowed.hpp"
 #include "util/rng.hpp"
 
@@ -60,8 +61,8 @@ Pass graphine_placement() {
   return Pass("graphine-placement", [](CompileContext& ctx) {
     // Every path emits an "anneal" timing row (before the pass's own row,
     // which Pipeline::run appends after) so table04's per-pass profile has
-    // a uniform shape whether the anneal ran here, was injected by the
-    // sweep driver, or was replayed from a cache.
+    // a uniform shape whether the anneal ran here or came from a preset,
+    // the run's placement memo, or the persistent cache.
     if (ctx.options.preset_topology) {
       ctx.normalized = *ctx.options.preset_topology;
       ctx.result.pass_timings.push_back({"anneal", 0.0, true});
@@ -70,32 +71,33 @@ Pass graphine_placement() {
     placement::GraphineOptions options = ctx.options.placement;
     options.seed = util::derive_seed(ctx.options.seed, ctx.input.name(),
                                      util::kPlacementSeedSalt);
-    const circuit::InteractionGraph graph(ctx.result.circuit);
-    placement::PlacementStats stats;
-    if (placement::windowing_applies(graph, options)) {
-      ctx.normalized = placement::windowed_place(graph, options, &stats);
-      if (ctx.options.anneal_counter) {
-        ctx.options.anneal_counter->fetch_add(
-            static_cast<std::uint64_t>(stats.windows_annealed),
-            std::memory_order_relaxed);
-      }
-    } else {
-      // Normalized single-window path: max_window_qubits plays no role here,
-      // so its fingerprint stays byte-identical to pre-windowing builds.
-      if (ctx.options.anneal_counter) {
-        ctx.options.anneal_counter->fetch_add(1, std::memory_order_relaxed);
-      }
+    // A window cap the circuit fits under changes nothing, so it must not
+    // perturb the placement key (which feeds the field only when non-zero).
+    if (options.max_window_qubits > 0 &&
+        ctx.result.circuit.n_qubits() <= options.max_window_qubits) {
       options.max_window_qubits = 0;
-      ctx.normalized = placement::graphine_place(graph, options, &stats);
     }
+    PlacementMemo::Placed placed;
+    if (ctx.shared.memo != nullptr) {
+      placed = ctx.shared.memo->place(ctx.result.circuit,
+                                      ctx.shared.input_fingerprint, options);
+    } else {
+      placed.topology = placement::windowed_place(
+          circuit::InteractionGraph(ctx.result.circuit), options,
+          &placed.stats);
+      placed.annealed = true;
+    }
+    ctx.normalized = std::move(placed.topology);
+    ctx.pass_cached = !placed.annealed;
     // Raced portfolios surface one row per entrant (winner highlighted)
     // ahead of the total anneal row.
-    for (const auto& entrant : stats.entrants) {
+    for (const auto& entrant : placed.stats.entrants) {
       ctx.result.pass_timings.push_back({"anneal[" + entrant.name + "]",
                                          entrant.wall_seconds, false,
                                          entrant.winner});
     }
-    ctx.result.pass_timings.push_back({"anneal", stats.anneal_seconds, false});
+    ctx.result.pass_timings.push_back(
+        {"anneal", placed.stats.anneal_seconds, !placed.annealed});
   });
 }
 

@@ -22,7 +22,10 @@ namespace parallax::pipeline::passes {
 [[nodiscard]] Pass transpile();
 
 /// Paper Step 1: Graphine annealed placement on the normalized plane, seeded
-/// per circuit via util::derive_seed. Honors options.preset_topology.
+/// per circuit via util::derive_seed. Honors options.preset_topology. The
+/// only code that places a circuit: it derives the effective placement
+/// options once and, when the context carries a run's PlacementMemo, shares
+/// the placement through it (marking its timing rows cached on a hit).
 [[nodiscard]] Pass graphine_placement();
 
 /// ELDI's compact-grid greedy placement; grid-native, so it fills the

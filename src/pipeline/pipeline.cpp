@@ -1,16 +1,10 @@
 #include "pipeline/pipeline.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 #include "util/stopwatch.hpp"
 
 namespace parallax::pipeline {
-
-bool Pipeline::contains(std::string_view pass_name) const {
-  return std::any_of(passes_.begin(), passes_.end(), [&](const Pass& pass) {
-    return pass.name() == pass_name;
-  });
-}
 
 std::vector<std::string> Pipeline::pass_names() const {
   std::vector<std::string> names;
@@ -21,7 +15,13 @@ std::vector<std::string> Pipeline::pass_names() const {
 
 compiler::CompileResult Pipeline::run(const circuit::Circuit& input,
                                       const hardware::HardwareConfig& config,
-                                      const CompileOptions& options) const {
+                                      const CompileOptions& options,
+                                      const SharedPlacement& shared) const {
+  if (shared.memo != nullptr && !options.assume_transpiled) {
+    throw std::invalid_argument(
+        "a shared placement memo keys on the input's fingerprint; transpile "
+        "the input and set assume_transpiled before lending one");
+  }
   if (input.n_qubits() > config.n_atoms()) {
     throw CompileError("circuit '" + input.name() + "' needs " +
                        std::to_string(input.n_qubits()) +
@@ -36,12 +36,14 @@ compiler::CompileResult Pipeline::run(const circuit::Circuit& input,
   }
   CompileContext context(input, config, std::move(effective));
   context.result.technique = technique_;
+  context.shared = shared;
   context.result.pass_timings.reserve(passes_.size());
   for (const auto& pass : passes_) {
     const util::Stopwatch watch;
+    context.pass_cached = false;
     pass.run(context);
     context.result.pass_timings.push_back(
-        {pass.name(), watch.seconds(), false});
+        {pass.name(), watch.seconds(), context.pass_cached});
   }
   return std::move(context.result);
 }

@@ -7,14 +7,11 @@
 // across circuit x technique x machine matrices by sweep::run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,8 +26,11 @@
 #include "parallax/scheduler.hpp"
 #include "placement/discretize.hpp"
 #include "placement/graphine.hpp"
+#include "util/hash.hpp"
 
 namespace parallax::pipeline {
+
+class PlacementMemo;
 
 /// Thrown when a circuit cannot be compiled for a machine (e.g. more qubits
 /// than atoms).
@@ -50,8 +50,9 @@ struct CompileOptions {
   /// Input is already in the {U3, CZ} basis; skip transpilation.
   bool assume_transpiled = false;
   /// Pre-computed Graphine placement (the paper's command-line option for
-  /// loading earlier results to cut compile time). Skips Step 1; also how
-  /// sweep::run shares one memoized placement across techniques.
+  /// loading earlier results to cut compile time). Skips Step 1. Sharing
+  /// one placement across a run's techniques is the PlacementMemo's job,
+  /// not this field's.
   std::optional<placement::Topology> preset_topology;
   /// Master seed; placement and shuffle seeds derive from it and the
   /// circuit name via util::derive_seed, so runs are reproducible per
@@ -62,11 +63,14 @@ struct CompileOptions {
   /// scheduling pass record per-layer atom positions — the simulator's
   /// input — regardless of the scheduler's record_positions flag.
   noise::FidelityOptions fidelity{};
-  /// Runtime-only anneal accounting: when set, a placement pass increments
-  /// it once per Graphine anneal it actually runs (never for a preset
-  /// topology). Excluded from fingerprints and serializations like every
-  /// runtime hook — it is attribution, not identity.
-  std::shared_ptr<std::atomic<std::uint64_t>> anneal_counter;
+};
+
+/// A run-scoped placement memo lent to one compilation, with the
+/// cache::fingerprint of the circuit it compiles (already transpiled: the
+/// memo keys placements on it). Runtime-only, like every sharing hook.
+struct SharedPlacement {
+  PlacementMemo* memo = nullptr;
+  util::Digest128 input_fingerprint{};
 };
 
 /// State threaded through the passes of one compilation. Passes communicate
@@ -94,6 +98,12 @@ struct CompileContext {
   /// Accumulated output; `Pipeline::run` stamps the technique name and
   /// returns it once every pass has run.
   compiler::CompileResult result;
+  /// The placement memo lent by the caller (Pipeline::run's `shared`).
+  SharedPlacement shared;
+  /// Set by a pass whose product came from a memo or cache instead of
+  /// being computed here; Pipeline::run copies it into the pass's timing
+  /// row and clears it before the next pass.
+  bool pass_cached = false;
 };
 
 /// One named compilation stage. Cheap to copy; behaviour lives in a
@@ -124,15 +134,17 @@ class Pipeline {
   [[nodiscard]] const std::string& technique() const noexcept {
     return technique_;
   }
-  [[nodiscard]] bool contains(std::string_view pass_name) const;
   [[nodiscard]] std::vector<std::string> pass_names() const;
 
   /// Runs every pass over a fresh context and returns the accumulated
   /// result. Throws CompileError if the circuit needs more qubits than the
-  /// machine has atoms; passes may throw their own errors.
+  /// machine has atoms; passes may throw their own errors. A `shared` memo
+  /// requires options.assume_transpiled (std::invalid_argument otherwise),
+  /// since its key is the fingerprint of `input` as placed.
   [[nodiscard]] compiler::CompileResult run(
       const circuit::Circuit& input, const hardware::HardwareConfig& config,
-      const CompileOptions& options = {}) const;
+      const CompileOptions& options = {},
+      const SharedPlacement& shared = {}) const;
 
  private:
   std::string technique_;

@@ -201,12 +201,6 @@ Summary SweepService::execute(Ticket& ticket) {
   options.cache = options_.cache;
   options.on_cell = ticket.on_cell_;
   options.cancel = ticket.token_;
-  // Per-request anneal ledger: the run increments it at each anneal it
-  // actually pays for, so the charge is right even when the run throws
-  // midway, and never picks up anneals a concurrent compile in the same
-  // process happens to perform (the process-global counter both did).
-  const auto anneal_counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-  options.anneal_counter = anneal_counter;
 
   try {
     const sweep::Result result =
@@ -227,7 +221,6 @@ Summary SweepService::execute(Ticket& ticket) {
       }
     }
   } catch (const std::exception& error) {
-    summary.anneals = anneal_counter->load(std::memory_order_relaxed);
     summary.error = error.what();
   }
   return summary;

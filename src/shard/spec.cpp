@@ -156,7 +156,6 @@ void encode_spec_options(Writer& writer, const sweep::Options& options) {
   writer.u32(static_cast<std::uint32_t>(options.compile.fidelity.model));
   writer.i64(options.compile.fidelity.shots);
   writer.f64(options.compile.fidelity.moving_decoherence_scale);
-  writer.boolean(options.share_placements);
   writer.boolean(options.compute_success_probability);
   encode_noise(writer, options.noise);
   writer.boolean(options.shots.has_value());
@@ -189,7 +188,6 @@ sweep::Options decode_spec_options(Reader& reader) {
       static_cast<noise::FidelityModel>(fidelity_model);
   options.compile.fidelity.shots = reader.i64();
   options.compile.fidelity.moving_decoherence_scale = reader.f64();
-  options.share_placements = reader.boolean();
   options.compute_success_probability = reader.boolean();
   options.noise = decode_noise(reader);
   if (reader.boolean()) {

@@ -64,7 +64,9 @@ struct ShardSpec {
 /// change). Old files then fail parse with a version error, never decode
 /// garbage. v2: fidelity-estimator options (noise::FidelityOptions) joined
 /// the spec codec; shard outputs also carry the new per-layer aod_moves.
-inline constexpr std::uint32_t kSpecVersion = 2;
+/// v3: sweep::Options::share_placements left the spec (placement sharing is
+/// no longer optional).
+inline constexpr std::uint32_t kSpecVersion = 3;
 
 // --- nested option codecs (shared with the shard-run encoder) -----------------
 

@@ -1,20 +1,15 @@
 #include "sweep/sweep.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <future>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "circuit/interaction_graph.hpp"
 #include "circuit/transpile.hpp"
-#include "placement/graphine.hpp"
-#include "placement/windowed.hpp"
+#include "pipeline/placement_memo.hpp"
 #include "sim/simulator.hpp"
+#include "util/memo.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -24,64 +19,6 @@ namespace parallax::sweep {
 namespace {
 
 using util::Stopwatch;
-
-/// Thread-safe memo keyed by an option fingerprint. The first caller of a
-/// key computes the value; concurrent callers of the same key wait on its
-/// shared_future, so no placement is ever annealed twice.
-template <typename V>
-class Memo {
- public:
-  /// The reference is into the memo's shared state and stays valid for the
-  /// memo's lifetime.
-  const V& get(const std::string& key, const std::function<V()>& compute,
-               std::size_t* hits, std::size_t* misses) {
-    std::shared_future<V> future;
-    bool owner = false;
-    std::promise<V> promise;
-    {
-      std::lock_guard lock(mutex_);
-      auto it = futures_.find(key);
-      if (it == futures_.end()) {
-        owner = true;
-        future = promise.get_future().share();
-        futures_.emplace(key, future);
-        ++*misses;
-      } else {
-        future = it->second;
-        ++*hits;
-      }
-    }
-    if (owner) {
-      try {
-        promise.set_value(compute());
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
-    return future.get();
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<std::string, std::shared_future<V>> futures_;
-};
-
-/// Keyed by the fingerprint of the circuit the placement's interaction graph
-/// is built from (`input_key`) plus every GraphineOptions field, so cells
-/// whose effective inputs or placement options diverge never share one.
-std::string placement_key(const std::string& input_key,
-                          const placement::GraphineOptions& options) {
-  char buffer[224];
-  std::snprintf(buffer, sizeof(buffer),
-                "|%d|%d|%.17g|%.17g|%d|%llu|%d|%d|%d|%d",
-                options.anneal_iterations,
-                options.local_search_evaluations, options.crowding_distance,
-                options.crowding_weight, options.warm_start ? 1 : 0,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<int>(options.proposal), options.chains,
-                options.max_window_qubits, options.portfolio_entrants);
-  return input_key + buffer;
-}
 
 std::string transpile_key(std::size_t circuit_index,
                           const circuit::TranspileOptions& options) {
@@ -170,30 +107,18 @@ Result run(const std::vector<CircuitSpec>& circuits,
   // Each circuit is transpiled once and shared by every (technique, machine)
   // cell with the same transpile options — the paper's Qiskit-preprocessing
   // methodology.
-  Memo<circuit::Circuit> transpiled_memo;
-  Memo<placement::Topology> placement_memo;
-  // Content fingerprints of effective input circuits (persistent-cache keys
-  // are content-addressed, never index-based, so they survive reordering of
-  // the sweep matrix across runs).
-  Memo<cache::Digest128> fingerprint_memo;
-  std::size_t fingerprint_hits = 0;  // accounting only; not reported
-  std::size_t fingerprint_misses = 0;
+  util::Memo<std::string, circuit::Circuit> transpiled_memo;
+  // Content fingerprints of effective input circuits: the placement memo's
+  // and the persistent cache's keys are content-addressed, never
+  // index-based, so they survive reordering of the sweep matrix.
+  util::Memo<std::string, cache::Digest128> fingerprint_memo;
 
   cache::CompilationCache* const persistent = options.cache.get();
-  std::atomic<std::size_t> placement_disk_hits{0};
+  // Step 1 is shared through the graphine-placement pass: every cell's
+  // pipeline borrows this memo (backed by the persistent tier).
+  pipeline::PlacementMemo placement_memo(persistent);
   std::atomic<std::size_t> result_cache_hits{0};
   std::atomic<std::size_t> result_cache_misses{0};
-
-  // Per-run anneal accounting: every site that actually runs a Graphine
-  // anneal on behalf of this run (the placement memo below, or a pipeline
-  // placement pass when no placement is injected) increments this counter —
-  // never a process-global one, so concurrent runs stay disentangled.
-  const std::shared_ptr<std::atomic<std::uint64_t>> anneal_counter =
-      options.anneal_counter != nullptr
-          ? options.anneal_counter
-          : std::make_shared<std::atomic<std::uint64_t>>(0);
-  const std::uint64_t anneals_before =
-      anneal_counter->load(std::memory_order_relaxed);
 
   // The serve layer lends its persistent pool across requests; everyone
   // else gets a private pool for this run.
@@ -218,9 +143,6 @@ Result run(const std::vector<CircuitSpec>& circuits,
       // keys, cache fingerprints, and the pipeline all see the same
       // effective options.
       registry.apply_tuning(cell.technique, opts);
-      // Runtime-only hook (never fingerprinted): anneals a placement pass
-      // runs inside the pipeline are charged to this run.
-      opts.anneal_counter = anneal_counter;
 
       // Shared transpilation (no-op when the caller's inputs are already in
       // the {U3, CZ} basis). Keyed on the cell's effective transpile options
@@ -240,22 +162,14 @@ Result run(const std::vector<CircuitSpec>& circuits,
             [&, transpile_options = opts.transpile] {
               transpiled_here = true;
               return circuit::transpile(spec.circuit, transpile_options);
-            },
-            &sweep_result.transpile_cache_hits,
-            &sweep_result.transpile_cache_misses);
+            });
         transpile_seconds = transpile_watch.seconds();
         transpile_shared = !transpiled_here;
         opts.assume_transpiled = true;
       }
 
-      // Content fingerprint of the effective input, shared per input_key.
-      // Only needed (and only computed) when a persistent cache is wired in.
-      const cache::Digest128* input_fp = nullptr;
-      if (persistent != nullptr) {
-        input_fp = &fingerprint_memo.get(
-            input_key, [&] { return cache::fingerprint(*input); },
-            &fingerprint_hits, &fingerprint_misses);
-      }
+      const cache::Digest128& input_fp = fingerprint_memo.get(
+          input_key, [&] { return cache::fingerprint(*input); });
 
       const pipeline::Pipeline pl = registry.make_pipeline(cell.technique,
                                                            opts);
@@ -269,7 +183,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
       const bool use_results = persistent != nullptr && options.reuse_results;
       if (use_results) {
         cell_key = cache::result_key(
-            *input_fp, cell.technique, pl.pass_names(), machine.config, opts,
+            input_fp, cell.technique, pl.pass_names(), machine.config, opts,
             options.compute_success_probability ? &options.noise : nullptr,
             options.shots ? &*options.shots : nullptr);
         if (auto hit = persistent->get_result(cell_key)) {
@@ -291,104 +205,11 @@ Result run(const std::vector<CircuitSpec>& circuits,
         result_cache_misses.fetch_add(1, std::memory_order_relaxed);
       }
 
-      const bool fits = input->n_qubits() <= machine.config.n_atoms();
-      bool placement_injected = false;
-      bool placement_annealed_here = false;
-      double placement_seconds = 0.0;
-      double placement_anneal_seconds = 0.0;
-      if (options.share_placements && fits && !opts.preset_topology &&
-          pl.contains("graphine-placement")) {
-        placement::GraphineOptions popts = opts.placement;
-        popts.seed = util::derive_seed(opts.seed, input->name(),
-                                       util::kPlacementSeedSalt);
-        // Normalize before any key is derived: a window cap the circuit fits
-        // under changes nothing, so it must not perturb memo keys or the
-        // persistent fingerprint (which feeds the field only when non-zero).
-        if (popts.max_window_qubits > 0 &&
-            input->n_qubits() <= popts.max_window_qubits) {
-          popts.max_window_qubits = 0;
-        }
-        const Stopwatch placement_watch;
-        opts.preset_topology = placement_memo.get(
-            placement_key(input_key, popts),
-            [&] {
-              // The in-run memo missed: consult the persistent disk tier
-              // before paying for an anneal, and persist fresh anneals so
-              // no future run repeats them.
-              placement::PlacementStats stats;
-              cache::Digest128 key;
-              if (persistent != nullptr) {
-                key = cache::placement_key(*input_fp, popts);
-                if (auto stored = persistent->get_placement(key)) {
-                  placement_disk_hits.fetch_add(1, std::memory_order_relaxed);
-                  return std::move(*stored);
-                }
-              }
-              const circuit::InteractionGraph graph(*input);
-              placement::Topology topology;
-              if (placement::windowing_applies(graph, popts)) {
-                // Windowed path: each window's anneal is itself cached in
-                // the persistent tier, keyed by the reindexed subgraph's
-                // content plus its effective options — so even when the
-                // whole-placement key misses (say, one window's structure
-                // changed), every unchanged window replays from disk.
-                placement::WindowHooks hooks;
-                if (persistent != nullptr) {
-                  hooks.lookup = [&](const placement::WindowContext& wctx)
-                      -> std::optional<placement::Topology> {
-                    const cache::Digest128 wkey = cache::placement_key(
-                        cache::fingerprint(*wctx.subgraph), *wctx.options);
-                    if (auto stored = persistent->get_placement(wkey)) {
-                      placement_disk_hits.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                      return std::move(*stored);
-                    }
-                    return std::nullopt;
-                  };
-                  hooks.store = [&](const placement::WindowContext& wctx,
-                                    const placement::Topology& layout) {
-                    const cache::Digest128 wkey = cache::placement_key(
-                        cache::fingerprint(*wctx.subgraph), *wctx.options);
-                    persistent->put_placement(wkey, layout);
-                  };
-                }
-                topology = placement::windowed_place(
-                    graph, popts, &stats,
-                    persistent != nullptr ? &hooks : nullptr);
-                placement_annealed_here = stats.windows_annealed > 0;
-                anneal_counter->fetch_add(
-                    static_cast<std::uint64_t>(stats.windows_annealed),
-                    std::memory_order_relaxed);
-              } else {
-                placement_annealed_here = true;
-                anneal_counter->fetch_add(1, std::memory_order_relaxed);
-                topology = placement::graphine_place(graph, popts, &stats);
-              }
-              placement_anneal_seconds = stats.anneal_seconds;
-              if (persistent != nullptr) {
-                persistent->put_placement(key, topology);
-              }
-              return topology;
-            },
-            &sweep_result.placement_cache_hits,
-            &sweep_result.placement_cache_misses);
-        placement_seconds = placement_watch.seconds();
-        placement_injected = true;
-      }
-
-      cell.result = pl.run(*input, machine.config, opts);
-      // Re-attribute the stage costs the driver paid outside the pipeline,
-      // marking stages whose product came from a memo or the persistent
-      // cache rather than being computed for this cell.
+      cell.result =
+          pl.run(*input, machine.config, opts, {&placement_memo, input_fp});
       if (transpile_seconds != 0.0 || transpile_shared) {
         attribute_stage_timing(cell.result, "transpile", transpile_seconds,
                                transpile_shared);
-      }
-      if (placement_injected) {
-        attribute_stage_timing(cell.result, "graphine-placement",
-                               placement_seconds, !placement_annealed_here);
-        attribute_stage_timing(cell.result, "anneal", placement_anneal_seconds,
-                               !placement_annealed_here);
       }
       if (options.compute_success_probability) {
         if (opts.fidelity.model == noise::FidelityModel::kSimulated) {
@@ -463,15 +284,18 @@ Result run(const std::vector<CircuitSpec>& circuits,
   };
 
   pool->parallel_for(sweep_result.cells.size(), run_cell);
-  sweep_result.anneals = static_cast<std::size_t>(
-      anneal_counter->load(std::memory_order_relaxed) - anneals_before);
   for (const Cell& cell : sweep_result.cells) {
     if (cell.cancelled) {
       sweep_result.cancelled = true;
       break;
     }
   }
-  sweep_result.placement_disk_hits = placement_disk_hits.load();
+  sweep_result.transpile_cache_hits = transpiled_memo.hits();
+  sweep_result.transpile_cache_misses = transpiled_memo.misses();
+  sweep_result.placement_cache_hits = placement_memo.hits();
+  sweep_result.placement_cache_misses = placement_memo.misses();
+  sweep_result.placement_disk_hits = placement_memo.disk_hits();
+  sweep_result.anneals = placement_memo.anneals();
   sweep_result.result_cache_hits = result_cache_hits.load();
   sweep_result.result_cache_misses = result_cache_misses.load();
   sweep_result.wall_seconds = stopwatch.seconds();

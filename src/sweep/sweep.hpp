@@ -8,17 +8,18 @@
 //   * Determinism: a cell's result depends only on (circuit, technique,
 //     machine, options) — never on thread count or completion order. Every
 //     seed derives from (master seed, circuit name, stage salt).
-//   * Shared work: each circuit is transpiled once, and the Graphine
-//     annealed placement is memoized per (circuit, placement options), so
-//     techniques that share Step 1 (parallax, graphine) and machine variants
-//     of the same circuit never recompute it — exactly the paper's
-//     methodology of reusing placements across techniques.
+//   * Shared work: each circuit is transpiled once, and every cell's
+//     pipeline borrows the run's pipeline::PlacementMemo, through which the
+//     graphine-placement pass shares the Graphine annealed placement per
+//     (effective input circuit, placement options). Techniques that share
+//     Step 1 (parallax, graphine) and machine variants of the same circuit
+//     never recompute it — exactly the paper's methodology of reusing
+//     placements across techniques.
 //   * Isolation: a cell that fails to compile reports its error string;
 //     the rest of the sweep completes.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -68,9 +69,6 @@ struct Options {
   pipeline::CompileOptions compile{};
   /// Worker threads; 0 selects hardware concurrency.
   std::size_t n_threads = 0;
-  /// Memoize the Graphine placement per (circuit, placement options) and
-  /// feed it to every cell whose pipeline contains "graphine-placement".
-  bool share_placements = true;
   /// Estimate noise::success_probability per cell.
   bool compute_success_probability = true;
   noise::NoiseOptions noise{};
@@ -123,14 +121,6 @@ struct Options {
   /// from one of the pool's own worker threads (the fan-out blocks its
   /// caller). Runtime-only.
   util::ThreadPool* pool = nullptr;
-  /// Per-run anneal accounting. When set, incremented once per Graphine
-  /// anneal this run actually pays for (never for memo, disk, or preset
-  /// placements), and Result::anneals reports the same delta — so callers
-  /// that run sweeps concurrently in one process (the serve farm, a sweep
-  /// next to a CLI compile) each see only their own anneals instead of a
-  /// process-global drift. Null keeps a private counter. Runtime-only,
-  /// like on_cell.
-  std::shared_ptr<std::atomic<std::uint64_t>> anneal_counter;
 };
 
 /// One (circuit, technique, machine) result.
@@ -187,9 +177,9 @@ struct Result {
   std::size_t result_cache_hits = 0;
   std::size_t result_cache_misses = 0;
   /// Graphine anneals this run actually paid for — 0 for a fully warm sweep.
-  /// Counted per run (each anneal site this run executes increments
-  /// Options::anneal_counter or a private equivalent), so concurrent
-  /// sweep::run calls in one process never attribute each other's anneals.
+  /// Counted by the run's placement memo (never for memo, disk, or preset
+  /// placements), so concurrent sweep::run calls in one process never
+  /// attribute each other's anneals.
   std::size_t anneals = 0;
 
   /// Cell lookup by labels; empty `machine` matches the sole machine of a

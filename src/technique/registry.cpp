@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "cache/cache.hpp"
 #include "pipeline/passes.hpp"
 
 namespace parallax::technique {
@@ -208,34 +207,6 @@ compiler::CompileResult Registry::compile(
   pipeline::CompileOptions tuned = options;
   apply_tuning(name, tuned);
   return make_pipeline(name, tuned).run(input, config, tuned);
-}
-
-compiler::CompileResult Registry::compile(
-    std::string_view name, const circuit::Circuit& input,
-    const hardware::HardwareConfig& config,
-    const pipeline::CompileOptions& options,
-    cache::CompilationCache* cache) const {
-  pipeline::CompileOptions tuned = options;
-  apply_tuning(name, tuned);
-  const pipeline::Pipeline pipeline = make_pipeline(name, tuned);
-  if (cache == nullptr) return pipeline.run(input, config, tuned);
-  const cache::Digest128 key =
-      cache::result_key(cache::fingerprint(input), name,
-                        pipeline.pass_names(), config, tuned);
-  if (auto hit = cache->get_result(key)) {
-    for (const auto& pass : pipeline.pass_names()) {
-      if (pass == "graphine-placement") {
-        hit->result.pass_timings.push_back({"anneal", 0.0, true});
-      }
-      hit->result.pass_timings.push_back({pass, 0.0, true});
-    }
-    return std::move(hit->result);
-  }
-  compiler::CompileResult result = pipeline.run(input, config, tuned);
-  cache::CachedCell stored;
-  stored.result = result;
-  cache->put_result(key, stored);
-  return result;
 }
 
 compiler::CompileResult compile(std::string_view name,

@@ -14,10 +14,6 @@
 
 #include "pipeline/pipeline.hpp"
 
-namespace parallax::cache {
-class CompilationCache;
-}
-
 namespace parallax::technique {
 
 /// Thrown for a name the registry does not know; the message lists every
@@ -82,16 +78,6 @@ class Registry {
       std::string_view name, const circuit::Circuit& input,
       const hardware::HardwareConfig& config,
       const pipeline::CompileOptions& options = {}) const;
-
-  /// Like compile(), but consults (and populates) the persistent
-  /// compilation cache first: a hit returns the stored result without
-  /// running any pass (its pass_timings are all marked cached). A null
-  /// cache is the plain compile().
-  [[nodiscard]] compiler::CompileResult compile(
-      std::string_view name, const circuit::Circuit& input,
-      const hardware::HardwareConfig& config,
-      const pipeline::CompileOptions& options,
-      cache::CompilationCache* cache) const;
 
  private:
   std::vector<TechniqueInfo> techniques_;

@@ -16,11 +16,13 @@
 #include "cache/fingerprint.hpp"
 #include "cache/serialize.hpp"
 #include "cache/store.hpp"
+#include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
 #include "placement/graphine.hpp"
 #include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace fs = std::filesystem;
 namespace pc = parallax::cache;
@@ -585,35 +587,6 @@ TEST(CompilationCache, DefaultDirectoryRespectsEnvironment) {
   }
 }
 
-// --- registry front door ------------------------------------------------------
-
-TEST(CompilationCache, RegistryCompileCachedPath) {
-  const std::string dir = fresh_dir("registry");
-  pc::CompilationCache cache({.directory = dir});
-  pp::CompileOptions options;
-  options.placement.anneal_iterations = 60;
-  options.placement.local_search_evaluations = 40;
-  const auto config = ph::HardwareConfig::quera_aquila_256();
-  const auto circuit = ghz(6, "ghz6");
-  const auto& registry = pt::Registry::global();
-
-  const auto cold =
-      registry.compile("parallax", circuit, config, options, &cache);
-  EXPECT_EQ(cache.stats().result_misses, 1u);
-  const std::uint64_t anneals = ppl::annealing_invocations();
-  const auto warm =
-      registry.compile("parallax", circuit, config, options, &cache);
-  EXPECT_EQ(cache.stats().result_hits, 1u);
-  EXPECT_EQ(ppl::annealing_invocations(), anneals);  // no re-anneal
-  EXPECT_EQ(pc::serialize_result(warm), pc::serialize_result(cold));
-  ASSERT_FALSE(warm.pass_timings.empty());
-  for (const auto& timing : warm.pass_timings) EXPECT_TRUE(timing.cached);
-  // Null cache is the plain compile.
-  const auto direct =
-      registry.compile("parallax", circuit, config, options, nullptr);
-  EXPECT_EQ(pc::serialize_result(direct), pc::serialize_result(cold));
-}
-
 // --- the acceptance criterion: warm sweeps ------------------------------------
 
 TEST(SweepCache, WarmRunAnnealsNothingAndIsByteIdentical) {
@@ -708,6 +681,39 @@ TEST(SweepCache, ChangedOptionsMissInsteadOfWrongHit) {
                                {{config.name, config}}, options);
   EXPECT_EQ(changed.result_cache_hits, 0u);
   EXPECT_EQ(changed.result_cache_misses, changed.cells.size());
+}
+
+TEST(SweepCache, PlacementKeyIsTranspiledFingerprintPlusEffectiveOptions) {
+  // Pins the persistent placement key a sweep writes, so a cache directory
+  // written by one build keeps serving the next: the fingerprint of the
+  // transpiled circuit plus the technique-tuned placement options carrying
+  // the circuit's derived placement seed.
+  const std::string dir = fresh_dir("placement_key");
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::vector<std::string> techniques = {"parallax", "parallax-fast"};
+  auto options = fast_sweep_options();
+  options.cache = pc::CompilationCache::open({.directory = dir});
+  (void)sw::run(small_circuits(), techniques, {{config.name, config}},
+                options);
+
+  pc::CompilationCache reopened({.directory = dir});
+  const auto& registry = pt::Registry::global();
+  for (const auto& spec : small_circuits()) {
+    const pcir::Circuit input =
+        pcir::transpile(spec.circuit, options.compile.transpile);
+    for (const auto& technique : techniques) {
+      pp::CompileOptions tuned = options.compile;
+      registry.apply_tuning(technique, tuned);
+      ppl::GraphineOptions placement = tuned.placement;
+      placement.seed =
+          pu::derive_seed(tuned.seed, input.name(), pu::kPlacementSeedSalt);
+      EXPECT_TRUE(reopened
+                      .get_placement(pc::placement_key(
+                          pc::fingerprint(input), placement))
+                      .has_value())
+          << spec.name << "/" << technique;
+    }
+  }
 }
 
 TEST(SweepCache, PassTimingsSurfacedInCells) {

@@ -127,6 +127,30 @@ sv::Frame read_frame(int fd) {
   return sv::decode_frame(header, payload);
 }
 
+/// A server thread that cannot outlive its test. A failed ASSERT returns
+/// from the test body early, and a still-joinable std::thread would then
+/// std::terminate the whole binary. On scope exit the destructor first runs
+/// `unblock`, which must make the server return, and then joins.
+class ScopedServer {
+ public:
+  ScopedServer(std::function<void()> serve, std::function<void()> unblock)
+      : unblock_(std::move(unblock)), thread_(std::move(serve)) {}
+  ScopedServer(const ScopedServer&) = delete;
+  ScopedServer& operator=(const ScopedServer&) = delete;
+  ~ScopedServer() {
+    if (!thread_.joinable()) return;
+    unblock_();
+    thread_.join();
+  }
+
+  /// Joins a server the test has already asked to return.
+  void join() { thread_.join(); }
+
+ private:
+  std::function<void()> unblock_;
+  std::thread thread_;
+};
+
 }  // namespace
 
 // --- protocol: request lines --------------------------------------------------
@@ -457,6 +481,15 @@ struct PipePair {
     ::close(in[1]);
     in[1] = -1;
   }
+  /// Makes a serve_connection over these pipes return: EOF on its requests,
+  /// and every frame it still writes drained until it closes its output end
+  /// (so a server with frames to flush never blocks on a full pipe).
+  void unblock_server() {
+    if (in[1] >= 0) close_request_end();
+    char sink[4096];
+    while (::read(out[0], sink, sizeof(sink)) > 0) {
+    }
+  }
 };
 
 }  // namespace
@@ -465,11 +498,13 @@ TEST(ServeConnection, MalformedLinesGetErrorFramesAndServiceSurvives) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   PipePair pipes;
-  std::thread server([&] {
-    (void)sv::serve_connection(pipes.in[0], pipes.out[1], service);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        (void)sv::serve_connection(pipes.in[0], pipes.out[1], service);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
 
   // Garbage verb, bad hex, and an unknown CANCEL id: three error frames,
   // connection stays up.
@@ -518,11 +553,14 @@ TEST(ServeConnection, EofDrainsInFlightRequestsBeforeReturning) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   PipePair pipes;
-  std::thread server([&] {
-    EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service), 1u);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service),
+                  1u);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
   // Batch shape: submit, close input immediately, then consume the frames.
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::submit_line(1, spec)));
   pipes.close_request_end();
@@ -553,10 +591,11 @@ TEST(ServeEndToEnd, ClientReassemblyIsByteIdenticalAndWarmRepeatIsFree) {
 
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::thread server([&] {
-    (void)sv::serve_connection(fds[0], fds[0], service);
-    ::close(fds[0]);
-  });
+  // The server end stays open until after the join, so the unblocker can
+  // shut it down (reads see EOF, writes fail) without racing a close.
+  ScopedServer server(
+      [&] { (void)sv::serve_connection(fds[0], fds[0], service); },
+      [&] { ::shutdown(fds[0], SHUT_RDWR); });
   {
     sv::Client client(fds[1]);  // adopts + closes fds[1]
 
@@ -582,6 +621,7 @@ TEST(ServeEndToEnd, ClientReassemblyIsByteIdenticalAndWarmRepeatIsFree) {
     client.quit();
   }
   server.join();
+  ::close(fds[0]);
 }
 
 TEST(ServeEndToEnd, ServiceShutdownReleasesWaitersAsCancelled) {
@@ -692,10 +732,11 @@ TEST(ServeEndToEnd, ClientStatsQueriesTheSession) {
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::thread server([&] {
-    (void)sv::serve_connection(fds[0], fds[0], service);
-    ::close(fds[0]);
-  });
+  // The server end stays open until after the join, so the unblocker can
+  // shut it down (reads see EOF, writes fail) without racing a close.
+  ScopedServer server(
+      [&] { (void)sv::serve_connection(fds[0], fds[0], service); },
+      [&] { ::shutdown(fds[0], SHUT_RDWR); });
   {
     sv::Client client(fds[1]);
     const sv::SessionStats before = client.stats();
@@ -712,6 +753,7 @@ TEST(ServeEndToEnd, ClientStatsQueriesTheSession) {
     client.quit();
   }
   server.join();
+  ::close(fds[0]);
 }
 
 // --- protocol v3: STOP, per-client stats rows, in-place line parsing ----------
@@ -888,16 +930,11 @@ TEST(SweepService, ClientRowsSumToSessionTotals) {
 TEST(SweepService, RequestAnnealAccountingIgnoresConcurrentProcessAnneals) {
   const sh::SweepSpec spec = small_spec();
 
-  // The request's true cost, measured with the sweep core's own counter.
-  std::uint64_t expected = 0;
-  {
-    sw::Options options = spec.options;
-    const auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-    options.anneal_counter = counter;
-    (void)sw::run(spec.circuits, spec.techniques, spec.machines, options);
-    expected = counter->load();
-    ASSERT_GT(expected, 0u);
-  }
+  // The request's true cost, measured by the sweep core's own ledger.
+  const std::uint64_t expected =
+      sw::run(spec.circuits, spec.techniques, spec.machines, spec.options)
+          .anneals;
+  ASSERT_GT(expected, 0u);
 
   sv::SweepService service({.n_threads = 1, .cache = nullptr});
   std::mutex mutex;
@@ -963,11 +1000,14 @@ TEST(ServeConnection, CompletedRequestIdsArePrunedAndReusable) {
       pc::CompilationCache::open({.directory = fresh_dir("prune")});
   sv::SweepService service(service_options);
   PipePair pipes;
-  std::thread server([&] {
-    EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service), 2u);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service),
+                  2u);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
 
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::submit_line(5, spec)));
   sv::Frame frame;
@@ -1009,11 +1049,14 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
   sv::ServerOptions options;
   options.max_inflight_per_client = 1;
   PipePair pipes;
-  std::thread server([&] {
-    (void)sv::serve_connection(pipes.in[0], pipes.out[1], service, options);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        (void)sv::serve_connection(pipes.in[0], pipes.out[1], service,
+                                   options);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
 
   // Both lines land in one read: the second is checked while the first is
   // still compiling, so the quota trips deterministically.
@@ -1054,11 +1097,14 @@ TEST(ServeConnection, OneConnectionMultiplexesOutstandingRequests) {
       pc::CompilationCache::open({.directory = fresh_dir("mux")});
   sv::SweepService service(service_options);
   PipePair pipes;
-  std::thread server([&] {
-    EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service), 2u);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service),
+                  2u);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
 
   // Two outstanding submits on one connection; their frames demultiplex by
   // request id and each reassembles byte-identically.
@@ -1099,13 +1145,15 @@ TEST(ServeConnection, StopAcksCancelsInflightAndSetsTheSessionFlag) {
   sv::ServerOptions options;
   options.stop = &stop;
   PipePair pipes;
-  std::thread server([&] {
-    EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service,
-                                   options),
-              1u);
-    ::close(pipes.out[1]);
-    pipes.out[1] = -1;
-  });
+  ScopedServer server(
+      [&] {
+        EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service,
+                                       options),
+                  1u);
+        ::close(pipes.out[1]);
+        pipes.out[1] = -1;
+      },
+      [&] { pipes.unblock_server(); });
 
   ASSERT_TRUE(sv::write_all(pipes.in[1],
                             sv::submit_line(1, spec) + sv::stop_line(99)));
@@ -1179,11 +1227,13 @@ TEST(ServeFarm, ThreeConcurrentClientsReassembleByteIdenticalResults) {
   sv::SweepService service(service_options);
 
   const std::string socket_path = fresh_socket_path("three");
-  const sv::ServerOptions options;
+  std::atomic<bool> stop{false};
+  sv::ServerOptions options;
+  options.stop = &stop;
   std::atomic<bool> server_ok{false};
-  std::thread server([&] {
-    server_ok = sv::serve_unix_socket(socket_path, service, options);
-  });
+  ScopedServer server(
+      [&] { server_ok = sv::serve_unix_socket(socket_path, service, options); },
+      [&] { stop.store(true); });
   ASSERT_TRUE(wait_for_socket(socket_path));
 
   struct Outcome {
@@ -1261,12 +1311,14 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 1, .cache = nullptr});
   const std::string socket_path = fresh_socket_path("quota");
+  std::atomic<bool> stop{false};
   sv::ServerOptions options;
+  options.stop = &stop;
   options.max_inflight_per_client = 1;
   std::atomic<bool> server_ok{false};
-  std::thread server([&] {
-    server_ok = sv::serve_unix_socket(socket_path, service, options);
-  });
+  ScopedServer server(
+      [&] { server_ok = sv::serve_unix_socket(socket_path, service, options); },
+      [&] { stop.store(true); });
   ASSERT_TRUE(wait_for_socket(socket_path));
 
   const int fd = connect_unix(socket_path);
@@ -1314,14 +1366,16 @@ TEST(ServeFarm, SlowReaderIsDetachedWithoutStallingTheFarm) {
   sv::SweepService service(service_options);
 
   const std::string socket_path = fresh_socket_path("slow");
+  std::atomic<bool> stop{false};
   sv::ServerOptions options;
+  options.stop = &stop;
   options.write_timeout_seconds = 1;
   options.max_inflight_per_client = 0;  // unbounded count: bytes do the work
   options.max_client_buffered_bytes = 1u << 20;
   std::atomic<bool> server_ok{false};
-  std::thread server([&] {
-    server_ok = sv::serve_unix_socket(socket_path, service, options);
-  });
+  ScopedServer server(
+      [&] { server_ok = sv::serve_unix_socket(socket_path, service, options); },
+      [&] { stop.store(true); });
   ASSERT_TRUE(wait_for_socket(socket_path));
 
   // A tenant that submits a pile of sweeps and never reads a byte. Sized so
@@ -1380,9 +1434,9 @@ TEST(ServeFarm, StopFlagDrainsAndUnlinksTheSocket) {
   sv::ServerOptions options;
   options.stop = &stop;
   std::atomic<bool> server_ok{false};
-  std::thread server([&] {
-    server_ok = sv::serve_unix_socket(socket_path, service, options);
-  });
+  ScopedServer server(
+      [&] { server_ok = sv::serve_unix_socket(socket_path, service, options); },
+      [&] { stop.store(true); });
   ASSERT_TRUE(wait_for_socket(socket_path));
   {
     sv::Client client(socket_path);

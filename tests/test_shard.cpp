@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -462,7 +463,6 @@ sh::SweepSpec random_spec(std::uint64_t seed) {
     topology.interaction_radius = unit(rng);
     spec.options.compile.preset_topology = topology;
   }
-  spec.options.share_placements = rng() % 2 == 0;
   spec.options.compute_success_probability = rng() % 2 == 0;
   spec.options.noise.include_readout = rng() % 2 == 0;
   spec.options.noise.per_qubit_decoherence = rng() % 2 == 0;
@@ -528,6 +528,64 @@ TEST(ShardSpecFuzz, TruncationsAndCorruptionsAreRejected) {
   // Wrong kind: a shard-run frame handed to the spec parser.
   expect_rejected(parse,
                   sh::frame_payload(sh::FileKind::kShardRun, "payload"));
+}
+
+TEST(SweepSpecFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
+  // Each mutant is re-framed with a valid checksum, so it reaches the
+  // payload decoder itself rather than failing the frame check. The
+  // contract: decode, or throw cache::ReadError / ShardError — never another
+  // exception type, a crash, or a hang.
+  auto spec = small_spec();
+  spec.circuits.resize(2);
+  const std::string payload = sh::sweep_spec_payload(spec);
+  std::mt19937_64 rng(0x5EEDF022);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  int escapes = 0;
+  for (int i = 0; i < 20000 && escapes < 10; ++i) {
+    std::string mutant = payload;
+    const std::size_t at = rng() % mutant.size();
+    switch (i % 4) {
+      case 0:  // bit flips
+        for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
+             --flips) {
+          const std::size_t bit = rng() % (mutant.size() * 8);
+          mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^
+                                              (1 << (bit % 8)));
+        }
+        break;
+      case 1:  // truncation
+        mutant.resize(at);
+        break;
+      case 2: {  // a run of 0xFF
+        const std::size_t end = std::min(mutant.size(), at + 1 + rng() % 16);
+        for (std::size_t k = at; k < end; ++k) {
+          mutant[k] = static_cast<char>(0xFF);
+        }
+        break;
+      }
+      default:  // a random 4-byte overwrite
+        for (std::size_t k = at; k < std::min(mutant.size(), at + 4); ++k) {
+          mutant[k] = static_cast<char>(rng() % 256);
+        }
+        break;
+    }
+    try {
+      (void)sh::parse_sweep_spec(
+          sh::frame_payload(sh::FileKind::kSweepSpec, mutant));
+      ++decoded;
+    } catch (const pc::ReadError&) {
+      ++rejected;
+    } catch (const sh::ShardError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ++escapes;
+      ADD_FAILURE() << "mutant " << i << " threw outside the contract: "
+                    << error.what();
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ShardRunFuzz, RunFilesRoundTripAndRejectCorruption) {

@@ -4,10 +4,12 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include "cache/fingerprint.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
 #include "parallax/compiler.hpp"
 #include "pipeline/passes.hpp"
+#include "pipeline/placement_memo.hpp"
 #include "technique/registry.hpp"
 
 namespace pc = parallax::circuit;
@@ -122,18 +124,18 @@ TEST(Registry, CustomTechniquePluggableAlongsideBuiltins) {
 
 TEST(Registry, PipelinesDeclareTheirPasses) {
   const auto& registry = pt::Registry::global();
-  const auto parallax_pipeline = registry.make_pipeline("parallax");
-  EXPECT_TRUE(parallax_pipeline.contains("graphine-placement"));
-  EXPECT_TRUE(parallax_pipeline.contains("aod-selection"));
-  EXPECT_FALSE(parallax_pipeline.contains("swap-route"));
-  const auto eldi_pipeline = registry.make_pipeline("eldi");
-  EXPECT_TRUE(eldi_pipeline.contains("swap-route"));
-  EXPECT_FALSE(eldi_pipeline.contains("graphine-placement"));
-  EXPECT_EQ(eldi_pipeline.pass_names().size(), 4u);
-  // graphine shares Step 1 with parallax — the sweep driver's memoization
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(registry.make_pipeline("parallax").pass_names(),
+            (Names{"transpile", "graphine-placement", "discretize",
+                   "aod-selection", "schedule"}));
+  EXPECT_EQ(registry.make_pipeline("eldi").pass_names(),
+            (Names{"transpile", "eldi-placement", "swap-route",
+                   "static-schedule"}));
+  // graphine shares Step 1 with parallax — the placement memo's sharing
   // precondition.
-  EXPECT_TRUE(registry.make_pipeline("graphine").contains(
-      "graphine-placement"));
+  EXPECT_EQ(registry.make_pipeline("graphine").pass_names(),
+            (Names{"transpile", "graphine-placement", "discretize",
+                   "swap-route", "static-schedule"}));
 }
 
 TEST(Registry, AllTechniquesCompileSmallCircuits) {
@@ -188,6 +190,41 @@ TEST(Registry, PresetTopologySkipsAnnealing) {
     const auto result = pt::compile(name, input, config, options);
     EXPECT_GT(result.runtime_us, 0.0) << name;
   }
+}
+
+TEST(PlacementMemo, LentMemoAnnealsOnceAndMatchesUnsharedCompiles) {
+  // The graphine-placement pass shares Step 1 through the memo Pipeline::run
+  // lends it: the first compilation anneals, the next replays the placement
+  // with its timing row marked cached, and both equal unshared compiles.
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const auto input = pc::transpile(ghz(6));
+  auto options = fast_options();
+  options.assume_transpiled = true;
+  pp::PlacementMemo memo;
+  const pp::SharedPlacement shared{&memo, parallax::cache::fingerprint(input)};
+  const auto& registry = pt::Registry::global();
+  for (const std::string name : {"parallax", "graphine"}) {
+    const auto result =
+        registry.make_pipeline(name, options).run(input, config, options,
+                                                  shared);
+    expect_same_result(result, pt::compile(name, input, config, options));
+    bool placement_cached = false;
+    for (const auto& timing : result.pass_timings) {
+      if (timing.pass == "graphine-placement") placement_cached = timing.cached;
+    }
+    EXPECT_EQ(placement_cached, name == "graphine") << name;
+  }
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.anneals(), 1u);
+  EXPECT_EQ(memo.disk_hits(), 0u);
+
+  // The memo keys on the input's fingerprint, so the input must already be
+  // the circuit the placement pass sees.
+  options.assume_transpiled = false;
+  EXPECT_THROW((void)registry.make_pipeline("parallax", options)
+                   .run(input, config, options, shared),
+               std::invalid_argument);
 }
 
 TEST(Registry, OversizedCircuitThrowsCompileError) {
