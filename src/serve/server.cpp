@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -17,6 +16,7 @@
 #include <mutex>
 #include <set>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "util/parse.hpp"
@@ -27,53 +27,50 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// One non-blocking write: send() on sockets, where MSG_NOSIGNAL turns a
+/// vanished peer into an error return instead of a SIGPIPE kill; write()
+/// on the pipes and files a lent connection may hold.
+ssize_t write_some(int fd, const char* data, std::size_t size) {
+  const ssize_t n = ::send(fd, data, size, MSG_DONTWAIT | MSG_NOSIGNAL);
+  if (n < 0 && errno == ENOTSOCK) return ::write(fd, data, size);
+  return n;
+}
+
 /// Shared sink for one connection's frames: worker threads (cell frames),
-/// the dispatcher (done frames), and the serving thread (stats/error
-/// frames) interleave here, one frame at a time. Frames are enqueued under
-/// the lock but never written under it — a blocked peer must not serialize
-/// the whole farm through one connection's mutex. Two draining modes:
-///
-///   * blocking (no wake fd): whichever thread finds the sink idle becomes
-///     the flusher, swaps the queue out, and write_all()s it outside the
-///     critical section; other writers enqueue and return immediately.
-///   * event (wake fd set): nothing blocks — writers enqueue and poke the
-///     event loop's wake pipe, and the loop drains with MSG_DONTWAIT sends
-///     when poll() reports the fd writable.
+/// the dispatcher (done frames), and the loop thread (stats/error frames)
+/// interleave here, one frame at a time. Nothing blocks: writers enqueue
+/// under the lock and poke the loop's wake pipe, and the loop drains with
+/// non-blocking writes when poll() reports the fd writable — a peer that
+/// stops reading can never wedge a worker thread.
 ///
 /// The first failed write — or a frame that would push the unflushed bytes
 /// past max_pending — marks the peer dead; later frames are dropped and
 /// the injected on_dead hook cancels in-flight work exactly once.
 class FrameSink {
  public:
-  FrameSink(int fd, std::size_t max_pending)
-      : fd_(fd), max_pending_(max_pending) {}
+  /// `fd` must be non-blocking; `wake_fd` is the write end of the loop's
+  /// wake pipe.
+  FrameSink(int fd, int wake_fd, std::size_t max_pending)
+      : fd_(fd), wake_fd_(wake_fd), max_pending_(max_pending) {}
 
   void set_on_dead(std::function<void()> on_dead) {
     on_dead_ = std::move(on_dead);
   }
-  /// Switches the sink to event mode: fd_ must be non-blocking, and the
-  /// poll loop owns the actual writes (on_writable).
-  void set_wake_fd(int wake_fd) { wake_fd_ = wake_fd; }
 
   void write_frame(const std::string& frame) {
     std::function<void()> notify;
     bool poke = false;
     {
-      std::unique_lock lock(mutex_);
+      std::lock_guard lock(mutex_);
       if (!dead_) {
         if (max_pending_ > 0 && pending_bytes_ + frame.size() > max_pending_) {
           dead_ = true;
-          cv_.notify_all();
           notify = on_dead_;
         } else {
           if (pending_bytes_ == 0) last_progress_ = Clock::now();
           pending_.push_back(frame);
           pending_bytes_ += frame.size();
-          poke = wake_fd_ >= 0;
-          if (wake_fd_ < 0 && !flushing_) {
-            flushing_ = true;
-            notify = flush_locked(lock);
-          }
+          poke = true;
         }
       }
     }
@@ -81,9 +78,8 @@ class FrameSink {
     if (poke) poke_wake();
   }
 
-  /// Event mode: drains as much as the socket accepts right now. Called
-  /// from the poll thread; MSG_DONTWAIT keeps the held lock cheap (no
-  /// send() here ever blocks).
+  /// Drains as much as the fd accepts right now. Called from the poll
+  /// thread; the fd is non-blocking, so the held lock stays cheap.
   void on_writable() {
     std::function<void()> notify;
     {
@@ -91,15 +87,12 @@ class FrameSink {
       if (dead_) return;
       while (!pending_.empty()) {
         const std::string& front = pending_.front();
-        const ssize_t n =
-            ::send(fd_, front.data() + front_offset_,
-                   front.size() - front_offset_,
-                   MSG_DONTWAIT | MSG_NOSIGNAL);
+        const ssize_t n = write_some(fd_, front.data() + front_offset_,
+                                     front.size() - front_offset_);
         if (n < 0) {
           if (errno == EINTR) continue;
           if (errno == EAGAIN || errno == EWOULDBLOCK) break;
           dead_ = true;
-          cv_.notify_all();
           notify = on_dead_;
           break;
         }
@@ -123,28 +116,16 @@ class FrameSink {
       std::lock_guard lock(mutex_);
       if (dead_) return;
       dead_ = true;
-      cv_.notify_all();
       notify = on_dead_;
     }
     if (notify) notify();
   }
 
-  /// Silences the sink before its fd closes (normal teardown, where no
-  /// producer is left): late frames are dropped without firing on_dead.
+  /// Silences the sink before its fd is released (normal teardown, where
+  /// no producer is left): late frames are dropped without firing on_dead.
   void retire() {
     std::lock_guard lock(mutex_);
     dead_ = true;
-    cv_.notify_all();
-  }
-
-  /// Blocking mode: waits until every accepted frame reached the fd (or
-  /// the sink died) — the teardown barrier that keeps a worker's in-flight
-  /// flush from outliving the connection.
-  void drain() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] {
-      return dead_ || (pending_.empty() && !flushing_);
-    });
   }
 
   [[nodiscard]] bool dead() const {
@@ -171,45 +152,16 @@ class FrameSink {
   }
 
  private:
-  /// Blocking-mode flusher; entered with the lock held and flushing_ just
-  /// claimed. Swaps the queue out and writes it unlocked, looping until no
-  /// new frames arrived behind its back. Returns the on_dead hook to run
-  /// (after unlock) if the peer died mid-flush.
-  std::function<void()> flush_locked(std::unique_lock<std::mutex>& lock) {
-    while (!pending_.empty() && !dead_) {
-      std::deque<std::string> batch;
-      batch.swap(pending_);
-      lock.unlock();
-      bool ok = true;
-      for (const std::string& chunk : batch) {
-        if (ok) ok = write_all(fd_, chunk);
-      }
-      lock.lock();
-      for (const std::string& chunk : batch) pending_bytes_ -= chunk.size();
-      if (!ok) {
-        dead_ = true;
-        flushing_ = false;
-        cv_.notify_all();
-        return on_dead_;
-      }
-    }
-    flushing_ = false;
-    cv_.notify_all();
-    return nullptr;
-  }
-
   void poke_wake() const {
     // Best effort: a full pipe already guarantees a pending wakeup.
     (void)!::write(wake_fd_, "x", 1);
   }
 
   const int fd_;
+  const int wake_fd_;
   const std::size_t max_pending_;
-  int wake_fd_ = -1;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   bool dead_ = false;
-  bool flushing_ = false;
   std::deque<std::string> pending_;
   std::size_t pending_bytes_ = 0;
   std::size_t front_offset_ = 0;
@@ -241,217 +193,65 @@ std::uint64_t best_effort_id(std::string_view line) {
   return line.find_first_not_of(" \t\r\v\f") == std::string_view::npos;
 }
 
-std::string inflight_quota_message(std::size_t limit) {
-  return "SUBMIT rejected: client exceeds max in-flight requests (limit " +
-         std::to_string(limit) + ")";
-}
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-}  // namespace
+/// The loop's self-pipe, both ends non-blocking: a thread that enqueues a
+/// frame pokes the write end, and poll() watches the read end.
+struct WakePipe {
+  int fds[2] = {-1, -1};
 
-std::size_t serve_connection(int in_fd, int out_fd, SweepService& service,
-                             const ServerOptions& options) {
-  constexpr std::uint64_t kClientId = 0;
-  service.register_client(kClientId);
-  const Clock::time_point connected_at = Clock::now();
-  const auto sink =
-      std::make_shared<FrameSink>(out_fd, options.max_client_buffered_bytes);
-
-  // Tickets submitted on this connection, keyed by request id. `inflight`
-  // powers CANCEL, duplicate-id rejection, the per-client quota, and the
-  // teardown wait; a ticket is erased the moment its done frame is written
-  // (pruned, not parked forever). `finished_early` closes the
-  // submit/on_done race: a request that completes before the submitting
-  // thread re-acquires the lock leaves a marker instead of an erase that
-  // found nothing, so the submitter knows not to park a completed ticket in
-  // `inflight` forever. Recursive because a done-frame write that kills the
-  // sink re-enters through on_dead on the same thread.
-  std::recursive_mutex tickets_mutex;
-  std::map<std::uint64_t, std::shared_ptr<Ticket>> inflight;
-  std::set<std::uint64_t> finished_early;
-  std::size_t submitted_count = 0;
-  bool cancel_on_teardown = false;  // STOP drains by cancelling, EOF politely
-
-  sink->set_on_dead([&] {
-    // The peer stopped reading; nobody will see these cells. Cancel what
-    // is in flight so the session's pool goes back to idle.
-    std::lock_guard lock(tickets_mutex);
-    for (const auto& [id, ticket] : inflight) ticket->cancel();
-  });
-
-  const auto process_line = [&](std::string_view line) -> bool {
-    if (blank_line(line)) return true;
-    RequestLine request;
-    try {
-      request = parse_request_line(line);
-    } catch (const std::exception& error) {
-      sink->write_frame(error_frame(best_effort_id(line), error.what()));
-      return true;
+  WakePipe() = default;
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+  ~WakePipe() {
+    const int saved = errno;  // a failed serve_unix_socket reports errno
+    for (const int fd : fds) {
+      if (fd >= 0) ::close(fd);
     }
-    switch (request.verb) {
-      case RequestLine::Verb::kQuit:
-        return false;
-      case RequestLine::Verb::kStop: {
-        // Single-connection mode: drain this connection (cancelling its
-        // work) and propagate the session-wide stop to the embedder.
-        sink->write_frame(done_frame(request.id, Summary{}));
-        if (options.stop != nullptr) {
-          options.stop->store(true, std::memory_order_relaxed);
-        }
-        cancel_on_teardown = true;
-        return false;
-      }
-      case RequestLine::Verb::kStats: {
-        // Answered immediately from this reader thread — a session-wide
-        // snapshot must be queryable while a sweep is still in flight (the
-        // FrameSink serializes it against concurrently streaming cells).
-        SessionStats stats = service.session_stats();
-        for (ClientStats& row : stats.clients) {
-          if (row.client_id != kClientId) continue;
-          row.connected = true;
-          row.bytes_queued = sink->pending_bytes();
-          row.connected_seconds =
-              std::chrono::duration<double>(Clock::now() - connected_at)
-                  .count();
-        }
-        sink->write_frame(stats_frame(request.id, stats));
-        return true;
-      }
-      case RequestLine::Verb::kCancel: {
-        std::shared_ptr<Ticket> ticket;
-        {
-          std::lock_guard lock(tickets_mutex);
-          if (const auto it = inflight.find(request.id);
-              it != inflight.end()) {
-            ticket = it->second;
-          }
-        }
-        if (ticket) {
-          ticket->cancel();
-        } else {
-          sink->write_frame(error_frame(
-              request.id, "CANCEL names an unknown or completed request id"));
-        }
-        return true;
-      }
-      case RequestLine::Verb::kSubmit:
-        break;
-    }
-    const std::uint64_t id = request.id;
-    {
-      std::lock_guard lock(tickets_mutex);
-      if (inflight.count(id) != 0) {
-        sink->write_frame(
-            error_frame(id, "SUBMIT reuses an in-flight request id"));
-        return true;
-      }
-      if (options.max_inflight_per_client > 0 &&
-          inflight.size() >= options.max_inflight_per_client) {
-        sink->write_frame(error_frame(
-            id, inflight_quota_message(options.max_inflight_per_client)));
-        return true;
-      }
-    }
-    auto ticket = service.submit(
-        std::move(request.spec),
-        [sink, id](const sweep::Cell& cell) {
-          sink->write_frame(cell_frame(id, cell));
-        },
-        [sink, &tickets_mutex, &inflight, &finished_early,
-         id](const Summary& summary) {
-          // One critical section for frame + prune: once the client can see
-          // the done frame, the id is already free again — a CANCEL or
-          // re-SUBMIT racing the completion can never hit the stale ticket.
-          std::lock_guard lock(tickets_mutex);
-          sink->write_frame(done_frame(id, summary));
-          if (inflight.erase(id) == 0) finished_early.insert(id);
-        },
-        id, kClientId);
-    ++submitted_count;
-    {
-      std::lock_guard lock(tickets_mutex);
-      if (finished_early.erase(id) == 0) inflight[id] = ticket;
-    }
-    if (sink->dead()) ticket->cancel();
-    return true;
-  };
-
-  std::string buffer;
-  char chunk[1 << 16];
-  bool discarding = false;  // inside an overlong line, dropping to newline
-  bool keep_reading = true;
-  while (keep_reading) {
-    if (options.stop != nullptr &&
-        options.stop->load(std::memory_order_relaxed)) {
-      cancel_on_teardown = true;
-      break;
-    }
-    for (;;) {
-      const std::size_t newline = buffer.find('\n');
-      if (newline == std::string::npos) break;
-      const std::string_view line(buffer.data(), newline);
-      if (discarding) {
-        discarding = false;  // the oversized line finally ended; drop it
-      } else if (!process_line(line)) {
-        keep_reading = false;
-      }
-      buffer.erase(0, newline + 1);
-      if (!keep_reading) break;
-    }
-    if (!keep_reading) break;
-    if (discarding) {
-      // Still inside the oversized line: keep dropping so the buffer stays
-      // bounded no matter how much newline-free garbage streams in.
-      buffer.clear();
-    } else if (buffer.size() > options.max_line_bytes) {
-      // Only the first few tokens can matter for the error frame; never
-      // copy the oversized buffer to extract them.
-      sink->write_frame(
-          error_frame(best_effort_id(std::string_view(buffer).substr(0, 256)),
-                      "request line exceeds the size limit"));
-      buffer.clear();
-      discarding = true;
-    }
-    const ssize_t got = ::read(in_fd, chunk, sizeof(chunk));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;  // EOF: drain outstanding work below, then return
-    buffer.append(chunk, static_cast<std::size_t>(got));
+    errno = saved;
   }
 
-  // Input is done (QUIT, STOP, or EOF) but submitted requests may still be
-  // compiling. No new submissions can arrive, so everything outstanding is
-  // in `inflight`; wait() returns only after each request's done frame was
-  // accepted by the sink, and drain() then flushes whatever a still-running
-  // flusher holds — returning from here cannot race a dangling sink.
-  std::vector<std::shared_ptr<Ticket>> to_drain;
-  {
-    std::lock_guard lock(tickets_mutex);
-    to_drain.reserve(inflight.size());
-    for (const auto& [id, ticket] : inflight) to_drain.push_back(ticket);
+  /// False, with errno set, when the pipe cannot be made.
+  [[nodiscard]] bool open() {
+    return ::pipe(fds) == 0 && set_nonblocking(fds[0]) &&
+           set_nonblocking(fds[1]);
   }
-  for (const auto& ticket : to_drain) {
-    if (cancel_on_teardown) ticket->cancel();
-    (void)ticket->wait();
+};
+
+/// Sets O_NONBLOCK on one lent fd and puts the caller's flags back on scope
+/// exit. Two guards on one fd (in_fd == out_fd) restore correctly because
+/// they unwind in reverse order.
+class NonBlockingLoan {
+ public:
+  explicit NonBlockingLoan(int fd) : fd_(fd), flags_(::fcntl(fd, F_GETFL, 0)) {
+    if (flags_ < 0 || ::fcntl(fd, F_SETFL, flags_ | O_NONBLOCK) != 0) {
+      throw std::system_error(errno, std::generic_category(),
+                              "serve_connection: cannot make a lent fd "
+                              "non-blocking");
+    }
   }
-  sink->drain();
-  return submitted_count;
-}
+  NonBlockingLoan(const NonBlockingLoan&) = delete;
+  NonBlockingLoan& operator=(const NonBlockingLoan&) = delete;
+  ~NonBlockingLoan() { (void)::fcntl(fd_, F_SETFL, flags_); }
 
-namespace {
+ private:
+  const int fd_;
+  const int flags_;
+};
 
-/// One multiplexed farm connection. Owned (shared) by the event loop and by
-/// every submitted ticket's callbacks, so the sink outlives any late
-/// frame; the loop's bookkeeping fields (inbuf, reading, fd) are touched by
-/// the loop thread only.
-struct Connection {
-  int fd = -1;
+/// One multiplexed connection: accepted from the listener (owned, so the
+/// loop closes its socket) or lent by serve_connection (the caller keeps
+/// its fds). Owned (shared) by the event loop and by every submitted
+/// ticket's callbacks, so the sink outlives any late frame; the loop's
+/// bookkeeping fields (fds, inbuf, reading, submitted) are touched by the
+/// loop thread only.
+struct Connection : std::enable_shared_from_this<Connection> {
+  int in_fd = -1;
+  int out_fd = -1;  // -1 once detached or finished
+  bool owned = false;
   std::uint64_t client_id = 0;
   std::shared_ptr<FrameSink> sink;
   Clock::time_point connected_at = Clock::now();
@@ -461,12 +261,23 @@ struct Connection {
   std::size_t scanned = 0;  // newline search resumes here, never rescans
   bool discarding = false;
   bool reading = true;
+  std::size_t submitted = 0;
 
   /// Recursive: a done-frame write that overflows the sink re-enters
   /// through on_dead -> cancel_inflight on the same thread.
   std::recursive_mutex tickets_mutex;
   std::map<std::uint64_t, std::shared_ptr<Ticket>> inflight;
   std::set<std::uint64_t> finished_early;
+
+  [[nodiscard]] bool attached() const { return out_fd >= 0; }
+
+  /// Lets go of the fds: closes an accepted socket (in_fd == out_fd), and
+  /// only forgets a lent pair, which goes back to serve_connection's caller.
+  void release() {
+    if (owned) ::close(in_fd);
+    in_fd = -1;
+    out_fd = -1;
+  }
 
   [[nodiscard]] bool inflight_empty() {
     std::lock_guard lock(tickets_mutex);
@@ -479,9 +290,13 @@ struct Connection {
   }
 };
 
-/// The poll()-driven farm loop state; serve_unix_socket drives exactly one.
+/// The poll()-driven loop state. serve_unix_socket drives one with a
+/// listener; serve_connection drives one without, over a single lent
+/// connection. The loop ends once the listener is closed and no connection
+/// is left.
 class Farm {
  public:
+  /// `listener` < 0 serves only connections attached by the caller.
   Farm(std::string path, int listener, int wake_read, int wake_write,
        SweepService& service, const ServerOptions& options)
       : path_(std::move(path)),
@@ -491,17 +306,37 @@ class Farm {
         service_(service),
         options_(options) {}
 
+  std::shared_ptr<Connection> attach(int in_fd, int out_fd,
+                                     std::uint64_t client_id, bool owned) {
+    auto connection = std::make_shared<Connection>();
+    connection->in_fd = in_fd;
+    connection->out_fd = out_fd;
+    connection->owned = owned;
+    connection->client_id = client_id;
+    connection->sink = std::make_shared<FrameSink>(
+        out_fd, wake_write_, options_.max_client_buffered_bytes);
+    // on_dead may fire from a worker thread mid-frame; it only touches the
+    // ticket map (its own mutex), and the loop's next reap notices dead()
+    // and detaches.
+    connection->sink->set_on_dead(
+        [weak = std::weak_ptr<Connection>(connection)] {
+          if (const auto alive = weak.lock()) alive->cancel_inflight();
+        });
+    service_.register_client(client_id);
+    connections_.push_back(connection);
+    return connection;
+  }
+
   bool run() {
-    while (!(draining_ && connections_.empty())) {
+    while (!(listener_ < 0 && connections_.empty())) {
       if (options_.stop != nullptr &&
           options_.stop->load(std::memory_order_relaxed)) {
         begin_drain();
       }
       reap_connections();
-      if (draining_ && connections_.empty()) break;
+      if (listener_ < 0 && connections_.empty()) break;
       poll_once();
     }
-    if (!draining_) begin_drain();  // cannot happen today; belt and braces
     if (!ok_ && saved_errno_ != 0) errno = saved_errno_;
     return ok_;
   }
@@ -515,8 +350,8 @@ class Farm {
     if (listener_ >= 0) {
       ::close(listener_);
       listener_ = -1;
+      ::unlink(path_.c_str());
     }
-    ::unlink(path_.c_str());
     for (const auto& connection : connections_) {
       connection->reading = false;
       connection->cancel_inflight();
@@ -530,15 +365,13 @@ class Farm {
   }
 
   /// Detaches a misbehaving connection: the sink dies (cancelling its
-  /// in-flight work), the fd closes immediately so poll() never waits on it
-  /// again, and the Connection lingers only until its tickets finish.
+  /// in-flight work), the fds are released immediately so poll() never
+  /// waits on them again, and the Connection lingers only until its
+  /// tickets finish.
   void detach(Connection& connection) {
     connection.sink->mark_dead();
     connection.reading = false;
-    if (connection.fd >= 0) {
-      ::close(connection.fd);
-      connection.fd = -1;
-    }
+    connection.release();
   }
 
   /// Per-iteration bookkeeping: stall detection, dead-sink detach, and
@@ -548,15 +381,14 @@ class Farm {
     const auto timeout = std::chrono::seconds(options_.write_timeout_seconds);
     for (auto it = connections_.begin(); it != connections_.end();) {
       Connection& connection = **it;
-      if (connection.fd >= 0 && options_.write_timeout_seconds > 0 &&
-          connection.sink->stalled(timeout)) {
-        detach(connection);
-      }
-      if (connection.fd >= 0 && connection.sink->dead()) {
+      if (connection.attached() &&
+          ((options_.write_timeout_seconds > 0 &&
+            connection.sink->stalled(timeout)) ||
+           connection.sink->dead())) {
         detach(connection);
       }
       const bool idle = connection.inflight_empty();
-      if (connection.fd < 0) {
+      if (!connection.attached()) {
         // Already detached: linger until the cancelled tickets finish so a
         // drain never returns with the service mid-request.
         it = idle ? connections_.erase(it) : std::next(it);
@@ -564,8 +396,7 @@ class Farm {
       }
       if (!connection.reading && idle && !connection.sink->want_write()) {
         connection.sink->retire();
-        ::close(connection.fd);
-        connection.fd = -1;
+        connection.release();
         it = connections_.erase(it);
         continue;
       }
@@ -575,22 +406,25 @@ class Farm {
 
   void poll_once() {
     std::vector<pollfd> fds;
-    std::vector<Connection*> owners;  // parallel to fds; null for non-conns
-    fds.reserve(connections_.size() + 2);
-    if (listener_ >= 0 && !draining_) {
-      fds.push_back({listener_, POLLIN, 0});
-      owners.push_back(nullptr);
-    }
-    fds.push_back({wake_read_, POLLIN, 0});
-    owners.push_back(nullptr);
-    const std::size_t first_conn = fds.size();
+    std::vector<Connection*> owners;  // parallel to fds; null for the loop's
+    fds.reserve(2 * connections_.size() + 2);
+    const auto watch = [&](int fd, short events, Connection* owner) {
+      fds.push_back({fd, events, 0});
+      owners.push_back(owner);
+    };
+    if (listener_ >= 0) watch(listener_, POLLIN, nullptr);
+    watch(wake_read_, POLLIN, nullptr);
+    // One entry per direction that has work: in_fd and out_fd may differ
+    // (a lent pair), and an idle fd whose peer hung up must not make
+    // poll() spin while the connection's tickets finish.
     for (const auto& connection : connections_) {
-      if (connection->fd < 0) continue;
-      short events = 0;
-      if (connection->reading) events |= POLLIN;
-      if (connection->sink->want_write()) events |= POLLOUT;
-      fds.push_back({connection->fd, events, 0});
-      owners.push_back(connection.get());
+      if (!connection->attached()) continue;
+      if (connection->sink->want_write()) {
+        watch(connection->out_fd, POLLOUT, connection.get());
+      }
+      if (connection->reading) {
+        watch(connection->in_fd, POLLIN, connection.get());
+      }
     }
     // 100ms tick: bounds the latency of the stop flag, stall detection,
     // and ticket-finished cleanup even when no fd fires.
@@ -603,24 +437,24 @@ class Farm {
     for (std::size_t i = 0; i < fds.size(); ++i) {
       const pollfd& entry = fds[i];
       if (entry.revents == 0) continue;
-      if (entry.fd == wake_read_) {
-        char sinkhole[256];
-        while (::read(wake_read_, sinkhole, sizeof(sinkhole)) > 0) {
+      Connection* connection = owners[i];
+      if (connection == nullptr) {
+        if (entry.fd == wake_read_) {
+          char sinkhole[256];
+          while (::read(wake_read_, sinkhole, sizeof(sinkhole)) > 0) {
+          }
+        } else {
+          accept_ready();
         }
         continue;
       }
-      if (i < first_conn) {
-        accept_ready();
-        continue;
-      }
-      Connection* connection = owners[i];
-      // A reap above may have closed this fd after poll() returned; the
-      // owners pointer stays valid (connections_ holds shared_ptrs and
-      // reap runs before poll), but re-check liveness anyway.
-      if (connection == nullptr || connection->fd != entry.fd) continue;
-      if ((entry.revents & POLLOUT) != 0) connection->sink->on_writable();
-      if ((entry.revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
-          connection->reading) {
+      // An earlier entry this round may have detached the connection; the
+      // owners pointer stays valid (connections_ holds shared_ptrs and reap
+      // runs before poll), so only the fds need re-checking. An error or
+      // hangup on the output is surfaced by the write attempt itself.
+      if ((entry.events & POLLOUT) != 0) {
+        if (connection->out_fd == entry.fd) connection->sink->on_writable();
+      } else if (connection->reading && connection->in_fd == entry.fd) {
         handle_readable(*connection);
       }
     }
@@ -642,21 +476,7 @@ class Farm {
         ::close(fd);
         continue;
       }
-      auto connection = std::make_shared<Connection>();
-      connection->fd = fd;
-      connection->client_id = next_client_id_++;
-      connection->sink = std::make_shared<FrameSink>(
-          fd, options_.max_client_buffered_bytes);
-      connection->sink->set_wake_fd(wake_write_);
-      // on_dead may fire from a worker thread mid-frame; it only touches
-      // the ticket map (its own mutex), and the loop's next reap notices
-      // dead() and detaches.
-      connection->sink->set_on_dead(
-          [weak = std::weak_ptr<Connection>(connection)] {
-            if (const auto alive = weak.lock()) alive->cancel_inflight();
-          });
-      service_.register_client(connection->client_id);
-      connections_.push_back(std::move(connection));
+      (void)attach(fd, fd, next_client_id_++, /*owned=*/true);
     }
   }
 
@@ -665,7 +485,7 @@ class Farm {
     // Bounded per wakeup so one firehose client cannot monopolize the
     // loop; poll() immediately reports the fd readable again.
     for (int rounds = 0; rounds < 16 && connection.reading; ++rounds) {
-      const ssize_t got = ::read(connection.fd, chunk, sizeof(chunk));
+      const ssize_t got = ::read(connection.in_fd, chunk, sizeof(chunk));
       if (got < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -731,7 +551,11 @@ class Farm {
       case RequestLine::Verb::kStop:
         // Acknowledge before draining so the requester sees the ack even
         // though drain stops all reading; the frame flushes with the rest.
+        // The flag tells the embedder the session is over.
         sink->write_frame(done_frame(request.id, Summary{}));
+        if (options_.stop != nullptr) {
+          options_.stop->store(true, std::memory_order_relaxed);
+        }
         begin_drain();
         return;
       case RequestLine::Verb::kStats:
@@ -769,13 +593,15 @@ class Farm {
       if (options_.max_inflight_per_client > 0 &&
           connection.inflight.size() >= options_.max_inflight_per_client) {
         sink->write_frame(error_frame(
-            id, inflight_quota_message(options_.max_inflight_per_client)));
+            id, "SUBMIT rejected: client exceeds max in-flight requests "
+                "(limit " +
+                    std::to_string(options_.max_inflight_per_client) + ")"));
         return;
       }
     }
     // Callbacks share ownership of the Connection, so a ticket finishing
     // after detach still has a (dead, harmless) sink to drop frames into.
-    auto shared = shared_connection(connection);
+    auto shared = connection.shared_from_this();
     auto ticket = service_.submit(
         std::move(request.spec),
         [sink, id](const sweep::Cell& cell) {
@@ -795,6 +621,7 @@ class Farm {
           }
         },
         id, connection.client_id);
+    ++connection.submitted;
     {
       std::lock_guard lock(connection.tickets_mutex);
       if (connection.finished_early.erase(id) == 0) {
@@ -802,14 +629,6 @@ class Farm {
       }
     }
     if (sink->dead()) ticket->cancel();
-  }
-
-  [[nodiscard]] std::shared_ptr<Connection> shared_connection(
-      Connection& connection) const {
-    for (const auto& candidate : connections_) {
-      if (candidate.get() == &connection) return candidate;
-    }
-    return nullptr;  // unreachable: handle_line runs on listed connections
   }
 
   /// The service's session totals with the connection-level columns only
@@ -820,7 +639,8 @@ class Farm {
     const Clock::time_point now = Clock::now();
     for (ClientStats& row : stats.clients) {
       for (const auto& connection : connections_) {
-        if (connection->client_id != row.client_id || connection->fd < 0) {
+        if (connection->client_id != row.client_id ||
+            !connection->attached()) {
           continue;
         }
         row.connected = true;
@@ -840,13 +660,29 @@ class Farm {
   SweepService& service_;
   const ServerOptions& options_;
   std::vector<std::shared_ptr<Connection>> connections_;
-  std::uint64_t next_client_id_ = 1;  // 0 is the stdio/legacy client
+  std::uint64_t next_client_id_ = 1;  // 0 is the lent (stdio) connection
   bool draining_ = false;
   bool ok_ = true;
   int saved_errno_ = 0;
 };
 
 }  // namespace
+
+std::size_t serve_connection(int in_fd, int out_fd, SweepService& service,
+                             const ServerOptions& options) {
+  const NonBlockingLoan in_loan(in_fd);
+  const NonBlockingLoan out_loan(out_fd);
+  WakePipe wake;
+  if (!wake.open()) {
+    throw std::system_error(errno, std::generic_category(),
+                            "serve_connection: cannot create the wake pipe");
+  }
+  Farm farm({}, /*listener=*/-1, wake.fds[0], wake.fds[1], service, options);
+  const auto connection =
+      farm.attach(in_fd, out_fd, /*client_id=*/0, /*owned=*/false);
+  (void)farm.run();
+  return connection->submitted;
+}
 
 bool serve_unix_socket(const std::string& path, SweepService& service,
                        const ServerOptions& options) {
@@ -860,33 +696,19 @@ bool serve_unix_socket(const std::string& path, SweepService& service,
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   ::unlink(path.c_str());
+  WakePipe wake;
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listener, 16) != 0 || !set_nonblocking(listener)) {
+      ::listen(listener, 16) != 0 || !set_nonblocking(listener) ||
+      !wake.open()) {
     const int saved = errno;
     ::close(listener);
     ::unlink(path.c_str());  // listen/fcntl failure leaves the bound file
     errno = saved;
     return false;
   }
-  int wake[2] = {-1, -1};
-  if (::pipe(wake) != 0 || !set_nonblocking(wake[0]) ||
-      !set_nonblocking(wake[1])) {
-    const int saved = errno;
-    if (wake[0] >= 0) ::close(wake[0]);
-    if (wake[1] >= 0) ::close(wake[1]);
-    ::close(listener);
-    ::unlink(path.c_str());
-    errno = saved;
-    return false;
-  }
-  Farm farm(path, listener, wake[0], wake[1], service, options);
-  const bool ok = farm.run();
-  const int saved = errno;
-  ::close(wake[0]);
-  ::close(wake[1]);
-  errno = saved;
-  return ok;
+  Farm farm(path, listener, wake.fds[0], wake.fds[1], service, options);
+  return farm.run();
 }
 
 }  // namespace parallax::serve

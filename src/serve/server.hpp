@@ -1,36 +1,39 @@
 // The farm front-end of `parallax serve`: line-framed requests in,
-// length-prefixed frames out. Two modes share one protocol:
+// length-prefixed frames out. One poll()-driven loop serves both
+// transports; it owns line framing, quotas, stall detection and detach:
 //
-//   * serve_connection — one connection over an arbitrary fd pair (stdio
-//     for `parallax serve` in a pipeline, a socketpair in tests). Blocking
-//     writes, drained by whichever thread finds the sink idle.
-//   * serve_unix_socket — the multi-tenant event loop the bench harness
-//     targets through PARALLAX_SERVE: a poll()-driven front-end accepting
-//     and multiplexing many concurrent AF_UNIX connections over one
-//     SweepService, with non-blocking per-connection write buffers.
+//   * serve_unix_socket — the multi-tenant farm the bench harness targets
+//     through PARALLAX_SERVE: the loop accepts and multiplexes many
+//     concurrent AF_UNIX connections over one SweepService.
+//   * serve_connection — the same loop without a listener, over one lent
+//     fd pair (stdio for `parallax serve` in a pipeline, a socketpair in
+//     tests).
+//
+// Every connection has a non-blocking per-connection write buffer that
+// only the loop thread drains, so no worker thread ever blocks on a peer.
 //
 // Fault containment: a malformed request line (bad verb, bad hex, corrupt
 // spec bytes, unknown cancel id, duplicate submit id, overlong line) is
 // answered with a kError frame and the connection keeps serving — only
 // QUIT, input EOF, STOP, or an unwritable output ends a connection. A
-// client that disappears or stops reading mid-request (write failure,
-// buffered-byte overflow, write-timeout stall) is detached: its in-flight
-// work is cancelled so the session's pool is not burned for a reader that
-// is gone, and every other client's frames keep flowing.
+// client that disappears or stops reading mid-request (read or write
+// failure, buffered-byte overflow, write-timeout stall) is detached: the
+// loop stops reading from it, its in-flight work is cancelled so the
+// session's pool is not burned for a reader that is gone, and every other
+// client's frames keep flowing.
 //
-// Tenancy: each accepted connection is one client (accept-order client id).
-// Quotas bound what any one client can hold — queued-but-unfinished
-// requests (rejected with a kError frame naming the limit) and unflushed
-// frame bytes (overflow detaches the connection). Scheduling across
-// clients is the service's round-robin, so quotas plus fair-share keep one
-// tenant from starving the rest.
+// Tenancy: each connection is one client. The lent connection is client 0;
+// accepted sockets count from 1 in accept order. Quotas bound what any one
+// client can hold — queued-but-unfinished requests (rejected with a kError
+// frame naming the limit) and unflushed frame bytes (overflow detaches the
+// connection). Scheduling across clients is the service's round-robin, so
+// quotas plus fair-share keep one tenant from starving the rest.
 //
 // Shutdown: a STOP request, the ServerOptions::stop flag (the CLI's signal
 // handlers), or an accept failure all drain the session gracefully — the
 // listener closes and the socket file is unlinked immediately, in-flight
-// tickets are cancelled, every connection's done frames flush, and
-// serve_unix_socket returns. Every exit path closes the listener and
-// unlinks the socket.
+// tickets are cancelled, every connection's done frames flush, and the
+// loop returns. Every exit path closes the listener and unlinks the socket.
 #pragma once
 
 #include <atomic>
@@ -47,10 +50,10 @@ struct ServerOptions {
   /// that streams garbage without newlines. The default comfortably fits a
   /// paper-scale sweep spec in hex.
   std::size_t max_line_bytes = 256ull << 20;
-  /// Socket mode: a connection whose peer accepts no bytes for this long
-  /// while frames are pending is detached (in-flight work cancelled, fd
-  /// closed) — a stalled reader costs the farm one timeout, never a wedged
-  /// worker. 0 disables the bound.
+  /// A connection whose peer accepts no bytes for this long while frames
+  /// are pending is detached (in-flight work cancelled, fds released) — a
+  /// stalled reader costs the session one timeout, never a wedged worker.
+  /// 0 disables the bound.
   std::size_t write_timeout_seconds = 60;
   /// Per-client cap on requests submitted but not yet finished; a SUBMIT
   /// over the cap is rejected with a kError frame naming the limit.
@@ -61,14 +64,28 @@ struct ServerOptions {
   /// session's memory away. 0 disables the bound.
   std::size_t max_client_buffered_bytes = 256ull << 20;
   /// External graceful-drain request (the CLI points its SIGINT/SIGTERM
-  /// handlers here). Polled ~10x per second by serve_unix_socket; also
-  /// honored by serve_connection between request lines.
+  /// handlers here). The loop polls it every 100 ms; a STOP request on
+  /// either transport also sets it, telling the embedder the session is
+  /// over.
   std::atomic<bool>* stop = nullptr;
 };
 
-/// Serves one connection until QUIT, STOP, input EOF, or output failure;
-/// blocks until every request submitted on the connection has finished and
-/// its frames are flushed. Returns the number of requests submitted.
+/// Serves one lent connection (client 0) on the farm loop until QUIT, STOP,
+/// the stop flag, input EOF, or a detach; returns once every request
+/// submitted on it has finished and its frames are flushed (or its output
+/// died). Returns the number of requests submitted.
+///
+/// The fds stay the caller's: they are never closed. Both are switched to
+/// O_NONBLOCK for the call and get the caller's flags back on return
+/// (O_NONBLOCK belongs to the open file description, which stdio may share
+/// with a parent shell). Throws std::system_error when the flags cannot be
+/// set or the loop's wake pipe cannot be created.
+///
+/// The lent connection is held to the same rules as a socket: a stalled
+/// output detaches after write_timeout_seconds; once its output dies (write
+/// error, byte cap, or stall) or its input fails to read, the loop stops
+/// reading from it and returns as soon as its cancelled requests finish,
+/// without submitting the lines that follow.
 std::size_t serve_connection(int in_fd, int out_fd, SweepService& service,
                              const ServerOptions& options = {});
 
