@@ -72,11 +72,13 @@ double log_gamma(double x) {
   return lgamma_r(x, &sign);
 }
 
-/// Draws a step from the Tsallis visiting distribution at temperature
-/// `temperature` with shape `qv`. Implementation follows the standard GSA
-/// formulation (Tsallis & Stariolo, 1996): a ratio of a Gaussian to a
-/// power of another Gaussian's magnitude produces the heavy-tailed visit.
-double visit_step(util::Rng& rng, double qv, double temperature) {
+/// Scale of the Tsallis visiting distribution at temperature `temperature`
+/// with shape `qv`, following the standard GSA formulation (Tsallis &
+/// Stariolo, 1996). It depends on (qv, temperature) alone, so the
+/// full-vector anneal computes it once per iteration. The legacy goldens
+/// pin this exact expression sequence; VisitConstants::sigma reassociates
+/// it and differs in the last bits.
+double visit_sigma(double qv, double temperature) {
   const double factor1 = std::exp(std::log(temperature) / (qv - 1.0));
   const double factor2 = std::exp((4.0 - qv) * std::log(qv - 1.0));
   const double factor3 =
@@ -89,9 +91,13 @@ double visit_step(util::Rng& rng, double qv, double temperature) {
   const double factor6 = std::numbers::pi * (1.0 - factor5) /
                          std::sin(std::numbers::pi * (1.0 - factor5)) /
                          std::exp(log_gamma(d1));
-  const double sigma_x =
-      std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
+  return std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
+}
 
+/// Draws a step from the visiting distribution of scale `sigma_x`: a ratio
+/// of a Gaussian (drawn first) to a power of another Gaussian's magnitude
+/// (drawn second) produces the heavy-tailed visit.
+double visit_step(util::Rng& rng, double qv, double sigma_x) {
   const double x = sigma_x * rng.normal();
   const double y = rng.normal();
   const double den =
@@ -100,10 +106,9 @@ double visit_step(util::Rng& rng, double qv, double temperature) {
 }
 
 /// Temperature-independent constants of the visiting distribution; the
-/// single-coordinate hot path draws a million-plus steps per anneal, so the
-/// six transcendental factors the legacy path recomputes per step are
-/// hoisted here (factor1 — and through it sigma — is the only
-/// temperature-dependent piece).
+/// single-coordinate hot path draws a million-plus steps per anneal, so
+/// visit_sigma's factors are hoisted here (factor1 — and through it sigma —
+/// is the only temperature-dependent piece).
 struct VisitConstants {
   double factor4_base = 0.0;  // factor4 without the factor1 term
   double factor6 = 0.0;
@@ -218,10 +223,11 @@ AnnealResult dual_annealing(const Objective& f,
     }
 
     // Propose: perturb every dimension with a heavy-tailed visit.
+    const double sigma_x = visit_sigma(qv, temperature);
     std::vector<double> candidate = current;
     for (std::size_t i = 0; i < n; ++i) {
       const double span = upper[i] - lower[i];
-      double step = visit_step(rng, qv, temperature);
+      double step = visit_step(rng, qv, sigma_x);
       // Scale the raw step to the box size; clamp pathological tails.
       step = std::clamp(step, -1e8, 1e8);
       candidate[i] += step * span * 1e-2;

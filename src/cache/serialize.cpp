@@ -127,7 +127,10 @@ placement::PhysicalTopology decode_physical_topology(Reader& reader) {
   placement::PhysicalTopology topology;
   const std::int32_t side = reader.i32();
   const double pitch = reader.f64();
-  if (side < 1) throw ReadError("cache payload has a malformed grid");
+  // geom::Grid requires both; its constructor only asserts them.
+  if (side < 1 || !(pitch > 0.0)) {
+    throw ReadError("cache payload has a malformed grid");
+  }
   topology.grid = geom::Grid(side, pitch);
   const std::size_t count = reader.length(8);
   topology.sites.reserve(count);

@@ -12,44 +12,83 @@
 #include <thread>
 
 #include "anneal/portfolio.hpp"
+#include "geometry/uniform_grid.hpp"
 #include "placement/objective.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parallax::placement {
 
-double placement_objective(const std::vector<double>& coords,
-                           const circuit::InteractionGraph& graph,
-                           const GraphineOptions& options) {
-  const auto n = static_cast<std::size_t>(graph.n_qubits());
-  assert(coords.size() == 2 * n);
-  auto point = [&](std::size_t q) {
-    return geom::Point{coords[2 * q], coords[2 * q + 1]};
-  };
+namespace {
 
-  double cost = 0.0;
-  for (const auto& e : graph.edges()) {
-    cost += static_cast<double>(e.weight) *
-            geom::distance(point(static_cast<std::size_t>(e.a)),
-                           point(static_cast<std::size_t>(e.b)));
-  }
+/// The legacy placement objective with its scratch reused across calls.
+/// The crowding term adds every pair closer than d_min in ascending (i, j)
+/// order, the all-pairs loop's summation sequence, so the value is
+/// bit-identical to that loop's; the pairs come from a uniform-grid scan
+/// instead of all n^2 tests. One instance per anneal: not thread-safe.
+class LegacyObjective {
+ public:
+  LegacyObjective(const circuit::InteractionGraph& graph,
+                  const GraphineOptions& options)
+      : graph_(graph),
+        n_(static_cast<std::size_t>(graph.n_qubits())),
+        d_min_(n_ > 1 ? options.crowding_distance /
+                            std::sqrt(static_cast<double>(n_))
+                      : 0.0),
+        crowding_weight_(options.crowding_weight),
+        grid_(d_min_, n_) {}
 
-  // Crowding penalty: soft minimum distance scaled by density so that the
-  // layout spreads out. Quadratic in the violation.
-  if (n > 1) {
-    const double d_min =
-        options.crowding_distance / std::sqrt(static_cast<double>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double d = geom::distance(point(i), point(j));
-        if (d < d_min) {
-          const double v = d_min - d;
-          cost += options.crowding_weight * v * v / (d_min * d_min);
+  double operator()(const std::vector<double>& coords) {
+    assert(coords.size() == 2 * n_);
+    auto point = [&](std::size_t q) {
+      return geom::Point{coords[2 * q], coords[2 * q + 1]};
+    };
+
+    double cost = 0.0;
+    for (const auto& e : graph_.edges()) {
+      cost += static_cast<double>(e.weight) *
+              geom::distance(point(static_cast<std::size_t>(e.a)),
+                             point(static_cast<std::size_t>(e.b)));
+    }
+
+    // Crowding penalty: soft minimum distance scaled by density so that the
+    // layout spreads out. Quadratic in the violation. No distance is below
+    // a non-positive or NaN d_min.
+    if (!(d_min_ > 0.0)) return cost;
+    grid_.assign(coords);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const geom::Point p = point(i);
+      grid_.neighbours(p.x, p.y, near_);
+      std::erase_if(near_, [i](std::int32_t j) {
+        return static_cast<std::size_t>(j) <= i;
+      });
+      std::sort(near_.begin(), near_.end());
+      for (const std::int32_t j : near_) {
+        const double d = geom::distance(p, point(static_cast<std::size_t>(j)));
+        if (d < d_min_) {
+          const double v = d_min_ - d;
+          cost += crowding_weight_ * v * v / (d_min_ * d_min_);
         }
       }
     }
+    return cost;
   }
-  return cost;
+
+ private:
+  const circuit::InteractionGraph& graph_;
+  std::size_t n_;
+  double d_min_;
+  double crowding_weight_;
+  geom::UniformGrid grid_;
+  std::vector<std::int32_t> near_;
+};
+
+}  // namespace
+
+double placement_objective(const std::vector<double>& coords,
+                           const circuit::InteractionGraph& graph,
+                           const GraphineOptions& options) {
+  return LegacyObjective(graph, options)(coords);
 }
 
 double bottleneck_connect_radius(const std::vector<geom::Point>& points) {
@@ -263,10 +302,10 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
   if (options.proposal == ProposalMode::kFullVector) {
     // Legacy reference path — kept bit-for-bit so existing cache entries
     // and goldens replay unchanged.
-    const auto objective = [&](const std::vector<double>& coords) {
-      return placement_objective(coords, graph, options);
-    };
-    result = anneal::dual_annealing(objective, lower, upper, anneal_options);
+    LegacyObjective legacy(graph, options);
+    result = anneal::dual_annealing(
+        [&legacy](const std::vector<double>& coords) { return legacy(coords); },
+        lower, upper, anneal_options);
   } else {
     // Delta-cost path: the raced portfolio (the configured anneal budget
     // split across the roster, so one race costs about one single-optimizer

@@ -18,7 +18,8 @@ namespace parallax::placement {
 /// How the annealer explores the placement landscape.
 enum class ProposalMode : std::uint8_t {
   /// Legacy reference path: every coordinate perturbed per iteration, full
-  /// O(E + n^2) re-score per proposal. Byte-identical to pre-delta-scoring
+  /// re-score per proposal in O(E + n) (a hypot per edge, and a uniform-grid
+  /// scan for the crowding pairs). Byte-identical to pre-delta-scoring
   /// builds — cached fingerprints and goldens stay valid.
   kFullVector = 0,
   /// Delta-cost hot path: one qubit moves per proposal, scored
@@ -79,7 +80,9 @@ struct Topology {
 };
 
 /// Weighted-edge placement objective (exposed for tests): sum of
-/// weight * distance over edges plus the crowding penalty.
+/// weight * distance over edges plus the crowding penalty — the legacy
+/// anneal's objective, bit for bit. Pays a one-off grid allocation per
+/// call; graphine_place keeps one objective for a whole anneal instead.
 [[nodiscard]] double placement_objective(
     const std::vector<double>& coords,
     const circuit::InteractionGraph& graph, const GraphineOptions& options);
@@ -124,9 +127,10 @@ struct PlacementStats {
                                       const GraphineOptions& options,
                                       PlacementStats* stats);
 
-/// Process-wide count of graphine_place invocations (each is one O(q^5)
-/// annealing run). Diagnostic hook: the cache tests assert a warm sweep
-/// leaves it unchanged, and benches can report anneals avoided.
+/// Process-wide count of graphine_place invocations (each is one annealing
+/// run: about 1,000 full evaluations on the legacy path). Diagnostic hook:
+/// the cache tests assert a warm sweep leaves it unchanged, and benches can
+/// report anneals avoided.
 [[nodiscard]] std::uint64_t annealing_invocations() noexcept;
 
 /// Process-wide totals of full and incremental objective evaluations across

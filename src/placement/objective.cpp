@@ -1,6 +1,5 @@
 #include "placement/objective.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -13,19 +12,14 @@ namespace kernels = anneal::kernels;
 DeltaPlacementObjective::DeltaPlacementObjective(
     const circuit::InteractionGraph& graph, const GraphineOptions& options)
     : n_(static_cast<std::size_t>(graph.n_qubits())),
-      crowding_weight_(options.crowding_weight) {
-  if (n_ > 1) {
-    d_min_ = options.crowding_distance / std::sqrt(static_cast<double>(n_));
-    denom_ = d_min_ * d_min_;
-    crowding_ = d_min_ > 0.0;
-  }
-  // floor(1/d_min) cells keeps cell size 1/ncells >= d_min, so any pair
-  // within d_min spans at most one cell boundary per axis. Cap the grid so
-  // degenerate options cannot allocate unboundedly.
-  if (crowding_) {
-    ncells_ = std::clamp(static_cast<int>(1.0 / d_min_), 1, 2048);
-  }
-
+      d_min_(n_ > 1 ? options.crowding_distance /
+                          std::sqrt(static_cast<double>(n_))
+                    : 0.0),
+      denom_(d_min_ * d_min_),
+      crowding_weight_(options.crowding_weight),
+      crowding_(d_min_ > 0.0),
+      grid_(d_min_, n_),
+      scratch_grid_(d_min_, n_) {
   // CSR adjacency (both directions) and the SoA edge list.
   std::vector<std::int32_t> degree(n_ + 1, 0);
   edge_a_.reserve(graph.edges().size());
@@ -56,34 +50,6 @@ DeltaPlacementObjective::DeltaPlacementObjective(
 
   xs_.assign(n_, 0.0);
   ys_.assign(n_, 0.0);
-  bucket_of_.assign(n_, 0);
-  buckets_.resize(static_cast<std::size_t>(ncells_) *
-                  static_cast<std::size_t>(ncells_));
-}
-
-int DeltaPlacementObjective::cell_of(double x, double y) const noexcept {
-  const double cx = std::clamp(x, 0.0, 1.0);
-  const double cy = std::clamp(y, 0.0, 1.0);
-  const int ix =
-      std::min(ncells_ - 1, static_cast<int>(cx * static_cast<double>(ncells_)));
-  const int iy =
-      std::min(ncells_ - 1, static_cast<int>(cy * static_cast<double>(ncells_)));
-  return iy * ncells_ + ix;
-}
-
-void DeltaPlacementObjective::gather_bucket_candidates(double px, double py) {
-  cand_.clear();
-  const int cell = cell_of(px, py);
-  const int cx = cell % ncells_;
-  const int cy = cell / ncells_;
-  const int x0 = std::max(cx - 1, 0), x1 = std::min(cx + 1, ncells_ - 1);
-  const int y0 = std::max(cy - 1, 0), y1 = std::min(cy + 1, ncells_ - 1);
-  for (int gy = y0; gy <= y1; ++gy) {
-    for (int gx = x0; gx <= x1; ++gx) {
-      const auto& bucket = buckets_[static_cast<std::size_t>(gy * ncells_ + gx)];
-      cand_.insert(cand_.end(), bucket.begin(), bucket.end());
-    }
-  }
 }
 
 void DeltaPlacementObjective::collect_terms(std::size_t q, double px,
@@ -96,7 +62,7 @@ void DeltaPlacementObjective::collect_terms(std::size_t q, double px,
                              adj_weight_.data() + start, deg, px, py,
                              xs_.data(), ys_.data(), out.data());
   if (!crowding_) return;
-  gather_bucket_candidates(px, py);
+  grid_.neighbours(px, py, cand_);
   out.resize(deg + cand_.size());
   const std::size_t produced = kernels::crowding_terms_excluding_self(
       cand_.data(), cand_.size(), static_cast<std::int32_t>(q), px, py,
@@ -112,13 +78,7 @@ double DeltaPlacementObjective::reset(const std::vector<double>& coords) {
     xs_[q] = coords[2 * q];
     ys_[q] = coords[2 * q + 1];
   }
-  for (auto& bucket : buckets_) bucket.clear();
-  for (std::size_t q = 0; q < n_; ++q) {
-    const int cell = cell_of(xs_[q], ys_[q]);
-    bucket_of_[q] = cell;
-    buckets_[static_cast<std::size_t>(cell)].push_back(
-        static_cast<std::int32_t>(q));
-  }
+  grid_.assign(coords);
 
   acc_.clear();
   term_buf_.resize(edge_a_.size());
@@ -128,7 +88,7 @@ double DeltaPlacementObjective::reset(const std::vector<double>& coords) {
   for (const double t : term_buf_) acc_.add(t);
   if (crowding_) {
     for (std::size_t i = 0; i < n_; ++i) {
-      gather_bucket_candidates(xs_[i], ys_[i]);
+      grid_.neighbours(xs_[i], ys_[i], cand_);
       term_buf_.resize(cand_.size());
       const std::size_t produced = kernels::crowding_terms_above_self(
           cand_.data(), cand_.size(), static_cast<std::int32_t>(i), xs_[i],
@@ -160,19 +120,7 @@ void DeltaPlacementObjective::commit() {
   assert(pending_ && "commit() without a prior propose()");
   for (const double t : pending_remove_) acc_.subtract(t);
   for (const double t : pending_add_) acc_.add(t);
-  const int old_cell = bucket_of_[pending_q_];
-  const int new_cell = cell_of(pending_x_, pending_y_);
-  if (new_cell != old_cell) {
-    auto& bucket = buckets_[static_cast<std::size_t>(old_cell)];
-    const auto it = std::find(bucket.begin(), bucket.end(),
-                              static_cast<std::int32_t>(pending_q_));
-    assert(it != bucket.end());
-    *it = bucket.back();
-    bucket.pop_back();
-    buckets_[static_cast<std::size_t>(new_cell)].push_back(
-        static_cast<std::int32_t>(pending_q_));
-    bucket_of_[pending_q_] = new_cell;
-  }
+  grid_.move(pending_q_, pending_x_, pending_y_);
   xs_[pending_q_] = pending_x_;
   ys_[pending_q_] = pending_y_;
   value_ = pending_value_;
@@ -204,42 +152,9 @@ double DeltaPlacementObjective::full(const std::vector<double>& coords) {
                             scratch_ys_.data(), term_buf_.data());
   for (const double t : term_buf_) acc.add(t);
   if (crowding_) {
-    // Counting-sort the query geometry into the scratch grid.
-    const auto cells =
-        static_cast<std::size_t>(ncells_) * static_cast<std::size_t>(ncells_);
-    scratch_start_.assign(cells + 1, 0);
-    scratch_items_.resize(n_);
-    for (std::size_t q = 0; q < n_; ++q) {
-      ++scratch_start_[static_cast<std::size_t>(
-                           cell_of(scratch_xs_[q], scratch_ys_[q])) +
-                       1];
-    }
-    for (std::size_t c = 0; c < cells; ++c) {
-      scratch_start_[c + 1] += scratch_start_[c];
-    }
-    std::vector<std::int32_t> fill(scratch_start_.begin(),
-                                   scratch_start_.end() - 1);
-    for (std::size_t q = 0; q < n_; ++q) {
-      const auto cell =
-          static_cast<std::size_t>(cell_of(scratch_xs_[q], scratch_ys_[q]));
-      scratch_items_[static_cast<std::size_t>(fill[cell]++)] =
-          static_cast<std::int32_t>(q);
-    }
+    scratch_grid_.assign(coords);
     for (std::size_t i = 0; i < n_; ++i) {
-      const int cell = cell_of(scratch_xs_[i], scratch_ys_[i]);
-      const int cx = cell % ncells_;
-      const int cy = cell / ncells_;
-      const int x0 = std::max(cx - 1, 0), x1 = std::min(cx + 1, ncells_ - 1);
-      const int y0 = std::max(cy - 1, 0), y1 = std::min(cy + 1, ncells_ - 1);
-      cand_.clear();
-      for (int gy = y0; gy <= y1; ++gy) {
-        for (int gx = x0; gx <= x1; ++gx) {
-          const auto c = static_cast<std::size_t>(gy * ncells_ + gx);
-          cand_.insert(cand_.end(),
-                       scratch_items_.begin() + scratch_start_[c],
-                       scratch_items_.begin() + scratch_start_[c + 1]);
-        }
-      }
+      scratch_grid_.neighbours(scratch_xs_[i], scratch_ys_[i], cand_);
       term_buf_.resize(cand_.size());
       const std::size_t produced = kernels::crowding_terms_above_self(
           cand_.data(), cand_.size(), static_cast<std::int32_t>(i),

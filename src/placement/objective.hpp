@@ -1,17 +1,16 @@
 // Delta-cost placement objective: the Graphine cost function (weighted edge
 // lengths + crowding penalty) behind anneal::IncrementalObjective, so a
 // single-qubit move is scored in O(deg(q) + local neighbors) instead of the
-// legacy O(E + n^2) full re-score.
+// legacy O(E + n) full re-score.
 //
 // Structure:
 //   * Edge term — CSR adjacency per qubit; a move touches exactly deg(q)
 //     edge terms.
-//   * Crowding term — a uniform spatial-hash grid with cell size >= d_min
-//     (d_min = crowding_distance / sqrt(n)); every pair closer than d_min
-//     lies in adjacent cells, so a 3x3 neighborhood scan finds exactly the
-//     penalized pairs. Coordinates are projected onto [0,1]^2 before cell
-//     lookup; projection is 1-Lipschitz, so the scan is never
-//     under-inclusive even for out-of-box query points.
+//   * Crowding term — a geom::UniformGrid with cells wider than d_min
+//     (d_min = crowding_distance / sqrt(n)), the grid the legacy objective
+//     scans too: every pair closer than d_min lies in adjacent cells, so a
+//     3x3 neighborhood scan finds exactly the penalized pairs, out-of-box
+//     points included.
 //   * Exactness — cost terms accumulate in a util::ExactSum, whose
 //     add/subtract are associative: value() after any move sequence is
 //     bit-identical to full() of the same geometry, which is what keeps
@@ -30,6 +29,7 @@
 
 #include "anneal/objective.hpp"
 #include "circuit/interaction_graph.hpp"
+#include "geometry/uniform_grid.hpp"
 #include "placement/graphine.hpp"
 #include "util/exact_sum.hpp"
 
@@ -49,7 +49,6 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   double full(const std::vector<double>& coords) override;
 
  private:
-  [[nodiscard]] int cell_of(double x, double y) const noexcept;
   /// Every cost term involving site q at position (px, py) against the
   /// current positions of all other sites: deg(q) edge terms plus the
   /// crowding terms of neighbors within d_min. Batched through
@@ -57,16 +56,12 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   /// (see kernels.hpp).
   void collect_terms(std::size_t q, double px, double py,
                      std::vector<double>& out);
-  /// Gathers the occupants of the 3x3 cell neighborhood around (px, py)
-  /// into cand_ (bucket order, self included — the kernels filter).
-  void gather_bucket_candidates(double px, double py);
 
   std::size_t n_ = 0;
   double d_min_ = 0.0;
   double denom_ = 0.0;  // d_min^2: both the inclusion test and the divisor
   double crowding_weight_ = 0.0;
   bool crowding_ = false;
-  int ncells_ = 1;
 
   // CSR adjacency (both directions) + SoA edge list for full scoring —
   // the kernel gather wants flat index/weight arrays, not an AoS struct.
@@ -78,8 +73,7 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
 
   // Live state: SoA coordinates, bucketed occupancy, exact running cost.
   std::vector<double> xs_, ys_;
-  std::vector<std::vector<std::int32_t>> buckets_;
-  std::vector<std::int32_t> bucket_of_;
+  geom::UniformGrid grid_;
   util::ExactSum acc_;
   double value_ = 0.0;
 
@@ -89,10 +83,10 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   double pending_x_ = 0.0, pending_y_ = 0.0, pending_value_ = 0.0;
   std::vector<double> pending_remove_, pending_add_;
 
-  // Scratch counting-sort grid for full() (arbitrary query geometry), the
-  // de-strided coordinate copies full() feeds the kernels, and the crowding
+  // Scratch grid for full() (arbitrary query geometry), the de-strided
+  // coordinate copies full() feeds the kernels, and the crowding
   // candidate/term staging buffers shared by all batched paths.
-  std::vector<std::int32_t> scratch_start_, scratch_items_;
+  geom::UniformGrid scratch_grid_;
   std::vector<double> scratch_xs_, scratch_ys_;
   std::vector<std::int32_t> cand_;
   std::vector<double> term_buf_;

@@ -1,0 +1,41 @@
+// Seeded byte mutations for the decoder fuzz tests. Each fuzz test feeds
+// mutants of one valid payload to its decoder and requires a decode or the
+// decoder's documented error: never another exception, a crash or a hang.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <random>
+#include <string>
+
+namespace parallax::fuzz {
+
+/// Mutant number `i` of `bytes` (non-empty): by i % 4, one to three bit
+/// flips, a truncation, a run of 0xFF, or a random 4-byte overwrite.
+inline std::string mutate(std::string bytes, int i, std::mt19937_64& rng) {
+  const std::size_t at = rng() % bytes.size();
+  switch (i % 4) {
+    case 0:  // bit flips
+      for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
+        const std::size_t bit = rng() % (bytes.size() * 8);
+        bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      }
+      break;
+    case 1:  // truncation
+      bytes.resize(at);
+      break;
+    case 2: {  // a run of 0xFF
+      const std::size_t end = std::min(bytes.size(), at + 1 + rng() % 16);
+      for (std::size_t k = at; k < end; ++k) bytes[k] = static_cast<char>(0xFF);
+      break;
+    }
+    default:  // a random 4-byte overwrite
+      for (std::size_t k = at; k < std::min(bytes.size(), at + 4); ++k) {
+        bytes[k] = static_cast<char>(rng() % 256);
+      }
+      break;
+  }
+  return bytes;
+}
+
+}  // namespace parallax::fuzz

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -189,6 +190,65 @@ TEST(DualAnnealing, ReportsWorkCounters) {
   EXPECT_GE(result.evaluations, 1 + result.iterations);
   EXPECT_EQ(result.delta_evaluations, 0);
   EXPECT_GE(result.restarts, 0);
+}
+
+TEST(DualAnnealing, FullVectorResultsAreByteStable) {
+  // Exact bit patterns of the full-vector overload, outside placement: two
+  // visit shapes per function, restart-forcing ratios, local search on and
+  // off. Any change to the visit draws, the schedule or the acceptance
+  // arithmetic moves at least one of these bits.
+  struct Golden {
+    const char* name;
+    pa::Objective f;
+    double bound;
+    double visit;
+    double restart_temp_ratio;
+    int local_search_interval;
+    int max_iterations;
+    std::uint64_t seed;
+    int restarts;
+    std::int64_t evaluations;
+    std::uint64_t value;
+    std::vector<std::uint64_t> x;
+  };
+  const std::vector<Golden> goldens{
+      {"rastrigin6/visit2.62/local", rastrigin, 5.12, 2.62, 2e-5, 50, 400, 11,
+       0, 1099, 0x402dd9471f3ca1a5ULL,
+       {0x3fffd6ae364533d4ULL, 0xbfefd6b37ed46330ULL, 0x3fefd6b380dda679ULL,
+        0xbfffd6ae366818c8ULL, 0xbfefd6b3804b8a76ULL, 0xbfffd6ae36345a5cULL}},
+      {"rastrigin6/visit1.5/restarts", rastrigin, 5.12, 1.5, 0.5, 0, 400, 12,
+       199, 401, 0x40461d857a0fa4b7ULL,
+       {0xc0060ca4f9dc349eULL, 0x40008aa6568b71caULL, 0x3feb4ca12569aed0ULL,
+        0xbfef983287115318ULL, 0x4006905ea4b3cceeULL, 0xbfbd480ce44f8140ULL}},
+      {"rosenbrock4/visit2.9/restarts/local", rosenbrock, 2.0, 2.9, 0.2, 20,
+       300, 13, 99, 5384, 0x3c6035f5d58f9c40ULL,
+       {0x3fefffffffca64eaULL, 0x3fefffffff9ed438ULL, 0x3fefffffff59ad22ULL,
+        0x3feffffffeb9dc4aULL}},
+      {"rosenbrock4/visit1.8", rosenbrock, 2.0, 1.8, 2e-5, 0, 300, 14, 0, 301,
+       0x4037b5d91df58b4aULL,
+       {0x3ff33639852bc8e8ULL, 0x3ff0c8d8214f4f78ULL, 0x3ff4a6d8403cdf9cULL,
+        0x3ff73f45eb3ed8feULL}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    pa::DualAnnealingOptions options;
+    options.visit = g.visit;
+    options.restart_temp_ratio = g.restart_temp_ratio;
+    options.local_search_interval = g.local_search_interval;
+    options.max_iterations = g.max_iterations;
+    options.seed = g.seed;
+    const std::vector<double> lower(g.x.size(), -g.bound);
+    const std::vector<double> upper(g.x.size(), g.bound);
+    const auto result = pa::dual_annealing(g.f, lower, upper, options);
+    EXPECT_EQ(result.restarts, g.restarts);
+    EXPECT_EQ(result.evaluations, g.evaluations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value), g.value);
+    ASSERT_EQ(result.x.size(), g.x.size());
+    for (std::size_t i = 0; i < g.x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.x[i]), g.x[i])
+          << "x[" << i << "]";
+    }
+  }
 }
 
 // --- Single-coordinate (incremental) mode ---------------------------------

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -23,6 +27,8 @@
 #include "technique/registry.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+
+#include "mutation.hpp"
 
 namespace fs = std::filesystem;
 namespace pc = parallax::cache;
@@ -269,6 +275,80 @@ TEST(Serialize, MalformedPayloadThrowsReadError) {
   evil[0] = '\xff';
   evil[7] = '\xff';
   EXPECT_THROW((void)pc::parse_topology(evil), pc::ReadError);
+}
+
+namespace {
+
+/// Feeds 20,000 seeded mutants of `payload` to `decode`. The contract is a
+/// decode or a ReadError; any other exception fails the test, and a crash
+/// or an oversized allocation takes the binary down.
+void fuzz_decoder(const std::string& payload, std::uint64_t seed,
+                  const std::function<void(std::string_view)>& decode) {
+  std::mt19937_64 rng(seed);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  int escapes = 0;
+  for (int i = 0; i < 20000 && escapes < 10; ++i) {
+    const std::string mutant = parallax::fuzz::mutate(payload, i, rng);
+    try {
+      decode(mutant);
+      ++decoded;
+    } catch (const pc::ReadError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ++escapes;
+      ADD_FAILURE() << "mutant " << i << " threw outside the contract: "
+                    << error.what();
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+}  // namespace
+
+TEST(SerializeFuzz, MutatedTopologyPayloadsDecodeOrThrowReadError) {
+  ppl::Topology topology;
+  for (int q = 0; q < 12; ++q) {
+    topology.positions.push_back({0.08 * q, 1.0 - 0.07 * q});
+  }
+  topology.interaction_radius = 0.125;
+  fuzz_decoder(pc::serialize_topology(topology), 0x70F0,
+               [](std::string_view bytes) { (void)pc::parse_topology(bytes); });
+}
+
+TEST(SerializeFuzz, MutatedCellPayloadsDecodeOrThrowReadError) {
+  pp::CompileOptions options;
+  options.placement.anneal_iterations = 60;
+  options.placement.local_search_evaluations = 40;
+  options.scheduler.record_positions = true;
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  pc::CachedCell cell;
+  cell.result = pt::compile("parallax", ghz(5, "ghz5"), config, options);
+  cell.has_success_probability = true;
+  cell.success_probability = 0.5;
+  cell.has_shot_plans = true;
+  cell.shot_plans =
+      parallax::shots::parallelization_sweep(cell.result, config);
+  fuzz_decoder(pc::serialize_cell(cell), 0xCE11, [](std::string_view bytes) {
+    pc::Reader reader(bytes);
+    (void)pc::decode_cell(reader);
+    reader.expect_end();
+  });
+
+  // geom::Grid requires a positive pitch but only asserts it, so a release
+  // build would decode these silently and a debug build would abort.
+  pc::Writer prefix;
+  prefix.str(cell.result.technique);
+  pc::encode(prefix, cell.result.circuit);
+  prefix.i32(cell.result.topology.grid.side());
+  for (const double pitch : {0.0, -1.0, std::nan("")}) {
+    std::string bytes = pc::serialize_cell(cell);
+    pc::Writer patch;
+    patch.f64(pitch);
+    bytes.replace(prefix.bytes().size(), 8, patch.bytes());
+    EXPECT_THROW((void)pc::parse_cell(bytes), pc::ReadError) << pitch;
+  }
 }
 
 // --- cache/store + cache/cache ------------------------------------------------

@@ -4,8 +4,11 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/interaction_graph.hpp"
@@ -299,6 +302,177 @@ TEST(DeltaObjective, AgreesWithLegacyObjectiveNumerically) {
     EXPECT_NEAR(delta_value, legacy_value,
                 1e-9 * std::max(1.0, std::abs(legacy_value)));
   }
+}
+
+// --- Legacy objective: the crowding scan against the all-pairs oracle ------
+
+namespace {
+
+/// The legacy objective with its crowding term as the all-pairs loop:
+/// edge terms, then every penalized pair in (i, j) order, one `+=` each.
+/// placement_objective must return these exact bits.
+double all_pairs_objective(const std::vector<double>& coords,
+                           const pc::InteractionGraph& graph,
+                           const pp::GraphineOptions& options) {
+  const auto n = static_cast<std::size_t>(graph.n_qubits());
+  auto point = [&](std::size_t q) {
+    return pg::Point{coords[2 * q], coords[2 * q + 1]};
+  };
+  double cost = 0.0;
+  for (const auto& e : graph.edges()) {
+    cost += static_cast<double>(e.weight) *
+            pg::distance(point(static_cast<std::size_t>(e.a)),
+                         point(static_cast<std::size_t>(e.b)));
+  }
+  if (n > 1) {
+    const double d_min =
+        options.crowding_distance / std::sqrt(static_cast<double>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d = pg::distance(point(i), point(j));
+        if (d < d_min) {
+          const double v = d_min - d;
+          cost += options.crowding_weight * v * v / (d_min * d_min);
+        }
+      }
+    }
+  }
+  return cost;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+/// Layout families that stress the crowding scan's pair discovery.
+enum class Layout {
+  kUniform,    // uniform in the unit box
+  kLattice,    // square lattices spaced exactly d_min and one ulp inside
+  kPairs,      // partners at d_min, one ulp inside and one ulp outside
+  kSnapped,    // coordinates on {0, 1/2, 1} +- d_min: duplicates and edges
+  kCluster,    // every point within d_min of one spot, corners included
+  kOutOfBox,   // uniform in [-1/2, 3/2]^2
+  kNonFinite,  // uniform with NaN, +-inf and +-1e300 sprinkled in
+};
+
+std::vector<double> fuzz_layout(Layout layout, parallax::util::Rng& rng,
+                                std::int32_t n, double d_min) {
+  // Spacing-driven layouts need a spacing inside the box.
+  const double d = d_min > 0.0 && d_min < 1.0 ? d_min : 0.1;
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<double> coords(2 * size);
+  switch (layout) {
+    case Layout::kUniform:
+      for (double& c : coords) c = rng.next_double();
+      break;
+    case Layout::kLattice: {
+      const double pitch = rng.next_double() < 0.5
+                               ? d
+                               : std::nextafter(d, 0.0);
+      const double origin = rng.next_double() * 0.5;
+      const auto side = static_cast<std::size_t>(
+          std::ceil(std::sqrt(static_cast<double>(n))));
+      for (std::size_t q = 0; q < size; ++q) {
+        coords[2 * q] = origin + static_cast<double>(q % side) * pitch;
+        coords[2 * q + 1] = origin + static_cast<double>(q / side) * pitch;
+      }
+      break;
+    }
+    case Layout::kPairs:
+      for (std::size_t q = 0; q < size; ++q) {
+        if (q % 2 == 0) {
+          coords[2 * q] = rng.next_double();
+          coords[2 * q + 1] = rng.next_double();
+          continue;
+        }
+        const double bx = coords[2 * q - 2], by = coords[2 * q - 1];
+        const double far = rng.next_double() < 0.5 ? bx + d : bx - d;
+        const double pick = rng.next_double();
+        const double x = pick < 1.0 / 3   ? far
+                         : pick < 2.0 / 3 ? std::nextafter(far, bx)
+                                          : std::nextafter(far, far + far - bx);
+        if (rng.next_double() < 0.5) {
+          coords[2 * q] = x;
+          coords[2 * q + 1] = by;
+        } else {  // the same offset along y
+          coords[2 * q] = bx;
+          coords[2 * q + 1] = by + (x - bx);
+        }
+      }
+      break;
+    case Layout::kSnapped: {
+      const double snaps[] = {0.0, 1.0, 0.5, d, 1.0 - d, 0.5 - d, 0.5 + d};
+      for (double& c : coords) {
+        c = snaps[static_cast<std::size_t>(rng.uniform_int(0, 6))];
+      }
+      break;
+    }
+    case Layout::kCluster: {
+      const double corners[] = {0.0, 1.0, rng.next_double()};
+      const double cx = corners[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      const double cy = corners[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      for (std::size_t q = 0; q < size; ++q) {
+        coords[2 * q] = cx + rng.uniform(-d, d) * 0.7;
+        coords[2 * q + 1] = cy + rng.uniform(-d, d) * 0.7;
+      }
+      break;
+    }
+    case Layout::kOutOfBox:
+      for (double& c : coords) c = rng.uniform(-0.5, 1.5);
+      break;
+    case Layout::kNonFinite: {
+      const double inf = std::numeric_limits<double>::infinity();
+      const double odd[] = {std::nan(""), inf, -inf, 1e300, -1e300};
+      for (double& c : coords) {
+        c = rng.next_double() < 0.2
+                ? odd[static_cast<std::size_t>(rng.uniform_int(0, 4))]
+                : rng.next_double();
+      }
+      break;
+    }
+  }
+  return coords;
+}
+
+}  // namespace
+
+TEST(Graphine, ObjectiveMatchesTheAllPairsOracleBitForBit) {
+  parallax::util::Rng rng(1613);
+  std::vector<std::int32_t> sizes{2, 3, 9, 16, 25, 64};
+  for (int extra = 0; extra < 6; ++extra) {
+    sizes.push_back(static_cast<std::int32_t>(rng.uniform_int(2, 90)));
+  }
+  const double crowding_distances[] = {0.5, 0.0, -1.0, 1e-3, 1e-300, 3.0,
+                                       1e300};
+  const Layout layouts[] = {Layout::kUniform,  Layout::kLattice,
+                            Layout::kPairs,    Layout::kSnapped,
+                            Layout::kCluster,  Layout::kOutOfBox,
+                            Layout::kNonFinite};
+  int cases = 0;
+  for (const std::int32_t n : sizes) {
+    const auto circuit =
+        random_circuit(static_cast<std::uint64_t>(n) * 31 + 5, n, 2 * n);
+    const pc::InteractionGraph graph(circuit);
+    for (const double crowding_distance : crowding_distances) {
+      pp::GraphineOptions options;
+      options.crowding_distance = crowding_distance;
+      const double d_min = crowding_distance / std::sqrt(static_cast<double>(n));
+      for (const Layout layout : layouts) {
+        for (int rep = 0; rep < 2; ++rep) {
+          const auto coords = fuzz_layout(layout, rng, n, d_min);
+          const double expected = all_pairs_objective(coords, graph, options);
+          const double actual = pp::placement_objective(coords, graph, options);
+          ASSERT_TRUE(same_bits(actual, expected))
+              << "n " << n << " crowding_distance " << crowding_distance
+              << " layout " << static_cast<int>(layout) << " rep " << rep
+              << ": " << actual << " vs " << expected;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 12 * 7 * 7 * 2);
 }
 
 TEST(DeltaObjective, SingleQubitGraphHasNoCrowding) {

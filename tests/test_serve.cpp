@@ -22,12 +22,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <string>
@@ -152,6 +154,49 @@ class ScopedServer {
  private:
   std::function<void()> unblock_;
   std::thread thread_;
+};
+
+/// Holds a service's single dispatcher: an in-process request, under a
+/// client id no connection uses, whose first cell blocks until release()
+/// or scope exit. Requests submitted meanwhile stay queued, and so stay in
+/// their connection's in-flight map, for as long as the test needs.
+class DispatcherHold {
+ public:
+  explicit DispatcherHold(sv::SweepService& service)
+      : ticket_(service.submit(
+            small_spec(), [this](const sw::Cell&) { hold(); }, {}, 0,
+            kClientId)) {}
+  DispatcherHold(const DispatcherHold&) = delete;
+  DispatcherHold& operator=(const DispatcherHold&) = delete;
+  ~DispatcherHold() {
+    release();
+    (void)ticket_->wait();
+  }
+
+  /// True once the hold's first cell is blocking the dispatcher.
+  [[nodiscard]] bool holding() {
+    return started_future_.wait_for(std::chrono::seconds(60)) ==
+           std::future_status::ready;
+  }
+
+  void release() {
+    std::call_once(release_once_, [this] { released_.count_down(); });
+  }
+
+ private:
+  static constexpr std::uint64_t kClientId = 1u << 30;
+
+  void hold() {
+    std::call_once(start_once_, [this] { started_.set_value(); });
+    released_.wait();
+  }
+
+  std::promise<void> started_;
+  std::future<void> started_future_ = started_.get_future();
+  std::once_flag start_once_, release_once_;
+  std::latch released_{1};
+  // Last: its callback uses every member above.
+  std::shared_ptr<sv::Ticket> ticket_;
 };
 
 }  // namespace
@@ -1066,29 +1111,29 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
       },
       [&] { pipes.unblock_server(); });
 
-  // Both lines land in one read: the second is checked while the first is
-  // still compiling, so the quota trips deterministically.
+  // Request 1 queues behind the held dispatcher, so it is still in flight
+  // when request 2 is read, and it sends nothing before the rejection.
+  DispatcherHold hold(service);
+  ASSERT_TRUE(hold.holding());
   ASSERT_TRUE(sv::write_all(pipes.in[1],
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
+  sv::Frame frame = read_frame(pipes.out[0]);
+  ASSERT_EQ(frame.type, sv::FrameType::kError);
+  EXPECT_EQ(frame.request_id, 2u);
+  EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
+  hold.release();
   std::size_t cells = 0;
-  bool rejected = false;
   for (;;) {
-    const sv::Frame frame = read_frame(pipes.out[0]);
-    if (frame.type == sv::FrameType::kError) {
-      EXPECT_EQ(frame.request_id, 2u);
-      EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
-      EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
-      rejected = true;
-      continue;
-    }
+    frame = read_frame(pipes.out[0]);
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
       break;
     }
+    ASSERT_EQ(frame.type, sv::FrameType::kCell);
     ++cells;
   }
-  EXPECT_TRUE(rejected);
   EXPECT_EQ(cells, spec.total_cells());
 
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::quit_line()));
@@ -1281,18 +1326,26 @@ bool wait_for_socket(const std::string& path) {
   return false;
 }
 
+/// Connects to the farm at `path`. The socket file appears at bind(),
+/// before listen(), so a refused connect is retried for about ten seconds;
+/// any other failure returns -1 at once.
 int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    const int error = errno;
     ::close(fd);
-    return -1;
+    if (error != ECONNREFUSED) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  return fd;
+  return -1;
 }
 
 }  // namespace
@@ -1405,27 +1458,29 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
 
   const int fd = connect_unix(socket_path);
   ASSERT_GE(fd, 0);
+  // As in the ServeConnection test: request 1 queues behind the held
+  // dispatcher, so the rejection of request 2 is the first frame.
+  DispatcherHold hold(service);
+  ASSERT_TRUE(hold.holding());
   ASSERT_TRUE(sv::write_all(fd,
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
+  sv::Frame frame = read_frame(fd);
+  ASSERT_EQ(frame.type, sv::FrameType::kError);
+  EXPECT_EQ(frame.request_id, 2u);
+  EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
+  EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
+  hold.release();
   std::size_t cells = 0;
-  bool rejected = false;
   for (;;) {
-    const sv::Frame frame = read_frame(fd);
-    if (frame.type == sv::FrameType::kError) {
-      EXPECT_EQ(frame.request_id, 2u);
-      EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
-      EXPECT_NE(frame.message.find("limit 1"), std::string::npos);
-      rejected = true;
-      continue;
-    }
+    frame = read_frame(fd);
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
       break;
     }
+    ASSERT_EQ(frame.type, sv::FrameType::kCell);
     ++cells;
   }
-  EXPECT_TRUE(rejected);
   EXPECT_EQ(cells, spec.total_cells());
   ::close(fd);
 

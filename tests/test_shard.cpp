@@ -22,6 +22,8 @@
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
 
+#include "mutation.hpp"
+
 namespace fs = std::filesystem;
 namespace pc = parallax::cache;
 namespace pcir = parallax::circuit;
@@ -543,33 +545,7 @@ TEST(SweepSpecFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
   std::size_t rejected = 0;
   int escapes = 0;
   for (int i = 0; i < 20000 && escapes < 10; ++i) {
-    std::string mutant = payload;
-    const std::size_t at = rng() % mutant.size();
-    switch (i % 4) {
-      case 0:  // bit flips
-        for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
-             --flips) {
-          const std::size_t bit = rng() % (mutant.size() * 8);
-          mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^
-                                              (1 << (bit % 8)));
-        }
-        break;
-      case 1:  // truncation
-        mutant.resize(at);
-        break;
-      case 2: {  // a run of 0xFF
-        const std::size_t end = std::min(mutant.size(), at + 1 + rng() % 16);
-        for (std::size_t k = at; k < end; ++k) {
-          mutant[k] = static_cast<char>(0xFF);
-        }
-        break;
-      }
-      default:  // a random 4-byte overwrite
-        for (std::size_t k = at; k < std::min(mutant.size(), at + 4); ++k) {
-          mutant[k] = static_cast<char>(rng() % 256);
-        }
-        break;
-    }
+    const std::string mutant = parallax::fuzz::mutate(payload, i, rng);
     try {
       (void)sh::parse_sweep_spec(
           sh::frame_payload(sh::FileKind::kSweepSpec, mutant));
