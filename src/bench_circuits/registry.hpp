@@ -19,8 +19,8 @@ struct GenOptions {
   std::uint64_t seed = 0xBE7CULL;
   /// VQE at the paper's ~450k-gate scale did not finish compiling under
   /// ELDI in 24 hours; the default generates a reduced-depth VQE so the
-  /// whole harness runs in minutes. Set true (or PARALLAX_FULL_SCALE=1 in
-  /// the benches) for the paper-scale circuit.
+  /// whole harness runs in minutes. Set true (`parallax_cli bench
+  /// --full-scale`) for the paper-scale circuit.
   bool full_scale = false;
 };
 

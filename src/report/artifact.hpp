@@ -8,8 +8,8 @@
 // registry against one executor — in-process, an in-process warm
 // SweepService session, or a remote `parallax serve` socket — so
 // regenerating the whole paper is a single command against one warm cache,
-// and the rendering logic lives once, testably, in the library. The bench
-// binaries remain as thin shims over their registry entries.
+// and the rendering logic lives once, testably, in the library.
+// `parallax_cli bench` is its one front end.
 //
 // Determinism contract: everything a renderer puts into Rendered::blocks
 // and Rendered::summary is a pure function of (Options, sweep results) —

@@ -1,7 +1,6 @@
 // The paper artifacts (Registry::global()) plus the registry and
-// generate() plumbing. Each entry carries the exact rows and derived
-// summary lines its former bench binary printed; the binaries are now thin
-// shims over these entries (bench/*.cpp -> report::bench_main).
+// generate() plumbing. Each entry carries the rows and derived summary
+// lines of one paper table or figure; `parallax_cli bench NAME` renders it.
 #include "report/artifact.hpp"
 
 #include <algorithm>

@@ -1,9 +1,7 @@
 #include "report/orchestrator.hpp"
 
 #include <exception>
-#include <memory>
 
-#include "report/env.hpp"
 #include "util/stopwatch.hpp"
 
 namespace parallax::report {
@@ -27,15 +25,12 @@ std::vector<ArtifactOutcome> run_artifacts(
           artifact, options.report, [&](const shard::SweepSpec& spec) {
             ++sweep_index;
             sweep::Result result = runner.run(spec);
-            if (options.progress) {
-              std::fprintf(
-                  log,
-                  "[%s] sweep %zu: %zu cells, %zu result hits, "
-                  "anneals=%zu in %.1fs\n",
-                  name.c_str(), sweep_index, result.cells.size(),
-                  result.result_cache_hits, result.anneals,
-                  result.wall_seconds);
-            }
+            std::fprintf(log,
+                         "[%s] sweep %zu: %zu cells, %zu result hits, "
+                         "anneals=%zu in %.1fs\n",
+                         name.c_str(), sweep_index, result.cells.size(),
+                         result.result_cache_hits, result.anneals,
+                         result.wall_seconds);
             return result;
           });
       // Render incrementally: each artifact's document is flushed as soon
@@ -119,51 +114,6 @@ void print_server_stats(std::FILE* log, const serve::SessionStats& stats) {
             ? (", " + std::to_string(client.bytes_queued) + " bytes queued")
                   .c_str()
             : "");
-  }
-}
-
-int bench_main(const char* artifact_name) noexcept {
-  try {
-    const EnvConfig env = EnvConfig::from_environment();
-
-    OrchestratorOptions options;
-    options.report.seed = env.seed;
-    options.report.full_scale = env.full_scale;
-    options.format = Format::kTable;
-
-    // The executor the environment asks for. A misconfigured or dead serve
-    // session fails the bench loudly — silently compiling locally would
-    // misreport the session's warm-cache story.
-    std::unique_ptr<serve::Client> client;
-    std::unique_ptr<Runner> runner;
-    if (!env.serve_socket.empty()) {
-      client = std::make_unique<serve::Client>(env.serve_socket);
-      runner = std::make_unique<ClientRunner>(*client);
-    } else {
-      InProcessRunner::Config config;
-      config.n_threads = env.threads;
-      config.shards = env.shards;
-      if (env.cache) {
-        cache::CacheOptions cache_options;
-        cache_options.max_disk_bytes = env.cache_max_disk_bytes;
-        config.cache = cache::CompilationCache::open(cache_options);
-      }
-      runner = std::make_unique<InProcessRunner>(std::move(config));
-    }
-
-    const util::Stopwatch stopwatch;
-    const auto outcomes =
-        run_artifacts(Registry::global(), {artifact_name}, *runner, options,
-                      stdout, stderr);
-    print_accounting(stderr, outcomes.size(), runner->totals(),
-                     stopwatch.seconds());
-    for (const auto& outcome : outcomes) {
-      if (!outcome.ok) return 1;
-    }
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s: %s\n", artifact_name, error.what());
-    return 1;
   }
 }
 

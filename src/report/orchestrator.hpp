@@ -2,7 +2,7 @@
 // through one Runner (one warm session), rendering each artifact to `out`
 // as soon as its sweeps complete and printing progress, volatile extras,
 // and the session-wide accounting epilogue to `log`. This is the engine
-// behind `parallax bench` and the thin bench shim binaries.
+// behind `parallax_cli bench`.
 #pragma once
 
 #include <cstdio>
@@ -18,9 +18,6 @@ namespace parallax::report {
 struct OrchestratorOptions {
   Options report;
   Format format = Format::kTable;
-  /// Per-sweep progress lines on `log` ("[fig09] sweep 1/…"). Off for the
-  /// single-artifact shims, on for `parallax bench`.
-  bool progress = false;
 };
 
 struct ArtifactOutcome {
@@ -34,7 +31,8 @@ struct ArtifactOutcome {
 /// Runs each named artifact in order. Unknown names throw
 /// UnknownArtifactError before any work happens. A failing artifact is
 /// reported in its outcome (and on `log`) and the remaining artifacts still
-/// run. Rendered documents go to `out`; volatile extras to `log`.
+/// run. Rendered documents go to `out`; per-sweep progress lines
+/// ("[fig09] sweep 1: …") and volatile extras to `log`.
 std::vector<ArtifactOutcome> run_artifacts(
     const Registry& registry, const std::vector<std::string>& names,
     Runner& runner, const OrchestratorOptions& options, std::FILE* out,
@@ -49,12 +47,5 @@ void print_accounting(std::FILE* log, std::size_t artifacts,
 /// The server's lifetime accounting (a STATS reply) — printed after the
 /// epilogue when the orchestrator ran against a socket session.
 void print_server_stats(std::FILE* log, const serve::SessionStats& stats);
-
-/// Entry point shared by the thin bench shim binaries: reads EnvConfig,
-/// builds the executor the environment asks for (PARALLAX_SERVE socket
-/// session, PARALLAX_SHARDS in-process sharding, plain in-process
-/// otherwise), renders `artifact_name` as a table on stdout, and prints the
-/// accounting epilogue on stderr. Returns a process exit code.
-int bench_main(const char* artifact_name) noexcept;
 
 }  // namespace parallax::report

@@ -1,7 +1,7 @@
 // Executors the report orchestrator drives artifact sweeps through, with
 // uniform accounting. Three ways to run one spec:
 //   * InProcessRunner — sweep::run (or shard::run_sharded) in this process,
-//     optionally against a persistent cache: the old bench-binary path.
+//     optionally against a persistent cache: `bench --serve off`.
 //   * ServiceRunner  — an in-process serve::SweepService session: one cache,
 //     one persistent pool, request streaming — the `--serve auto` warm
 //     session without a socket.

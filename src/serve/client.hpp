@@ -4,7 +4,7 @@
 // in-process sweep::run would have produced — for a fully-executed request
 // the reassembly is byte-identical under shard::canonical_bytes.
 //
-// This is what the bench harness speaks when PARALLAX_SERVE names a serve
+// This is what `parallax_cli bench --serve SOCKET` speaks to a serve
 // socket, and what `parallax serve submit` wraps. One connection serves
 // many sequential run() calls (the warm-session pattern: the second run of
 // the same spec replays from the server's cache with zero anneals).
@@ -29,7 +29,7 @@ struct ClientOutcome {
 
 class Client {
  public:
-  /// Connects to a serve unix socket (what PARALLAX_SERVE names). Throws
+  /// Connects to a serve unix socket (what `bench --serve` names). Throws
   /// ServeError when the socket cannot be reached.
   explicit Client(const std::string& socket_path);
   /// Adopts an already-connected descriptor (tests hand in a socketpair

@@ -686,24 +686,28 @@ std::size_t serve_connection(int in_fd, int out_fd, SweepService& service,
 
 bool serve_unix_socket(const std::string& path, SweepService& service,
                        const ServerOptions& options) {
+  // bind() creates the socket file before listen() makes it connectable,
+  // so the socket listens under a staging name and is renamed onto `path`
+  // only then: a client that sees `path` is never refused.
+  const std::string staging = path + ".tmp";
   sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
+  if (staging.size() >= sizeof(addr.sun_path)) {
     errno = ENAMETOOLONG;
     return false;
   }
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) return false;
   addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());
+  std::memcpy(addr.sun_path, staging.c_str(), staging.size() + 1);
+  ::unlink(staging.c_str());
   WakePipe wake;
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
       ::listen(listener, 16) != 0 || !set_nonblocking(listener) ||
-      !wake.open()) {
+      !wake.open() || ::rename(staging.c_str(), path.c_str()) != 0) {
     const int saved = errno;
     ::close(listener);
-    ::unlink(path.c_str());  // listen/fcntl failure leaves the bound file
+    ::unlink(staging.c_str());  // a failure after bind leaves the file
     errno = saved;
     return false;
   }

@@ -2,9 +2,10 @@
 // length-prefixed frames out. One poll()-driven loop serves both
 // transports; it owns line framing, quotas, stall detection and detach:
 //
-//   * serve_unix_socket — the multi-tenant farm the bench harness targets
-//     through PARALLAX_SERVE: the loop accepts and multiplexes many
-//     concurrent AF_UNIX connections over one SweepService.
+//   * serve_unix_socket — the multi-tenant farm that `parallax_cli bench
+//     --serve SOCKET` and `serve submit` target: the loop accepts and
+//     multiplexes many concurrent AF_UNIX connections over one
+//     SweepService.
 //   * serve_connection — the same loop without a listener, over one lent
 //     fd pair (stdio for `parallax serve` in a pipeline, a socketpair in
 //     tests).
@@ -89,12 +90,17 @@ struct ServerOptions {
 std::size_t serve_connection(int in_fd, int out_fd, SweepService& service,
                              const ServerOptions& options = {});
 
-/// Binds an AF_UNIX socket at `path` (replacing any stale socket file) and
-/// multiplexes concurrent connections over one poll() loop until a STOP
-/// request or ServerOptions::stop drains the session — then returns true.
-/// Returns false when the socket cannot be created/bound/listened or
-/// accept fails hard (errno describes why); the listener is closed and the
-/// socket file unlinked on every exit path, graceful or not.
+/// Listens on an AF_UNIX socket at `path` (replacing any stale socket
+/// file) and multiplexes concurrent connections over one poll() loop until
+/// a STOP request or ServerOptions::stop drains the session — then returns
+/// true. The socket is bound and listening at `path + ".tmp"` before it is
+/// renamed onto `path`, so `path` appears only once a connect to it
+/// succeeds; waiting for the file is a complete readiness check. The
+/// staging suffix makes the longest usable `path` 4 bytes shorter than
+/// sockaddr_un allows (ENAMETOOLONG). Returns false when the socket cannot
+/// be created/bound/listened/renamed or accept fails hard (errno describes
+/// why); the listener is closed and the socket file unlinked on every exit
+/// path, graceful or not.
 bool serve_unix_socket(const std::string& path, SweepService& service,
                        const ServerOptions& options = {});
 

@@ -131,7 +131,7 @@ struct ShardRun {
 ///   * missing cells (coverage gaps).
 [[nodiscard]] sweep::Result merge(std::vector<ShardRun> runs);
 
-/// In-process convenience used by the bench harness's PARALLAX_SHARDS path:
+/// In-process convenience behind `parallax_cli bench --serve off --shards N`:
 /// plan + run each shard sequentially + merge, all in this process. Unlike
 /// the file-based path this accepts a customize hook (nothing is
 /// serialized). Byte-identical to sweep::run over the same arguments.

@@ -1,4 +1,4 @@
-// Plain-text table rendering for the bench harness. Every bench binary prints
+// Plain-text table rendering for the paper artifacts. Every artifact prints
 // the same rows/series the paper reports; this keeps the formatting uniform.
 #pragma once
 

@@ -1,5 +1,5 @@
 // A small fixed-size thread pool used to compile independent circuits in
-// parallel (e.g. 18 benchmarks x 3 techniques in a bench binary). Tasks must
+// parallel (e.g. 18 benchmarks x 3 techniques in one sweep). Tasks must
 // be independent; the pool provides no ordering guarantees beyond
 // wait_idle()/futures.
 #pragma once

@@ -4,15 +4,13 @@
 // (the differential guarantee `parallax bench --serve` rests on). Around
 // it: registry integrity (eleven unique names, unknown names rejected,
 // duplicate registration rejected), spec serializability round trips,
-// renderer formats, strict EnvConfig parsing, and warm-session accounting
-// through the Runner layer.
+// renderer formats, and warm-session accounting through the Runner layer.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,7 +20,6 @@
 
 #include "cache/cache.hpp"
 #include "report/artifact.hpp"
-#include "report/env.hpp"
 #include "report/orchestrator.hpp"
 #include "report/render.hpp"
 #include "report/runner.hpp"
@@ -321,98 +318,6 @@ TEST(Render, FormatNamesRoundTrip) {
     EXPECT_EQ(rp::parse_format(rp::format_name(format)), format);
   }
   EXPECT_FALSE(rp::parse_format("xml").has_value());
-}
-
-// --- EnvConfig: one strict parse for every PARALLAX_* knob --------------------
-
-namespace {
-
-/// Scoped environment override; restores (unsets) on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-}  // namespace
-
-TEST(EnvConfig, DefaultsMatchTheDocumentedKnobs) {
-  for (const char* name :
-       {"PARALLAX_SEED", "PARALLAX_FULL_SCALE", "PARALLAX_THREADS",
-        "PARALLAX_CACHE", "PARALLAX_CACHE_MAX_DISK_BYTES", "PARALLAX_SHARDS",
-        "PARALLAX_SERVE", "PARALLAX_CACHE_DIR"}) {
-    ::unsetenv(name);
-  }
-  const rp::EnvConfig config = rp::EnvConfig::from_environment();
-  EXPECT_EQ(config.seed, 42u);
-  EXPECT_FALSE(config.full_scale);
-  EXPECT_EQ(config.threads, 0u);
-  EXPECT_FALSE(config.cache);
-  EXPECT_EQ(config.cache_max_disk_bytes, 0u);
-  EXPECT_EQ(config.shards, 1u);
-  EXPECT_TRUE(config.serve_socket.empty());
-}
-
-TEST(EnvConfig, ParsesEveryKnob) {
-  const ScopedEnv seed("PARALLAX_SEED", "123");
-  const ScopedEnv full("PARALLAX_FULL_SCALE", "1");
-  const ScopedEnv threads("PARALLAX_THREADS", "8");
-  const ScopedEnv cache("PARALLAX_CACHE", "1");
-  const ScopedEnv budget("PARALLAX_CACHE_MAX_DISK_BYTES", "4096");
-  const ScopedEnv shards("PARALLAX_SHARDS", "5");
-  const ScopedEnv serve("PARALLAX_SERVE", "/tmp/s.sock");
-  const rp::EnvConfig config = rp::EnvConfig::from_environment();
-  EXPECT_EQ(config.seed, 123u);
-  EXPECT_TRUE(config.full_scale);
-  EXPECT_EQ(config.threads, 8u);
-  EXPECT_TRUE(config.cache);
-  EXPECT_EQ(config.cache_max_disk_bytes, 4096u);
-  EXPECT_EQ(config.shards, 5u);
-  EXPECT_EQ(config.serve_socket, "/tmp/s.sock");
-}
-
-TEST(EnvConfig, GarbageIsAReportedErrorNamingTheVariable) {
-  {
-    const ScopedEnv bad("PARALLAX_SEED", "banana");
-    try {
-      (void)rp::EnvConfig::from_environment();
-      FAIL() << "expected EnvError";
-    } catch (const rp::EnvError& error) {
-      EXPECT_NE(std::string(error.what()).find("PARALLAX_SEED"),
-                std::string::npos);
-      EXPECT_NE(std::string(error.what()).find("banana"), std::string::npos);
-    }
-  }
-  {
-    const ScopedEnv bad("PARALLAX_SHARDS", "-2");
-    EXPECT_THROW((void)rp::EnvConfig::from_environment(), rp::EnvError);
-  }
-  {
-    const ScopedEnv bad("PARALLAX_THREADS", "4x");
-    EXPECT_THROW((void)rp::EnvConfig::from_environment(), rp::EnvError);
-  }
-  {
-    // The old harness accepted any string starting with '1' ("10", "1x");
-    // booleans are now exactly 0 or 1.
-    const ScopedEnv bad("PARALLAX_CACHE", "yes");
-    EXPECT_THROW((void)rp::EnvConfig::from_environment(), rp::EnvError);
-  }
-}
-
-TEST(EnvConfig, ShardCountsAreClampedNotWrapped) {
-  {
-    const ScopedEnv zero("PARALLAX_SHARDS", "0");
-    EXPECT_EQ(rp::EnvConfig::from_environment().shards, 1u);
-  }
-  {
-    const ScopedEnv huge("PARALLAX_SHARDS", "99999999999");
-    EXPECT_EQ(rp::EnvConfig::from_environment().shards, 1u << 20);
-  }
 }
 
 // --- orchestrator -------------------------------------------------------------

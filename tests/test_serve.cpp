@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -1326,29 +1325,62 @@ bool wait_for_socket(const std::string& path) {
   return false;
 }
 
-/// Connects to the farm at `path`. The socket file appears at bind(),
-/// before listen(), so a refused connect is retried for about ten seconds;
-/// any other failure returns -1 at once.
+/// Connects to the farm at `path` once; -1 on failure. The socket file
+/// appears only once the farm listens, so no retry is needed.
 int connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  for (int attempt = 0; attempt < 2000; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      return fd;
-    }
-    const int error = errno;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
     ::close(fd);
-    if (error != ECONNREFUSED) return -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return -1;
   }
-  return -1;
+  return fd;
 }
 
 }  // namespace
+
+// The socket file appears only once the farm listens: a client that sees
+// the path is never refused, however soon it connects.
+TEST(ServeFarm, ASocketThatExistsAcceptsItsFirstConnect) {
+  sv::SweepService service({.n_threads = 1, .cache = nullptr});
+  const std::string socket_path = fresh_socket_path("listen");
+  std::size_t refused = 0;
+  for (int cycle = 0; cycle < 5000; ++cycle) {
+    std::atomic<bool> stop{false};
+    sv::ServerOptions options;
+    options.stop = &stop;
+    std::atomic<bool> server_ok{false};
+    ScopedServer server(
+        [&] {
+          server_ok = sv::serve_unix_socket(socket_path, service, options);
+        },
+        [&] { stop.store(true); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!fs::exists(socket_path)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << cycle;
+    }
+    const int fd = connect_unix(socket_path);
+    if (fd < 0) {
+      ++refused;
+      stop.store(true);
+      server.join();
+      continue;
+    }
+    ASSERT_TRUE(sv::write_all(fd, sv::stop_line(1)));
+    const sv::Frame ack = read_frame(fd);
+    ::close(fd);
+    server.join();
+    ASSERT_EQ(ack.type, sv::FrameType::kDone) << cycle;
+    ASSERT_TRUE(server_ok.load()) << cycle;
+    ASSERT_FALSE(fs::exists(socket_path)) << cycle;
+  }
+  EXPECT_EQ(refused, 0u);
+}
 
 TEST(ServeFarm, ThreeConcurrentClientsReassembleByteIdenticalResults) {
   const sh::SweepSpec spec = small_spec();

@@ -233,7 +233,7 @@ TEST(ShardDifferential, FileRoundTripPreservesByteIdentity) {
 }
 
 TEST(ShardDifferential, RunShardedMatchesSweepRun) {
-  // The bench harness's PARALLAX_SHARDS path (in-process, accepts
+  // The in-process path behind `bench --serve off --shards N` (accepts
   // customize).
   const auto spec = small_spec();
   auto options = spec.options;

@@ -1,134 +1,12 @@
-// parallax_cli — command-line front end for the compiler library.
-//
-// Usage:
-//   parallax_cli --benchmark QAOA [options]
-//   parallax_cli --circuit file.qasm [options]
-//   parallax_cli --list-techniques
-//   parallax_cli bench [--all|NAME...] [options]
-//   parallax_cli cache stats|clear|prewarm [options]
-//   parallax_cli shard plan|run|merge [options]
-//   parallax_cli serve [start|spec|submit|stats|stop] [options]
-//   parallax_cli sim (--benchmark NAME | --circuit FILE.qasm) [options]
-//   parallax_cli import FILE.qasm... [--manifest OUT]
-//
-// Options:
-//   --machine quera256|atom1225   target machine preset (default quera256)
-//   --technique NAME|all          any registered technique (default parallax)
-//   --aod-count N                 AOD rows/columns (default 20)
-//   --no-home-return              disable the home-return step (Fig. 12)
-//   --spread F                    discretization spread factor (default 2.0)
-//   --seed N                      master seed (default 42)
-//   --threads N                   sweep worker threads (default: hardware)
-//   --json                        emit a JSON report instead of text
-//   --layers                      include the per-layer schedule in JSON
-//   --render                      print the ASCII topology
-//   --export-qasm FILE            write the compiled circuit as QASM 2.0
-//   --cache-dir DIR               persistent-cache root (default:
-//                                 $PARALLAX_CACHE_DIR or .parallax-cache)
-//   --no-cache                    disable the persistent compilation cache
-//   --max-disk-bytes N            cache disk-tier budget; over-budget
-//                                 entries are evicted LRU-by-index-order
-//                                 (default 0 = unbounded)
-//
-// Bench subcommand (the artifact registry: every paper table/figure as a
-// declarative entry in src/report, orchestrated against one warm session —
-// see report/orchestrator.hpp; regenerating the whole paper twice against
-// one session replays the second pass entirely from result hits):
-//   bench --list                      artifact names and titles
-//   bench [--all | NAME...]
-//         [--serve auto|off|SOCKET]   auto (default): one in-process warm
-//                                     serve session; off: plain in-process
-//                                     sweeps; SOCKET: a running
-//                                     `parallax serve --socket` session
-//         [--format table|csv|json]   rendered artifact documents (stdout;
-//                                     accounting epilogue on stderr)
-//         [--benchmarks A,B,...]      restrict suite artifacts to a subset
-//         [--seed N] [--threads N] [--full-scale]
-//         [--cache-dir DIR] [--no-cache] [--max-disk-bytes N]
-//         [--shards N]                (--serve off only) run every sweep as
-//                                     an n-shard partition-and-merge
-//   bench --perf-json FILE            run the perf suite (anneal A/B, sweep
-//         [--perf-baseline FILE]      cold/warm, serve STATS) and write a
-//         [--seed N] [--threads N]    machine-readable snapshot; with a
-//                                     baseline, exit 1 when the gated anneal
-//                                     wall regresses >25% (the committed
-//                                     BENCH_PR<N>.json perf trajectory)
-//
-// Cache subcommands (the paper's "load earlier results" option, automatic):
-//   cache stats    [--cache-dir DIR]           entry counts and sizes
-//   cache clear    [--cache-dir DIR]           delete every entry
-//   cache prewarm  [--cache-dir DIR] [--machine M] [--technique NAME|all]
-//                  [--benchmarks A,B,...] [--seed N] [--threads N]
-//                  compile the Table III suite into the cache so later runs
-//                  skip annealing entirely
-//
-// Shard subcommands (deterministic multi-process/multi-host sweeps; see
-// src/shard/shard.hpp — merge output is byte-identical to an unsharded run):
-//   shard plan   --shards N --out-dir DIR [--benchmarks A,B,...]
-//                [--machine M] [--technique NAME|all] [--seed N]
-//                [--spread F] [--no-home-return] [--shots]
-//                write DIR/shard-K.spec for K in [0, N)
-//   shard run    --spec FILE --out FILE [--cache-dir DIR] [--no-cache]
-//                [--threads N] [--origin LABEL] [--max-disk-bytes N]
-//                execute one shard; point every host's --cache-dir at one
-//                shared directory and no placement is annealed twice
-//   shard merge  --out FILE RUN_FILE...
-//                recombine shard outputs; writes the canonical result bytes
-//                (diffable across campaigns) and rejects duplicate,
-//                missing, or conflicting cells
-//
-// Serve subcommands (the long-lived sweep service; see src/serve/ — the
-// CompilationCache is the session state, so repeated/overlapping requests
-// replay from result hits with zero anneals):
-//   serve [start] [--socket PATH] [--cache-dir DIR] [--no-cache]
-//                 [--threads N] [--max-disk-bytes N] [--max-inflight N]
-//                 [--max-client-bytes N]
-//                 serve line-framed requests (SUBMIT/CANCEL/STATS/STOP/QUIT)
-//                 from stdin, streaming length-prefixed cell frames to
-//                 stdout; --socket runs the multi-tenant poll() farm on an
-//                 AF_UNIX socket instead (what PARALLAX_SERVE points the
-//                 bench harness at), multiplexing concurrent clients with
-//                 per-client quotas. SIGINT/SIGTERM drain gracefully.
-//   serve spec    --out FILE [--benchmarks A,B,...] [--machine M]
-//                 [--technique NAME|all] [--seed N] [--spread F]
-//                 [--no-home-return] [--shots] [--aod-count N]
-//                 write a framed sweep-spec request payload
-//   serve submit  --socket PATH --spec FILE [--out FILE]
-//                 submit a spec to a running service, wait for the
-//                 streamed cells, and write the canonical result bytes
-//   serve stats   --socket PATH
-//                 print the running session's totals plus one accounting
-//                 row per client (requests, cells, anneals, bytes queued)
-//   serve stop    --socket PATH
-//                 gracefully drain a running session (STOP): it stops
-//                 accepting, cancels in-flight work, flushes every done
-//                 frame, and unlinks its socket
-//
-// Import subcommand (the external-corpus front door, src/import): stream
-// each QASM file once — parse-validating, counting, and content-hashing in
-// one pass with O(1) memory in the gate count — and emit a tab-separated
-// manifest (stdout, or --manifest FILE). The manifest is then a circuit
-// axis anywhere benchmarks are: compile mode, shard plan, and serve spec
-// all take --import MANIFEST, re-verifying every file's digest at load so a
-// sweep never silently runs on drifted inputs. --window N (compile modes)
-// caps the placement anneal at N qubits per window (placement/windowed.hpp)
-// so million-gate imports stay tractable:
-//   import FILE.qasm... [--manifest OUT]
-//   --circuit/--benchmark ... --import MANIFEST --window N
-//
-// Sim subcommand (the discrete-event schedule simulator, src/sim): compiles
-// the circuit with recorded positions, replays it shot-by-shot with
-// per-event error channels, and prints the closed-form model probability
-// next to the Monte Carlo estimate. Stdout is deterministic for a given
-// seed and shot count — identical across --threads values — so it can be
-// golden-locked; measured shots/sec ride on stderr:
-//   sim (--benchmark NAME | --circuit FILE.qasm)
-//       [--technique NAME|all] [--machine M] [--shots N] [--seed N]
-//       [--threads N] [--json] [--aod-count N] [--no-home-return]
-//       [--spread F] [--cache-dir DIR] [--no-cache] [--max-disk-bytes N]
+// parallax_cli — the command-line front end for the compiler library:
+// compile mode plus the import, cache, shard, serve, bench and sim
+// commands. Two tables are the only description of the command line:
+// kFlags (every option, its value placeholder, and where its value lands)
+// and kCommands (the words that select a command, the flags it takes, its
+// cross-flag rules, and its handler). The parser, the allowlists, the
+// required-flag checks, dispatch and `parallax_cli --help` all read them.
 #include <signal.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -137,8 +15,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -167,14 +49,20 @@
 
 namespace {
 
-struct CliOptions {
+struct Command;
+
+struct Cli {
+  const char* argv0 = "parallax_cli";
+  const Command* command = nullptr;
   std::string benchmark;
   std::string circuit_file;
+  std::string import_manifest;  // --import MANIFEST circuit axis
   std::string machine = "quera256";
-  std::string technique = "parallax";
+  std::string technique;  // the command's default until --technique
   std::int32_t aod_count = 20;
   bool home_return = true;
   double spread = 2.0;
+  std::int32_t window = 0;  // --window N placement cap (0 = off)
   std::uint64_t seed = 42;
   std::size_t threads = 0;
   bool json = false;
@@ -185,496 +73,540 @@ struct CliOptions {
   bool use_cache = true;
   std::string cache_dir;  // empty => cache::default_directory()
   std::uint64_t max_disk_bytes = 0;
-  // cache subcommand state
-  std::string cache_command;  // "stats" | "clear" | "prewarm"
   std::string benchmarks_csv;
-  // shard subcommand state
-  std::string shard_command;  // "plan" | "run" | "merge"
   std::uint32_t shards = 0;
   std::string out_dir;
   std::string spec_file;
   std::string out_file;
   std::string origin;
-  bool shots = false;
-  std::vector<std::string> inputs;  // shard merge positional run files
-  // serve subcommand state
-  std::string serve_command;  // "start" | "spec" | "submit" | "stats" | "stop"
+  bool shots = false;            // shard plan / serve spec: parallel shots
+  std::int64_t sim_shots = 4096;  // sim: Monte Carlo shot count
   std::string socket_path;
   std::uint64_t max_inflight = 0;      // 0 => ServerOptions default
   std::uint64_t max_client_bytes = 0;  // 0 => ServerOptions default
-  // sim subcommand state
-  bool sim_command = false;
-  std::int64_t sim_shots = 4096;
-  // import subcommand / imported-circuit state
-  bool import_command = false;
-  std::string manifest_out;       // import --manifest OUT (empty => stdout)
-  std::string import_manifest;    // --import MANIFEST circuit axis
-  std::int32_t window = 0;        // --window N placement cap (0 = off)
-  // bench subcommand state
-  bool bench_command = false;
-  std::string serve_mode = "auto";  // "auto" | "off" | a socket path
+  std::string manifest_out;            // import --manifest OUT
+  std::string serve_mode = "auto";     // "auto" | "off" | a socket path
   std::string format = "table";
   bool all_artifacts = false;
   bool list_artifacts = false;
   bool full_scale = false;
-  std::string perf_json;      // bench --perf-json output path
-  std::string perf_baseline;  // committed snapshot to gate against
+  std::string perf_json;
+  std::string perf_baseline;
+  std::vector<std::string> inputs;  // positional arguments
+  /// The last value each given flag took (nullptr for a switch).
+  std::map<std::string_view, const char*> given;
 };
 
-[[noreturn]] void usage(const char* argv0, const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: %s (--benchmark NAME | --circuit FILE.qasm | "
-               "--import MANIFEST)\n"
-               "          [--machine quera256|atom1225] "
-               "[--technique NAME|all]\n"
-               "          [--aod-count N] [--no-home-return] [--window N]\n"
-               "          [--spread F] [--seed N] [--threads N] "
-               "[--json [--layers]] [--render]\n"
-               "          [--export-qasm FILE] [--cache-dir DIR] "
-               "[--no-cache]\n"
-               "       %s import FILE.qasm... [--manifest OUT]\n"
-               "       %s --list-techniques\n"
-               "       %s cache (stats|clear|prewarm) [--cache-dir DIR]\n"
-               "               (prewarm also takes --machine --technique "
-               "--benchmarks A,B,... --seed --threads)\n"
-               "       %s shard plan --shards N --out-dir DIR "
-               "[--benchmarks A,B,...]\n"
-               "               [--machine M] [--technique NAME|all] "
-               "[--seed N] [--spread F]\n"
-               "               [--no-home-return] [--shots]\n"
-               "       %s shard run --spec FILE --out FILE "
-               "[--cache-dir DIR] [--no-cache]\n"
-               "               [--threads N] [--origin LABEL] "
-               "[--max-disk-bytes N]\n"
-               "       %s shard merge --out FILE RUN_FILE...\n"
-               "       %s serve [start] [--socket PATH] [--cache-dir DIR] "
-               "[--no-cache]\n"
-               "               [--threads N] [--max-disk-bytes N] "
-               "[--max-inflight N]\n"
-               "               [--max-client-bytes N]\n"
-               "       %s serve spec --out FILE [--benchmarks A,B,...] "
-               "[--machine M]\n"
-               "               [--technique NAME|all] [--seed N] [--spread F]"
-               " [--shots]\n"
-               "       %s serve submit --socket PATH --spec FILE "
-               "[--out FILE]\n"
-               "       %s serve stats --socket PATH\n"
-               "       %s serve stop --socket PATH\n"
-               "       %s bench (--list | --all | NAME...) "
-               "[--serve auto|off|SOCKET]\n"
-               "               [--format table|csv|json] "
-               "[--benchmarks A,B,...] [--seed N]\n"
-               "               [--threads N] [--full-scale] "
-               "[--cache-dir DIR] [--no-cache]\n"
-               "               [--max-disk-bytes N] [--shards N]\n"
-               "       %s bench --perf-json FILE [--perf-baseline FILE] "
-               "[--seed N] [--threads N]\n"
-               "       %s sim (--benchmark NAME | --circuit FILE.qasm) "
-               "[--technique NAME|all]\n"
-               "               [--machine M] [--shots N] [--seed N] "
-               "[--threads N] [--json]\n"
-               "               [--aod-count N] [--no-home-return] "
-               "[--spread F]\n"
-               "               [--cache-dir DIR] [--no-cache] "
-               "[--max-disk-bytes N]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-  std::exit(error != nullptr ? 2 : 0);
+[[noreturn]] void usage(const char* argv0, const std::string& error = {});
+
+[[noreturn]] void reject(const Cli& cli, const std::string& error) {
+  usage(cli.argv0, error);
 }
 
-// Strict flag-value parsing (util/parse.hpp): `--aod-count banana` must be
-// a reported error naming the flag, never std::atoi's silent 0.
-std::uint64_t u64_flag(const char* argv0, const char* flag,
-                       const char* value) {
+// --- the flag table ----------------------------------------------------------
+
+// Flag setters: where a value lands, after which check. Parsing is strict
+// (util/parse.hpp): `--aod-count banana` is a reported error naming the
+// flag, never std::atoi's silent 0.
+std::uint64_t u64_value(const Cli& cli, const char* flag,
+                        const char* value) {
   const auto parsed = parallax::util::parse_u64(value);
   if (!parsed) {
-    usage(argv0, (std::string(flag) + " expects a non-negative integer, "
-                                      "got '" +
-                  value + "'")
-                     .c_str());
+    reject(cli, std::string(flag) + " expects a non-negative integer, got '" +
+                    value + "'");
   }
   return *parsed;
 }
 
-std::int32_t positive_i32_flag(const char* argv0, const char* flag,
-                               const char* value) {
+template <auto field>
+void set_text(Cli& cli, const char*, const char* value) {
+  cli.*field = value;
+}
+
+template <auto field, bool on>
+void set_switch(Cli& cli, const char*, const char*) {
+  cli.*field = on;
+}
+
+template <auto field>
+void set_u64(Cli& cli, const char* flag, const char* value) {
+  cli.*field = u64_value(cli, flag, value);
+}
+
+template <auto field>
+void set_positive_i32(Cli& cli, const char* flag, const char* value) {
   const auto parsed = parallax::util::parse_i32(value);
   if (!parsed || *parsed <= 0) {
-    usage(argv0, (std::string(flag) + " expects a positive integer, got '" +
-                  value + "'")
-                     .c_str());
+    reject(cli, std::string(flag) + " expects a positive integer, got '" +
+                    value + "'");
   }
-  return *parsed;
+  cli.*field = *parsed;
 }
 
-double positive_f64_flag(const char* argv0, const char* flag,
-                         const char* value) {
+template <auto field>
+void set_positive_f64(Cli& cli, const char* flag, const char* value) {
   const auto parsed = parallax::util::parse_f64(value);
   if (!parsed || !(*parsed > 0.0)) {
-    usage(argv0, (std::string(flag) + " expects a positive number, got '" +
-                  value + "'")
-                     .c_str());
+    reject(cli, std::string(flag) + " expects a positive number, got '" +
+                    value + "'");
   }
-  return *parsed;
+  cli.*field = *parsed;
 }
 
-CliOptions parse_cli(int argc, char** argv) {
-  CliOptions options;
-  int first = 1;
-  if (argc > 1 && !std::strcmp(argv[1], "cache")) {
-    if (argc < 3) usage(argv[0], "cache needs a subcommand");
-    options.cache_command = argv[2];
-    if (options.cache_command != "stats" && options.cache_command != "clear" &&
-        options.cache_command != "prewarm") {
-      usage(argv[0], "unknown cache subcommand (use stats, clear, prewarm)");
-    }
-    options.technique = "all";  // prewarm default: every technique
-    first = 3;
-  } else if (argc > 1 && !std::strcmp(argv[1], "shard")) {
-    if (argc < 3) usage(argv[0], "shard needs a subcommand");
-    options.shard_command = argv[2];
-    if (options.shard_command != "plan" && options.shard_command != "run" &&
-        options.shard_command != "merge") {
-      usage(argv[0], "unknown shard subcommand (use plan, run, merge)");
-    }
-    options.technique = "all";  // plan default: every technique
-    first = 3;
-  } else if (argc > 1 && !std::strcmp(argv[1], "bench")) {
-    options.bench_command = true;
-    first = 2;
-  } else if (argc > 1 && !std::strcmp(argv[1], "serve")) {
-    // Bare `serve` (or `serve --socket ...`) starts the service; a word
-    // after it selects the spec/submit helpers.
-    if (argc > 2 && argv[2][0] != '-') {
-      options.serve_command = argv[2];
-      first = 3;
-    } else {
-      options.serve_command = "start";
-      first = 2;
-    }
-    if (options.serve_command != "start" && options.serve_command != "spec" &&
-        options.serve_command != "submit" &&
-        options.serve_command != "stats" && options.serve_command != "stop") {
-      usage(argv[0],
-            "unknown serve subcommand (use start, spec, submit, stats, stop)");
-    }
-    options.technique = "all";  // spec default: every technique
-  } else if (argc > 1 && !std::strcmp(argv[1], "sim")) {
-    options.sim_command = true;
-    first = 2;
-  } else if (argc > 1 && !std::strcmp(argv[1], "import")) {
-    options.import_command = true;
-    first = 2;
+void set_shards(Cli& cli, const char* flag, const char* value) {
+  const std::uint64_t n = u64_value(cli, flag, value);
+  if (n == 0 || n > (1u << 20)) reject(cli, "--shards must be in [1, 1048576]");
+  cli.shards = static_cast<std::uint32_t>(n);
+}
+
+void set_sim_shots(Cli& cli, const char* flag, const char* value) {
+  cli.sim_shots = static_cast<std::int64_t>(u64_value(cli, flag, value));
+  if (cli.sim_shots <= 0) reject(cli, "--shots expects a positive shot count");
+}
+
+struct Flag {
+  std::string_view name;
+  const char* meta;  // the value placeholder; nullptr for a switch
+  /// Stores the value (nullptr for a switch), rejecting a malformed one.
+  void (*set)(Cli&, const char* flag, const char* value);
+  /// When set, the row applies only to the command with these words.
+  std::string_view only = {};
+};
+
+const Flag kFlags[] = {
+    {"--benchmark", "NAME", set_text<&Cli::benchmark>},
+    {"--circuit", "FILE.qasm", set_text<&Cli::circuit_file>},
+    {"--import", "MANIFEST", set_text<&Cli::import_manifest>},
+    {"--benchmarks", "A,B,...", set_text<&Cli::benchmarks_csv>},
+    {"--machine", "quera256|atom1225", set_text<&Cli::machine>},
+    {"--technique", "NAME|all", set_text<&Cli::technique>},
+    {"--aod-count", "N", set_positive_i32<&Cli::aod_count>},
+    {"--no-home-return", nullptr, set_switch<&Cli::home_return, false>},
+    {"--window", "N", set_positive_i32<&Cli::window>},
+    {"--spread", "F", set_positive_f64<&Cli::spread>},
+    {"--seed", "N", set_u64<&Cli::seed>},
+    {"--threads", "N", set_u64<&Cli::threads>},
+    {"--json", nullptr, set_switch<&Cli::json, true>},
+    {"--layers", nullptr, set_switch<&Cli::layers, true>},
+    {"--render", nullptr, set_switch<&Cli::render, true>},
+    {"--list-techniques", nullptr, set_switch<&Cli::list_techniques, true>},
+    {"--export-qasm", "FILE", set_text<&Cli::export_qasm>},
+    {"--cache-dir", "DIR", set_text<&Cli::cache_dir>},
+    {"--no-cache", nullptr, set_switch<&Cli::use_cache, false>},
+    {"--max-disk-bytes", "N", set_u64<&Cli::max_disk_bytes>},
+    {"--shards", "N", set_shards},
+    {"--out-dir", "DIR", set_text<&Cli::out_dir>},
+    {"--spec", "FILE", set_text<&Cli::spec_file>},
+    {"--out", "FILE", set_text<&Cli::out_file>},
+    {"--origin", "LABEL", set_text<&Cli::origin>},
+    {"--shots", "N", set_sim_shots, "sim"},
+    {"--shots", nullptr, set_switch<&Cli::shots, true>},
+    {"--socket", "PATH", set_text<&Cli::socket_path>},
+    {"--max-inflight", "N", set_u64<&Cli::max_inflight>},
+    {"--max-client-bytes", "N", set_u64<&Cli::max_client_bytes>},
+    {"--manifest", "OUT", set_text<&Cli::manifest_out>},
+    {"--list", nullptr, set_switch<&Cli::list_artifacts, true>},
+    {"--all", nullptr, set_switch<&Cli::all_artifacts, true>},
+    {"--perf-json", "FILE", set_text<&Cli::perf_json>},
+    {"--perf-baseline", "FILE", set_text<&Cli::perf_baseline>},
+    {"--serve", "auto|off|SOCKET", set_text<&Cli::serve_mode>},
+    {"--format", "table|csv|json", set_text<&Cli::format>},
+    {"--full-scale", nullptr, set_switch<&Cli::full_scale, true>},
+};
+
+// --- the command table -------------------------------------------------------
+
+struct Command {
+  /// The argv words that select the command; "" is compile mode. A
+  /// bracketed second word ("serve [start]") may be omitted.
+  std::string_view words;
+  /// Flags that must be given a non-empty value, checked in this order.
+  std::vector<std::string_view> required = {};
+  /// An exactly-one group, which `check` enforces; a member that is not a
+  /// flag stands for the positional arguments.
+  std::vector<std::string_view> choice = {};
+  std::vector<std::string_view> optional = {};
+  /// The positional placeholder; nullptr when the command takes none.
+  const char* positional = nullptr;
+  /// The --technique default. Where it is "all", "all" expands to every
+  /// registered technique; elsewhere to the paper's four, in ascending
+  /// quality, so with --export-qasm the file that survives is Parallax's.
+  const char* technique = "parallax";
+  /// Why --no-cache contradicts --cache-dir/--max-disk-bytes here; every
+  /// command that takes --no-cache has one.
+  const char* cache_story = nullptr;
+  /// The command's cross-flag rules, after the allowlist and the required
+  /// flags.
+  void (*check)(const Cli&) = nullptr;
+  int (*run)(const Cli&) = nullptr;
+};
+
+std::string command_name(const Command& command) {
+  if (command.words.empty()) return "compile mode";
+  std::string name;
+  for (const char c : command.words) {
+    if (c != '[' && c != ']') name += c;
   }
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0], "missing value for option");
-    return argv[++i];
-  };
-  // Every option flag seen, so subcommands can reject flags they would
-  // silently ignore (values are consumed by need_value and never land
-  // here).
-  std::vector<std::string> seen_flags;
+  return name;
+}
+
+bool takes(const Command& command, std::string_view flag) {
+  for (const auto* list :
+       {&command.required, &command.choice, &command.optional}) {
+    for (const std::string_view candidate : *list) {
+      if (candidate == flag) return true;
+    }
+  }
+  return false;
+}
+
+/// Whether `flag` was given a non-empty value (or, for a switch, given).
+bool given(const Cli& cli, std::string_view flag) {
+  const auto it = cli.given.find(flag);
+  return it != cli.given.end() && (it->second == nullptr || *it->second);
+}
+
+void exactly_one(const Cli& cli, const std::string& error) {
+  int count = 0;
+  for (const std::string_view member : cli.command->choice) {
+    const bool is_flag = member.substr(0, 2) == "--";
+    count += (is_flag ? given(cli, member) : !cli.inputs.empty()) ? 1 : 0;
+  }
+  if (count != 1) reject(cli, error);
+}
+
+void check_compile(const Cli& cli) {
+  if (!cli.list_techniques) {
+    exactly_one(cli,
+                "exactly one of --benchmark / --circuit / --import is "
+                "required");
+  }
+}
+
+void check_bench(const Cli& cli) {
+  exactly_one(cli,
+              "bench needs exactly one of --list, --all, --perf-json, or "
+              "artifact names (see bench --list)");
+  if (!cli.perf_json.empty()) {
+    // The perf suite manages its own scratch cache and runs in-process;
+    // silently ignoring session/artifact flags would misreport (e.g.
+    // --no-cache numbers measured through a cache).
+    for (const char* unsupported :
+         {"--serve", "--format", "--benchmarks", "--full-scale", "--cache-dir",
+          "--no-cache", "--max-disk-bytes", "--shards"}) {
+      if (cli.given.count(unsupported) != 0) {
+        reject(cli, std::string(unsupported) +
+                        " does not apply to bench --perf-json (the perf "
+                        "suite uses a scratch cache and a fixed matrix)");
+      }
+    }
+  } else if (!cli.perf_baseline.empty()) {
+    reject(cli, "--perf-baseline requires --perf-json");
+  }
+  if (cli.shards != 0 && cli.serve_mode != "off") {
+    reject(cli,
+           "--shards only applies to --serve off (a serve session executes "
+           "whole specs; sharding is the in-process campaign shape)");
+  }
+  if (cli.serve_mode != "off" && cli.serve_mode != "auto") {
+    // A socket session's threads and cache live in the server process;
+    // silently ignoring these would e.g. report warm-cache numbers to a
+    // user who asked for --no-cache.
+    for (const char* local_only :
+         {"--threads", "--cache-dir", "--no-cache", "--max-disk-bytes"}) {
+      if (cli.given.count(local_only) != 0) {
+        reject(cli, std::string(local_only) +
+                        " configures this process, not the serve session "
+                        "--serve names (set it on `parallax serve` instead)");
+      }
+    }
+  }
+}
+
+int run_compile(const Cli& cli);
+int run_import(const Cli& cli);
+int run_cache_stats(const Cli& cli);
+int run_cache_clear(const Cli& cli);
+int run_cache_prewarm(const Cli& cli);
+int run_shard_plan(const Cli& cli);
+int run_shard_run(const Cli& cli);
+int run_shard_merge(const Cli& cli);
+int run_serve_start(const Cli& cli);
+int run_serve_spec(const Cli& cli);
+int run_serve_submit(const Cli& cli);
+int run_serve_stats(const Cli& cli);
+int run_serve_stop(const Cli& cli);
+int run_bench(const Cli& cli);
+int run_sim(const Cli& cli);
+
+constexpr const char* kLocalCacheStory =
+    "there is no cache for them to configure";
+
+/// Every command, in usage order; compile mode, which no command word
+/// selects, comes first. A flag a command would silently ignore
+/// is a user error (e.g. `cache prewarm --benchmark WST` compiling the
+/// whole suite instead of surfacing the typo, or `cache stats
+/// --max-disk-bytes N` evicting during a read-only query), so each command
+/// takes exactly the flags its row lists.
+const std::vector<Command> kCommands = {
+    {.words = "",
+     .choice = {"--benchmark", "--circuit", "--import"},
+     .optional = {"--machine", "--technique", "--aod-count",
+                  "--no-home-return", "--window", "--spread", "--seed",
+                  "--threads", "--json", "--layers", "--render",
+                  "--export-qasm", "--cache-dir", "--no-cache",
+                  "--max-disk-bytes", "--list-techniques"},
+     .cache_story = kLocalCacheStory,
+     .check = check_compile,
+     .run = run_compile},
+    {.words = "import",
+     .optional = {"--manifest"},
+     .positional = "FILE.qasm...",
+     .check =
+         [](const Cli& cli) {
+           if (cli.inputs.empty()) {
+             reject(cli, "import needs at least one FILE.qasm");
+           }
+         },
+     .run = run_import},
+    {.words = "cache stats",
+     .optional = {"--cache-dir"},
+     .run = run_cache_stats},
+    {.words = "cache clear",
+     .optional = {"--cache-dir"},
+     .run = run_cache_clear},
+    {.words = "cache prewarm",
+     .optional = {"--benchmarks", "--machine", "--technique", "--aod-count",
+                  "--no-home-return", "--spread", "--seed", "--threads",
+                  "--cache-dir", "--max-disk-bytes"},
+     .technique = "all",
+     .run = run_cache_prewarm},
+    {.words = "shard plan",
+     .required = {"--shards", "--out-dir"},
+     .optional = {"--benchmarks", "--import", "--machine", "--technique",
+                  "--aod-count", "--no-home-return", "--window", "--spread",
+                  "--seed", "--shots"},
+     .technique = "all",
+     .run = run_shard_plan},
+    {.words = "shard run",
+     .required = {"--spec", "--out"},
+     .optional = {"--cache-dir", "--no-cache", "--max-disk-bytes",
+                  "--threads", "--origin"},
+     .cache_story =
+         "the campaign's no-duplicate-anneal guarantee needs the cache",
+     .run = run_shard_run},
+    {.words = "shard merge",
+     .required = {"--out"},
+     .positional = "RUN_FILE...",
+     .check =
+         [](const Cli& cli) {
+           if (cli.inputs.empty()) {
+             reject(cli, "shard merge needs at least one shard run file");
+           }
+         },
+     .run = run_shard_merge},
+    {.words = "serve [start]",
+     .optional = {"--socket", "--cache-dir", "--no-cache", "--threads",
+                  "--max-disk-bytes", "--max-inflight", "--max-client-bytes"},
+     .cache_story = "the service's warm-replay guarantee needs the cache",
+     .run = run_serve_start},
+    {.words = "serve spec",
+     .required = {"--out"},
+     .optional = {"--benchmarks", "--import", "--machine", "--technique",
+                  "--aod-count", "--no-home-return", "--window", "--spread",
+                  "--seed", "--shots"},
+     .technique = "all",
+     .run = run_serve_spec},
+    {.words = "serve submit",
+     .required = {"--socket", "--spec"},
+     .optional = {"--out"},
+     .run = run_serve_submit},
+    {.words = "serve stats", .required = {"--socket"}, .run = run_serve_stats},
+    {.words = "serve stop", .required = {"--socket"}, .run = run_serve_stop},
+    {.words = "bench",
+     .choice = {"--list", "--all", "--perf-json", "NAME..."},
+     .optional = {"--serve", "--format", "--benchmarks", "--seed",
+                  "--threads", "--full-scale", "--cache-dir", "--no-cache",
+                  "--max-disk-bytes", "--shards", "--perf-baseline"},
+     .positional = "NAME...",
+     .cache_story = "the warm session story needs the cache",
+     .check = check_bench,
+     .run = run_bench},
+    {.words = "sim",
+     .choice = {"--benchmark", "--circuit"},
+     .optional = {"--machine", "--technique", "--aod-count",
+                  "--no-home-return", "--spread", "--seed", "--shots",
+                  "--threads", "--json", "--cache-dir", "--no-cache",
+                  "--max-disk-bytes"},
+     .cache_story = kLocalCacheStory,
+     .check =
+         [](const Cli& cli) {
+           exactly_one(cli,
+                       "sim needs exactly one of --benchmark / --circuit");
+         },
+     .run = run_sim},
+};
+
+/// The flag row `name` resolves to under `command`.
+const Flag* find_flag(std::string_view name, const Command& command) {
+  for (const Flag& flag : kFlags) {
+    if (flag.name == name &&
+        (flag.only.empty() || flag.only == command.words)) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+/// "--flag META" ("--flag" for a switch), in brackets when optional; a
+/// positional placeholder stays as it is.
+std::string synopsis(std::string_view flag, const Command& command,
+                     bool optional = false) {
+  std::string text = optional ? "[" : "";
+  text += flag;
+  if (flag.substr(0, 2) == "--" && find_flag(flag, command)->meta) {
+    text += ' ';
+    text += find_flag(flag, command)->meta;
+  }
+  if (optional) text += ']';
+  return text;
+}
+
+[[noreturn]] void usage(const char* argv0, const std::string& error) {
+  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
+  std::string text;
+  for (const Command& command : kCommands) {
+    std::string line = text.empty() ? "usage: " : "       ";
+    line += argv0;
+    const std::size_t bare = line.size();
+    const auto add = [&](const std::string& token) {
+      if (line.size() > bare && line.size() + 1 + token.size() > 79) {
+        text += line + "\n";
+        line = std::string(15, ' ') + token;
+      } else {
+        line += " " + token;
+      }
+    };
+    if (!command.words.empty()) add(std::string(command.words));
+    for (const std::string_view flag : command.required) {
+      add(synopsis(flag, command));
+    }
+    std::string group;
+    for (const std::string_view member : command.choice) {
+      group += group.empty() ? "(" : " | ";
+      group += synopsis(member, command);
+    }
+    if (!group.empty()) add(group + ")");
+    if (command.positional != nullptr &&
+        group.find(command.positional) == std::string::npos) {
+      add(command.positional);
+    }
+    for (const std::string_view flag : command.optional) {
+      add(synopsis(flag, command, /*optional=*/true));
+    }
+    text += line + "\n";
+  }
+  std::fputs(text.c_str(), stderr);
+  std::exit(error.empty() ? 0 : 2);
+}
+
+/// The command argv[1] (and argv[2]) select; `first` is set to the index
+/// of the first argument after the command words.
+const Command& select_command(int argc, char** argv, int& first) {
+  first = 1;
+  if (argc < 2) return kCommands.front();
+  const std::string_view word = argv[1];
+  std::string subcommands;  // the group's second words, for the error
+  const Command* implied = nullptr;
+  for (const Command& command : kCommands) {
+    const std::size_t space = command.words.find(' ');
+    if (command.words.empty() || command.words.substr(0, space) != word) {
+      continue;
+    }
+    if (space == std::string_view::npos) {
+      first = 2;
+      return command;
+    }
+    std::string_view sub = command.words.substr(space + 1);
+    if (sub.front() == '[') {
+      sub = sub.substr(1, sub.size() - 2);
+      implied = &command;
+    }
+    subcommands += (subcommands.empty() ? "" : ", ") + std::string(sub);
+    if (argc > 2 && argv[2] == sub) {
+      first = 3;
+      return command;
+    }
+  }
+  if (subcommands.empty()) return kCommands.front();
+  // A bare group word (or one followed by a flag) selects the implied
+  // subcommand: `serve --socket s.sock` is `serve start`.
+  if (implied != nullptr && (argc == 2 || argv[2][0] == '-')) {
+    first = 2;
+    return *implied;
+  }
+  const std::string group(word);
+  if (argc < 3) usage(argv[0], group + " needs a subcommand");
+  usage(argv[0], "unknown " + group + " subcommand (use " + subcommands + ")");
+}
+
+Cli parse_cli(int argc, char** argv) {
+  Cli cli;
+  cli.argv0 = argv[0];
+  int first = 1;
+  const Command& command = select_command(argc, argv, first);
+  cli.command = &command;
+  cli.technique = command.technique;
+  const std::string name = command_name(command);
+  // Malformed values are reported before the allowlist, so the scan only
+  // remembers the first flag the command does not take.
+  std::string_view rejected;
   for (int i = first; i < argc; ++i) {
     const char* arg = argv[i];
-    if (arg[0] == '-') seen_flags.push_back(arg);
-    if (!std::strcmp(arg, "--benchmark")) {
-      options.benchmark = need_value(i);
-    } else if (!std::strcmp(arg, "--circuit")) {
-      options.circuit_file = need_value(i);
-    } else if (!std::strcmp(arg, "--machine")) {
-      options.machine = need_value(i);
-    } else if (!std::strcmp(arg, "--technique")) {
-      options.technique = need_value(i);
-    } else if (!std::strcmp(arg, "--aod-count")) {
-      options.aod_count =
-          positive_i32_flag(argv[0], "--aod-count", need_value(i));
-    } else if (!std::strcmp(arg, "--no-home-return")) {
-      options.home_return = false;
-    } else if (!std::strcmp(arg, "--spread")) {
-      options.spread = positive_f64_flag(argv[0], "--spread", need_value(i));
-    } else if (!std::strcmp(arg, "--seed")) {
-      options.seed = u64_flag(argv[0], "--seed", need_value(i));
-    } else if (!std::strcmp(arg, "--threads")) {
-      options.threads = u64_flag(argv[0], "--threads", need_value(i));
-    } else if (!std::strcmp(arg, "--json")) {
-      options.json = true;
-    } else if (!std::strcmp(arg, "--layers")) {
-      options.layers = true;
-    } else if (!std::strcmp(arg, "--render")) {
-      options.render = true;
-    } else if (!std::strcmp(arg, "--list-techniques")) {
-      options.list_techniques = true;
-    } else if (!std::strcmp(arg, "--export-qasm")) {
-      options.export_qasm = need_value(i);
-    } else if (!std::strcmp(arg, "--cache-dir")) {
-      options.cache_dir = need_value(i);
-    } else if (!std::strcmp(arg, "--no-cache")) {
-      options.use_cache = false;
-    } else if (!std::strcmp(arg, "--benchmarks")) {
-      options.benchmarks_csv = need_value(i);
-    } else if (!std::strcmp(arg, "--max-disk-bytes")) {
-      options.max_disk_bytes =
-          u64_flag(argv[0], "--max-disk-bytes", need_value(i));
-    } else if (!std::strcmp(arg, "--shards")) {
-      const std::uint64_t n = u64_flag(argv[0], "--shards", need_value(i));
-      if (n == 0 || n > (1u << 20)) {
-        usage(argv[0], "--shards must be in [1, 1048576]");
-      }
-      options.shards = static_cast<std::uint32_t>(n);
-    } else if (!std::strcmp(arg, "--socket")) {
-      options.socket_path = need_value(i);
-    } else if (!std::strcmp(arg, "--max-inflight")) {
-      options.max_inflight =
-          u64_flag(argv[0], "--max-inflight", need_value(i));
-    } else if (!std::strcmp(arg, "--max-client-bytes")) {
-      options.max_client_bytes =
-          u64_flag(argv[0], "--max-client-bytes", need_value(i));
-    } else if (!std::strcmp(arg, "--out-dir")) {
-      options.out_dir = need_value(i);
-    } else if (!std::strcmp(arg, "--spec")) {
-      options.spec_file = need_value(i);
-    } else if (!std::strcmp(arg, "--out")) {
-      options.out_file = need_value(i);
-    } else if (!std::strcmp(arg, "--origin")) {
-      options.origin = need_value(i);
-    } else if (!std::strcmp(arg, "--shots")) {
-      // For `sim` this is the Monte Carlo shot count; for shard plan /
-      // serve spec it is the parallel-shots toggle.
-      if (options.sim_command) {
-        options.sim_shots = static_cast<std::int64_t>(
-            u64_flag(argv[0], "--shots", need_value(i)));
-        if (options.sim_shots <= 0) {
-          usage(argv[0], "--shots expects a positive shot count");
-        }
-      } else {
-        options.shots = true;
-      }
-    } else if (!std::strcmp(arg, "--serve")) {
-      options.serve_mode = need_value(i);
-    } else if (!std::strcmp(arg, "--format")) {
-      options.format = need_value(i);
-    } else if (!std::strcmp(arg, "--all")) {
-      options.all_artifacts = true;
-    } else if (!std::strcmp(arg, "--list")) {
-      options.list_artifacts = true;
-    } else if (!std::strcmp(arg, "--full-scale")) {
-      options.full_scale = true;
-    } else if (!std::strcmp(arg, "--perf-json")) {
-      options.perf_json = need_value(i);
-    } else if (!std::strcmp(arg, "--perf-baseline")) {
-      options.perf_baseline = need_value(i);
-    } else if (!std::strcmp(arg, "--manifest")) {
-      options.manifest_out = need_value(i);
-    } else if (!std::strcmp(arg, "--import")) {
-      options.import_manifest = need_value(i);
-    } else if (!std::strcmp(arg, "--window")) {
-      options.window = positive_i32_flag(argv[0], "--window", need_value(i));
-    } else if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
+    if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
       usage(argv[0]);
-    } else if (arg[0] != '-' &&
-               (options.shard_command == "merge" || options.bench_command ||
-                options.import_command)) {
-      options.inputs.push_back(arg);
-    } else {
-      usage(argv[0], (std::string("unknown option ") + arg).c_str());
+    }
+    const Flag* flag = arg[0] == '-' ? find_flag(arg, command) : nullptr;
+    if (flag == nullptr) {
+      if (arg[0] == '-' || command.positional == nullptr) {
+        reject(cli, std::string("unknown option ") + arg);
+      }
+      cli.inputs.push_back(arg);
+      continue;
+    }
+    const char* value = nullptr;
+    if (flag->meta != nullptr) {
+      if (i + 1 >= argc) reject(cli, "missing value for option");
+      value = argv[++i];
+    }
+    flag->set(cli, arg, value);
+    cli.given[flag->name] = value;
+    if (rejected.empty() && !takes(command, flag->name)) rejected = flag->name;
+  }
+  if (!rejected.empty()) {
+    reject(cli, name + " does not take " + std::string(rejected));
+  }
+  for (const std::string_view flag : command.required) {
+    if (!given(cli, flag)) {
+      reject(cli, name + " needs " + synopsis(flag, command));
     }
   }
-  // A flag a subcommand would silently ignore is a user error (e.g.
-  // `cache prewarm --benchmark WST` compiling the whole suite instead of
-  // surfacing the typo, `shard run --shards 3` not re-sharding a spec, or
-  // `cache stats --max-disk-bytes N` destructively evicting during a
-  // read-only query), so every subcommand rejects flags outside its
-  // allowlist.
-  const auto allow_only = [&](const std::string& command,
-                              std::initializer_list<std::string_view> allowed) {
-    for (const auto& flag : seen_flags) {
-      bool known = false;
-      for (const std::string_view candidate : allowed) {
-        if (flag == candidate) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        usage(argv[0], (command + " does not take " + flag).c_str());
-      }
-    }
-  };
-  if (options.bench_command) {
-    allow_only("bench",
-               {"--all", "--list", "--serve", "--format", "--benchmarks",
-                "--seed", "--threads", "--full-scale", "--cache-dir",
-                "--no-cache", "--max-disk-bytes", "--shards", "--perf-json",
-                "--perf-baseline"});
-    const int modes = (options.list_artifacts ? 1 : 0) +
-                      (options.all_artifacts ? 1 : 0) +
-                      (options.inputs.empty() ? 0 : 1) +
-                      (options.perf_json.empty() ? 0 : 1);
-    if (modes != 1) {
-      usage(argv[0],
-            "bench needs exactly one of --list, --all, --perf-json, or "
-            "artifact names (see bench --list)");
-    }
-    if (!options.perf_json.empty()) {
-      // The perf suite manages its own scratch cache and runs in-process;
-      // silently ignoring session/artifact flags would misreport (e.g.
-      // --no-cache numbers measured through a cache).
-      for (const char* unsupported :
-           {"--serve", "--format", "--benchmarks", "--full-scale",
-            "--cache-dir", "--no-cache", "--max-disk-bytes", "--shards"}) {
-        if (std::find(seen_flags.begin(), seen_flags.end(), unsupported) !=
-            seen_flags.end()) {
-          usage(argv[0], (std::string(unsupported) +
-                          " does not apply to bench --perf-json (the perf "
-                          "suite uses a scratch cache and a fixed matrix)")
-                             .c_str());
-        }
-      }
-    } else if (!options.perf_baseline.empty()) {
-      usage(argv[0], "--perf-baseline requires --perf-json");
-    }
-    if (options.shards != 0 && options.serve_mode != "off") {
-      usage(argv[0],
-            "--shards only applies to --serve off (a serve session executes "
-            "whole specs; sharding is the in-process campaign shape)");
-    }
-    if (options.serve_mode != "off" && options.serve_mode != "auto") {
-      // A socket session's threads and cache live in the server process;
-      // silently ignoring these would e.g. report warm-cache numbers to a
-      // user who asked for --no-cache.
-      for (const char* local_only :
-           {"--threads", "--cache-dir", "--no-cache", "--max-disk-bytes"}) {
-        if (std::find(seen_flags.begin(), seen_flags.end(), local_only) !=
-            seen_flags.end()) {
-          usage(argv[0],
-                (std::string(local_only) +
-                 " configures this process, not the serve session --serve "
-                 "names (set it on `parallax serve` instead)")
-                    .c_str());
-        }
-      }
-    }
-    if (!options.use_cache &&
-        (!options.cache_dir.empty() || options.max_disk_bytes != 0)) {
-      usage(argv[0],
-            "--no-cache contradicts --cache-dir/--max-disk-bytes (the warm "
-            "session story needs the cache)");
-    }
-  } else if (!options.cache_command.empty()) {
-    if (options.cache_command == "prewarm") {
-      allow_only("cache prewarm",
-                 {"--cache-dir", "--max-disk-bytes", "--machine",
-                  "--technique", "--benchmarks", "--seed", "--threads",
-                  "--spread", "--no-home-return", "--aod-count"});
-    } else {
-      allow_only("cache " + options.cache_command, {"--cache-dir"});
-    }
-  } else if (!options.shard_command.empty()) {
-    if (options.shard_command == "plan") {
-      allow_only("shard plan",
-                 {"--shards", "--out-dir", "--benchmarks", "--import",
-                  "--window", "--machine", "--technique", "--seed",
-                  "--spread", "--no-home-return", "--shots", "--aod-count"});
-      if (options.shards == 0) usage(argv[0], "shard plan needs --shards N");
-      if (options.out_dir.empty()) {
-        usage(argv[0], "shard plan needs --out-dir DIR");
-      }
-    } else if (options.shard_command == "run") {
-      allow_only("shard run",
-                 {"--spec", "--out", "--cache-dir", "--no-cache",
-                  "--max-disk-bytes", "--threads", "--origin"});
-      if (!options.use_cache &&
-          (!options.cache_dir.empty() || options.max_disk_bytes != 0)) {
-        usage(argv[0],
-              "--no-cache contradicts --cache-dir/--max-disk-bytes (the "
-              "campaign's no-duplicate-anneal guarantee needs the cache)");
-      }
-      if (options.spec_file.empty()) {
-        usage(argv[0], "shard run needs --spec FILE");
-      }
-      if (options.out_file.empty()) usage(argv[0], "shard run needs --out FILE");
-    } else {  // merge
-      allow_only("shard merge", {"--out"});
-      if (options.out_file.empty()) {
-        usage(argv[0], "shard merge needs --out FILE");
-      }
-      if (options.inputs.empty()) {
-        usage(argv[0], "shard merge needs at least one shard run file");
-      }
-    }
-  } else if (!options.serve_command.empty()) {
-    if (options.serve_command == "start") {
-      allow_only("serve start",
-                 {"--socket", "--cache-dir", "--no-cache", "--threads",
-                  "--max-disk-bytes", "--max-inflight", "--max-client-bytes"});
-      if (!options.use_cache &&
-          (!options.cache_dir.empty() || options.max_disk_bytes != 0)) {
-        usage(argv[0],
-              "--no-cache contradicts --cache-dir/--max-disk-bytes (the "
-              "service's warm-replay guarantee needs the cache)");
-      }
-    } else if (options.serve_command == "spec") {
-      allow_only("serve spec",
-                 {"--out", "--benchmarks", "--import", "--window",
-                  "--machine", "--technique", "--seed", "--spread",
-                  "--no-home-return", "--shots", "--aod-count"});
-      if (options.out_file.empty()) {
-        usage(argv[0], "serve spec needs --out FILE");
-      }
-    } else if (options.serve_command == "submit") {
-      allow_only("serve submit", {"--socket", "--spec", "--out"});
-      if (options.socket_path.empty()) {
-        usage(argv[0], "serve submit needs --socket PATH");
-      }
-      if (options.spec_file.empty()) {
-        usage(argv[0], "serve submit needs --spec FILE");
-      }
-    } else {  // stats | stop
-      allow_only("serve " + options.serve_command, {"--socket"});
-      if (options.socket_path.empty()) {
-        usage(argv[0], ("serve " + options.serve_command +
-                        " needs --socket PATH")
-                           .c_str());
-      }
-    }
-  } else if (options.sim_command) {
-    allow_only("sim",
-               {"--benchmark", "--circuit", "--machine", "--technique",
-                "--aod-count", "--no-home-return", "--spread", "--seed",
-                "--shots", "--threads", "--json", "--cache-dir", "--no-cache",
-                "--max-disk-bytes", "--help", "-h"});
-    if (options.benchmark.empty() == options.circuit_file.empty()) {
-      usage(argv[0], "sim needs exactly one of --benchmark / --circuit");
-    }
-  } else if (options.import_command) {
-    allow_only("import", {"--manifest", "--help", "-h"});
-    if (options.inputs.empty()) {
-      usage(argv[0], "import needs at least one FILE.qasm");
-    }
-  } else {
-    // Compile mode: reject the subcommand-only flags it would ignore.
-    allow_only("compile mode",
-               {"--benchmark", "--circuit", "--import", "--window",
-                "--machine", "--technique", "--aod-count", "--no-home-return",
-                "--spread", "--seed", "--threads", "--json", "--layers",
-                "--render", "--list-techniques", "--export-qasm",
-                "--cache-dir", "--no-cache", "--max-disk-bytes", "--help",
-                "-h"});
-    const int sources = (options.benchmark.empty() ? 0 : 1) +
-                        (options.circuit_file.empty() ? 0 : 1) +
-                        (options.import_manifest.empty() ? 0 : 1);
-    if (!options.list_techniques && sources != 1) {
-      usage(argv[0],
-            "exactly one of --benchmark / --circuit / --import is required");
-    }
+  if (command.check != nullptr) command.check(cli);
+  if (command.cache_story != nullptr && !cli.use_cache &&
+      (!cli.cache_dir.empty() || cli.max_disk_bytes != 0)) {
+    reject(cli,
+           std::string("--no-cache contradicts --cache-dir/--max-disk-bytes "
+                       "(") +
+               command.cache_story + ")");
   }
-  if (!options.import_manifest.empty() && !options.benchmarks_csv.empty()) {
-    usage(argv[0],
-          "--import and --benchmarks both name the circuit axis; pick one");
+  if (!cli.import_manifest.empty() && !cli.benchmarks_csv.empty()) {
+    reject(cli,
+           "--import and --benchmarks both name the circuit axis; pick one");
   }
-  return options;
+  return cli;
 }
+
+// --- shared helpers ----------------------------------------------------------
 
 void print_text_summary(const parallax::sweep::Cell& cell) {
   std::printf("%-9s  CZ=%-6zu swaps=%-5zu effCZ=%-6zu layers=%-5zu "
@@ -686,22 +618,31 @@ void print_text_summary(const parallax::sweep::Cell& cell) {
               cell.success_probability, cell.from_cache ? "  [cached]" : "");
 }
 
-parallax::hardware::HardwareConfig machine_config(const CliOptions& cli,
-                                                  const char* argv0) {
+parallax::hardware::HardwareConfig machine_config(const Cli& cli) {
   parallax::hardware::HardwareConfig config;
   if (cli.machine == "quera256") {
     config = parallax::hardware::HardwareConfig::quera_aquila_256();
   } else if (cli.machine == "atom1225") {
     config = parallax::hardware::HardwareConfig::atom_computing_1225();
   } else {
-    usage(argv0, "unknown machine (use quera256 or atom1225)");
+    reject(cli, "unknown machine (use quera256 or atom1225)");
   }
   config.aod_rows = config.aod_cols = cli.aod_count;
   return config;
 }
 
+/// The compile options the matrix flags describe.
+parallax::pipeline::CompileOptions compile_options(const Cli& cli) {
+  parallax::pipeline::CompileOptions options;
+  options.seed = cli.seed;
+  options.scheduler.return_home = cli.home_return;
+  options.discretize.spread_factor = cli.spread;
+  options.placement.max_window_qubits = cli.window;
+  return options;
+}
+
 std::shared_ptr<parallax::cache::CompilationCache> open_cache(
-    const CliOptions& cli) {
+    const Cli& cli) {
   if (!cli.use_cache) return nullptr;
   parallax::cache::CacheOptions options;
   options.directory = cli.cache_dir;
@@ -709,20 +650,16 @@ std::shared_ptr<parallax::cache::CompilationCache> open_cache(
   return parallax::cache::CompilationCache::open(options);
 }
 
-std::vector<std::string> technique_list(
-    const CliOptions& cli, const parallax::technique::Registry& registry) {
+std::vector<std::string> technique_list(const Cli& cli) {
   if (cli.technique != "all") return {cli.technique};
-  if (!cli.cache_command.empty() || !cli.shard_command.empty() ||
-      !cli.serve_command.empty()) {
-    return registry.names();
+  if (std::string_view(cli.command->technique) == "all") {
+    return parallax::technique::Registry::global().names();
   }
-  // Ascending-quality order for "all", so with --export-qasm the last write
-  // (the file that survives) is Parallax's zero-SWAP circuit, as before.
   return {"static", "graphine", "eldi", "parallax"};
 }
 
 /// --benchmarks A,B,... when given, else the whole Table III suite.
-std::vector<std::string> benchmark_acronyms(const CliOptions& cli) {
+std::vector<std::string> benchmark_acronyms(const Cli& cli) {
   std::vector<std::string> acronyms;
   if (!cli.benchmarks_csv.empty()) {
     std::string token;
@@ -742,6 +679,31 @@ std::vector<std::string> benchmark_acronyms(const CliOptions& cli) {
   return acronyms;
 }
 
+/// The circuit axis of compile mode and sim: one benchmark, one QASM file,
+/// or every circuit of an import manifest (load_circuits re-verifies each
+/// file's digest). Reports a load failure and returns nullopt.
+std::optional<std::vector<parallax::sweep::CircuitSpec>> load_circuits(
+    const Cli& cli) {
+  using namespace parallax;
+  try {
+    if (!cli.benchmark.empty()) {
+      bench_circuits::GenOptions gen;
+      gen.seed = cli.seed;
+      return std::vector<sweep::CircuitSpec>{
+          {cli.benchmark, bench_circuits::make_benchmark(cli.benchmark, gen)}};
+    }
+    if (!cli.circuit_file.empty()) {
+      return std::vector<sweep::CircuitSpec>{
+          {cli.circuit_file, qasm::parse_file(cli.circuit_file).circuit}};
+    }
+    return importer::load_circuits(
+        importer::load_manifest(cli.import_manifest));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error loading circuit: %s\n", error.what());
+    return std::nullopt;
+  }
+}
+
 void report_cache_line(const parallax::sweep::Result& swept,
                        const parallax::cache::CompilationCache& cache) {
   std::fprintf(stderr,
@@ -753,64 +715,23 @@ void report_cache_line(const parallax::sweep::Result& swept,
                cache.directory().c_str());
 }
 
-int run_cache_command(const CliOptions& cli, const char* argv0) {
-  namespace pc = parallax::cache;
-  const auto cache = open_cache(cli);  // use_cache is always true here
-  if (cli.cache_command == "stats") {
-    std::size_t placements = 0, results = 0;
-    std::uint64_t placement_bytes = 0, result_bytes = 0;
-    for (const auto& entry : cache->entries()) {
-      if (entry.kind == pc::Kind::kPlacement) {
-        ++placements;
-        placement_bytes += entry.payload_bytes;
-      } else {
-        ++results;
-        result_bytes += entry.payload_bytes;
-      }
-    }
-    std::printf("cache directory: %s\n", cache->directory().c_str());
-    std::printf("placements: %zu entries, %.1f KB\n", placements,
-                static_cast<double>(placement_bytes) / 1024.0);
-    std::printf("results:    %zu entries, %.1f KB\n", results,
-                static_cast<double>(result_bytes) / 1024.0);
-    std::printf("total:      %zu entries, %.1f KB\n", placements + results,
-                static_cast<double>(placement_bytes + result_bytes) / 1024.0);
-    return 0;
-  }
-  if (cli.cache_command == "clear") {
-    const std::size_t removed = cache->clear();
-    std::printf("removed %zu entries from %s\n", removed,
-                cache->directory().c_str());
-    return 0;
-  }
-  // prewarm: compile the benchmark suite into the cache.
-  const auto& registry = parallax::technique::Registry::global();
-  parallax::bench_circuits::GenOptions gen;
-  gen.seed = cli.seed;
-  const std::vector<std::string> acronyms = benchmark_acronyms(cli);
-  parallax::sweep::Options options;
-  options.compile.seed = cli.seed;
-  options.compile.scheduler.return_home = cli.home_return;
-  options.compile.discretize.spread_factor = cli.spread;
-  options.n_threads = cli.threads;
-  options.cache = cache;
+/// The sweep of compile mode and sim over one machine. An unknown
+/// technique is a usage error.
+parallax::sweep::Result compile_sweep(
+    const Cli& cli,
+    const std::vector<parallax::sweep::CircuitSpec>& specs,
+    const parallax::hardware::HardwareConfig& config,
+    const parallax::sweep::Options& options) {
+  parallax::sweep::Result swept;
   try {
-    const auto swept = parallax::sweep::run(
-        parallax::sweep::benchmark_circuits(acronyms, gen),
-        technique_list(cli, registry),
-        {{cli.machine, machine_config(cli, argv0)}}, options, registry);
-    std::size_t failed = 0;
-    for (const auto& cell : swept.cells) failed += cell.ok() ? 0 : 1;
-    std::printf(
-        "prewarmed %zu cells (%zu already cached, %zu failed) in %.1fs "
-        "into %s\n",
-        swept.cells.size(), swept.result_cache_hits, failed,
-        swept.wall_seconds, cache->directory().c_str());
-    return failed == 0 ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "prewarm failed: %s\n", error.what());
-    return 1;
+    swept = parallax::sweep::run(specs, technique_list(cli),
+                                 {{cli.machine, config}}, options,
+                                 parallax::technique::Registry::global());
+  } catch (const parallax::technique::UnknownTechniqueError& error) {
+    reject(cli, error.what());
   }
+  if (options.cache) report_cache_line(swept, *options.cache);
+  return swept;
 }
 
 bool write_file(const std::string& path, const std::string& bytes) {
@@ -832,11 +753,7 @@ bool read_file(const std::string& path, std::string& bytes) {
 
 /// The benchmark-suite sweep spec the matrix flags describe — shared by
 /// `shard plan` and `serve spec`.
-parallax::shard::SweepSpec build_sweep_spec(const CliOptions& cli,
-                                            const char* argv0) {
-  const auto& registry = parallax::technique::Registry::global();
-  parallax::bench_circuits::GenOptions gen;
-  gen.seed = cli.seed;
+parallax::shard::SweepSpec build_sweep_spec(const Cli& cli) {
   parallax::shard::SweepSpec spec;
   if (!cli.import_manifest.empty()) {
     // Imported circuits replace the benchmark suite as the circuit axis;
@@ -845,25 +762,164 @@ parallax::shard::SweepSpec build_sweep_spec(const CliOptions& cli,
     spec.circuits = parallax::importer::load_circuits(
         parallax::importer::load_manifest(cli.import_manifest));
   } else {
+    parallax::bench_circuits::GenOptions gen;
+    gen.seed = cli.seed;
     spec.circuits =
         parallax::sweep::benchmark_circuits(benchmark_acronyms(cli), gen);
   }
-  spec.techniques = technique_list(cli, registry);
-  spec.machines = {{cli.machine, machine_config(cli, argv0)}};
-  spec.options.compile.seed = cli.seed;
-  spec.options.compile.scheduler.return_home = cli.home_return;
-  spec.options.compile.discretize.spread_factor = cli.spread;
-  spec.options.compile.placement.max_window_qubits = cli.window;
+  spec.techniques = technique_list(cli);
+  spec.machines = {{cli.machine, machine_config(cli)}};
+  spec.options.compile = compile_options(cli);
   if (cli.shots) spec.options.shots = parallax::shots::ShotOptions{};
   return spec;
 }
 
-int run_shard_plan(const CliOptions& cli, const char* argv0) {
-  namespace sh = parallax::shard;
-  const auto& registry = parallax::technique::Registry::global();
-  const sh::SweepSpec spec = build_sweep_spec(cli, argv0);
+// --- compile mode, import, cache ---------------------------------------------
 
-  const auto shards = sh::plan(spec, cli.shards, registry);
+int run_compile(const Cli& cli) {
+  using namespace parallax;
+  if (cli.list_techniques) {
+    const technique::Registry& registry = technique::Registry::global();
+    for (const auto& name : registry.names()) {
+      std::printf("%-9s  %s\n", name.c_str(),
+                  registry.info(name).description.c_str());
+    }
+    return 0;
+  }
+  const hardware::HardwareConfig config = machine_config(cli);
+  const auto specs = load_circuits(cli);
+  if (!specs) return 1;
+
+  sweep::Options options;
+  options.compile = compile_options(cli);
+  options.n_threads = cli.threads;
+  options.cache = open_cache(cli);
+  const sweep::Result swept = compile_sweep(cli, *specs, config, options);
+
+  std::string last_circuit;
+  for (const auto& cell : swept.cells) {
+    if (!cell.ok()) {
+      std::fprintf(stderr, "compilation failed (%s/%s): %s\n",
+                   cell.circuit.c_str(), cell.technique.c_str(),
+                   cell.error.c_str());
+      return 1;
+    }
+    if (!cli.json && specs->size() > 1 && cell.circuit != last_circuit) {
+      std::printf("%s:\n", cell.circuit.c_str());
+      last_circuit = cell.circuit;
+    }
+    if (cli.json) {
+      compiler::ReportOptions report_options;
+      report_options.include_layers = cli.layers;
+      std::printf("%s\n",
+                  compiler::report_json(cell.result, config, report_options)
+                      .c_str());
+    } else {
+      print_text_summary(cell);
+    }
+    if (cli.render) {
+      std::printf("%s", hardware::render_topology(cell.result).c_str());
+    }
+    if (!cli.export_qasm.empty()) {
+      qasm::write_qasm_file(cell.result.circuit, cli.export_qasm);
+      std::printf("compiled circuit written to %s\n",
+                  cli.export_qasm.c_str());
+    }
+  }
+  return 0;
+}
+
+int run_import(const Cli& cli) {
+  namespace im = parallax::importer;
+  std::vector<im::ImportEntry> entries;
+  entries.reserve(cli.inputs.size());
+  for (const auto& path : cli.inputs) {
+    entries.push_back(im::import_file(path));
+    const im::ImportEntry& entry = entries.back();
+    std::fprintf(stderr,
+                 "imported %s: %d qubits, %llu gates, %llu bytes, %s\n",
+                 entry.path.c_str(), entry.n_qubits,
+                 static_cast<unsigned long long>(entry.n_gates),
+                 static_cast<unsigned long long>(entry.n_bytes),
+                 entry.digest.hex().c_str());
+  }
+  const std::string manifest = im::write_manifest(entries);
+  if (cli.manifest_out.empty()) {
+    // Summary rides on stderr, so a bare `import a.qasm > m.tsv` works.
+    std::fputs(manifest.c_str(), stdout);
+    return 0;
+  }
+  if (!write_file(cli.manifest_out, manifest)) {
+    std::fprintf(stderr, "cannot write %s\n", cli.manifest_out.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "manifest: %zu circuits -> %s\n", entries.size(),
+               cli.manifest_out.c_str());
+  return 0;
+}
+
+int run_cache_stats(const Cli& cli) {
+  namespace pc = parallax::cache;
+  const auto cache = open_cache(cli);
+  std::size_t placements = 0, results = 0;
+  std::uint64_t placement_bytes = 0, result_bytes = 0;
+  for (const auto& entry : cache->entries()) {
+    if (entry.kind == pc::Kind::kPlacement) {
+      ++placements;
+      placement_bytes += entry.payload_bytes;
+    } else {
+      ++results;
+      result_bytes += entry.payload_bytes;
+    }
+  }
+  std::printf("cache directory: %s\n", cache->directory().c_str());
+  std::printf("placements: %zu entries, %.1f KB\n", placements,
+              static_cast<double>(placement_bytes) / 1024.0);
+  std::printf("results:    %zu entries, %.1f KB\n", results,
+              static_cast<double>(result_bytes) / 1024.0);
+  std::printf("total:      %zu entries, %.1f KB\n", placements + results,
+              static_cast<double>(placement_bytes + result_bytes) / 1024.0);
+  return 0;
+}
+
+int run_cache_clear(const Cli& cli) {
+  const auto cache = open_cache(cli);
+  const std::size_t removed = cache->clear();
+  std::printf("removed %zu entries from %s\n", removed,
+              cache->directory().c_str());
+  return 0;
+}
+
+/// Compiles the benchmark suite into the cache.
+int run_cache_prewarm(const Cli& cli) {
+  const auto cache = open_cache(cli);
+  parallax::bench_circuits::GenOptions gen;
+  gen.seed = cli.seed;
+  parallax::sweep::Options options;
+  options.compile = compile_options(cli);
+  options.n_threads = cli.threads;
+  options.cache = cache;
+  const auto swept = parallax::sweep::run(
+      parallax::sweep::benchmark_circuits(benchmark_acronyms(cli), gen),
+      technique_list(cli), {{cli.machine, machine_config(cli)}}, options,
+      parallax::technique::Registry::global());
+  std::size_t failed = 0;
+  for (const auto& cell : swept.cells) failed += cell.ok() ? 0 : 1;
+  std::printf(
+      "prewarmed %zu cells (%zu already cached, %zu failed) in %.1fs "
+      "into %s\n",
+      swept.cells.size(), swept.result_cache_hits, failed,
+      swept.wall_seconds, cache->directory().c_str());
+  return failed == 0 ? 0 : 1;
+}
+
+// --- shard -------------------------------------------------------------------
+
+int run_shard_plan(const Cli& cli) {
+  namespace sh = parallax::shard;
+  const sh::SweepSpec spec = build_sweep_spec(cli);
+  const auto shards =
+      sh::plan(spec, cli.shards, parallax::technique::Registry::global());
   std::error_code ec;
   std::filesystem::create_directories(cli.out_dir, ec);
   const std::size_t total = spec.total_cells();
@@ -888,7 +944,7 @@ int run_shard_plan(const CliOptions& cli, const char* argv0) {
   return 0;
 }
 
-int run_shard_run(const CliOptions& cli) {
+int run_shard_run(const Cli& cli) {
   namespace sh = parallax::shard;
   std::string bytes;
   if (!read_file(cli.spec_file, bytes)) {
@@ -922,7 +978,7 @@ int run_shard_run(const CliOptions& cli) {
   return failed == 0 ? 0 : 1;
 }
 
-int run_shard_merge(const CliOptions& cli) {
+int run_shard_merge(const Cli& cli) {
   namespace sh = parallax::shard;
   std::vector<sh::ShardRun> runs;
   runs.reserve(cli.inputs.size());
@@ -960,17 +1016,7 @@ int run_shard_merge(const CliOptions& cli) {
   return failed == 0 ? 0 : 1;
 }
 
-int run_shard_command(const CliOptions& cli, const char* argv0) {
-  try {
-    if (cli.shard_command == "plan") return run_shard_plan(cli, argv0);
-    if (cli.shard_command == "run") return run_shard_run(cli);
-    return run_shard_merge(cli);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "shard %s failed: %s\n", cli.shard_command.c_str(),
-                 error.what());
-    return 1;
-  }
-}
+// --- serve -------------------------------------------------------------------
 
 /// SIGINT/SIGTERM land here; the serve loops poll it and drain gracefully
 /// (cancel in-flight tickets, flush done frames, unlink the socket).
@@ -988,7 +1034,7 @@ void install_serve_signal_handlers() {
   (void)::sigaction(SIGTERM, &action, nullptr);
 }
 
-int run_serve_start(const CliOptions& cli) {
+int run_serve_start(const Cli& cli) {
   namespace sv = parallax::serve;
   sv::ServiceOptions service_options;
   service_options.n_threads = cli.threads;
@@ -1030,26 +1076,23 @@ int run_serve_start(const CliOptions& cli) {
   return 0;
 }
 
-int run_serve_stop(const CliOptions& cli) {
-  namespace sv = parallax::serve;
-  sv::Client client(cli.socket_path);
+int run_serve_stop(const Cli& cli) {
+  parallax::serve::Client client(cli.socket_path);
   client.stop();
   std::fprintf(stderr, "serve: session at %s draining\n",
                cli.socket_path.c_str());
   return 0;
 }
 
-int run_serve_stats(const CliOptions& cli) {
-  namespace sv = parallax::serve;
-  sv::Client client(cli.socket_path);
-  const sv::SessionStats stats = client.stats();
-  parallax::report::print_server_stats(stderr, stats);
+int run_serve_stats(const Cli& cli) {
+  parallax::serve::Client client(cli.socket_path);
+  parallax::report::print_server_stats(stderr, client.stats());
   return 0;
 }
 
-int run_serve_spec(const CliOptions& cli, const char* argv0) {
+int run_serve_spec(const Cli& cli) {
   namespace sh = parallax::shard;
-  const sh::SweepSpec spec = build_sweep_spec(cli, argv0);
+  const sh::SweepSpec spec = build_sweep_spec(cli);
   if (!write_file(cli.out_file, sh::serialize_sweep_spec(spec))) {
     std::fprintf(stderr, "cannot write %s\n", cli.out_file.c_str());
     return 1;
@@ -1062,7 +1105,7 @@ int run_serve_spec(const CliOptions& cli, const char* argv0) {
   return 0;
 }
 
-int run_serve_submit(const CliOptions& cli) {
+int run_serve_submit(const Cli& cli) {
   namespace sh = parallax::shard;
   namespace sv = parallax::serve;
   std::string bytes;
@@ -1098,78 +1141,17 @@ int run_serve_submit(const CliOptions& cli) {
   return summary.failed_cells == 0 && !summary.cancelled ? 0 : 1;
 }
 
-int run_serve_command(const CliOptions& cli, const char* argv0) {
-  try {
-    if (cli.serve_command == "start") return run_serve_start(cli);
-    if (cli.serve_command == "spec") return run_serve_spec(cli, argv0);
-    if (cli.serve_command == "stats") return run_serve_stats(cli);
-    if (cli.serve_command == "stop") return run_serve_stop(cli);
-    return run_serve_submit(cli);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "serve %s failed: %s\n", cli.serve_command.c_str(),
-                 error.what());
-    return 1;
-  }
-}
+// --- sim ---------------------------------------------------------------------
 
-int run_import_command(const CliOptions& cli) {
-  namespace im = parallax::importer;
-  std::vector<im::ImportEntry> entries;
-  entries.reserve(cli.inputs.size());
-  for (const auto& path : cli.inputs) {
-    try {
-      entries.push_back(im::import_file(path));
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "import failed: %s\n", error.what());
-      return 1;
-    }
-    const im::ImportEntry& entry = entries.back();
-    std::fprintf(stderr,
-                 "imported %s: %d qubits, %llu gates, %llu bytes, %s\n",
-                 entry.path.c_str(), entry.n_qubits,
-                 static_cast<unsigned long long>(entry.n_gates),
-                 static_cast<unsigned long long>(entry.n_bytes),
-                 entry.digest.hex().c_str());
-  }
-  const std::string manifest = im::write_manifest(entries);
-  if (cli.manifest_out.empty()) {
-    // Summary rides on stderr, so a bare `import a.qasm > m.tsv` works.
-    std::fputs(manifest.c_str(), stdout);
-    return 0;
-  }
-  if (!write_file(cli.manifest_out, manifest)) {
-    std::fprintf(stderr, "cannot write %s\n", cli.manifest_out.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "manifest: %zu circuits -> %s\n", entries.size(),
-               cli.manifest_out.c_str());
-  return 0;
-}
-
-int run_sim_command(const CliOptions& cli, const char* argv0) {
+int run_sim(const Cli& cli) {
   using namespace parallax;
-  const technique::Registry& registry = technique::Registry::global();
-  const hardware::HardwareConfig config = machine_config(cli, argv0);
-
-  sweep::CircuitSpec spec;
-  try {
-    if (!cli.benchmark.empty()) {
-      bench_circuits::GenOptions gen;
-      gen.seed = cli.seed;
-      spec = {cli.benchmark,
-              bench_circuits::make_benchmark(cli.benchmark, gen)};
-    } else {
-      spec = {cli.circuit_file, qasm::parse_file(cli.circuit_file).circuit};
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error loading circuit: %s\n", error.what());
-    return 1;
-  }
+  const hardware::HardwareConfig config = machine_config(cli);
+  const auto specs = load_circuits(cli);
+  if (!specs) return 1;
+  const sweep::CircuitSpec& spec = specs->front();
 
   sweep::Options options;
-  options.compile.seed = cli.seed;
-  options.compile.scheduler.return_home = cli.home_return;
-  options.compile.discretize.spread_factor = cli.spread;
+  options.compile = compile_options(cli);
   // The simulated fidelity backend forces per-layer position recording (and
   // keys the cache accordingly).
   options.compile.fidelity.model = noise::FidelityModel::kSimulated;
@@ -1177,15 +1159,7 @@ int run_sim_command(const CliOptions& cli, const char* argv0) {
   options.compute_success_probability = false;  // scored both ways below
   options.n_threads = cli.threads;
   options.cache = open_cache(cli);
-
-  sweep::Result swept;
-  try {
-    swept = sweep::run({spec}, technique_list(cli, registry),
-                       {{cli.machine, config}}, options, registry);
-  } catch (const technique::UnknownTechniqueError& error) {
-    usage(argv0, error.what());
-  }
-  if (options.cache) report_cache_line(swept, *options.cache);
+  const sweep::Result swept = compile_sweep(cli, *specs, config, options);
 
   int exit_code = 0;
   for (const auto& cell : swept.cells) {
@@ -1278,7 +1252,9 @@ int run_sim_command(const CliOptions& cli, const char* argv0) {
   return exit_code;
 }
 
-int run_bench_command(const CliOptions& cli, const char* argv0) {
+// --- bench -------------------------------------------------------------------
+
+int run_bench(const Cli& cli) {
   namespace rp = parallax::report;
   const rp::Registry& registry = rp::Registry::global();
 
@@ -1287,12 +1263,7 @@ int run_bench_command(const CliOptions& cli, const char* argv0) {
     perf.seed = cli.seed;
     perf.threads = cli.threads;
     perf.baseline_path = cli.perf_baseline;
-    try {
-      return rp::run_perf_snapshot(cli.perf_json, perf, stderr);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "perf suite failed: %s\n", error.what());
-      return 1;
-    }
+    return rp::run_perf_snapshot(cli.perf_json, perf, stderr);
   }
 
   if (cli.list_artifacts) {
@@ -1307,12 +1278,10 @@ int run_bench_command(const CliOptions& cli, const char* argv0) {
   rp::OrchestratorOptions options;
   options.report.seed = cli.seed;
   options.report.full_scale = cli.full_scale;
-  options.progress = true;
   const auto format = rp::parse_format(cli.format);
   if (!format) {
-    usage(argv0, ("--format expects table, csv, or json, got '" + cli.format +
-                  "'")
-                     .c_str());
+    reject(cli, "--format expects table, csv, or json, got '" + cli.format +
+                    "'");
   }
   options.format = *format;
   if (!cli.benchmarks_csv.empty()) {
@@ -1320,16 +1289,11 @@ int run_bench_command(const CliOptions& cli, const char* argv0) {
     for (const auto& acronym : options.report.circuits) {
       bool known = false;
       for (const auto& info : parallax::bench_circuits::all_benchmarks()) {
-        if (info.acronym == acronym) {
-          known = true;
-          break;
-        }
+        known |= info.acronym == acronym;
       }
       if (!known) {
-        usage(argv0,
-              ("--benchmarks names an unknown Table III acronym '" + acronym +
-               "'")
-                  .c_str());
+        reject(cli, "--benchmarks names an unknown Table III acronym '" +
+                        acronym + "'");
       }
     }
   }
@@ -1337,151 +1301,66 @@ int run_bench_command(const CliOptions& cli, const char* argv0) {
   const std::vector<std::string> names =
       cli.all_artifacts ? registry.names() : cli.inputs;
 
-  try {
-    // The executor behind the session: an in-process warm SweepService
-    // (auto), plain in-process sweeps (off), or a running socket session.
-    std::unique_ptr<parallax::serve::SweepService> service;
-    std::unique_ptr<parallax::serve::Client> client;
-    std::unique_ptr<rp::Runner> runner;
-    if (cli.serve_mode == "off") {
-      rp::InProcessRunner::Config config;
-      config.n_threads = cli.threads;
-      config.shards = cli.shards == 0 ? 1 : cli.shards;
-      config.cache = open_cache(cli);
-      runner = std::make_unique<rp::InProcessRunner>(std::move(config));
-    } else if (cli.serve_mode == "auto") {
-      parallax::serve::ServiceOptions service_options;
-      service_options.n_threads = cli.threads;
-      service_options.cache = open_cache(cli);
-      service = std::make_unique<parallax::serve::SweepService>(
-          std::move(service_options));
-      if (service->cache()) {
-        std::fprintf(stderr, "bench: session cache at %s\n",
-                     service->cache()->directory().c_str());
-      }
-      runner = std::make_unique<rp::ServiceRunner>(*service);
-    } else {
-      client = std::make_unique<parallax::serve::Client>(cli.serve_mode);
-      runner = std::make_unique<rp::ClientRunner>(*client);
+  // The executor behind the session: an in-process warm SweepService
+  // (auto), plain in-process sweeps (off), or a running socket session.
+  std::unique_ptr<parallax::serve::SweepService> service;
+  std::unique_ptr<parallax::serve::Client> client;
+  std::unique_ptr<rp::Runner> runner;
+  if (cli.serve_mode == "off") {
+    rp::InProcessRunner::Config config;
+    config.n_threads = cli.threads;
+    config.shards = cli.shards == 0 ? 1 : cli.shards;
+    config.cache = open_cache(cli);
+    runner = std::make_unique<rp::InProcessRunner>(std::move(config));
+  } else if (cli.serve_mode == "auto") {
+    parallax::serve::ServiceOptions service_options;
+    service_options.n_threads = cli.threads;
+    service_options.cache = open_cache(cli);
+    service = std::make_unique<parallax::serve::SweepService>(
+        std::move(service_options));
+    if (service->cache()) {
+      std::fprintf(stderr, "bench: session cache at %s\n",
+                   service->cache()->directory().c_str());
     }
-
-    const parallax::util::Stopwatch stopwatch;
-    const auto outcomes = rp::run_artifacts(registry, names, *runner,
-                                            options, stdout, stderr);
-    rp::print_accounting(stderr, outcomes.size(), runner->totals(),
-                         stopwatch.seconds());
-    if (client) {
-      // The server's lifetime numbers (this run plus every earlier one of
-      // the session) — the STATS request over the wire.
-      rp::print_server_stats(stderr, client->stats());
-    } else if (service) {
-      rp::print_server_stats(stderr, service->session_stats());
-    }
-    for (const auto& outcome : outcomes) {
-      if (!outcome.ok) return 1;
-    }
-    return 0;
-  } catch (const rp::UnknownArtifactError& error) {
-    usage(argv0, error.what());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "bench failed: %s\n", error.what());
-    return 1;
+    runner = std::make_unique<rp::ServiceRunner>(*service);
+  } else {
+    client = std::make_unique<parallax::serve::Client>(cli.serve_mode);
+    runner = std::make_unique<rp::ClientRunner>(*client);
   }
+
+  const parallax::util::Stopwatch stopwatch;
+  std::vector<rp::ArtifactOutcome> outcomes;
+  try {
+    outcomes =
+        rp::run_artifacts(registry, names, *runner, options, stdout, stderr);
+  } catch (const rp::UnknownArtifactError& error) {
+    reject(cli, error.what());
+  }
+  rp::print_accounting(stderr, outcomes.size(), runner->totals(),
+                       stopwatch.seconds());
+  if (client) {
+    // The server's lifetime numbers (this run plus every earlier one of
+    // the session) — the STATS request over the wire.
+    rp::print_server_stats(stderr, client->stats());
+  } else if (service) {
+    rp::print_server_stats(stderr, service->session_stats());
+  }
+  for (const auto& outcome : outcomes) {
+    if (!outcome.ok) return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace parallax;
-  const CliOptions cli = parse_cli(argc, argv);
-  const technique::Registry& registry = technique::Registry::global();
-
-  if (cli.bench_command) return run_bench_command(cli, argv[0]);
-  if (!cli.cache_command.empty()) return run_cache_command(cli, argv[0]);
-  if (!cli.shard_command.empty()) return run_shard_command(cli, argv[0]);
-  if (!cli.serve_command.empty()) return run_serve_command(cli, argv[0]);
-  if (cli.sim_command) return run_sim_command(cli, argv[0]);
-  if (cli.import_command) return run_import_command(cli);
-
-  if (cli.list_techniques) {
-    for (const auto& name : registry.names()) {
-      std::printf("%-9s  %s\n", name.c_str(),
-                  registry.info(name).description.c_str());
-    }
-    return 0;
-  }
-
-  const hardware::HardwareConfig config = machine_config(cli, argv[0]);
-
-  std::vector<sweep::CircuitSpec> specs;
+  const Cli cli = parse_cli(argc, argv);
+  // The one error boundary: a command that throws fails with its name.
   try {
-    if (!cli.benchmark.empty()) {
-      bench_circuits::GenOptions gen;
-      gen.seed = cli.seed;
-      specs.push_back(
-          {cli.benchmark, bench_circuits::make_benchmark(cli.benchmark, gen)});
-    } else if (!cli.circuit_file.empty()) {
-      specs.push_back(
-          {cli.circuit_file, qasm::parse_file(cli.circuit_file).circuit});
-    } else {
-      // Digest-verified manifest load: every imported circuit is one row of
-      // the sweep's circuit axis.
-      specs = importer::load_circuits(
-          importer::load_manifest(cli.import_manifest));
-    }
+    return cli.command->run(cli);
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "error loading circuit: %s\n", error.what());
+    std::fprintf(stderr, "%s failed: %s\n",
+                 command_name(*cli.command).c_str(), error.what());
     return 1;
   }
-
-  const std::vector<std::string> techniques = technique_list(cli, registry);
-
-  sweep::Options options;
-  options.compile.seed = cli.seed;
-  options.compile.scheduler.return_home = cli.home_return;
-  options.compile.discretize.spread_factor = cli.spread;
-  options.compile.placement.max_window_qubits = cli.window;
-  options.n_threads = cli.threads;
-  options.cache = open_cache(cli);
-
-  sweep::Result swept;
-  try {
-    swept = sweep::run(specs, techniques, {{cli.machine, config}}, options,
-                       registry);
-  } catch (const technique::UnknownTechniqueError& error) {
-    usage(argv[0], error.what());
-  }
-  if (options.cache) report_cache_line(swept, *options.cache);
-
-  std::string last_circuit;
-  for (const auto& cell : swept.cells) {
-    if (!cell.ok()) {
-      std::fprintf(stderr, "compilation failed (%s/%s): %s\n",
-                   cell.circuit.c_str(), cell.technique.c_str(),
-                   cell.error.c_str());
-      return 1;
-    }
-    if (!cli.json && specs.size() > 1 && cell.circuit != last_circuit) {
-      std::printf("%s:\n", cell.circuit.c_str());
-      last_circuit = cell.circuit;
-    }
-    if (cli.json) {
-      compiler::ReportOptions report_options;
-      report_options.include_layers = cli.layers;
-      std::printf("%s\n",
-                  compiler::report_json(cell.result, config, report_options)
-                      .c_str());
-    } else {
-      print_text_summary(cell);
-    }
-    if (cli.render) {
-      std::printf("%s", hardware::render_topology(cell.result).c_str());
-    }
-    if (!cli.export_qasm.empty()) {
-      qasm::write_qasm_file(cell.result.circuit, cli.export_qasm);
-      std::printf("compiled circuit written to %s\n",
-                  cli.export_qasm.c_str());
-    }
-  }
-  return 0;
 }
