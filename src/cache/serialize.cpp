@@ -1,72 +1,13 @@
 #include "cache/serialize.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace parallax::cache {
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void Writer::str(std::string_view s) {
-  u64(s.size());
-  bytes_.append(s.data(), s.size());
-}
-
-void Reader::need(std::size_t n) const {
-  if (remaining() < n) {
-    throw ReadError("cache payload truncated");
-  }
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
-
-bool Reader::boolean() {
-  const std::uint8_t v = u8();
-  if (v > 1) throw ReadError("cache payload has a malformed bool");
-  return v != 0;
-}
+void Reader::truncated() { throw ReadError("cache payload truncated"); }
 
 std::string Reader::str() {
   const std::uint64_t size = u64();
   if (size > remaining()) throw ReadError("cache payload string overruns");
-  std::string s(data_.substr(pos_, static_cast<std::size_t>(size)));
+  std::string s(data_.data() + pos_, static_cast<std::size_t>(size));
   pos_ += static_cast<std::size_t>(size);
   return s;
 }
@@ -165,6 +106,7 @@ circuit::Circuit decode_circuit(Reader& reader) {
   if (n_qubits < 0) throw ReadError("cache payload has a malformed circuit");
   circuit::Circuit circuit(n_qubits, std::move(name));
   const std::size_t count = reader.length(33);
+  circuit.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     circuit::Gate gate;
     const std::uint8_t type = reader.u8();

@@ -5,10 +5,20 @@
 // length-prefixed containers, so a round trip is bit-exact — including every
 // double — which is what lets a warm sweep return byte-identical results.
 //
-// Robustness contract: Reader never reads out of bounds and never allocates
-// more than the buffer could possibly describe; any malformed input throws
-// ReadError, which the store layer converts into a cache miss. Payload
-// versioning lives in the store's entry header (store.hpp); bumping
+// Writer/Reader contract. Every byte path in the repo (cache payloads and
+// entry headers, fingerprints, shard cells and run files, sweep specs, serve
+// frames) goes through these two classes, so they move whole fields:
+//   - a field is a fixed-width little-endian u8/u32/u64 (i32/i64/f64/bool
+//     are bit casts of those) or a u64 length followed by raw bytes (str);
+//   - Writer assembles each field locally and appends it in one call: one
+//     capacity check per field, and growth never zero-fills slack capacity;
+//   - Reader makes one bounds check per field and loads it through a local
+//     pointer. It never reads out of bounds and never allocates more than
+//     the input could back: length() caps a container count by the bytes
+//     left, and a decoder reserves only counts it read through length().
+//     Any malformed input throws ReadError, which the store layer converts
+//     into a cache miss.
+// Payload versioning lives in the store's entry header (store.hpp); bumping
 // kPayloadVersion there retires old entries silently.
 //
 // Deliberately not serialized: CompileResult::pass_timings. Timings are
@@ -17,6 +27,8 @@
 // byte-identity guarantee meaningful.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -37,22 +49,34 @@ class ReadError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends canonical little-endian bytes.
+/// Appends canonical little-endian bytes, one whole field per append.
 class Writer {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s);
+  void str(std::string_view s) {
+    u64(s.size());
+    bytes_.append(s.data(), s.size());
+  }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::string take() noexcept { return std::move(bytes_); }
 
  private:
+  template <typename Unsigned>
+  void put(Unsigned v) {
+    char field[sizeof(Unsigned)];
+    for (std::size_t i = 0; i < sizeof(Unsigned); ++i) {
+      field[i] = static_cast<char>(v >> (8 * i));
+    }
+    bytes_.append(field, sizeof(Unsigned));
+  }
+
   std::string bytes_;
 };
 
@@ -61,13 +85,17 @@ class Reader {
  public:
   explicit Reader(std::string_view data) noexcept : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint8_t u8() { return load<std::uint8_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return load<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return load<std::uint64_t>(); }
   [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64();
-  [[nodiscard]] bool boolean();
+  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
+  [[nodiscard]] bool boolean() {
+    const std::uint8_t v = u8();
+    if (v > 1) throw ReadError("cache payload has a malformed bool");
+    return v != 0;
+  }
   [[nodiscard]] std::string str();
 
   /// Reads a container length and validates that `count * min_element_bytes`
@@ -82,7 +110,20 @@ class Reader {
   void expect_end() const;
 
  private:
-  void need(std::size_t n) const;
+  template <typename Unsigned>
+  Unsigned load() {
+    if (remaining() < sizeof(Unsigned)) truncated();
+    const auto* field =
+        reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
+    Unsigned v = 0;
+    for (std::size_t i = 0; i < sizeof(Unsigned); ++i) {
+      v = static_cast<Unsigned>(v |
+                                (static_cast<Unsigned>(field[i]) << (8 * i)));
+    }
+    pos_ += sizeof(Unsigned);
+    return v;
+  }
+  [[noreturn]] static void truncated();
 
   std::string_view data_;
   std::size_t pos_ = 0;

@@ -24,6 +24,7 @@ class Circuit {
     return gates_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return gates_.size(); }
+  void reserve(std::size_t n_gates) { gates_.reserve(n_gates); }
   [[nodiscard]] bool empty() const noexcept { return gates_.empty(); }
   [[nodiscard]] const Gate& gate(std::size_t i) const noexcept {
     return gates_[i];

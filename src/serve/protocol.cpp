@@ -102,9 +102,10 @@ SessionStats decode_session_stats(Reader& reader) {
   stats.threads = reader.u64();
   stats.cache_enabled = reader.boolean();
   stats.uptime_seconds = reader.f64();
-  const std::uint64_t n_clients = reader.u64();
+  // One row is six 8-byte fields and a bool.
+  const std::size_t n_clients = reader.length(6 * 8 + 1);
   stats.clients.reserve(n_clients);
-  for (std::uint64_t i = 0; i < n_clients; ++i) {
+  for (std::size_t i = 0; i < n_clients; ++i) {
     ClientStats client;
     client.client_id = reader.u64();
     client.requests = reader.u64();

@@ -57,7 +57,7 @@ class FrameSink {
     on_dead_ = std::move(on_dead);
   }
 
-  void write_frame(const std::string& frame) {
+  void write_frame(std::string frame) {
     std::function<void()> notify;
     bool poke = false;
     {
@@ -68,8 +68,8 @@ class FrameSink {
           notify = on_dead_;
         } else {
           if (pending_bytes_ == 0) last_progress_ = Clock::now();
-          pending_.push_back(frame);
           pending_bytes_ += frame.size();
+          pending_.push_back(std::move(frame));
           poke = true;
         }
       }

@@ -370,7 +370,12 @@ ShardRun parse_shard_run(std::string_view bytes) {
   run.n_machines = reader.u64();
   const std::size_t total =
       checked_total_cells(run.n_circuits, run.n_techniques, run.n_machines);
-  const std::size_t n_cells = reader.length(1);
+  // Bound the count by the smallest encoded cell (an empty one), not by one
+  // byte: a sweep::Cell is hundreds of bytes in memory, so a crafted file
+  // backing each count with one byte could reserve gigabytes.
+  Writer empty;
+  shard::encode_cell(empty, sweep::Cell{});
+  const std::size_t n_cells = reader.length(empty.bytes().size());
   if (n_cells > total) {
     throw ShardError("shard run carries more cells than its matrix holds");
   }

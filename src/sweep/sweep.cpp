@@ -237,13 +237,16 @@ Result run(const std::vector<CircuitSpec>& circuits,
             cell.result, machine.config, *options.shots);
       }
       if (use_results) {
+        // Moved in and back out: the cache only encodes the cell.
         cache::CachedCell stored;
-        stored.result = cell.result;
+        stored.result = std::move(cell.result);
         stored.has_success_probability = options.compute_success_probability;
         stored.success_probability = cell.success_probability;
         stored.has_shot_plans = options.shots.has_value();
-        stored.shot_plans = cell.shot_plans;
+        stored.shot_plans = std::move(cell.shot_plans);
         persistent->put_result(cell_key, stored);
+        cell.result = std::move(stored.result);
+        cell.shot_plans = std::move(stored.shot_plans);
       }
   };
 

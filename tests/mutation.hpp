@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <random>
 #include <string>
+#include <vector>
 
 namespace parallax::fuzz {
 
@@ -36,6 +39,38 @@ inline std::string mutate(std::string bytes, int i, std::mt19937_64& rng) {
       break;
   }
   return bytes;
+}
+
+/// What a run of mutants did: how many decoded, how many were rejected with
+/// a documented error, and the messages of the first few that escaped.
+struct Tally {
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  std::vector<std::string> escapes;
+};
+
+/// Feeds `count` seeded mutants of `bytes` to `decode` and sorts each
+/// outcome. A throw of one of `Documented...` is a rejection; any other
+/// exception is an escape. Stops early after ten escapes.
+template <typename... Documented, typename Decode>
+Tally run_mutants(const std::string& bytes, std::uint64_t seed, int count,
+                  const Decode& decode) {
+  std::mt19937_64 rng(seed);
+  Tally tally;
+  for (int i = 0; i < count && tally.escapes.size() < 10; ++i) {
+    try {
+      decode(mutate(bytes, i, rng));
+      ++tally.decoded;
+    } catch (const std::exception& error) {
+      if ((... || (dynamic_cast<const Documented*>(&error) != nullptr))) {
+        ++tally.rejected;
+      } else {
+        tally.escapes.push_back("mutant " + std::to_string(i) + ": " +
+                                error.what());
+      }
+    }
+  }
+  return tally;
 }
 
 }  // namespace parallax::fuzz

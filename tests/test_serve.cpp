@@ -46,7 +46,10 @@
 #include "shard/shard.hpp"
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
+
+#include "mutation.hpp"
 
 namespace fs = std::filesystem;
 namespace pc = parallax::cache;
@@ -1612,4 +1615,104 @@ TEST(ServeFarm, StopFlagDrainsAndUnlinksTheSocket) {
   }
   EXPECT_TRUE(server_ok.load());
   EXPECT_FALSE(fs::exists(socket_path));
+}
+
+// --- frame payload decoders: bounded counts and mutation fuzz -----------------
+
+namespace {
+
+/// Decodes `payload` under a header of `type` whose checksum matches, so
+/// the bytes reach the payload decoder instead of failing the checksum.
+sv::Frame decode_payload(sv::FrameType type, std::string_view payload) {
+  sv::FrameHeader header;
+  header.type = type;
+  header.request_id = 7;
+  header.payload_size = payload.size();
+  header.checksum = pu::checksum64(payload.data(), payload.size());
+  return sv::decode_frame(header, payload);
+}
+
+std::string payload_of(const std::string& frame) {
+  return frame.substr(sv::kFrameHeaderBytes);
+}
+
+}  // namespace
+
+TEST(ServeProtocol, StatsClientCountIsBoundedByThePayload) {
+  // A STATS payload with no client rows whose count claims 2^61, 2^40 or
+  // 2^26 of them. Each is a ReadError before any row is reserved; 2^26
+  // rows of 56 bytes alone would reserve 3.7 GB.
+  std::string payload = payload_of(sv::stats_frame(1, sv::SessionStats{}));
+  payload.resize(payload.size() - 8);  // drop the zero client count
+  for (const int log2 : {61, 40, 26}) {
+    pc::Writer count;
+    count.u64(std::uint64_t{1} << log2);
+    EXPECT_THROW(
+        (void)decode_payload(sv::FrameType::kStats, payload + count.bytes()),
+        pc::ReadError)
+        << "2^" << log2 << " clients";
+  }
+}
+
+TEST(ServeFrameFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
+  // One payload of each frame type, 20,000 mutants each. The contract: a
+  // decode, or ServeError / cache::ReadError / ShardError — never another
+  // exception, a crash, or a hang.
+  sh::SweepSpec spec = small_spec();
+  spec.circuits = {spec.circuits.back()};
+  spec.techniques = {"parallax"};
+  spec.options.compile.scheduler.record_positions = true;
+  spec.options.shots = parallax::shots::ShotOptions{};
+  const sw::Result swept = sw::run(spec.circuits, spec.techniques,
+                                   spec.machines, spec.options);
+  ASSERT_TRUE(swept.cells.at(0).ok()) << swept.cells.at(0).error;
+  ASSERT_FALSE(swept.cells.at(0).shot_plans.empty());
+
+  sv::Summary summary;
+  summary.total_cells = 8;
+  summary.executed_cells = 6;
+  summary.cancelled_cells = 2;
+  summary.anneals = 3;
+  summary.cancelled = true;
+  summary.wall_seconds = 0.75;
+  summary.error = "request cancelled";
+  sv::SessionStats stats;
+  stats.requests = 4;
+  stats.cells_executed = 32;
+  stats.cache_enabled = true;
+  stats.uptime_seconds = 9.5;
+  stats.clients.resize(2);
+  stats.clients[0].client_id = 1;
+  stats.clients[0].connected = true;
+  stats.clients[1].client_id = 2;
+  stats.clients[1].bytes_queued = 4096;
+
+  const struct {
+    sv::FrameType type;
+    std::string payload;
+    std::uint64_t seed;
+  } cases[] = {
+      {sv::FrameType::kCell, payload_of(sv::cell_frame(1, swept.cells[0])),
+       0xF4A3E1},
+      {sv::FrameType::kDone, payload_of(sv::done_frame(1, summary)),
+       0xF4A3E2},
+      {sv::FrameType::kStats, payload_of(sv::stats_frame(1, stats)),
+       0xF4A3E3},
+      {sv::FrameType::kError,
+       payload_of(sv::error_frame(1, "unknown technique 'x'")), 0xF4A3E4},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.type));
+    const auto tally =
+        parallax::fuzz::run_mutants<sv::ServeError, pc::ReadError,
+                                    sh::ShardError>(
+            c.payload, c.seed, 20000, [&](const std::string& mutant) {
+              (void)decode_payload(c.type, mutant);
+            });
+    for (const std::string& escape : tally.escapes) {
+      ADD_FAILURE() << "outside the contract: " << escape;
+    }
+    EXPECT_GT(tally.decoded, 0u);
+    EXPECT_GT(tally.rejected, 0u);
+  }
 }

@@ -589,6 +589,51 @@ TEST(ShardRunFuzz, RunFilesRoundTripAndRejectCorruption) {
   }
 }
 
+TEST(ShardRunFuzz, CellCountIsBoundedByTheSmallestEncodedCell) {
+  // A run file that declares the largest matrix and as many cells, backed
+  // by one byte each. The count must fail against the minimum encoded cell
+  // size before anything is reserved; a one-byte bound would reserve 2^24
+  // in-memory cells (about 9 GB) for this 16 MB file.
+  const std::uint64_t n_cells = std::uint64_t{1} << 24;
+  pc::Writer writer;
+  writer.u64(0);  // spec digest
+  writer.u64(0);
+  writer.u32(0);  // shard_index
+  writer.u32(1);  // shard_count
+  writer.u64(n_cells);  // n_circuits
+  writer.u64(1);        // n_techniques
+  writer.u64(1);        // n_machines
+  writer.u64(n_cells);
+  std::string payload = writer.take();
+  payload.append(n_cells, '\0');
+  EXPECT_THROW(
+      (void)sh::parse_shard_run(sh::frame_payload(sh::FileKind::kShardRun,
+                                                  payload)),
+      pc::ReadError);
+}
+
+TEST(ShardRunFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
+  // Each mutant is re-framed with a valid checksum, so it reaches the
+  // shard-run decoder itself. The contract: decode, or throw
+  // cache::ReadError / ShardError.
+  auto spec = small_spec();
+  spec.circuits = {{"ghz5", ghz(5, "ghz5")}, {"ring6", ring(6, "ring6")}};
+  const auto runs = run_plan(sh::plan(spec, 2));
+  const std::string payload = sh::unframe_payload(
+      sh::FileKind::kShardRun, sh::serialize_shard_run(runs[0]));
+  const auto tally =
+      parallax::fuzz::run_mutants<pc::ReadError, sh::ShardError>(
+          payload, 0x5A4D7F22, 20000, [](const std::string& mutant) {
+            (void)sh::parse_shard_run(
+                sh::frame_payload(sh::FileKind::kShardRun, mutant));
+          });
+  for (const std::string& escape : tally.escapes) {
+    ADD_FAILURE() << "outside the contract: " << escape;
+  }
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
 // --- sweep-level filter plumbing ----------------------------------------------
 
 TEST(SweepCellFilter, SkipsUnownedCellsWithoutCompilingThem) {
