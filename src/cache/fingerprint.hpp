@@ -7,6 +7,11 @@
 // field that can change a compile result is included, and nothing else
 // (labels like HardwareConfig::name are deliberately excluded).
 //
+// The option structs (hardware config, per-pass options, noise and shot
+// options) are hashed through their field lists in option_fields.hpp, the
+// same lists the sweep-spec codec writes and reads; a field lives in one
+// list, and a group legacy keys never saw is fed only when non-default.
+//
 // kFingerprintSchema seeds every digest, so widening a fingerprint (adding a
 // field) or changing the serialization bumps one constant and all stale
 // entries become silent misses instead of wrong hits.
@@ -121,6 +126,9 @@ class HashingStreamBuf final : public std::streambuf {
 /// Full pipeline::CompileOptions: all per-stage options, the master seed,
 /// assume_transpiled, and (when set) the preset topology's content.
 [[nodiscard]] Digest128 fingerprint(const pipeline::CompileOptions& options);
+
+/// Transpile options alone (the sweep keys its shared transpilations on it).
+[[nodiscard]] Digest128 fingerprint(const circuit::TranspileOptions& options);
 
 // --- cache keys ---------------------------------------------------------------
 

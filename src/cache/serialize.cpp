@@ -239,18 +239,37 @@ compiler::CompileResult decode_result(Reader& reader) {
   return result;
 }
 
-void encode(Writer& writer, const CachedCell& cell) {
-  encode(writer, cell.result);
-  writer.boolean(cell.has_success_probability);
-  writer.f64(cell.success_probability);
-  writer.boolean(cell.has_shot_plans);
-  writer.u64(cell.shot_plans.size());
-  for (const auto& plan : cell.shot_plans) {
+void encode(Writer& writer, const std::vector<shots::ParallelPlan>& plans) {
+  writer.u64(plans.size());
+  for (const auto& plan : plans) {
     writer.i32(plan.copies_per_dim);
     writer.i32(plan.copies);
     writer.i64(plan.physical_shots);
     writer.f64(plan.total_execution_time_us);
   }
+}
+
+std::vector<shots::ParallelPlan> decode_shot_plans(Reader& reader) {
+  std::vector<shots::ParallelPlan> plans;
+  const std::size_t n_plans = reader.length(24);
+  plans.reserve(n_plans);
+  for (std::size_t i = 0; i < n_plans; ++i) {
+    shots::ParallelPlan plan;
+    plan.copies_per_dim = reader.i32();
+    plan.copies = reader.i32();
+    plan.physical_shots = reader.i64();
+    plan.total_execution_time_us = reader.f64();
+    plans.push_back(plan);
+  }
+  return plans;
+}
+
+void encode(Writer& writer, const CachedCell& cell) {
+  encode(writer, cell.result);
+  writer.boolean(cell.has_success_probability);
+  writer.f64(cell.success_probability);
+  writer.boolean(cell.has_shot_plans);
+  encode(writer, cell.shot_plans);
 }
 
 CachedCell decode_cell(Reader& reader) {
@@ -259,16 +278,7 @@ CachedCell decode_cell(Reader& reader) {
   cell.has_success_probability = reader.boolean();
   cell.success_probability = reader.f64();
   cell.has_shot_plans = reader.boolean();
-  const std::size_t n_plans = reader.length(24);
-  cell.shot_plans.reserve(n_plans);
-  for (std::size_t i = 0; i < n_plans; ++i) {
-    shots::ParallelPlan plan;
-    plan.copies_per_dim = reader.i32();
-    plan.copies = reader.i32();
-    plan.physical_shots = reader.i64();
-    plan.total_execution_time_us = reader.f64();
-    cell.shot_plans.push_back(plan);
-  }
+  cell.shot_plans = decode_shot_plans(reader);
   return cell;
 }
 

@@ -154,6 +154,12 @@ void encode(Writer& writer, const circuit::Circuit& circuit);
 void encode(Writer& writer, const compiler::CompileResult& result);
 [[nodiscard]] compiler::CompileResult decode_result(Reader& reader);
 
+/// A cell's Fig. 11 shot plans (the cache payload and the shard cell codec
+/// share this layout).
+void encode(Writer& writer, const std::vector<shots::ParallelPlan>& plans);
+[[nodiscard]] std::vector<shots::ParallelPlan> decode_shot_plans(
+    Reader& reader);
+
 void encode(Writer& writer, const CachedCell& cell);
 [[nodiscard]] CachedCell decode_cell(Reader& reader);
 

@@ -35,13 +35,7 @@ void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
   writer.str(cell.error);
   cache::encode(writer, cell.result);
   writer.f64(cell.success_probability);
-  writer.u64(cell.shot_plans.size());
-  for (const auto& plan : cell.shot_plans) {
-    writer.i32(plan.copies_per_dim);
-    writer.i32(plan.copies);
-    writer.i64(plan.physical_shots);
-    writer.f64(plan.total_execution_time_us);
-  }
+  cache::encode(writer, cell.shot_plans);
 }
 
 sweep::Cell decode_cell_canonical(Reader& reader) {
@@ -55,16 +49,7 @@ sweep::Cell decode_cell_canonical(Reader& reader) {
   cell.error = reader.str();
   cell.result = cache::decode_result(reader);
   cell.success_probability = reader.f64();
-  const std::size_t n_plans = reader.length(24);
-  cell.shot_plans.reserve(n_plans);
-  for (std::size_t i = 0; i < n_plans; ++i) {
-    shots::ParallelPlan plan;
-    plan.copies_per_dim = reader.i32();
-    plan.copies = reader.i32();
-    plan.physical_shots = reader.i64();
-    plan.total_execution_time_us = reader.f64();
-    cell.shot_plans.push_back(plan);
-  }
+  cell.shot_plans = cache::decode_shot_plans(reader);
   return cell;
 }
 
@@ -227,9 +212,10 @@ sweep::Result merge(std::vector<ShardRun> runs) {
       static_cast<std::size_t>(first.n_techniques);
   const std::size_t n_machines = static_cast<std::size_t>(first.n_machines);
 
+  // Cells by flat index. Everything is sized by the cells the runs carry,
+  // never by the declared matrix, which a crafted run file can inflate.
+  std::map<std::size_t, sweep::Cell*> by_flat;
   sweep::Result merged;
-  merged.cells.resize(total);
-  std::vector<char> filled(total, 0);
   for (auto& run : runs) {
     for (auto& cell : run.cells) {
       if (cell.circuit_index >= first.n_circuits ||
@@ -239,10 +225,11 @@ sweep::Result merge(std::vector<ShardRun> runs) {
                          cell.circuit + "/" + cell.technique + "/" +
                          cell.machine);
       }
-      const std::size_t flat = flat_index(cell, n_techniques, n_machines);
-      if (filled[flat] != 0) {
-        const bool identical = canonical_cell_bytes(merged.cells[flat]) ==
-                               canonical_cell_bytes(cell);
+      const auto [at, inserted] =
+          by_flat.emplace(flat_index(cell, n_techniques, n_machines), &cell);
+      if (!inserted) {
+        const bool identical =
+            canonical_cell_bytes(*at->second) == canonical_cell_bytes(cell);
         throw ShardError(std::string(identical ? "duplicate" : "conflicting") +
                          " cell in shard runs: " + cell.circuit + "/" +
                          cell.technique + "/" + cell.machine +
@@ -250,8 +237,6 @@ sweep::Result merge(std::vector<ShardRun> runs) {
                                     : " (same cell, different content — "
                                       "determinism violation)"));
       }
-      merged.cells[flat] = std::move(cell);
-      filled[flat] = 1;
     }
     merged.placement_cache_hits += run.placement_cache_hits;
     merged.placement_cache_misses += run.placement_cache_misses;
@@ -265,15 +250,24 @@ sweep::Result merge(std::vector<ShardRun> runs) {
     merged.threads_used = std::max(merged.threads_used,
                                    static_cast<std::size_t>(run.threads_used));
   }
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    if (filled[flat] == 0) {
-      const std::size_t per_circuit = n_techniques * n_machines;
-      throw ShardError(
-          "missing cell in shard runs: circuit " +
-          std::to_string(flat / per_circuit) + ", technique " +
-          std::to_string((flat % per_circuit) / n_machines) + ", machine " +
-          std::to_string(flat % n_machines));
-    }
+  // Every flat index is below `total`, so the first gap in the sorted keys
+  // (or the end) is the lowest missing cell.
+  std::size_t missing = 0;
+  for (const auto& entry : by_flat) {
+    if (entry.first != missing) break;
+    ++missing;
+  }
+  if (missing < total) {
+    const std::size_t per_circuit = n_techniques * n_machines;
+    throw ShardError(
+        "missing cell in shard runs: circuit " +
+        std::to_string(missing / per_circuit) + ", technique " +
+        std::to_string((missing % per_circuit) / n_machines) + ", machine " +
+        std::to_string(missing % n_machines));
+  }
+  merged.cells.reserve(total);
+  for (const auto& entry : by_flat) {
+    merged.cells.push_back(std::move(*entry.second));
   }
   return merged;
 }

@@ -132,9 +132,8 @@ struct ShardRun {
 [[nodiscard]] sweep::Result merge(std::vector<ShardRun> runs);
 
 /// In-process convenience behind `parallax_cli bench --serve off --shards N`:
-/// plan + run each shard sequentially + merge, all in this process. Unlike
-/// the file-based path this accepts a customize hook (nothing is
-/// serialized). Byte-identical to sweep::run over the same arguments.
+/// plan + run each shard sequentially + merge, all in this process (nothing
+/// is serialized). Byte-identical to sweep::run over the same arguments.
 [[nodiscard]] sweep::Result run_sharded(
     const std::vector<sweep::CircuitSpec>& circuits,
     const std::vector<std::string>& techniques,

@@ -1,6 +1,9 @@
 #include "shard/spec.hpp"
 
+#include <optional>
 #include <utility>
+
+#include "cache/option_fields.hpp"
 
 namespace parallax::shard {
 
@@ -13,217 +16,78 @@ using cache::Writer;
 constexpr std::uint64_t kMagic = 0x3144524148535850ULL;  // "PXSHARD1" LE
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
 
-void encode_transpile(Writer& w, const circuit::TranspileOptions& o) {
-  w.boolean(o.fuse_single_qubit);
-  w.boolean(o.cancel_cz_pairs);
-  w.boolean(o.drop_identities);
-  w.f64(o.identity_tolerance);
-  w.i32(o.max_iterations);
-}
+/// The reading archive over the option field lists
+/// (cache/option_fields.hpp): every field back in wire order, with each
+/// `expect` and every enum value checked.
+class SpecReader {
+ public:
+  explicit SpecReader(Reader& reader) noexcept : reader_(reader) {}
 
-circuit::TranspileOptions decode_transpile(Reader& r) {
-  circuit::TranspileOptions o;
-  o.fuse_single_qubit = r.boolean();
-  o.cancel_cz_pairs = r.boolean();
-  o.drop_identities = r.boolean();
-  o.identity_tolerance = r.f64();
-  o.max_iterations = r.i32();
-  return o;
-}
-
-void encode_placement(Writer& w, const placement::GraphineOptions& o) {
-  w.i32(o.anneal_iterations);
-  w.i32(o.local_search_evaluations);
-  w.f64(o.crowding_distance);
-  w.f64(o.crowding_weight);
-  w.boolean(o.warm_start);
-  w.u64(o.seed);
-}
-
-placement::GraphineOptions decode_placement(Reader& r) {
-  placement::GraphineOptions o;
-  o.anneal_iterations = r.i32();
-  o.local_search_evaluations = r.i32();
-  o.crowding_distance = r.f64();
-  o.crowding_weight = r.f64();
-  o.warm_start = r.boolean();
-  o.seed = r.u64();
-  return o;
-}
-
-void encode_scheduler(Writer& w, const compiler::SchedulerOptions& o) {
-  w.boolean(o.return_home);
-  w.i32(o.max_move_iterations);
-  w.u64(o.shuffle_seed);
-  w.boolean(o.record_positions);
-}
-
-compiler::SchedulerOptions decode_scheduler(Reader& r) {
-  compiler::SchedulerOptions o;
-  o.return_home = r.boolean();
-  o.max_move_iterations = r.i32();
-  o.shuffle_seed = r.u64();
-  o.record_positions = r.boolean();
-  return o;
-}
-
-void encode_config(Writer& w, const hardware::HardwareConfig& c) {
-  w.str(c.name);
-  w.i32(c.grid_side);
-  w.f64(c.min_separation_um);
-  w.f64(c.discretization_padding_um);
-  w.i32(c.aod_rows);
-  w.i32(c.aod_cols);
-  w.f64(c.u3_time_us);
-  w.f64(c.cz_time_us);
-  w.f64(c.swap_time_us);
-  w.f64(c.trap_switch_time_us);
-  w.f64(c.aod_speed_um_per_us);
-  w.f64(c.u3_error);
-  w.f64(c.cz_error);
-  w.f64(c.swap_error);
-  w.f64(c.trap_switch_error);
-  w.f64(c.movement_loss);
-  w.f64(c.atom_loss_rate);
-  w.f64(c.readout_error);
-  w.f64(c.t1_seconds);
-  w.f64(c.t2_seconds);
-}
-
-hardware::HardwareConfig decode_config(Reader& r) {
-  hardware::HardwareConfig c;
-  c.name = r.str();
-  c.grid_side = r.i32();
-  c.min_separation_um = r.f64();
-  c.discretization_padding_um = r.f64();
-  c.aod_rows = r.i32();
-  c.aod_cols = r.i32();
-  c.u3_time_us = r.f64();
-  c.cz_time_us = r.f64();
-  c.swap_time_us = r.f64();
-  c.trap_switch_time_us = r.f64();
-  c.aod_speed_um_per_us = r.f64();
-  c.u3_error = r.f64();
-  c.cz_error = r.f64();
-  c.swap_error = r.f64();
-  c.trap_switch_error = r.f64();
-  c.movement_loss = r.f64();
-  c.atom_loss_rate = r.f64();
-  c.readout_error = r.f64();
-  c.t1_seconds = r.f64();
-  c.t2_seconds = r.f64();
-  if (c.grid_side < 1) {
-    throw ReadError("shard spec has a malformed machine grid");
+  void boolean(bool& v) { v = reader_.boolean(); }
+  void i32(std::int32_t& v) { v = reader_.i32(); }
+  void i64(std::int64_t& v) { v = reader_.i64(); }
+  void u64(std::uint64_t& v) { v = reader_.u64(); }
+  void f64(double& v) { v = reader_.f64(); }
+  template <typename Enum>
+  void enum_u8(Enum& v) { v = known_enum<Enum>(reader_.u8()); }
+  template <typename Enum>
+  void enum_i32(Enum& v) { v = known_enum<Enum>(reader_.i32()); }
+  void label(std::string& name) { name = reader_.str(); }
+  void topology(placement::Topology& value) {
+    value = cache::parse_topology(reader_.str());
   }
-  return c;
+  template <typename T, typename Body>
+  void optional(std::optional<T>& value, Body body) {
+    value.reset();
+    if (reader_.boolean()) body(value.emplace());
+  }
+  template <typename Body>
+  void keyed_when(bool, Body body) { body(); }
+  void expect(bool ok, const char* what) {
+    if (!ok) throw ReadError(std::string("sweep spec has ") + what);
+  }
+
+ private:
+  /// The wire value as an enum, unless it does not fit the enum or names a
+  /// value cache::known refuses.
+  template <typename Enum, typename Wire>
+  static Enum known_enum(Wire wire) {
+    const auto value = static_cast<Enum>(wire);
+    if (static_cast<Wire>(value) != wire || !cache::known(value)) {
+      throw ReadError("sweep spec has an unknown enum value");
+    }
+    return value;
+  }
+
+  Reader& reader_;
+};
+
+/// The deterministic subset of sweep::Options; the runtime-only fields
+/// (threads, cache, filter, provenance, hooks, pool) never travel.
+template <typename Archive, cache::MaybeConst<sweep::Options> O>
+void fields(Archive& ar, O& o) {
+  cache::fields(ar, o.compile);
+  ar.boolean(o.compute_success_probability);
+  cache::fields(ar, o.noise);
+  ar.optional(o.shots, [&](auto& shots) { cache::fields(ar, shots); });
 }
 
-void encode_noise(Writer& w, const noise::NoiseOptions& o) {
-  w.boolean(o.include_gate_errors);
-  w.boolean(o.include_decoherence);
-  w.boolean(o.include_operation_overheads);
-  w.boolean(o.include_readout);
-  w.boolean(o.include_atom_loss);
-  w.boolean(o.per_qubit_decoherence);
-}
-
-noise::NoiseOptions decode_noise(Reader& r) {
-  noise::NoiseOptions o;
-  o.include_gate_errors = r.boolean();
-  o.include_decoherence = r.boolean();
-  o.include_operation_overheads = r.boolean();
-  o.include_readout = r.boolean();
-  o.include_atom_loss = r.boolean();
-  o.per_qubit_decoherence = r.boolean();
-  return o;
+template <typename Archive, cache::MaybeConst<sweep::MachineSpec> M>
+void fields(Archive& ar, M& machine) {
+  ar.label(machine.name);
+  cache::fields(ar, machine.config);
 }
 
 }  // namespace
 
-void encode_spec_options(Writer& writer, const sweep::Options& options) {
-  encode_transpile(writer, options.compile.transpile);
-  encode_placement(writer, options.compile.placement);
-  writer.f64(options.compile.discretize.spread_factor);
-  encode_scheduler(writer, options.compile.scheduler);
-  writer.f64(options.compile.aod_selection.out_of_range_weight);
-  writer.f64(options.compile.aod_selection.interference_weight);
-  writer.boolean(options.compile.assume_transpiled);
-  writer.boolean(options.compile.preset_topology.has_value());
-  if (options.compile.preset_topology) {
-    cache::encode(writer, *options.compile.preset_topology);
-  }
-  writer.u64(options.compile.seed);
-  writer.u32(static_cast<std::uint32_t>(options.compile.fidelity.model));
-  writer.i64(options.compile.fidelity.shots);
-  writer.f64(options.compile.fidelity.moving_decoherence_scale);
-  writer.boolean(options.compute_success_probability);
-  encode_noise(writer, options.noise);
-  writer.boolean(options.shots.has_value());
-  if (options.shots) {
-    writer.i64(options.shots->logical_shots);
-    writer.f64(options.shots->inter_shot_overhead_us);
-  }
-  writer.boolean(options.reuse_results);
-}
-
-sweep::Options decode_spec_options(Reader& reader) {
-  sweep::Options options;
-  options.compile.transpile = decode_transpile(reader);
-  options.compile.placement = decode_placement(reader);
-  options.compile.discretize.spread_factor = reader.f64();
-  options.compile.scheduler = decode_scheduler(reader);
-  options.compile.aod_selection.out_of_range_weight = reader.f64();
-  options.compile.aod_selection.interference_weight = reader.f64();
-  options.compile.assume_transpiled = reader.boolean();
-  if (reader.boolean()) {
-    options.compile.preset_topology = cache::decode_topology(reader);
-  }
-  options.compile.seed = reader.u64();
-  const std::uint32_t fidelity_model = reader.u32();
-  if (fidelity_model >
-      static_cast<std::uint32_t>(noise::FidelityModel::kSimulated)) {
-    throw ReadError("sweep spec has an unknown fidelity model");
-  }
-  options.compile.fidelity.model =
-      static_cast<noise::FidelityModel>(fidelity_model);
-  options.compile.fidelity.shots = reader.i64();
-  options.compile.fidelity.moving_decoherence_scale = reader.f64();
-  options.compute_success_probability = reader.boolean();
-  options.noise = decode_noise(reader);
-  if (reader.boolean()) {
-    shots::ShotOptions shot_options;
-    shot_options.logical_shots = reader.i64();
-    shot_options.inter_shot_overhead_us = reader.f64();
-    options.shots = shot_options;
-  }
-  options.reuse_results = reader.boolean();
-  return options;
-}
-
-void encode_machine(Writer& writer, const sweep::MachineSpec& machine) {
-  writer.str(machine.name);
-  encode_config(writer, machine.config);
-}
-
-sweep::MachineSpec decode_machine(Reader& reader) {
-  sweep::MachineSpec machine;
-  machine.name = reader.str();
-  machine.config = decode_config(reader);
-  return machine;
-}
-
 std::string sweep_spec_payload(const SweepSpec& spec) {
-  if (spec.options.customize) {
-    throw ShardError(
-        "a sweep spec with a customize hook cannot be serialized; bake the "
-        "customization into per-cell options or shard in-process");
-  }
   if (spec.options.cell_filter) {
     throw ShardError(
         "a sweep spec must cover the whole matrix; cell ownership is the "
         "shard layer's job, not the spec's");
   }
   Writer writer;
+  cache::FieldWriter ar(writer);
   writer.u64(spec.circuits.size());
   for (const auto& circuit_spec : spec.circuits) {
     writer.str(circuit_spec.name);
@@ -232,8 +96,8 @@ std::string sweep_spec_payload(const SweepSpec& spec) {
   writer.u64(spec.techniques.size());
   for (const auto& technique : spec.techniques) writer.str(technique);
   writer.u64(spec.machines.size());
-  for (const auto& machine : spec.machines) encode_machine(writer, machine);
-  encode_spec_options(writer, spec.options);
+  for (const auto& machine : spec.machines) fields(ar, machine);
+  fields(ar, spec.options);
   return writer.take();
 }
 
@@ -246,6 +110,7 @@ namespace {
 
 SweepSpec decode_sweep_spec(Reader& reader) {
   SweepSpec spec;
+  SpecReader ar(reader);
   const std::size_t n_circuits = reader.length(8);
   spec.circuits.reserve(n_circuits);
   for (std::size_t i = 0; i < n_circuits; ++i) {
@@ -262,9 +127,9 @@ SweepSpec decode_sweep_spec(Reader& reader) {
   const std::size_t n_machines = reader.length(8);
   spec.machines.reserve(n_machines);
   for (std::size_t i = 0; i < n_machines; ++i) {
-    spec.machines.push_back(decode_machine(reader));
+    fields(ar, spec.machines.emplace_back());
   }
-  spec.options = decode_spec_options(reader);
+  fields(ar, spec.options);
   return spec;
 }
 

@@ -2,7 +2,8 @@
 //
 // A SweepSpec captures everything sweep::run needs to reproduce a cell —
 // circuits (full gate lists), technique names, machines (every hardware
-// field), and the deterministic subset of sweep::Options. Runtime-only
+// field), and the deterministic subset of sweep::Options, every compile
+// option included (the field lists of cache/option_fields.hpp). Runtime-only
 // fields (thread count, the cache handle, provenance labels, the cell
 // filter) are deliberately not part of a spec: two hosts given the same
 // spec bytes must produce byte-identical cells whatever their local setup.
@@ -25,7 +26,7 @@
 
 namespace parallax::shard {
 
-/// Thrown on spec-level misuse (non-serializable options, bad shard counts)
+/// Thrown on spec-level misuse (a cell filter, bad shard counts)
 /// and merge-level integrity failures (duplicate/missing/conflicting cells,
 /// outputs from different plans). Distinct from cache::ReadError, which
 /// covers byte-level corruption.
@@ -36,9 +37,8 @@ class ShardError : public std::runtime_error {
 
 /// The full sweep matrix plus its deterministic options. `options` may carry
 /// runtime-only fields in memory (they are ignored when serializing), but a
-/// spec with a `customize` hook or a `cell_filter` cannot be serialized —
-/// both change results yet cannot round-trip through bytes — and
-/// serialize_sweep_spec throws ShardError for them.
+/// spec with a `cell_filter` cannot be serialized — a spec covers the whole
+/// matrix — and serialize_sweep_spec throws ShardError for it.
 struct SweepSpec {
   std::vector<sweep::CircuitSpec> circuits;
   std::vector<std::string> techniques;
@@ -65,21 +65,19 @@ struct ShardSpec {
 /// garbage. v2: fidelity-estimator options (noise::FidelityOptions) joined
 /// the spec codec; shard outputs also carry the new per-layer aod_moves.
 /// v3: sweep::Options::share_placements left the spec (placement sharing is
-/// no longer optional).
-inline constexpr std::uint32_t kSpecVersion = 3;
-
-// --- nested option codecs (shared with the shard-run encoder) -----------------
-
-void encode_spec_options(cache::Writer& writer, const sweep::Options& options);
-[[nodiscard]] sweep::Options decode_spec_options(cache::Reader& reader);
-void encode_machine(cache::Writer& writer, const sweep::MachineSpec& machine);
-[[nodiscard]] sweep::MachineSpec decode_machine(cache::Reader& reader);
+/// no longer optional). v4: the spec writes the option field lists that the
+/// cache keys hash (cache/option_fields.hpp), so every compile option
+/// travels: GraphineOptions' proposal, chains, max_window_qubits and
+/// portfolio_entrants joined; sweep::Options::reuse_results left; the
+/// fidelity model shrank from four bytes to one; a preset topology is
+/// length-prefixed.
+inline constexpr std::uint32_t kSpecVersion = 4;
 
 // --- spec serialization -------------------------------------------------------
 
 /// Canonical payload bytes of a sweep spec (no framing header). Equal specs
 /// produce equal bytes in every process; this is what spec_digest hashes.
-/// Throws ShardError if `options.customize` or `options.cell_filter` is set.
+/// Throws ShardError if `options.cell_filter` is set.
 [[nodiscard]] std::string sweep_spec_payload(const SweepSpec& spec);
 
 /// 128-bit content digest of a sweep spec. Shard outputs carry it so merge
@@ -108,8 +106,8 @@ enum class FileKind : std::uint32_t {
 /// Framed, checksummed whole-sweep spec bytes — the request format the
 /// serve layer accepts (and the `parallax serve spec` file format). Same
 /// integrity contract as shard specs: any truncation, bit flip, or version
-/// drift throws cache::ReadError on parse. Throws ShardError for
-/// non-serializable options (customize / cell_filter).
+/// drift throws cache::ReadError on parse. Throws ShardError for a
+/// `cell_filter`.
 [[nodiscard]] std::string serialize_sweep_spec(const SweepSpec& spec);
 /// Parses and validates framed sweep-spec bytes; throws cache::ReadError on
 /// corruption and ShardError on an empty matrix axis.

@@ -1,7 +1,6 @@
 #include "sweep/sweep.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -19,17 +18,6 @@ namespace parallax::sweep {
 namespace {
 
 using util::Stopwatch;
-
-std::string transpile_key(std::size_t circuit_index,
-                          const circuit::TranspileOptions& options) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer), "%zu|%d|%d|%d|%.17g|%d",
-                circuit_index, options.fuse_single_qubit ? 1 : 0,
-                options.cancel_cz_pairs ? 1 : 0,
-                options.drop_identities ? 1 : 0, options.identity_tolerance,
-                options.max_iterations);
-  return buffer;
-}
 
 /// Overwrites the timing entry of `pass_name` (when present) with the cost
 /// the sweep driver actually paid for that stage outside the pipeline —
@@ -134,27 +122,24 @@ Result run(const std::vector<CircuitSpec>& circuits,
                                 const CircuitSpec& spec,
                                 const MachineSpec& machine) {
       pipeline::CompileOptions opts = options.compile;
-      if (options.customize) {
-        options.customize(cell.circuit, cell.technique, cell.machine, opts);
-      }
       // Technique-declared option tuning (e.g. graphine-mc4 switching the
-      // placement annealer to batched multi-chain) applies after the
-      // caller's customize hook and before any key is derived, so memo
-      // keys, cache fingerprints, and the pipeline all see the same
-      // effective options.
+      // placement annealer to batched multi-chain) applies before any key
+      // is derived, so memo keys, cache fingerprints, and the pipeline all
+      // see the same effective options.
       registry.apply_tuning(cell.technique, opts);
 
       // Shared transpilation (no-op when the caller's inputs are already in
       // the {U3, CZ} basis). Keyed on the cell's effective transpile options
-      // so a customize hook that changes them is honored, not silently
-      // served another cell's circuit. Circuit names are preserved, so
-      // per-circuit seed derivation is unchanged.
+      // so a technique that tunes them is honored, not silently served
+      // another cell's circuit. Circuit names are preserved, so per-circuit
+      // seed derivation is unchanged.
       const circuit::Circuit* input = &spec.circuit;
       std::string input_key = std::to_string(ci) + "|raw";
       bool transpile_shared = false;
       double transpile_seconds = 0.0;
       if (!opts.assume_transpiled) {
-        input_key = transpile_key(ci, opts.transpile);
+        input_key = std::to_string(ci) + "|" +
+                    cache::fingerprint(opts.transpile).hex();
         bool transpiled_here = false;
         const Stopwatch transpile_watch;
         input = &transpiled_memo.get(
@@ -180,8 +165,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
       // plans) ride along — an incremental sweep recompiles exactly the
       // cells whose fingerprints changed.
       cache::Digest128 cell_key;
-      const bool use_results = persistent != nullptr && options.reuse_results;
-      if (use_results) {
+      if (persistent != nullptr) {
         cell_key = cache::result_key(
             input_fp, cell.technique, pl.pass_names(), machine.config, opts,
             options.compute_success_probability ? &options.noise : nullptr,
@@ -236,7 +220,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
         cell.shot_plans = shots::parallelization_sweep(
             cell.result, machine.config, *options.shots);
       }
-      if (use_results) {
+      if (persistent != nullptr) {
         // Moved in and back out: the cache only encodes the cell.
         cache::CachedCell stored;
         stored.result = std::move(cell.result);

@@ -66,6 +66,8 @@ struct MachineSpec {
 
 struct Options {
   /// Base compile options for every cell (seed, spreads, scheduler knobs).
+  /// The one per-cell adjustment is a technique's declared tuning
+  /// (technique::Registry), applied before any key is derived.
   pipeline::CompileOptions compile{};
   /// Worker threads; 0 selects hardware concurrency.
   std::size_t n_threads = 0;
@@ -74,22 +76,12 @@ struct Options {
   noise::NoiseOptions noise{};
   /// When set, compute the Fig. 11 parallelization series per cell.
   std::optional<shots::ShotOptions> shots;
-  /// Per-cell option tweaks, applied before compilation (e.g. a different
-  /// spread factor for one technique). Placement memoization keys on the
-  /// customized options, so divergent placements are never wrongly shared.
-  std::function<void(const std::string& circuit, const std::string& technique,
-                     const std::string& machine,
-                     pipeline::CompileOptions& options)>
-      customize;
-  /// Persistent compilation cache. When set, the in-run transpile/placement
-  /// memos consult and populate its disk tier (a rerun anneals nothing that
-  /// any earlier run annealed), and whole cells short-circuit on result
-  /// hits. Null (the default) keeps pure in-run memoization.
-  std::shared_ptr<cache::CompilationCache> cache;
-  /// With `cache` set, serve whole cells from cached CompileResults
+  /// Persistent compilation cache. When set, the in-run placement memo
+  /// consults and populates its disk tier (a rerun anneals nothing that any
+  /// earlier run annealed), and whole cells short-circuit on result hits
   /// (incremental sweeps: a rerun only recompiles cells whose fingerprints
-  /// changed). Disable to reuse only placements.
-  bool reuse_results = true;
+  /// changed). Null (the default) keeps pure in-run memoization.
+  std::shared_ptr<cache::CompilationCache> cache;
   /// Cell ownership predicate over the flat circuit-major cell index. Cells
   /// for which it returns false are labeled but never compiled (Cell::skipped
   /// is set). This is the hook the shard layer (shard/shard.hpp) partitions

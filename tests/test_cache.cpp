@@ -10,8 +10,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -282,27 +280,16 @@ namespace {
 /// Feeds 20,000 seeded mutants of `payload` to `decode`. The contract is a
 /// decode or a ReadError; any other exception fails the test, and a crash
 /// or an oversized allocation takes the binary down.
+template <typename Decode>
 void fuzz_decoder(const std::string& payload, std::uint64_t seed,
-                  const std::function<void(std::string_view)>& decode) {
-  std::mt19937_64 rng(seed);
-  std::size_t decoded = 0;
-  std::size_t rejected = 0;
-  int escapes = 0;
-  for (int i = 0; i < 20000 && escapes < 10; ++i) {
-    const std::string mutant = parallax::fuzz::mutate(payload, i, rng);
-    try {
-      decode(mutant);
-      ++decoded;
-    } catch (const pc::ReadError&) {
-      ++rejected;
-    } catch (const std::exception& error) {
-      ++escapes;
-      ADD_FAILURE() << "mutant " << i << " threw outside the contract: "
-                    << error.what();
-    }
+                  const Decode& decode) {
+  const auto tally = parallax::fuzz::run_mutants<pc::ReadError>(
+      payload, seed, 20000, decode);
+  for (const std::string& escape : tally.escapes) {
+    ADD_FAILURE() << "outside the contract: " << escape;
   }
-  EXPECT_GT(decoded, 0u);
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 }  // namespace
@@ -720,30 +707,33 @@ TEST(SweepCache, WarmRunAnnealsNothingAndIsByteIdentical) {
 }
 
 TEST(SweepCache, PlacementOnlyReuseStillAnnealsNothing) {
-  // reuse_results=false exercises the placement disk tier in isolation: the
-  // pipeline runs, but every Graphine placement loads from disk.
+  // A warm pass for another machine exercises the placement disk tier in
+  // isolation: result keys cover the machine and miss, placement keys do
+  // not, so the pipeline runs but every Graphine placement loads from disk.
   const std::string dir = fresh_dir("placement_only");
-  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const auto quera = ph::HardwareConfig::quera_aquila_256();
+  const auto atom = ph::HardwareConfig::atom_computing_1225();
   auto options = fast_sweep_options();
   options.cache = pc::CompilationCache::open({.directory = dir});
   const auto cold = sw::run(small_circuits(), {"parallax", "graphine"},
-                            {{config.name, config}}, options);
+                            {{quera.name, quera}}, options);
   EXPECT_EQ(cold.placement_disk_hits, 0u);
 
   options.cache = pc::CompilationCache::open({.directory = dir});
-  options.reuse_results = false;
   const std::uint64_t anneals_cold = ppl::annealing_invocations();
   const auto warm = sw::run(small_circuits(), {"parallax", "graphine"},
-                            {{config.name, config}}, options);
+                            {{atom.name, atom}}, options);
   EXPECT_EQ(ppl::annealing_invocations(), anneals_cold);
   EXPECT_EQ(warm.result_cache_hits, 0u);
   EXPECT_EQ(warm.placement_disk_hits, small_circuits().size());
-  ASSERT_EQ(warm.cells.size(), cold.cells.size());
+  const auto reference = sw::run(small_circuits(), {"parallax", "graphine"},
+                                 {{atom.name, atom}}, fast_sweep_options());
+  ASSERT_EQ(warm.cells.size(), reference.cells.size());
   for (std::size_t i = 0; i < warm.cells.size(); ++i) {
     ASSERT_TRUE(warm.cells[i].ok()) << warm.cells[i].error;
     EXPECT_FALSE(warm.cells[i].from_cache);
     EXPECT_EQ(pc::serialize_result(warm.cells[i].result),
-              pc::serialize_result(cold.cells[i].result));
+              pc::serialize_result(reference.cells[i].result));
   }
 }
 

@@ -119,7 +119,7 @@ TEST(ArtifactRegistry, DuplicateRegistrationIsRejected) {
 
 // Every spec any artifact plans must round-trip through the shard codec —
 // this is what guarantees the whole registry can stream through a serve
-// session (no customize hooks, no cell filters, nothing process-local).
+// session (no cell filters, nothing process-local).
 TEST(ArtifactRegistry, EverySpecRoundTripsThroughTheWireCodec) {
   const rp::Options options = small_options();
   rp::InProcessRunner runner;

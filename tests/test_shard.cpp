@@ -7,15 +7,21 @@
 // rejection, merge integrity errors (duplicate/missing/conflicting/mixed),
 // and provenance preservation.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/fingerprint.hpp"
 #include "hardware/config.hpp"
 #include "placement/graphine.hpp"
 #include "shard/shard.hpp"
@@ -126,11 +132,6 @@ TEST(ShardPlan, ValidatesUpFront) {
   auto empty = spec;
   empty.circuits.clear();
   EXPECT_THROW((void)sh::plan(empty, 2), sh::ShardError);
-  auto custom = spec;
-  custom.options.customize = [](const std::string&, const std::string&,
-                                const std::string&,
-                                parallax::pipeline::CompileOptions&) {};
-  EXPECT_THROW((void)sh::plan(custom, 2), sh::ShardError);
 }
 
 // --- the differential harness -------------------------------------------------
@@ -233,15 +234,9 @@ TEST(ShardDifferential, FileRoundTripPreservesByteIdentity) {
 }
 
 TEST(ShardDifferential, RunShardedMatchesSweepRun) {
-  // The in-process path behind `bench --serve off --shards N` (accepts
-  // customize).
+  // The in-process path behind `bench --serve off --shards N`.
   const auto spec = small_spec();
-  auto options = spec.options;
-  options.customize = [](const std::string&, const std::string& technique,
-                         const std::string&,
-                         parallax::pipeline::CompileOptions& compile) {
-    if (technique == "static") compile.transpile.cancel_cz_pairs = false;
-  };
+  const auto options = spec.options;
   const auto unsharded = sw::run(spec.circuits, spec.techniques,
                                  spec.machines, options);
   for (const std::uint32_t n : {2u, 5u}) {
@@ -396,6 +391,63 @@ TEST(ShardMerge, RejectsImplausibleMatrixDimensions) {
       sh::ShardError);
 }
 
+namespace {
+
+/// Caps this process's address space `headroom` bytes above its current
+/// size (or at the hard limit, if that is lower); false if it could not.
+/// Sanitizer builds reserve terabytes of shadow up front, so the cap is
+/// relative, not absolute.
+bool cap_address_space(std::uint64_t headroom) {
+  std::ifstream status("/proc/self/status");
+  std::uint64_t size_kb = 0;
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) size_kb = std::stoull(line.substr(7));
+  }
+  rlimit limit{};
+  if (size_kb == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  const rlim_t wanted = size_kb * 1024 + headroom;
+  limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
+                       ? wanted
+                       : std::min<rlim_t>(wanted, limit.rlim_max);
+  return ::setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+}  // namespace
+
+TEST(ShardMerge, AnEmptyRunOfTheLargestMatrixIsMissingCellsNotMemory) {
+  // A 168-byte run file that declares the largest matrix (2^24 cells) and
+  // carries none. merge must report the first missing cell from the cells
+  // it was given; sizing its output by the declared matrix would ask for
+  // 2^24 sweep::Cells (about 9 GB). The probe runs in a child process
+  // capped 1 GiB above its size, so an oversized allocation fails there
+  // instead of touching memory.
+  pc::Writer writer;
+  writer.u64(0);  // spec digest
+  writer.u64(0);
+  writer.u32(0);                       // shard_index
+  writer.u32(1);                       // shard_count
+  writer.u64(std::uint64_t{1} << 24);  // n_circuits
+  writer.u64(1);                       // n_techniques
+  writer.u64(1);                       // n_machines
+  writer.u64(0);                       // no cells
+  for (int i = 0; i < 10; ++i) writer.u64(0);  // wall seconds and counters
+  const std::string bytes =
+      sh::frame_payload(sh::FileKind::kShardRun, writer.take());
+  ASSERT_EQ(bytes.size(), 168u);
+  EXPECT_EXIT(
+      {
+        if (!cap_address_space(std::uint64_t{1} << 30)) std::_Exit(2);
+        try {
+          (void)sh::merge({sh::parse_shard_run(bytes)});
+        } catch (const sh::ShardError& error) {
+          std::fprintf(stderr, "%s\n", error.what());
+          std::_Exit(0);
+        }
+      },
+      ::testing::ExitedWithCode(0),
+      "missing cell in shard runs: circuit 0, technique 0, machine 0");
+}
+
 // --- serialization: property/fuzz round trips and corruption ------------------
 
 namespace {
@@ -474,7 +526,17 @@ sh::SweepSpec random_spec(std::uint64_t seed) {
     shots.inter_shot_overhead_us = unit(rng) * 100.0;
     spec.options.shots = shots;
   }
-  spec.options.reuse_results = rng() % 2 == 0;
+  auto& placement = spec.options.compile.placement;
+  placement.proposal = rng() % 2 == 0 ? ppl::ProposalMode::kBatched
+                                      : ppl::ProposalMode::kFullVector;
+  placement.chains = 1 + static_cast<int>(rng() % 4);
+  placement.max_window_qubits = static_cast<int>(rng() % 3) * 32;
+  placement.portfolio_entrants = static_cast<int>(rng() % 5);
+  auto& fidelity = spec.options.compile.fidelity;
+  if (rng() % 2 == 0) {
+    fidelity.model = parallax::noise::FidelityModel::kSimulated;
+  }
+  fidelity.shots = 1 + static_cast<std::int64_t>(rng() % 10000);
   return spec;
 }
 
@@ -506,6 +568,52 @@ TEST(ShardSpecFuzz, RandomSpecsRoundTripExactly) {
     EXPECT_EQ(sh::spec_digest(parsed.sweep), sh::spec_digest(spec));
     EXPECT_EQ(parsed.shard_index, shard.shard_index);
     EXPECT_EQ(parsed.sweep.options.compile.seed, spec.options.compile.seed);
+    // And the spec means what the options mean: a field the spec dropped
+    // would key the parsed options differently.
+    EXPECT_EQ(pc::fingerprint(parsed.sweep.options.compile),
+              pc::fingerprint(spec.options.compile))
+        << "seed " << seed;
+  }
+}
+
+TEST(ShardSpecFuzz, OutOfRangeOptionValuesAreRejected) {
+  // The writer encodes whatever the options hold; the reader refuses an
+  // unknown enum, a chain count below 1, a negative window or portfolio
+  // count, and an empty machine grid.
+  const std::vector<std::pair<const char*, void (*)(sh::SweepSpec&)>> cases = {
+      {"retired proposal mode",
+       [](sh::SweepSpec& spec) {
+         spec.options.compile.placement.proposal =
+             static_cast<ppl::ProposalMode>(1);
+       }},
+      {"unknown fidelity model",
+       [](sh::SweepSpec& spec) {
+         spec.options.compile.fidelity.model =
+             static_cast<parallax::noise::FidelityModel>(7);
+       }},
+      {"zero chains",
+       [](sh::SweepSpec& spec) {
+         spec.options.compile.placement.chains = 0;
+       }},
+      {"negative window",
+       [](sh::SweepSpec& spec) {
+         spec.options.compile.placement.max_window_qubits = -1;
+       }},
+      {"negative portfolio",
+       [](sh::SweepSpec& spec) {
+         spec.options.compile.placement.portfolio_entrants = -1;
+       }},
+      {"empty grid",
+       [](sh::SweepSpec& spec) { spec.machines[0].config.grid_side = 0; }},
+  };
+  const auto spec = small_spec();
+  (void)sh::parse_sweep_spec(sh::serialize_sweep_spec(spec));
+  for (const auto& [name, breaks] : cases) {
+    auto broken = spec;
+    breaks(broken);
+    EXPECT_THROW((void)sh::parse_sweep_spec(sh::serialize_sweep_spec(broken)),
+                 pc::ReadError)
+        << name;
   }
 }
 
@@ -539,29 +647,18 @@ TEST(SweepSpecFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
   // exception type, a crash, or a hang.
   auto spec = small_spec();
   spec.circuits.resize(2);
-  const std::string payload = sh::sweep_spec_payload(spec);
-  std::mt19937_64 rng(0x5EEDF022);
-  std::size_t decoded = 0;
-  std::size_t rejected = 0;
-  int escapes = 0;
-  for (int i = 0; i < 20000 && escapes < 10; ++i) {
-    const std::string mutant = parallax::fuzz::mutate(payload, i, rng);
-    try {
-      (void)sh::parse_sweep_spec(
-          sh::frame_payload(sh::FileKind::kSweepSpec, mutant));
-      ++decoded;
-    } catch (const pc::ReadError&) {
-      ++rejected;
-    } catch (const sh::ShardError&) {
-      ++rejected;
-    } catch (const std::exception& error) {
-      ++escapes;
-      ADD_FAILURE() << "mutant " << i << " threw outside the contract: "
-                    << error.what();
-    }
+  const auto tally =
+      parallax::fuzz::run_mutants<pc::ReadError, sh::ShardError>(
+          sh::sweep_spec_payload(spec), 0x5EEDF022, 20000,
+          [](const std::string& mutant) {
+            (void)sh::parse_sweep_spec(
+                sh::frame_payload(sh::FileKind::kSweepSpec, mutant));
+          });
+  for (const std::string& escape : tally.escapes) {
+    ADD_FAILURE() << "outside the contract: " << escape;
   }
-  EXPECT_GT(decoded, 0u);
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(ShardRunFuzz, RunFilesRoundTripAndRejectCorruption) {

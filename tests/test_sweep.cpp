@@ -3,6 +3,8 @@
 // placement memoization accounting, error isolation, and shot planning.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "bench_circuits/registry.hpp"
 #include "cache/fingerprint.hpp"
 #include "circuit/circuit.hpp"
@@ -139,38 +141,54 @@ TEST(Sweep, PlacementMemoizedAcrossTechniquesAndMachines) {
   EXPECT_EQ(swept.placement_cache_hits, 3 * circuits.size());
 }
 
-TEST(Sweep, MemoKeysOnCustomizedPlacementOptions) {
-  // A customize hook that gives one technique different placement options
+namespace {
+
+/// The built-ins plus `name`: technique `base` with `tune` applied to its
+/// options.
+pt::Registry with_tuned_variant(const std::string& name,
+                                const std::string& base,
+                                pt::Registry::Tune tune) {
+  pt::Registry registry = pt::Registry::with_builtins();
+  registry.add(name, base + " with tuned options", registry.info(base).factory,
+               std::move(tune));
+  return registry;
+}
+
+}  // namespace
+
+TEST(Sweep, MemoKeysOnTunedPlacementOptions) {
+  // A tuned variant that gives one technique different placement options
   // must not be served another technique's memoized placement.
   const auto config = ph::HardwareConfig::quera_aquila_256();
-  auto options = fast_sweep_options();
-  options.customize = [](const std::string&, const std::string& technique,
-                         const std::string&, pp::CompileOptions& compile) {
-    if (technique == "graphine") compile.placement.anneal_iterations = 60;
-  };
+  const auto registry = with_tuned_variant(
+      "graphine-60", "graphine", [](pp::CompileOptions& compile) {
+        compile.placement.anneal_iterations = 60;
+      });
   const auto circuits = small_circuits();
-  const auto swept = sw::run(circuits, {"parallax", "graphine"},
-                             {{config.name, config}}, options);
+  const auto swept = sw::run(circuits, {"parallax", "graphine-60"},
+                             {{config.name, config}}, fast_sweep_options(),
+                             registry);
   EXPECT_EQ(swept.placement_cache_misses, 2 * circuits.size());
   EXPECT_EQ(swept.placement_cache_hits, 0u);
 }
 
-TEST(Sweep, TranspileMemoKeysOnCustomizedOptions) {
-  // customize disables CZ-pair cancellation for one technique; its cells
-  // must get the uncancelled circuit, not another cell's memoized one.
+TEST(Sweep, TranspileMemoKeysOnTunedOptions) {
+  // A tuned variant disables CZ-pair cancellation; its cells must get the
+  // uncancelled circuit, not another cell's memoized one.
   pc::Circuit c(2, "czpair");
   c.cz(0, 1);
   c.cz(0, 1);
   const auto config = ph::HardwareConfig::quera_aquila_256();
-  auto options = fast_sweep_options();
-  options.customize = [](const std::string&, const std::string& technique,
-                         const std::string&, pp::CompileOptions& compile) {
-    if (technique == "static") compile.transpile.cancel_cz_pairs = false;
-  };
-  const auto swept = sw::run({{"czpair", c}}, {"eldi", "static"},
-                             {{config.name, config}}, options);
+  const auto registry = with_tuned_variant(
+      "static-uncancelled", "static", [](pp::CompileOptions& compile) {
+        compile.transpile.cancel_cz_pairs = false;
+      });
+  const auto swept =
+      sw::run({{"czpair", c}}, {"eldi", "static-uncancelled"},
+              {{config.name, config}}, fast_sweep_options(), registry);
   EXPECT_EQ(swept.at("czpair", "eldi").result.stats.cz_gates, 0u);
-  EXPECT_EQ(swept.at("czpair", "static").result.stats.cz_gates, 2u);
+  EXPECT_EQ(swept.at("czpair", "static-uncancelled").result.stats.cz_gates,
+            2u);
   EXPECT_EQ(swept.transpile_cache_misses, 2u);
   EXPECT_EQ(swept.transpile_cache_hits, 0u);
 }
@@ -182,13 +200,13 @@ TEST(Sweep, PlacementMemoKeysOnEffectiveInputCircuit) {
   // compilation.
   const auto config = ph::HardwareConfig::quera_aquila_256();
   auto options = fast_sweep_options();
-  options.customize = [](const std::string&, const std::string& technique,
-                         const std::string&, pp::CompileOptions& compile) {
-    if (technique == "graphine") compile.transpile.fuse_single_qubit = false;
-  };
+  const auto registry = with_tuned_variant(
+      "graphine-unfused", "graphine", [](pp::CompileOptions& compile) {
+        compile.transpile.fuse_single_qubit = false;
+      });
   const auto circuits = small_circuits();
-  const auto swept = sw::run(circuits, {"parallax", "graphine"},
-                             {{config.name, config}}, options);
+  const auto swept = sw::run(circuits, {"parallax", "graphine-unfused"},
+                             {{config.name, config}}, options, registry);
   // The memo keys on content: a circuit whose two transpilations come out
   // byte-identical (ring6 is CZ-only, so fusion has nothing to fuse) is
   // placed once; every other circuit is placed once per transpilation.
@@ -208,12 +226,9 @@ TEST(Sweep, PlacementMemoKeysOnEffectiveInputCircuit) {
   EXPECT_EQ(swept.placement_cache_hits, 2 * circuits.size() - distinct_inputs);
   for (const auto& cell : swept.cells) {
     ASSERT_TRUE(cell.ok()) << cell.error;
-    auto direct_options = options.compile;
-    options.customize(cell.circuit, cell.technique, cell.machine,
-                      direct_options);
-    const auto direct = pt::compile(cell.technique,
-                                    circuits[cell.circuit_index].circuit,
-                                    config, direct_options);
+    const auto direct = registry.compile(cell.technique,
+                                         circuits[cell.circuit_index].circuit,
+                                         config, options.compile);
     EXPECT_EQ(cell.result.runtime_us, direct.runtime_us)
         << cell.circuit << "/" << cell.technique;
     EXPECT_EQ(cell.result.stats.layers, direct.stats.layers);
