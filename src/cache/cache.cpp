@@ -33,23 +33,39 @@ std::shared_ptr<CompilationCache> CompilationCache::open(
   return std::make_shared<CompilationCache>(std::move(options));
 }
 
-std::optional<placement::Topology> CompilationCache::get_placement(
-    const Digest128& key) {
-  auto payload = store_.get(Kind::kPlacement, key);
-  if (payload) {
+namespace {
+
+/// A store read turned into a typed hit by `parse`, counted in `hits` or
+/// `misses` under `mutex`. A payload that passed the store's checksum but
+/// does not parse is schema drift from a build that forgot to bump a
+/// version: still a miss, never a crash.
+template <typename Parse>
+auto read_counted(Store& store, Kind kind, const Digest128& key,
+                  std::mutex& mutex, std::size_t& hits, std::size_t& misses,
+                  const Parse& parse)
+    -> std::optional<decltype(parse(std::string()))> {
+  if (auto payload = store.get(kind, key)) {
     try {
-      auto topology = parse_topology(*payload);
-      std::lock_guard lock(mutex_);
-      ++stats_.placement_hits;
-      return topology;
+      auto parsed = parse(std::move(*payload));
+      std::lock_guard lock(mutex);
+      ++hits;
+      return parsed;
     } catch (const std::exception&) {
-      // Checksum passed but the payload doesn't parse: schema drift from a
-      // build that forgot to bump versions. Still a miss, never a crash.
     }
   }
-  std::lock_guard lock(mutex_);
-  ++stats_.placement_misses;
+  std::lock_guard lock(mutex);
+  ++misses;
   return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<placement::Topology> CompilationCache::get_placement(
+    const Digest128& key) {
+  return read_counted(
+      store_, Kind::kPlacement, key, mutex_, stats_.placement_hits,
+      stats_.placement_misses,
+      [](const std::string& bytes) { return parse_topology(bytes); });
 }
 
 void CompilationCache::put_placement(const Digest128& key,
@@ -58,19 +74,18 @@ void CompilationCache::put_placement(const Digest128& key,
 }
 
 std::optional<CachedCell> CompilationCache::get_result(const Digest128& key) {
-  auto payload = store_.get(Kind::kResult, key);
-  if (payload) {
-    try {
-      auto cell = parse_cell(*payload);
-      std::lock_guard lock(mutex_);
-      ++stats_.result_hits;
-      return cell;
-    } catch (const std::exception&) {
-    }
-  }
-  std::lock_guard lock(mutex_);
-  ++stats_.result_misses;
-  return std::nullopt;
+  return read_counted(
+      store_, Kind::kResult, key, mutex_, stats_.result_hits,
+      stats_.result_misses,
+      [](const std::string& bytes) { return parse_cell(bytes); });
+}
+
+std::optional<ScannedCell> CompilationCache::get_result_bytes(
+    const Digest128& key) {
+  return read_counted(
+      store_, Kind::kResult, key, mutex_, stats_.result_hits,
+      stats_.result_misses,
+      [](std::string bytes) { return scan_cell(std::move(bytes)); });
 }
 
 void CompilationCache::put_result(const Digest128& key,

@@ -7,7 +7,8 @@
 //
 // Consumers:
 //   * sweep::run (sweep/sweep.hpp) serves whole cells from it when
-//     sweep::Options::cache is set, and backs the run's
+//     sweep::Options::cache is set (as scanned, undecoded bytes when the
+//     serve layer sets Options::on_cached_cell), and backs the run's
 //     pipeline::PlacementMemo with it (whole placements and windows), so
 //     the graphine-placement pass replays earlier runs' anneals.
 //   * tools/parallax_cli.cpp exposes `cache stats|clear|prewarm` and
@@ -72,6 +73,12 @@ class CompilationCache {
                      const placement::Topology& topology);
 
   [[nodiscard]] std::optional<CachedCell> get_result(const Digest128& key);
+  /// The result hit as its payload bytes: get_result's store read and
+  /// hit/miss accounting, with scan_cell in place of the decode. A payload
+  /// the scan rejects is a miss, as one parse_cell rejects is for
+  /// get_result.
+  [[nodiscard]] std::optional<ScannedCell> get_result_bytes(
+      const Digest128& key);
   void put_result(const Digest128& key, const CachedCell& cell);
 
   [[nodiscard]] CacheStats stats() const;

@@ -29,6 +29,54 @@ void Reader::expect_end() const {
 
 // --- codecs -------------------------------------------------------------------
 
+namespace {
+
+// The element sizes the decoders pass to Reader::length. scan_cell passes
+// the same ones, so both reject the same counts.
+constexpr std::size_t kGateBytes = 33;       // type, two qubits, three angles
+constexpr std::size_t kLayerMinBytes = 36;
+constexpr std::size_t kShotPlanBytes = 24;
+
+/// One gate of a circuit on `n_qubits` qubits. Its checks are the gate
+/// rules of every decoder (decode_circuit, scan_cell): Circuit::append's
+/// std::out_of_range / std::invalid_argument are outside their ReadError
+/// contract, so the qubits are checked here.
+circuit::Gate decode_gate(Reader& reader, std::int32_t n_qubits) {
+  circuit::Gate gate;
+  const std::uint8_t type = reader.u8();
+  if (type > static_cast<std::uint8_t>(circuit::GateType::kBarrier)) {
+    throw ReadError("cache payload has an unknown gate type");
+  }
+  gate.type = static_cast<circuit::GateType>(type);
+  gate.q[0] = reader.i32();
+  gate.q[1] = reader.i32();
+  gate.theta = reader.f64();
+  gate.phi = reader.f64();
+  gate.lambda = reader.f64();
+  for (int q = 0; q < gate.arity(); ++q) {
+    if (gate.q[q] < 0 || gate.q[q] >= n_qubits) {
+      throw ReadError("cache payload has a gate on an out-of-range qubit");
+    }
+  }
+  if (gate.arity() == 2 && gate.q[0] == gate.q[1]) {
+    throw ReadError("cache payload has a two-qubit gate on one qubit");
+  }
+  return gate;
+}
+
+/// A physical topology's grid. geom::Grid requires a positive side and
+/// pitch; its constructor only asserts them.
+geom::Grid decode_grid(Reader& reader) {
+  const std::int32_t side = reader.i32();
+  const double pitch = reader.f64();
+  if (side < 1 || !(pitch > 0.0)) {
+    throw ReadError("cache payload has a malformed grid");
+  }
+  return geom::Grid(side, pitch);
+}
+
+}  // namespace
+
 void encode(Writer& writer, const placement::Topology& topology) {
   writer.u64(topology.positions.size());
   for (const auto& point : topology.positions) {
@@ -66,13 +114,7 @@ void encode(Writer& writer, const placement::PhysicalTopology& topology) {
 
 placement::PhysicalTopology decode_physical_topology(Reader& reader) {
   placement::PhysicalTopology topology;
-  const std::int32_t side = reader.i32();
-  const double pitch = reader.f64();
-  // geom::Grid requires both; its constructor only asserts them.
-  if (side < 1 || !(pitch > 0.0)) {
-    throw ReadError("cache payload has a malformed grid");
-  }
-  topology.grid = geom::Grid(side, pitch);
+  topology.grid = decode_grid(reader);
   const std::size_t count = reader.length(8);
   topology.sites.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -105,31 +147,10 @@ circuit::Circuit decode_circuit(Reader& reader) {
   std::string name = reader.str();
   if (n_qubits < 0) throw ReadError("cache payload has a malformed circuit");
   circuit::Circuit circuit(n_qubits, std::move(name));
-  const std::size_t count = reader.length(33);
+  const std::size_t count = reader.length(kGateBytes);
   circuit.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    circuit::Gate gate;
-    const std::uint8_t type = reader.u8();
-    if (type > static_cast<std::uint8_t>(circuit::GateType::kBarrier)) {
-      throw ReadError("cache payload has an unknown gate type");
-    }
-    gate.type = static_cast<circuit::GateType>(type);
-    gate.q[0] = reader.i32();
-    gate.q[1] = reader.i32();
-    gate.theta = reader.f64();
-    gate.phi = reader.f64();
-    gate.lambda = reader.f64();
-    // Checked here, not left to Circuit::append: its std::out_of_range /
-    // std::invalid_argument are outside every decoder's ReadError contract.
-    for (int q = 0; q < gate.arity(); ++q) {
-      if (gate.q[q] < 0 || gate.q[q] >= n_qubits) {
-        throw ReadError("cache payload has a gate on an out-of-range qubit");
-      }
-    }
-    if (gate.arity() == 2 && gate.q[0] == gate.q[1]) {
-      throw ReadError("cache payload has a two-qubit gate on one qubit");
-    }
-    circuit.append(gate);
+    circuit.append(decode_gate(reader, n_qubits));
   }
   return circuit;
 }
@@ -224,7 +245,7 @@ compiler::CompileResult decode_result(Reader& reader) {
   result.technique = reader.str();
   result.circuit = decode_circuit(reader);
   result.topology = decode_physical_topology(reader);
-  const std::size_t n_layers = reader.length(36);
+  const std::size_t n_layers = reader.length(kLayerMinBytes);
   result.layers.reserve(n_layers);
   for (std::size_t i = 0; i < n_layers; ++i) {
     result.layers.push_back(decode_layer(reader));
@@ -251,7 +272,7 @@ void encode(Writer& writer, const std::vector<shots::ParallelPlan>& plans) {
 
 std::vector<shots::ParallelPlan> decode_shot_plans(Reader& reader) {
   std::vector<shots::ParallelPlan> plans;
-  const std::size_t n_plans = reader.length(24);
+  const std::size_t n_plans = reader.length(kShotPlanBytes);
   plans.reserve(n_plans);
   for (std::size_t i = 0; i < n_plans; ++i) {
     shots::ParallelPlan plan;
@@ -279,6 +300,45 @@ CachedCell decode_cell(Reader& reader) {
   cell.success_probability = reader.f64();
   cell.has_shot_plans = reader.boolean();
   cell.shot_plans = decode_shot_plans(reader);
+  return cell;
+}
+
+ScannedCell scan_cell(std::string payload) {
+  // decode_cell's reads in decode_cell's order, with its checks; a field
+  // nothing checks is skipped.
+  Reader reader(payload);
+  reader.skip(reader.u64());  // technique
+  // The circuit.
+  const std::int32_t n_qubits = reader.i32();
+  reader.skip(reader.u64());  // name
+  if (n_qubits < 0) throw ReadError("cache payload has a malformed circuit");
+  const std::size_t n_gates = reader.length(kGateBytes);
+  for (std::size_t i = 0; i < n_gates; ++i) {
+    (void)decode_gate(reader, n_qubits);
+  }
+  // The physical topology: grid, sites, interaction and blockade radii.
+  (void)decode_grid(reader);
+  reader.skip(8 * reader.length(8));
+  reader.skip(2 * 8);
+  // Layers: gate indices, two distances, two counts, a duration, positions.
+  const std::size_t n_layers = reader.length(kLayerMinBytes);
+  for (std::size_t i = 0; i < n_layers; ++i) {
+    reader.skip(8 * reader.length(8));
+    reader.skip(8 + 8 + 4 + 4 + 8);
+    reader.skip(16 * reader.length(16));
+  }
+  reader.skip(reader.length(1));  // in_aod
+  reader.skip(10 * 8 + 8);        // stats (8 counts, 2 distances), runtime
+
+  ScannedCell cell;
+  cell.result_end = reader.position();
+  (void)reader.boolean();  // has_success_probability
+  cell.success_probability = reader.f64();
+  (void)reader.boolean();  // has_shot_plans
+  cell.shot_plans_begin = reader.position();
+  reader.skip(kShotPlanBytes * reader.length(kShotPlanBytes));
+  reader.expect_end();
+  cell.payload = std::move(payload);
   return cell;
 }
 

@@ -63,17 +63,34 @@ class Writer {
     u64(s.size());
     bytes_.append(s.data(), s.size());
   }
+  /// Appends fields this codec already encoded (a section of a scanned
+  /// payload, see scan_cell) as they are: no length prefix.
+  void raw(std::string_view bytes) {
+    bytes_.append(bytes.data(), bytes.size());
+  }
+  /// Overwrites the u64 written at byte `offset`: a size or checksum slot
+  /// whose value is known only once the fields after it are written.
+  void patch_u64(std::size_t offset, std::uint64_t v) {
+    char field[sizeof(v)];
+    store(field, v);
+    bytes_.replace(offset, sizeof(v), field, sizeof(v));
+  }
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::string take() noexcept { return std::move(bytes_); }
 
  private:
   template <typename Unsigned>
-  void put(Unsigned v) {
-    char field[sizeof(Unsigned)];
+  static void store(char* field, Unsigned v) {
     for (std::size_t i = 0; i < sizeof(Unsigned); ++i) {
       field[i] = static_cast<char>(v >> (8 * i));
     }
+  }
+  template <typename Unsigned>
+  void put(Unsigned v) {
+    char field[sizeof(Unsigned)];
+    store(field, v);
     bytes_.append(field, sizeof(Unsigned));
   }
 
@@ -103,6 +120,14 @@ class Reader {
   /// instead of triggering gigabyte allocations.
   [[nodiscard]] std::size_t length(std::size_t min_element_bytes);
 
+  /// Steps over `n` bytes: a field or section scan_cell checks the size
+  /// of but does not decode.
+  void skip(std::uint64_t n) {
+    if (n > remaining()) truncated();
+    pos_ += static_cast<std::size_t>(n);
+  }
+
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
   }
@@ -162,6 +187,32 @@ void encode(Writer& writer, const std::vector<shots::ParallelPlan>& plans);
 
 void encode(Writer& writer, const CachedCell& cell);
 [[nodiscard]] CachedCell decode_cell(Reader& reader);
+
+/// A cell payload that scan_cell accepted, kept as bytes: where its
+/// sections lie, so a serve frame can copy them in without decoding (the
+/// warm-serve splice, serve::cell_frame).
+struct ScannedCell {
+  std::string payload;
+  /// payload[0, result_end) is the encoded CompileResult.
+  std::size_t result_end = 0;
+  double success_probability = 0.0;
+  /// payload[shot_plans_begin, end) is the encoded shot plans.
+  std::size_t shot_plans_begin = 0;
+
+  [[nodiscard]] std::string_view result() const noexcept {
+    return std::string_view(payload).substr(0, result_end);
+  }
+  [[nodiscard]] std::string_view shot_plans() const noexcept {
+    return std::string_view(payload).substr(shot_plans_begin);
+  }
+};
+
+/// Walks a cell payload making every check parse_cell makes (container
+/// length minimums, gate types and qubits, grid side and pitch, bools,
+/// trailing bytes) and builds nothing, so it throws ReadError exactly when
+/// parse_cell does. A change to the cell or result codec changes this scan
+/// in the same commit; the serve suite's differential fuzz catches drift.
+[[nodiscard]] ScannedCell scan_cell(std::string payload);
 
 // One-shot conveniences (serialize_* returns the payload bytes; parse_*
 // validates that the buffer holds exactly one artifact).

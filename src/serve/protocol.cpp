@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 
 #include "cache/serialize.hpp"
@@ -22,17 +24,31 @@ constexpr std::uint64_t kMagic = 0x3145565245535850ULL;  // "PXSERVE1" LE
 /// real cell or summary, small enough that a corrupt size field cannot ask
 /// a client to buffer terabytes.
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 33;
+/// Where the header's payload size and checksum fields start.
+constexpr std::size_t kSizeOffset = 24;
+constexpr std::size_t kChecksumOffset = 32;
 
+/// Builds a frame in one buffer: the header, then the payload `encode`
+/// appends behind it, then the header's size and checksum slots patched.
+/// `payload_hint` reserves room for a payload of known size up front.
+template <typename Encode>
 std::string frame(FrameType type, std::uint64_t request_id,
-                  const std::string& payload) {
+                  const Encode& encode, std::size_t payload_hint = 0) {
   Writer writer;
+  writer.reserve(kFrameHeaderBytes + payload_hint);
   writer.u64(kMagic);
   writer.u32(kServeVersion);
   writer.u32(static_cast<std::uint32_t>(type));
   writer.u64(request_id);
-  writer.u64(payload.size());
-  writer.u64(util::checksum64(payload.data(), payload.size()));
-  return writer.take() + payload;
+  writer.u64(0);  // payload size
+  writer.u64(0);  // payload checksum
+  encode(writer);
+  const std::size_t size = writer.bytes().size() - kFrameHeaderBytes;
+  const std::uint64_t checksum =
+      util::checksum64(writer.bytes().data() + kFrameHeaderBytes, size);
+  writer.patch_u64(kSizeOffset, size);
+  writer.patch_u64(kChecksumOffset, checksum);
+  return writer.take();
 }
 
 void encode_summary(Writer& writer, const Summary& summary) {
@@ -119,11 +135,27 @@ SessionStats decode_session_stats(Reader& reader) {
   return stats;
 }
 
+/// Writes the lowercase hex of `bytes` to `out`, two characters a byte.
+void encode_hex(std::string_view bytes, char* out) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    *out++ = kDigits[b >> 4];
+    *out++ = kDigits[b & 0xf];
+  }
+}
+
 }  // namespace
 
 std::string submit_line(std::uint64_t id, const shard::SweepSpec& spec) {
-  return "SUBMIT " + std::to_string(id) + ' ' +
-         hex_encode(shard::serialize_sweep_spec(spec)) + '\n';
+  const std::string bytes = shard::serialize_sweep_spec(spec);
+  // One buffer for the whole line: the hex overwrites all but the last of
+  // the newlines the resize appends.
+  std::string line = "SUBMIT " + std::to_string(id) + ' ';
+  const std::size_t prefix = line.size();
+  line.resize(prefix + 2 * bytes.size() + 1, '\n');
+  encode_hex(bytes, line.data() + prefix);
+  return line;
 }
 
 std::string cancel_line(std::uint64_t id) {
@@ -142,10 +174,49 @@ std::string quit_line() { return "QUIT\n"; }
 
 namespace {
 
+/// Request-line bytes by class: a hex digit's value (0-15), kSpace for
+/// the token separators " \t\r\v\f", kOther for any other byte.
+constexpr std::uint8_t kSpace = 16;
+constexpr std::uint8_t kOther = 17;
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kOther);
+  for (int c = '0'; c <= '9'; ++c) {
+    table[c] = static_cast<std::uint8_t>(c - '0');
+  }
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+    table[c - 'a' + 'A'] = table[c];
+  }
+  for (const char c : {' ', '\t', '\r', '\v', '\f'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  return table;
+}();
+
+std::uint8_t char_class(char c) {
+  return kCharClass[static_cast<unsigned char>(c)];
+}
+
+/// Decodes the longest run of whole hex pairs at the front of `text` into
+/// `out`; returns how many characters it consumed.
+std::size_t decode_hex_pairs(std::string_view text, std::string& out) {
+  out.resize(text.size() / 2);
+  std::size_t n = 0;
+  for (; n < out.size(); ++n) {
+    const std::uint8_t hi = char_class(text[2 * n]);
+    const std::uint8_t lo = char_class(text[2 * n + 1]);
+    if ((hi | lo) > 15) break;
+    out[n] = static_cast<char>((hi << 4) | lo);
+  }
+  out.resize(n);
+  return 2 * n;
+}
+
 /// Whitespace-delimited tokens over the request line, yielded as views into
 /// the caller's buffer. A SUBMIT line is dominated by its spec hex — often
-/// megabytes — so the parser must never copy the line (the istringstream it
-/// replaced duplicated the whole buffer before reading one verb).
+/// megabytes — so the parser never copies the line and reads each of its
+/// characters once.
 class LineTokenizer {
  public:
   explicit LineTokenizer(std::string_view line) : line_(line) {}
@@ -153,21 +224,32 @@ class LineTokenizer {
   /// The next token, or an empty view once the line is exhausted (empty
   /// tokens cannot otherwise occur).
   [[nodiscard]] std::string_view next() noexcept {
-    constexpr std::string_view kSpace = " \t\r\v\f";
-    const std::size_t begin = line_.find_first_not_of(kSpace, pos_);
-    if (begin == std::string_view::npos) {
-      pos_ = line_.size();
-      return {};
-    }
-    std::size_t end = line_.find_first_of(kSpace, begin);
-    if (end == std::string_view::npos) end = line_.size();
-    pos_ = end;
-    return line_.substr(begin, end - begin);
+    const std::size_t begin = skip_space();
+    while (pos_ < line_.size() && char_class(line_[pos_]) != kSpace) ++pos_;
+    return line_.substr(begin, pos_ - begin);
+  }
+
+  /// next() for a token of hex pairs, decoded into `bytes` in the pass
+  /// that finds the token's end. `is_hex` is false unless every character
+  /// of the token decoded.
+  [[nodiscard]] std::string_view next_hex(std::string& bytes, bool& is_hex) {
+    const std::size_t begin = skip_space();
+    pos_ += decode_hex_pairs(line_.substr(begin), bytes);
+    const std::size_t decoded_end = pos_;
+    while (pos_ < line_.size() && char_class(line_[pos_]) != kSpace) ++pos_;
+    is_hex = pos_ == decoded_end;
+    return line_.substr(begin, pos_ - begin);
   }
 
   [[nodiscard]] bool exhausted() noexcept { return next().empty(); }
 
  private:
+  /// Steps over separators; returns where the next token starts.
+  std::size_t skip_space() noexcept {
+    while (pos_ < line_.size() && char_class(line_[pos_]) == kSpace) ++pos_;
+    return pos_;
+  }
+
   std::string_view line_;
   std::size_t pos_ = 0;
 };
@@ -209,44 +291,52 @@ RequestLine parse_request_line(std::string_view line) {
                                      : RequestLine::Verb::kStop;
     return request;
   }
-  const std::string_view payload_token = tokens.next();
-  if (payload_token.empty()) {
+  std::string bytes;
+  bool is_hex = false;
+  if (tokens.next_hex(bytes, is_hex).empty()) {
     throw ServeError("SUBMIT needs a hex-encoded sweep spec");
   }
   if (!tokens.exhausted()) {
     throw ServeError("SUBMIT takes exactly id and spec hex");
   }
-  const auto bytes = hex_decode(payload_token);
-  if (!bytes) {
+  if (!is_hex) {
     throw ServeError("SUBMIT payload is not valid hex");
   }
   request.verb = RequestLine::Verb::kSubmit;
-  request.spec = shard::parse_sweep_spec(*bytes);
+  request.spec = shard::parse_sweep_spec(bytes);
   return request;
 }
 
 std::string cell_frame(std::uint64_t request_id, const sweep::Cell& cell) {
-  Writer writer;
-  shard::encode_cell(writer, cell);
-  return frame(FrameType::kCell, request_id, writer.take());
+  return frame(FrameType::kCell, request_id,
+               [&](Writer& writer) { shard::encode_cell(writer, cell); });
+}
+
+std::string cell_frame(std::uint64_t request_id, const sweep::Cell& cell,
+                       const cache::ScannedCell& cached) {
+  // The cached bytes plus the cell's strings bound the payload, give or
+  // take the fixed-width fields around them.
+  const std::size_t hint = cached.payload.size() + cell.circuit.size() +
+                           cell.technique.size() + cell.machine.size() +
+                           cell.error.size() + cell.origin.size() + 128;
+  return frame(
+      FrameType::kCell, request_id,
+      [&](Writer& writer) { shard::encode_cell(writer, cell, cached); }, hint);
 }
 
 std::string done_frame(std::uint64_t request_id, const Summary& summary) {
-  Writer writer;
-  encode_summary(writer, summary);
-  return frame(FrameType::kDone, request_id, writer.take());
+  return frame(FrameType::kDone, request_id,
+               [&](Writer& writer) { encode_summary(writer, summary); });
 }
 
 std::string stats_frame(std::uint64_t request_id, const SessionStats& stats) {
-  Writer writer;
-  encode_session_stats(writer, stats);
-  return frame(FrameType::kStats, request_id, writer.take());
+  return frame(FrameType::kStats, request_id,
+               [&](Writer& writer) { encode_session_stats(writer, stats); });
 }
 
 std::string error_frame(std::uint64_t request_id, std::string_view message) {
-  Writer writer;
-  writer.str(message);
-  return frame(FrameType::kError, request_id, writer.take());
+  return frame(FrameType::kError, request_id,
+               [&](Writer& writer) { writer.str(message); });
 }
 
 FrameHeader parse_frame_header(std::string_view bytes) {
@@ -306,38 +396,15 @@ Frame decode_frame(const FrameHeader& header, std::string_view payload) {
 }
 
 std::string hex_encode(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    hex.push_back(kDigits[b >> 4]);
-    hex.push_back(kDigits[b & 0xf]);
-  }
+  std::string hex(2 * bytes.size(), '\0');
+  encode_hex(bytes, hex.data());
   return hex;
 }
-
-namespace {
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
 
 std::optional<std::string> hex_decode(std::string_view hex) {
   if (hex.size() % 2 != 0) return std::nullopt;
   std::string bytes;
-  bytes.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_nibble(hex[i]);
-    const int lo = hex_nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    bytes.push_back(static_cast<char>((hi << 4) | lo));
-  }
+  if (decode_hex_pairs(hex, bytes) != hex.size()) return std::nullopt;
   return bytes;
 }
 
@@ -360,11 +427,20 @@ bool write_all(int fd, std::string_view bytes) {
 }
 
 bool read_exact(int fd, std::string& out, std::size_t n) {
+  // `n` comes from a peer's frame header, so the buffer grows with the
+  // bytes that arrive, never by the declared count alone: each step adds
+  // at most what has arrived so far, and at least kMinStep. A peer that
+  // declares gigabytes and then closes costs about what it sent.
+  constexpr std::size_t kMinStep = std::size_t{1} << 20;
   const std::size_t start = out.size();
-  out.resize(start + n);
   std::size_t offset = 0;
   while (offset < n) {
-    const ssize_t got = ::read(fd, out.data() + start + offset, n - offset);
+    if (out.size() == start + offset) {
+      out.resize(start + offset +
+                 std::min(n - offset, std::max(offset, kMinStep)));
+    }
+    const ssize_t got = ::read(fd, out.data() + start + offset,
+                               out.size() - start - offset);
     if (got < 0) {
       if (errno == EINTR) continue;
       out.resize(start);

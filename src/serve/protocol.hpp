@@ -20,7 +20,12 @@
 // a fixed 40-byte header (magic, version, type, request id, payload size,
 // 64-bit payload checksum) followed by the payload:
 //   kCell   one completed sweep cell (shard::encode_cell bytes), streamed
-//           as it finishes — completion order, not matrix order
+//           as it finishes — completion order, not matrix order. A
+//           result-cache hit is spliced, not re-encoded: the server copies
+//           the cached payload's result and shot-plan sections, checked by
+//           cache::scan_cell but never decoded, between the cell's labels
+//           and its metadata. The bytes equal the decoded cell's encoding,
+//           so the protocol stays at v3 and clients cannot tell.
 //   kDone   the request's completion summary; exactly one per request,
 //           after its last kCell frame
 //   kStats  the session-wide accounting snapshot answering a STATS line
@@ -174,6 +179,12 @@ struct Frame {
 
 [[nodiscard]] std::string cell_frame(std::uint64_t request_id,
                                      const sweep::Cell& cell);
+/// The kCell frame of a result-cache hit left as bytes (the sweep's
+/// on_cached_cell hook): `cell` carries labels and metadata, `cached` the
+/// sections. Byte-identical to cell_frame of the decoded cell.
+[[nodiscard]] std::string cell_frame(std::uint64_t request_id,
+                                     const sweep::Cell& cell,
+                                     const cache::ScannedCell& cached);
 [[nodiscard]] std::string done_frame(std::uint64_t request_id,
                                      const Summary& summary);
 [[nodiscard]] std::string stats_frame(std::uint64_t request_id,
@@ -198,6 +209,8 @@ struct Frame {
 /// vanished peer is an error return, never a SIGPIPE kill.
 [[nodiscard]] bool write_all(int fd, std::string_view bytes);
 /// Appends exactly `n` bytes from fd to `out`; false on EOF or error.
+/// `out` grows as bytes arrive, so a peer-declared `n` allocates at most
+/// twice what the peer actually sent, plus 1 MiB.
 [[nodiscard]] bool read_exact(int fd, std::string& out, std::size_t n);
 
 }  // namespace parallax::serve

@@ -620,7 +620,11 @@ class Farm {
             shared->finished_early.insert(id);
           }
         },
-        id, connection.client_id);
+        id, connection.client_id,
+        // A warm hit's cached bytes go into its frame undecoded.
+        [sink, id](const sweep::Cell& cell, const cache::ScannedCell& cached) {
+          sink->write_frame(cell_frame(id, cell, cached));
+        });
     ++connection.submitted;
     {
       std::lock_guard lock(connection.tickets_mutex);

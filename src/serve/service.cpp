@@ -7,12 +7,14 @@ namespace parallax::serve {
 Ticket::Ticket(std::uint64_t id, std::uint64_t client_id,
                shard::SweepSpec spec,
                std::function<void(const sweep::Cell&)> on_cell,
-               std::function<void(const Summary&)> on_done)
+               std::function<void(const Summary&)> on_done,
+               CachedCellHook on_cached_cell)
     : id_(id),
       client_id_(client_id),
       spec_(std::move(spec)),
       on_cell_(std::move(on_cell)),
       on_done_(std::move(on_done)),
+      on_cached_cell_(std::move(on_cached_cell)),
       token_(std::make_shared<std::atomic<bool>>(false)) {}
 
 void Ticket::finish(Summary summary) {
@@ -69,9 +71,10 @@ SweepService::~SweepService() {
 std::shared_ptr<Ticket> SweepService::submit(
     shard::SweepSpec spec, std::function<void(const sweep::Cell&)> on_cell,
     std::function<void(const Summary&)> on_done, std::uint64_t id,
-    std::uint64_t client_id) {
-  std::shared_ptr<Ticket> ticket(new Ticket(
-      id, client_id, std::move(spec), std::move(on_cell), std::move(on_done)));
+    std::uint64_t client_id, CachedCellHook on_cached_cell) {
+  std::shared_ptr<Ticket> ticket(
+      new Ticket(id, client_id, std::move(spec), std::move(on_cell),
+                 std::move(on_done), std::move(on_cached_cell)));
   register_client(client_id);
   bool rejected = false;
   {
@@ -200,6 +203,7 @@ Summary SweepService::execute(Ticket& ticket) {
   options.pool = &pool_;
   options.cache = options_.cache;
   options.on_cell = ticket.on_cell_;
+  options.on_cached_cell = ticket.on_cached_cell_;
   options.cancel = ticket.token_;
 
   try {

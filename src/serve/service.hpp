@@ -50,6 +50,10 @@ struct ServiceOptions {
   std::shared_ptr<cache::CompilationCache> cache;
 };
 
+/// sweep::Options::on_cached_cell: a result-cache hit as bytes.
+using CachedCellHook =
+    std::function<void(const sweep::Cell&, const cache::ScannedCell&)>;
+
 /// Handle to one submitted request. Thread-safe.
 class Ticket {
  public:
@@ -73,7 +77,8 @@ class Ticket {
 
   Ticket(std::uint64_t id, std::uint64_t client_id, shard::SweepSpec spec,
          std::function<void(const sweep::Cell&)> on_cell,
-         std::function<void(const Summary&)> on_done);
+         std::function<void(const Summary&)> on_done,
+         CachedCellHook on_cached_cell);
   /// Publishes the summary: runs on_done, then releases wait()ers.
   void finish(Summary summary);
 
@@ -82,6 +87,7 @@ class Ticket {
   shard::SweepSpec spec_;
   std::function<void(const sweep::Cell&)> on_cell_;
   std::function<void(const Summary&)> on_done_;
+  CachedCellHook on_cached_cell_;
   std::shared_ptr<std::atomic<bool>> token_;
 
   mutable std::mutex mutex_;
@@ -108,12 +114,14 @@ class SweepService {
   /// `on_done` fires exactly once, from the dispatcher thread, after the
   /// last on_cell and before wait() releases. `id` is an opaque caller
   /// label carried into Ticket::id(); requests sharing a client id execute
-  /// in submission order relative to each other.
+  /// in submission order relative to each other. When `on_cached_cell` is
+  /// set, result-cache hits go to it as undecoded bytes instead of to
+  /// `on_cell` (sweep::Options::on_cached_cell).
   std::shared_ptr<Ticket> submit(
       shard::SweepSpec spec,
       std::function<void(const sweep::Cell&)> on_cell = {},
       std::function<void(const Summary&)> on_done = {}, std::uint64_t id = 0,
-      std::uint64_t client_id = 0);
+      std::uint64_t client_id = 0, CachedCellHook on_cached_cell = {});
 
   /// Ensures `client_id` has an accounting row (all-zero until its first
   /// request completes). The server calls this at accept time so a STATS

@@ -23,9 +23,8 @@ std::string local_host_name() {
   return buffer[0] != '\0' ? std::string(buffer) : std::string("localhost");
 }
 
-/// The byte-identity view of one cell: everything that constitutes the
-/// cell's content, nothing that describes how/where it was computed.
-void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
+/// The fields of a cell ahead of its result: labels, indices, error.
+void encode_cell_labels(Writer& writer, const sweep::Cell& cell) {
   writer.str(cell.circuit);
   writer.str(cell.technique);
   writer.str(cell.machine);
@@ -33,9 +32,22 @@ void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
   writer.u64(cell.technique_index);
   writer.u64(cell.machine_index);
   writer.str(cell.error);
+}
+
+/// The byte-identity view of one cell: everything that constitutes the
+/// cell's content, nothing that describes how/where it was computed.
+void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
+  encode_cell_labels(writer, cell);
   cache::encode(writer, cell.result);
   writer.f64(cell.success_probability);
   cache::encode(writer, cell.shot_plans);
+}
+
+/// The execution metadata that follows the canonical fields on the wire.
+void encode_cell_metadata(Writer& writer, const sweep::Cell& cell) {
+  writer.str(cell.origin);
+  writer.boolean(cell.from_cache);
+  writer.f64(cell.compile_seconds);
 }
 
 sweep::Cell decode_cell_canonical(Reader& reader) {
@@ -102,9 +114,16 @@ void fold_sweep_accounting(ShardRun& run, const sweep::Result& swept) {
 
 void encode_cell(Writer& writer, const sweep::Cell& cell) {
   encode_cell_canonical(writer, cell);
-  writer.str(cell.origin);
-  writer.boolean(cell.from_cache);
-  writer.f64(cell.compile_seconds);
+  encode_cell_metadata(writer, cell);
+}
+
+void encode_cell(Writer& writer, const sweep::Cell& cell,
+                 const cache::ScannedCell& cached) {
+  encode_cell_labels(writer, cell);
+  writer.raw(cached.result());
+  writer.f64(cached.success_probability);
+  writer.raw(cached.shot_plans());
+  encode_cell_metadata(writer, cell);
 }
 
 sweep::Cell decode_cell(Reader& reader) {

@@ -155,6 +155,13 @@ struct ShardRun {
 /// (origin, from_cache, compile_seconds). This is the per-cell record of
 /// shard-run files and of the serve layer's streamed cell frames.
 void encode_cell(cache::Writer& writer, const sweep::Cell& cell);
+/// encode_cell of a result-cache hit left as bytes: `cell`'s labels,
+/// error and metadata around the cached result, success probability and
+/// shot plans, copied in without a decode. Byte-identical to encode_cell
+/// of the decoded cell, because the cache payload encodes those sections
+/// with the same codecs (cache/serialize.hpp).
+void encode_cell(cache::Writer& writer, const sweep::Cell& cell,
+                 const cache::ScannedCell& cached);
 /// Throws cache::ReadError on malformed bytes. Index plausibility is the
 /// caller's job (the decoded indices are file-supplied).
 [[nodiscard]] sweep::Cell decode_cell(cache::Reader& reader);

@@ -117,10 +117,12 @@ Result run(const std::vector<CircuitSpec>& circuits,
   sweep_result.threads_used = pool->size();
 
   // The compile body proper, minus the per-cell bookkeeping that must also
-  // run on its early returns (timing, the on_cell streaming hook).
+  // run on its early returns (timing, the streaming hooks). A result hit
+  // left undecoded for on_cached_cell lands in `scanned`.
   const auto compile_cell = [&](Cell& cell, std::size_t ci,
                                 const CircuitSpec& spec,
-                                const MachineSpec& machine) {
+                                const MachineSpec& machine,
+                                std::optional<cache::ScannedCell>& scanned) {
       pipeline::CompileOptions opts = options.compile;
       // Technique-declared option tuning (e.g. graphine-mc4 switching the
       // placement annealer to batched multi-chain) applies before any key
@@ -170,7 +172,10 @@ Result run(const std::vector<CircuitSpec>& circuits,
             input_fp, cell.technique, pl.pass_names(), machine.config, opts,
             options.compute_success_probability ? &options.noise : nullptr,
             options.shots ? &*options.shots : nullptr);
-        if (auto hit = persistent->get_result(cell_key)) {
+        if (options.on_cached_cell) {
+          scanned = persistent->get_result_bytes(cell_key);
+          cell.from_cache = scanned.has_value();
+        } else if (auto hit = persistent->get_result(cell_key)) {
           cell.result = std::move(hit->result);
           cell.success_probability = hit->success_probability;
           cell.shot_plans = std::move(hit->shot_plans);
@@ -183,6 +188,8 @@ Result run(const std::vector<CircuitSpec>& circuits,
             }
             cell.result.pass_timings.push_back({pass, 0.0, true});
           }
+        }
+        if (cell.from_cache) {
           result_cache_hits.fetch_add(1, std::memory_order_relaxed);
           return;
         }
@@ -260,14 +267,19 @@ Result run(const std::vector<CircuitSpec>& circuits,
     }
     cell.origin = options.provenance;
 
+    std::optional<cache::ScannedCell> scanned;
     const Stopwatch cell_watch;
     try {
-      compile_cell(cell, ci, spec, machine);
+      compile_cell(cell, ci, spec, machine, scanned);
     } catch (const std::exception& error) {
       cell.error = error.what();
     }
     cell.compile_seconds = cell_watch.seconds();
-    if (options.on_cell) options.on_cell(cell);
+    if (scanned) {
+      options.on_cached_cell(cell, *scanned);
+    } else if (options.on_cell) {
+      options.on_cell(cell);
+    }
   };
 
   pool->parallel_for(sweep_result.cells.size(), run_cell);

@@ -92,14 +92,26 @@ struct Options {
   /// merged multi-host campaign say where they ran. Not part of a cell's
   /// identity: canonical serializations exclude it, like pass timings.
   std::string provenance;
-  /// Streaming hook: invoked once per executed cell (cache hits and error
-  /// cells included; filtered/cancelled cells excluded) as the cell
-  /// completes, from whichever worker thread ran it — callbacks for
-  /// different cells may overlap, so the callee serializes its own output.
-  /// The referenced Cell is fully populated and lives in the Result this
-  /// run() eventually returns. Must not throw. Runtime-only: never part of
-  /// a serialized spec, never part of a cell's identity.
+  /// Streaming hook: invoked once per executed cell (cache hits, unless
+  /// on_cached_cell takes them, and error cells included; filtered and
+  /// cancelled cells excluded) as the cell completes, from whichever
+  /// worker thread ran it — callbacks for different cells may overlap, so
+  /// the callee serializes its own output. The referenced Cell is fully
+  /// populated and lives in the Result this run() eventually returns. Must
+  /// not throw. Runtime-only: never part of a serialized spec, never part
+  /// of a cell's identity.
   std::function<void(const Cell& cell)> on_cell;
+  /// Warm-serving hook. When set, a result-cache hit is not decoded: the
+  /// cache checks its payload with cache::scan_cell (a payload the scan
+  /// rejects is a miss and recompiles), and this hook, not on_cell,
+  /// receives the cell with its labels, flags and compile_seconds but an
+  /// empty result, plus the cached bytes. Same threads and contract as
+  /// on_cell; the Cell in the returned Result keeps the empty result.
+  /// Computed and error cells still go to on_cell. The serve layer sets it
+  /// to splice the bytes into a kCell frame (serve::cell_frame). Its
+  /// presence is the only switch. Runtime-only.
+  std::function<void(const Cell& cell, const cache::ScannedCell& cached)>
+      on_cached_cell;
   /// Cooperative cancellation token. Checked once before each cell starts:
   /// when set to true, cells not yet started are marked Cell::cancelled and
   /// skipped, in-flight cells run to completion, and run() returns the

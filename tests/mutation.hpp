@@ -1,12 +1,18 @@
 // Seeded byte mutations for the decoder fuzz tests. Each fuzz test feeds
 // mutants of one valid payload to its decoder and requires a decode or the
 // decoder's documented error: never another exception, a crash or a hang.
+// The allocation probes cap their death-test child's address space, so a
+// decoder that sizes a buffer from a declared count fails there as
+// std::bad_alloc instead of touching memory.
 #pragma once
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -71,6 +77,25 @@ Tally run_mutants(const std::string& bytes, std::uint64_t seed, int count,
     }
   }
   return tally;
+}
+
+/// Caps this process's address space `headroom` bytes above its current
+/// size (or at the hard limit, if that is lower); false if it could not.
+/// Sanitizer builds reserve terabytes of shadow up front, so the cap is
+/// relative, not absolute.
+inline bool cap_address_space(std::uint64_t headroom) {
+  std::ifstream status("/proc/self/status");
+  std::uint64_t size_kb = 0;
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) size_kb = std::stoull(line.substr(7));
+  }
+  rlimit limit{};
+  if (size_kb == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) return false;
+  const rlim_t wanted = size_kb * 1024 + headroom;
+  limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
+                       ? wanted
+                       : std::min<rlim_t>(wanted, limit.rlim_max);
+  return ::setrlimit(RLIMIT_AS, &limit) == 0;
 }
 
 }  // namespace parallax::fuzz

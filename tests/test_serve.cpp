@@ -22,8 +22,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -31,13 +33,17 @@
 #include <latch>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/serialize.hpp"
+#include "cache/store.hpp"
 #include "hardware/config.hpp"
+#include "pipeline/pipeline.hpp"
 #include "placement/graphine.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -45,7 +51,9 @@
 #include "serve/service.hpp"
 #include "shard/shard.hpp"
 #include "shard/spec.hpp"
+#include "shots/parallelize.hpp"
 #include "sweep/sweep.hpp"
+#include "technique/registry.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
@@ -55,7 +63,9 @@ namespace fs = std::filesystem;
 namespace pc = parallax::cache;
 namespace pcir = parallax::circuit;
 namespace ph = parallax::hardware;
+namespace pp = parallax::pipeline;
 namespace ppl = parallax::placement;
+namespace pt = parallax::technique;
 namespace pu = parallax::util;
 namespace sh = parallax::shard;
 namespace sv = parallax::serve;
@@ -1715,4 +1725,321 @@ TEST(ServeFrameFuzz, MutatedPayloadsDecodeOrThrowDocumentedErrors) {
     EXPECT_GT(tally.decoded, 0u);
     EXPECT_GT(tally.rejected, 0u);
   }
+}
+
+// --- the warm-serve splice and the request line -------------------------------
+
+namespace {
+
+/// The ServeError message parse_request_line throws for `line`, or "" if
+/// it parsed.
+std::string request_error(std::string_view line) {
+  try {
+    (void)sv::parse_request_line(line);
+  } catch (const sv::ServeError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// Serves `spec` twice over one socketpair connection to a fresh service
+/// on `cache`, returning the cold and the warm outcome.
+std::pair<sv::ClientOutcome, sv::ClientOutcome> serve_twice(
+    const sh::SweepSpec& spec,
+    std::shared_ptr<pc::CompilationCache> cache) {
+  sv::SweepService service({.n_threads = 2, .cache = std::move(cache)});
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair: " << std::strerror(errno);
+    return {};
+  }
+  std::pair<sv::ClientOutcome, sv::ClientOutcome> outcomes;
+  {
+    ScopedServer server(
+        [&] { (void)sv::serve_connection(fds[0], fds[0], service); },
+        [&] { ::shutdown(fds[0], SHUT_RDWR); });
+    sv::Client client(fds[1]);  // adopts + closes fds[1]
+    outcomes.first = client.run(spec);
+    outcomes.second = client.run(spec);
+    client.quit();
+  }
+  ::close(fds[0]);
+  return outcomes;
+}
+
+}  // namespace
+
+TEST(ServeProtocol, RequestTokensSplitOnSpaceTabCrVtFfOnly) {
+  for (const char separator : {' ', '\t', '\r', '\v', '\f'}) {
+    SCOPED_TRACE(static_cast<int>(separator));
+    const std::string cancel = std::string("CANCEL") + separator + "7" +
+                               separator;
+    const sv::RequestLine parsed = sv::parse_request_line(cancel);
+    EXPECT_EQ(parsed.verb, sv::RequestLine::Verb::kCancel);
+    EXPECT_EQ(parsed.id, 7u);
+  }
+  // The SUBMIT hex token ends at the same separators.
+  const sh::SweepSpec spec = small_spec();
+  std::string submit = sv::submit_line(5, spec);
+  submit.pop_back();
+  for (const char separator : {'\t', '\r', '\v', '\f'}) {
+    SCOPED_TRACE(static_cast<int>(separator));
+    std::string line = submit;
+    std::replace(line.begin(), line.end(), ' ', separator);
+    line += separator;
+    const sv::RequestLine parsed = sv::parse_request_line(line);
+    EXPECT_EQ(parsed.verb, sv::RequestLine::Verb::kSubmit);
+    EXPECT_EQ(sh::spec_digest(parsed.spec), sh::spec_digest(spec));
+  }
+  // NUL and 0xA0 (a Latin-1 no-break space) are token bytes.
+  for (const char byte : {'\0', '\xA0'}) {
+    SCOPED_TRACE(static_cast<int>(static_cast<unsigned char>(byte)));
+    EXPECT_EQ(request_error(std::string("CANCEL") + byte + "7")
+                  .rfind("unknown request verb 'CANCEL", 0),
+              0u);
+    EXPECT_EQ(request_error(std::string("CANCEL 7") + byte)
+                  .rfind("CANCEL request id '7", 0),
+              0u);
+    EXPECT_EQ(request_error(submit + byte), "SUBMIT payload is not valid hex");
+    EXPECT_EQ(request_error(submit + byte + " 1"),
+              "SUBMIT takes exactly id and spec hex");
+  }
+  EXPECT_EQ(request_error("SUBMIT 1 abc"), "SUBMIT payload is not valid hex");
+  EXPECT_EQ(request_error("SUBMIT 1 \t"),
+            "SUBMIT needs a hex-encoded sweep spec");
+}
+
+TEST(ServeRequestFuzz, MutatedRequestLinesParseOrThrowDocumentedErrors) {
+  // 20,000 mutants over one valid line of each verb. The contract: a
+  // RequestLine, or ServeError / cache::ReadError / ShardError — never
+  // another exception, a crash, or a hang.
+  std::string submit = sv::submit_line(42, small_spec());
+  submit.pop_back();
+  const struct {
+    std::string line;
+    int mutants;
+    std::uint64_t seed;
+  } cases[] = {
+      {submit, 12000, 0x11E0},   {"CANCEL 7", 2000, 0x11E1},
+      {"STATS 9", 2000, 0x11E2}, {"STOP 3", 2000, 0x11E3},
+      {"QUIT", 2000, 0x11E4},
+  };
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line.substr(0, 8));
+    const auto tally =
+        parallax::fuzz::run_mutants<sv::ServeError, pc::ReadError,
+                                    sh::ShardError>(
+            c.line, c.seed, c.mutants, [](const std::string& mutant) {
+              (void)sv::parse_request_line(mutant);
+            });
+    for (const std::string& escape : tally.escapes) {
+      ADD_FAILURE() << "outside the contract: " << escape;
+    }
+    decoded += tally.decoded;
+    rejected += tally.rejected;
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ServeFrameFuzz, ScanRejectsWhatParseCellRejectsAndSplicesIdentically) {
+  // The payload and mutants of SerializeFuzz.
+  // MutatedCellPayloadsDecodeOrThrowReadError (test_cache.cpp). scan_cell
+  // must throw ReadError exactly when parse_cell does, and every accepted
+  // mutant must splice to the kCell frame of the cell parse_cell decodes.
+  pp::CompileOptions options;
+  options.placement.anneal_iterations = 60;
+  options.placement.local_search_evaluations = 40;
+  options.scheduler.record_positions = true;
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  pc::CachedCell cached;
+  cached.result = pt::compile("parallax", ghz(5, "ghz5"), config, options);
+  cached.has_success_probability = true;
+  cached.success_probability = 0.5;
+  cached.has_shot_plans = true;
+  cached.shot_plans =
+      parallax::shots::parallelization_sweep(cached.result, config);
+  const std::string payload = pc::serialize_cell(cached);
+
+  sw::Cell labels;
+  labels.circuit = "ghz5";
+  labels.technique = "parallax";
+  labels.machine = config.name;
+  labels.circuit_index = 1;
+  labels.technique_index = 2;
+  labels.origin = "serve-test";
+  labels.from_cache = true;
+  labels.compile_seconds = 0.125;
+
+  std::mt19937_64 rng(0xCE11);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string mutant = parallax::fuzz::mutate(payload, i, rng);
+    std::optional<pc::CachedCell> decoded;
+    try {
+      decoded = pc::parse_cell(mutant);
+    } catch (const pc::ReadError&) {
+    }
+    std::optional<pc::ScannedCell> scanned;
+    try {
+      scanned = pc::scan_cell(mutant);
+    } catch (const pc::ReadError&) {
+    }
+    ASSERT_EQ(scanned.has_value(), decoded.has_value()) << "mutant " << i;
+    if (!decoded) continue;
+    ++accepted;
+    sw::Cell cell = labels;
+    cell.result = std::move(decoded->result);
+    cell.success_probability = decoded->success_probability;
+    cell.shot_plans = std::move(decoded->shot_plans);
+    ASSERT_EQ(sv::cell_frame(7, labels, *scanned), sv::cell_frame(7, cell))
+        << "mutant " << i;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 20000u);
+}
+
+TEST(SweepHooks, OnCachedCellTakesTheHitsAndOnCellTheComputedCells) {
+  const sh::SweepSpec spec = small_spec();
+  sw::Options options = spec.options;
+  options.cache =
+      pc::CompilationCache::open({.directory = "", .disk = false});
+  (void)sw::run(spec.circuits, {"parallax"}, spec.machines, options);
+
+  std::atomic<std::size_t> computed{0};
+  std::atomic<std::size_t> spliced{0};
+  options.on_cell = [&](const sw::Cell& cell) {
+    EXPECT_FALSE(cell.from_cache);
+    EXPECT_EQ(cell.technique, "static");
+    ++computed;
+  };
+  options.on_cached_cell = [&](const sw::Cell& cell,
+                               const pc::ScannedCell& cached) {
+    EXPECT_TRUE(cell.from_cache);
+    EXPECT_EQ(cell.technique, "parallax");
+    EXPECT_TRUE(cell.result.layers.empty());
+    EXPECT_EQ(cached.result(),
+              pc::serialize_result(pc::parse_cell(cached.payload).result));
+    ++spliced;
+  };
+  const sw::Result result =
+      sw::run(spec.circuits, spec.techniques, spec.machines, options);
+  EXPECT_EQ(spliced.load(), spec.circuits.size());
+  EXPECT_EQ(computed.load(), spec.circuits.size());
+  EXPECT_EQ(result.result_cache_hits, spec.circuits.size());
+  EXPECT_EQ(result.result_cache_misses, spec.circuits.size());
+}
+
+TEST(ServeEndToEnd, WarmHitsSpliceEverySectionByteIdentically) {
+  // Recorded positions and shot plans make every spliced section of a
+  // warm cell non-empty; the warm cells must reassemble to the bytes of
+  // the plain in-process sweep, as the cold ones do.
+  sh::SweepSpec spec = small_spec();
+  spec.options.compile.scheduler.record_positions = true;
+  spec.options.shots = parallax::shots::ShotOptions{};
+  const sw::Result reference =
+      sw::run(spec.circuits, spec.techniques, spec.machines, spec.options);
+  bool positions = false;
+  for (const sw::Cell& cell : reference.cells) {
+    ASSERT_TRUE(cell.ok()) << cell.error;
+    ASSERT_FALSE(cell.shot_plans.empty());
+    for (const auto& layer : cell.result.layers) {
+      positions = positions || !layer.positions.empty();
+    }
+  }
+  ASSERT_TRUE(positions);
+
+  const auto [cold, warm] = serve_twice(
+      spec, pc::CompilationCache::open({.directory = fresh_dir("splice")}));
+  ASSERT_TRUE(cold.summary.ok()) << cold.summary.error;
+  ASSERT_TRUE(warm.summary.ok()) << warm.summary.error;
+  EXPECT_EQ(warm.summary.result_cache_hits, spec.total_cells());
+  EXPECT_EQ(warm.summary.anneals, 0u);
+  for (const sw::Cell& cell : warm.result.cells) {
+    EXPECT_TRUE(cell.from_cache);
+  }
+  EXPECT_EQ(sh::canonical_bytes(cold.result), sh::canonical_bytes(reference));
+  EXPECT_EQ(sh::canonical_bytes(warm.result), sh::canonical_bytes(reference));
+}
+
+TEST(ServeEndToEnd, AChecksumValidMalformedEntryIsAServedMiss) {
+  // Schema drift: one result entry rewritten through Store::put with an
+  // unknown gate type, so the store's checksum passes and only the scan
+  // can refuse it. The served request must recompile that cell.
+  const sh::SweepSpec spec = small_spec();
+  const sw::Result reference =
+      sw::run(spec.circuits, spec.techniques, spec.machines, spec.options);
+  const std::string dir = fresh_dir("drift");
+  {
+    sw::Options options = spec.options;
+    options.cache = pc::CompilationCache::open({.directory = dir});
+    (void)sw::run(spec.circuits, spec.techniques, spec.machines, options);
+  }
+  {
+    pc::Store store({.directory = dir});
+    const auto entries = store.entries();
+    const auto entry =
+        std::find_if(entries.begin(), entries.end(), [](const auto& e) {
+          return e.kind == pc::Kind::kResult;
+        });
+    ASSERT_NE(entry, entries.end());
+    std::string payload = store.get(pc::Kind::kResult, entry->key).value();
+    const pc::CachedCell cell = pc::parse_cell(payload);
+    ASSERT_GT(cell.result.circuit.size(), 0u);
+    // technique, n_qubits, name, gate count: then the first gate's type.
+    const std::size_t first_gate = 8 + cell.result.technique.size() + 4 +
+                                   8 + cell.result.circuit.name().size() + 8;
+    payload[first_gate] = static_cast<char>(0xFF);
+    store.put(pc::Kind::kResult, entry->key, payload);
+    ASSERT_THROW((void)pc::scan_cell(payload), pc::ReadError);
+  }
+  // A fresh handle reads the rewritten entry from the disk tier.
+  const auto [served, again] =
+      serve_twice(spec, pc::CompilationCache::open({.directory = dir}));
+  ASSERT_TRUE(served.summary.ok()) << served.summary.error;
+  EXPECT_EQ(served.summary.result_cache_misses, 1u);
+  EXPECT_EQ(served.summary.result_cache_hits, spec.total_cells() - 1);
+  EXPECT_EQ(sh::canonical_bytes(served.result),
+            sh::canonical_bytes(reference));
+  // The recompiled cell replaced the entry.
+  EXPECT_EQ(again.summary.result_cache_hits, spec.total_cells());
+  EXPECT_EQ(sh::canonical_bytes(again.result), sh::canonical_bytes(reference));
+}
+
+TEST(ServeClient, ALyingFrameHeaderIsAClosedConnectionNotAnAllocation) {
+  // A peer answers STATS with one kStats header declaring 2^33 - 1 payload
+  // bytes, then closes its side. The client must report the connection
+  // closed mid-frame; sizing its buffer by the header asked for 8 GiB. The
+  // probe runs in a child capped 1 GiB above its address space, so such
+  // an allocation fails there (std::bad_alloc) instead of touching memory.
+  std::string header = sv::stats_frame(1, sv::SessionStats{})
+                           .substr(0, sv::kFrameHeaderBytes);
+  pc::Writer size;
+  size.u64((std::uint64_t{1} << 33) - 1);
+  header.replace(24, 8, size.bytes());  // the payload size field
+  ASSERT_EQ(sv::parse_frame_header(header).payload_size,
+            (std::uint64_t{1} << 33) - 1);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(sv::write_all(fds[0], header));
+  // The client's STATS line still lands; its reads see EOF after 40 bytes.
+  ASSERT_EQ(::shutdown(fds[0], SHUT_WR), 0);
+  EXPECT_EXIT(
+      {
+        if (!parallax::fuzz::cap_address_space(std::uint64_t{1} << 30)) {
+          std::_Exit(2);
+        }
+        try {
+          sv::Client client(fds[1]);
+          (void)client.stats();
+        } catch (const sv::ServeError& error) {
+          std::fprintf(stderr, "%s\n", error.what());
+          std::_Exit(0);
+        }
+      },
+      ::testing::ExitedWithCode(0), "serve connection closed mid-frame");
+  ::close(fds[0]);
+  ::close(fds[1]);
 }

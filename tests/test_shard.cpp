@@ -7,14 +7,12 @@
 // rejection, merge integrity errors (duplicate/missing/conflicting/mixed),
 // and provenance preservation.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <string>
 #include <utility>
@@ -393,24 +391,7 @@ TEST(ShardMerge, RejectsImplausibleMatrixDimensions) {
 
 namespace {
 
-/// Caps this process's address space `headroom` bytes above its current
-/// size (or at the hard limit, if that is lower); false if it could not.
-/// Sanitizer builds reserve terabytes of shadow up front, so the cap is
-/// relative, not absolute.
-bool cap_address_space(std::uint64_t headroom) {
-  std::ifstream status("/proc/self/status");
-  std::uint64_t size_kb = 0;
-  for (std::string line; std::getline(status, line);) {
-    if (line.rfind("VmSize:", 0) == 0) size_kb = std::stoull(line.substr(7));
-  }
-  rlimit limit{};
-  if (size_kb == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) return false;
-  const rlim_t wanted = size_kb * 1024 + headroom;
-  limit.rlim_cur = limit.rlim_max == RLIM_INFINITY
-                       ? wanted
-                       : std::min<rlim_t>(wanted, limit.rlim_max);
-  return ::setrlimit(RLIMIT_AS, &limit) == 0;
-}
+using parallax::fuzz::cap_address_space;
 
 }  // namespace
 
