@@ -93,6 +93,29 @@ void CompilationCache::put_result(const Digest128& key,
   store_.put(Kind::kResult, key, serialize_cell(cell));
 }
 
+std::optional<Digest128> CompilationCache::find_transpiled(
+    const Digest128& raw_key) {
+  std::lock_guard lock(mutex_);
+  const auto it = transpiled_.find(raw_key);
+  if (it == transpiled_.end()) {
+    ++stats_.transpiles_run;
+    return std::nullopt;
+  }
+  ++stats_.transpiles_skipped;
+  return it->second;
+}
+
+void CompilationCache::record_transpiled(
+    const Digest128& raw_key, const Digest128& transpiled_fingerprint) {
+  std::lock_guard lock(mutex_);
+  if (!transpiled_.emplace(raw_key, transpiled_fingerprint).second) return;
+  transpiled_order_.push_back(raw_key);
+  if (transpiled_order_.size() > kTranspiledEntries) {
+    transpiled_.erase(transpiled_order_.front());
+    transpiled_order_.pop_front();
+  }
+}
+
 CacheStats CompilationCache::stats() const {
   CacheStats stats;
   {

@@ -10,7 +10,10 @@
 //     sweep::Options::cache is set (as scanned, undecoded bytes when the
 //     serve layer sets Options::on_cached_cell), and backs the run's
 //     pipeline::PlacementMemo with it (whole placements and windows), so
-//     the graphine-placement pass replays earlier runs' anneals.
+//     the graphine-placement pass replays earlier runs' anneals. It asks
+//     the handle's transpile map for each raw circuit's transpiled
+//     fingerprint before it transpiles, so a warm request on a long-lived
+//     handle (a serve session) derives its keys without transpiling.
 //   * tools/parallax_cli.cpp exposes `cache stats|clear|prewarm` and
 //     --cache-dir/--no-cache flags.
 //
@@ -21,10 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/fingerprint.hpp"
@@ -56,6 +61,10 @@ struct CacheStats {
   std::size_t placement_misses = 0;
   std::size_t result_hits = 0;
   std::size_t result_misses = 0;
+  /// Transpile-map lookups (CompilationCache::find_transpiled) answered from
+  /// the map / that missed, so the caller transpiled.
+  std::size_t transpiles_skipped = 0;
+  std::size_t transpiles_run = 0;
   StoreStats store;
 };
 
@@ -81,6 +90,22 @@ class CompilationCache {
       const Digest128& key);
   void put_result(const Digest128& key, const CachedCell& cell);
 
+  /// The transpile map: transpiled_input_key(raw, options) ->
+  /// fingerprint(transpile(raw, options)). It only saves recomputing a pure
+  /// function this handle has already seen computed, so it changes no key
+  /// or payload. It lives in memory only, never in either store tier, so a
+  /// fresh handle on the same directory starts empty. It holds at most
+  /// kTranspiledEntries entries and evicts the oldest first. A hit counts
+  /// in CacheStats::transpiles_skipped, a miss in transpiles_run; after a
+  /// miss, the caller transpiles and records the fingerprint.
+  static constexpr std::size_t kTranspiledEntries = std::size_t{1} << 14;
+  [[nodiscard]] std::optional<Digest128> find_transpiled(
+      const Digest128& raw_key);
+  /// Records a fingerprint after its transpile succeeded; a key already
+  /// present keeps its entry and age.
+  void record_transpiled(const Digest128& raw_key,
+                         const Digest128& transpiled_fingerprint);
+
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::vector<Store::IndexEntry> entries() const {
     return store_.entries();
@@ -96,9 +121,15 @@ class CompilationCache {
   }
 
  private:
+  struct DigestHash {
+    std::size_t operator()(const Digest128& d) const noexcept { return d.lo; }
+  };
+
   Store store_;
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  // stats_ and the transpile map
   CacheStats stats_;
+  std::unordered_map<Digest128, Digest128, DigestHash> transpiled_;
+  std::deque<Digest128> transpiled_order_;  // front = oldest
 };
 
 }  // namespace parallax::cache

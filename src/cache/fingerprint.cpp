@@ -77,6 +77,7 @@ enum class Domain : std::uint8_t {
   kFileContent = 8,
   kInteractionGraph = 9,
   kTranspileOptions = 10,
+  kTranspiledInput = 11,
 };
 
 Fingerprinter begin(Domain domain) {
@@ -196,6 +197,15 @@ Digest128 fingerprint(const pipeline::CompileOptions& options) {
 
 Digest128 fingerprint(const circuit::TranspileOptions& options) {
   return fingerprint_fields(Domain::kTranspileOptions, options);
+}
+
+Digest128 transpiled_input_key(const circuit::Circuit& raw,
+                               const circuit::TranspileOptions& options) {
+  Fingerprinter fp = begin(Domain::kTranspiledInput);
+  feed(fp, raw);
+  FieldWriter key(fp);
+  fields(key, options);
+  return fp.finish();
 }
 
 Digest128 placement_key(const Digest128& circuit_fingerprint,

@@ -130,6 +130,13 @@ class HashingStreamBuf final : public std::streambuf {
 /// Transpile options alone (the sweep keys its shared transpilations on it).
 [[nodiscard]] Digest128 fingerprint(const circuit::TranspileOptions& options);
 
+/// Key of a cache handle's transpile map (CompilationCache::find_transpiled):
+/// the raw circuit's canonical bytes, name included, then the transpile
+/// options. It names the value fingerprint(transpile(raw, options)), so a
+/// warm request derives its result keys without transpiling.
+[[nodiscard]] Digest128 transpiled_input_key(
+    const circuit::Circuit& raw, const circuit::TranspileOptions& options);
+
 // --- cache keys ---------------------------------------------------------------
 
 /// Key for a cached annealed placement: the effective (transpiled) circuit's

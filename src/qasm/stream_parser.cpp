@@ -1,8 +1,10 @@
 #include "qasm/stream_parser.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <numeric>
+#include <optional>
 
 #include "qasm/lexer.hpp"
 #include "qasm/stdgates.hpp"
@@ -25,6 +27,16 @@ double apply_function(const std::string& name, double v) {
   if (name == "exp") return std::exp(v);
   if (name == "ln") return std::log(v);
   return std::sqrt(v);  // validated against is_known_function by the caller
+}
+
+/// A register size or index as an int32, checked before the cast: NaN, a
+/// fraction, a negative value or one above INT32_MAX gives nullopt.
+std::optional<std::int32_t> whole_int32(double value) {
+  constexpr double kMax = std::numeric_limits<std::int32_t>::max();
+  if (!(value >= 0.0 && value <= kMax) || value != std::trunc(value)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 ExprPtr clone_expr(const Expr& e) {
@@ -224,15 +236,22 @@ void StreamParser::parse_reg(bool quantum) {
   const Token size = expect(TokenKind::kNumber, "register size");
   require(TokenKind::kRBracket, "']'");
   require(TokenKind::kSemicolon, "';'");
-  const auto n = static_cast<std::int32_t>(size.value);
-  if (n <= 0 || size.value != static_cast<double>(n)) {
-    error("register size must be a positive integer", size.line, size.column);
+  const std::optional<std::int32_t> checked = whole_int32(size.value);
+  if (!checked || *checked == 0) {
+    error("register size must be a positive integer below 2^31", size.line,
+          size.column);
   }
+  const std::int32_t n = *checked;
   auto& table = quantum ? qregs_ : cregs_;
   if (table.count(name.text) || (quantum ? cregs_ : qregs_).count(name.text)) {
     error("duplicate register '" + name.text + "'", name.line, name.column);
   }
   auto& total = quantum ? n_qubits_ : n_clbits_;
+  if (n > std::numeric_limits<std::int32_t>::max() - total) {
+    error(std::string("register '") + name.text + "' takes the " +
+              (quantum ? "qubit" : "clbit") + " count past 2^31 - 1",
+          size.line, size.column);
+  }
   table[name.text] = Register{total, n};
   total += n;
   if (visitor_ != nullptr) {
@@ -553,18 +572,7 @@ StreamParser::QubitArg StreamParser::parse_qubit_arg() {
   skip();
   const Register& reg = it->second;
   if (check(TokenKind::kLBracket)) {
-    skip();
-    if (!check(TokenKind::kNumber)) mismatch("index");
-    const auto i = static_cast<std::int32_t>(current_.value);
-    const int idx_line = current_.line;
-    const int idx_column = current_.column;
-    skip();
-    require(TokenKind::kRBracket, "']'");
-    if (i < 0 || i >= reg.size) {
-      error("index out of range for '" + it->first + "'", idx_line,
-            idx_column);
-    }
-    return QubitArg{reg.offset + i, 1};
+    return QubitArg{reg.offset + parse_index(it->first, reg), 1};
   }
   return QubitArg{reg.offset, reg.size};
 }
@@ -579,20 +587,28 @@ std::pair<std::int32_t, std::int32_t> StreamParser::parse_clbit_arg() {
   skip();
   const Register& reg = it->second;
   if (check(TokenKind::kLBracket)) {
-    skip();
-    if (!check(TokenKind::kNumber)) mismatch("index");
-    const auto i = static_cast<std::int32_t>(current_.value);
-    const int idx_line = current_.line;
-    const int idx_column = current_.column;
-    skip();
-    require(TokenKind::kRBracket, "']'");
-    if (i < 0 || i >= reg.size) {
-      error("index out of range for '" + it->first + "'", idx_line,
-            idx_column);
-    }
-    return {reg.offset + i, 1};
+    return {reg.offset + parse_index(it->first, reg), 1};
   }
   return {reg.offset, reg.size};
+}
+
+std::int32_t StreamParser::parse_index(const std::string& name,
+                                       const Register& reg) {
+  skip();  // [
+  if (!check(TokenKind::kNumber)) mismatch("index");
+  const std::optional<std::int32_t> i = whole_int32(current_.value);
+  const int idx_line = current_.line;
+  const int idx_column = current_.column;
+  if (!i) {
+    error("index must be a non-negative integer below 2^31", idx_line,
+          idx_column);
+  }
+  skip();
+  require(TokenKind::kRBracket, "']'");
+  if (*i >= reg.size) {
+    error("index out of range for '" + name + "'", idx_line, idx_column);
+  }
+  return *i;
 }
 
 void StreamParser::parse_measure() {

@@ -145,6 +145,8 @@ class StreamParser {
   double parse_const_primary();
   QubitArg parse_qubit_arg();
   std::pair<std::int32_t, std::int32_t> parse_clbit_arg();
+  /// The `[index]` after register `name`, checked against its size.
+  std::int32_t parse_index(const std::string& name, const Register& reg);
   void parse_measure();
   void parse_barrier();
   void parse_gate_call();

@@ -98,7 +98,9 @@ Result run(const std::vector<CircuitSpec>& circuits,
   util::Memo<std::string, circuit::Circuit> transpiled_memo;
   // Content fingerprints of effective input circuits: the placement memo's
   // and the persistent cache's keys are content-addressed, never
-  // index-based, so they survive reordering of the sweep matrix.
+  // index-based, so they survive reordering of the sweep matrix. With a
+  // cache, the first cell of a key asks the handle's transpile map before
+  // it transpiles anything.
   util::Memo<std::string, cache::Digest128> fingerprint_memo;
 
   cache::CompilationCache* const persistent = options.cache.get();
@@ -134,29 +136,44 @@ Result run(const std::vector<CircuitSpec>& circuits,
       // the {U3, CZ} basis). Keyed on the cell's effective transpile options
       // so a technique that tunes them is honored, not silently served
       // another cell's circuit. Circuit names are preserved, so per-circuit
-      // seed derivation is unchanged.
-      const circuit::Circuit* input = &spec.circuit;
-      std::string input_key = std::to_string(ci) + "|raw";
+      // seed derivation is unchanged. The transpiled circuit is built only
+      // when something needs it, at most once per cell: the cache's
+      // transpile map usually knows its fingerprint already.
+      const bool needs_transpile = !opts.assume_transpiled;
+      const std::string input_key =
+          std::to_string(ci) + "|" +
+          (needs_transpile ? cache::fingerprint(opts.transpile).hex() : "raw");
+      const circuit::Circuit* input =
+          needs_transpile ? nullptr : &spec.circuit;
       bool transpile_shared = false;
       double transpile_seconds = 0.0;
-      if (!opts.assume_transpiled) {
-        input_key = std::to_string(ci) + "|" +
-                    cache::fingerprint(opts.transpile).hex();
-        bool transpiled_here = false;
-        const Stopwatch transpile_watch;
-        input = &transpiled_memo.get(
-            input_key,
-            [&, transpile_options = opts.transpile] {
-              transpiled_here = true;
-              return circuit::transpile(spec.circuit, transpile_options);
-            });
-        transpile_seconds = transpile_watch.seconds();
-        transpile_shared = !transpiled_here;
-        opts.assume_transpiled = true;
-      }
+      const auto effective_input = [&]() -> const circuit::Circuit& {
+        if (input == nullptr) {
+          bool transpiled_here = false;
+          const Stopwatch transpile_watch;
+          input = &transpiled_memo.get(
+              input_key, [&, transpile_options = opts.transpile] {
+                transpiled_here = true;
+                return circuit::transpile(spec.circuit, transpile_options);
+              });
+          transpile_seconds = transpile_watch.seconds();
+          transpile_shared = !transpiled_here;
+        }
+        return *input;
+      };
 
-      const cache::Digest128& input_fp = fingerprint_memo.get(
-          input_key, [&] { return cache::fingerprint(*input); });
+      const cache::Digest128& input_fp = fingerprint_memo.get(input_key, [&] {
+        if (!needs_transpile || persistent == nullptr) {
+          return cache::fingerprint(effective_input());
+        }
+        const cache::Digest128 raw_key =
+            cache::transpiled_input_key(spec.circuit, opts.transpile);
+        if (auto known = persistent->find_transpiled(raw_key)) return *known;
+        const cache::Digest128 fp = cache::fingerprint(effective_input());
+        persistent->record_transpiled(raw_key, fp);
+        return fp;
+      });
+      opts.assume_transpiled = true;
 
       const pipeline::Pipeline pl = registry.make_pipeline(cell.technique,
                                                            opts);
@@ -196,8 +213,8 @@ Result run(const std::vector<CircuitSpec>& circuits,
         result_cache_misses.fetch_add(1, std::memory_order_relaxed);
       }
 
-      cell.result =
-          pl.run(*input, machine.config, opts, {&placement_memo, input_fp});
+      cell.result = pl.run(effective_input(), machine.config, opts,
+                           {&placement_memo, input_fp});
       if (transpile_seconds != 0.0 || transpile_shared) {
         attribute_stage_timing(cell.result, "transpile", transpile_seconds,
                                transpile_shared);

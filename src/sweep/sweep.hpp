@@ -8,10 +8,12 @@
 //   * Determinism: a cell's result depends only on (circuit, technique,
 //     machine, options) — never on thread count or completion order. Every
 //     seed derives from (master seed, circuit name, stage salt).
-//   * Shared work: each circuit is transpiled once, and every cell's
-//     pipeline borrows the run's pipeline::PlacementMemo, through which the
-//     graphine-placement pass shares the Graphine annealed placement per
-//     (effective input circuit, placement options). Techniques that share
+//   * Shared work: each circuit is transpiled at most once per run, and
+//     only when a cell compiles or the cache's transpile map does not yet
+//     know its fingerprint. Every cell's pipeline borrows the run's
+//     pipeline::PlacementMemo, through which the graphine-placement pass
+//     shares the Graphine annealed placement per (effective input circuit,
+//     placement options). Techniques that share
 //     Step 1 (parallax, graphine) and machine variants of the same circuit
 //     never recompute it — exactly the paper's methodology of reusing
 //     placements across techniques.
@@ -170,6 +172,12 @@ struct Result {
   bool cancelled = false;
   std::size_t placement_cache_hits = 0;
   std::size_t placement_cache_misses = 0;
+  /// Transpiles this run performed (misses) and cells that shared one
+  /// (hits). A cell needs the transpiled circuit only to compile it, or to
+  /// fingerprint it when the cache's transpile map
+  /// (CompilationCache::find_transpiled) does not know the circuit; a run
+  /// whose every cell hits, on a handle that has seen its circuits,
+  /// reports 0 and 0.
   std::size_t transpile_cache_hits = 0;
   std::size_t transpile_cache_misses = 0;
   /// Persistent-cache accounting (all zero when Options::cache is null).

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -185,6 +187,26 @@ TEST(Fingerprint, ResultKeySeparatesDerivedOutputs) {
             pc::result_key(circuit_fp, "eldi", passes, config, options));
   EXPECT_NE(plain, pc::result_key(circuit_fp, "parallax",
                                   {"transpile"}, config, options));
+}
+
+TEST(Fingerprint, TranspiledInputKeyCoversNameGatesAndOptions) {
+  const pcir::TranspileOptions options;
+  const auto base = pc::transpiled_input_key(ghz(8, "ghz8"), options);
+  EXPECT_EQ(base, pc::transpiled_input_key(ghz(8, "ghz8"), options));
+  // Same gates, another name: transpile keeps the name, and seeds derive
+  // from it, so the key must differ.
+  EXPECT_NE(base, pc::transpiled_input_key(ghz(8, "other"), options));
+  auto gate_tweak = ghz(8, "ghz8");
+  gate_tweak.rz(0, 1e-12);
+  EXPECT_NE(base, pc::transpiled_input_key(gate_tweak, options));
+  auto uncancelled = options;
+  uncancelled.cancel_cz_pairs = false;
+  EXPECT_NE(base, pc::transpiled_input_key(ghz(8, "ghz8"), uncancelled));
+  auto tolerance = options;
+  tolerance.identity_tolerance *= 2;
+  EXPECT_NE(base, pc::transpiled_input_key(ghz(8, "ghz8"), tolerance));
+  // Its own domain: never the circuit's fingerprint.
+  EXPECT_NE(base, pc::fingerprint(ghz(8, "ghz8")));
 }
 
 // --- cache/serialize ----------------------------------------------------------
@@ -652,6 +674,98 @@ TEST(CompilationCache, DefaultDirectoryRespectsEnvironment) {
   if (saved != nullptr) {
     ::setenv("PARALLAX_CACHE_DIR", saved_value.c_str(), 1);
   }
+}
+
+TEST(CompilationCache, TranspileMapIsBoundedAndEvictsTheOldestFirst) {
+  pc::CompilationCache cache({.directory = "", .disk = false});
+  constexpr std::size_t kCap = pc::CompilationCache::kTranspiledEntries;
+  constexpr std::size_t kPast = 100;
+  const auto key = [](std::size_t i) {
+    return pu::Digest128{0x7AA5, static_cast<std::uint64_t>(i)};
+  };
+  const auto value = [](std::size_t i) {
+    return pu::Digest128{static_cast<std::uint64_t>(i), 0xF1};
+  };
+  EXPECT_FALSE(cache.find_transpiled(key(0)).has_value());
+  for (std::size_t i = 0; i < kCap + kPast; ++i) {
+    cache.record_transpiled(key(i), value(i));
+  }
+  // Exactly the newest kCap keys answer, so the map holds kCap entries.
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < kCap + kPast; ++i) {
+    const auto hit = cache.find_transpiled(key(i));
+    if (!hit) {
+      EXPECT_LT(i, kPast) << "evicted out of order";
+      continue;
+    }
+    EXPECT_GE(i, kPast) << "the oldest key still answers";
+    EXPECT_EQ(*hit, value(i));
+    ++found;
+  }
+  EXPECT_EQ(found, kCap);
+  const pc::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.transpiles_skipped, kCap);
+  EXPECT_EQ(stats.transpiles_run, kPast + 1);
+  // Re-recording a present key neither duplicates nor refreshes it.
+  cache.record_transpiled(key(kPast), value(0));
+  cache.record_transpiled(key(kCap + kPast), value(1));
+  EXPECT_FALSE(cache.find_transpiled(key(kPast)).has_value());
+  EXPECT_EQ(cache.find_transpiled(key(kPast + 1)), value(kPast + 1));
+}
+
+TEST(CompilationCache, TranspileMapNeverReachesTheStore) {
+  const std::string dir = fresh_dir("transpile_map");
+  {
+    pc::CompilationCache cache({.directory = dir});
+    cache.record_transpiled(pu::Digest128{1, 2}, pu::Digest128{3, 4});
+    EXPECT_EQ(cache.find_transpiled(pu::Digest128{1, 2}),
+              (pu::Digest128{3, 4}));
+    EXPECT_EQ(cache.stats().store.stores, 0u);
+    EXPECT_TRUE(cache.entries().empty());
+  }
+  pc::CompilationCache reopened({.directory = dir});
+  EXPECT_FALSE(reopened.find_transpiled(pu::Digest128{1, 2}).has_value());
+}
+
+TEST(StoreFuzz, MutatedEntryFilesReadAsTheOriginalOrAMiss) {
+  // Rewrites one stored entry's object file with each mutant. A fresh
+  // Store's get never throws, and returns nothing or the exact payload.
+  const std::string dir = fresh_dir("envelope_fuzz");
+  ppl::Topology topology;
+  for (int q = 0; q < 6; ++q) topology.positions.push_back({0.1 * q, 0.3});
+  topology.interaction_radius = 0.2;
+  const std::string payload = pc::serialize_topology(topology);
+  const pu::Digest128 key{0xE17E, 0x10BE};
+  pc::Store({.directory = dir}).put(pc::Kind::kPlacement, key, payload);
+  const fs::path path = object_file(dir, key);
+  std::string entry;
+  {
+    std::ifstream in(path, std::ios::binary);
+    entry.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(entry.size(), 32 + payload.size());
+
+  std::size_t misses = 0;
+  const auto tally = parallax::fuzz::run_mutants(
+      entry, 0xE2E1, 5000, [&](const std::string& mutant) {
+        {
+          std::ofstream out(path, std::ios::binary | std::ios::trunc);
+          out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+        }
+        pc::Store store({.directory = dir});
+        const auto got = store.get(pc::Kind::kPlacement, key);
+        if (!got) {
+          ++misses;
+        } else if (*got != payload) {
+          throw std::logic_error("an entry read back as other bytes");
+        }
+      });
+  for (const std::string& escape : tally.escapes) {
+    ADD_FAILURE() << "outside the contract: " << escape;
+  }
+  EXPECT_EQ(tally.decoded, 5000u);
+  EXPECT_GT(misses, 4900u);
+  fs::remove_all(dir);
 }
 
 // --- the acceptance criterion: warm sweeps ------------------------------------

@@ -17,6 +17,8 @@
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 
+#include "mutation.hpp"
+
 namespace fs = std::filesystem;
 namespace pc = parallax::circuit;
 namespace pi = parallax::importer;
@@ -172,6 +174,26 @@ TEST(Import, MalformedManifestsAreRejected) {
       pi::ImportError);
   // Empty manifest (header only) is fine.
   EXPECT_TRUE(pi::parse_manifest("# parallax-import v1\n").empty());
+}
+
+TEST(ImportFuzz, MutatedManifestsParseOrThrowImportError) {
+  // A comment line, CRLF and LF endings, and every field kind; the contract
+  // is a list of entries or an ImportError.
+  const fs::path dir = fresh_dir("fuzz");
+  std::vector<pi::ImportEntry> entries;
+  entries.push_back(pi::import_file(write_sample(dir, "alpha", 4)));
+  entries.push_back(pi::import_file(write_sample(dir, "beta", 7)));
+  std::string text = pi::write_manifest(entries);
+  text.insert(text.find('\n') + 1, "# imported twice\r\n");
+  ASSERT_EQ(pi::parse_manifest(text).size(), 2u);
+  const auto tally = parallax::fuzz::run_mutants<pi::ImportError>(
+      text, 0x3A1F, 20000,
+      [](const std::string& bytes) { (void)pi::parse_manifest(bytes); });
+  for (const std::string& escape : tally.escapes) {
+    ADD_FAILURE() << "outside the contract: " << escape;
+  }
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(Import, MissingFilesThrow) {

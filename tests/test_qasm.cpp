@@ -254,6 +254,75 @@ TEST(Parser, RejectsDuplicateRegister) {
   EXPECT_THROW(pq::parse("qreg q[2]; qreg q[3];"), pq::ParseError);
 }
 
+// --- register sizes and indices are checked before any int32 cast -----------
+
+namespace {
+
+/// The ParseError `source` raises; fails the test when it parses.
+pq::ParseError parse_error(const std::string& source) {
+  try {
+    (void)pq::parse(source);
+  } catch (const pq::ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError for: " << source;
+  return pq::ParseError("parsed", 0, 0);
+}
+
+}  // namespace
+
+TEST(Parser, RejectsARegisterSizeAboveInt32) {
+  const pq::ParseError e = parse_error("qreg q[1e12];");
+  EXPECT_EQ(e.line(), 1);
+  EXPECT_EQ(e.column(), 8);
+}
+
+TEST(Parser, RejectsAQubitIndexAboveInt32) {
+  const pq::ParseError e =
+      parse_error("include \"qelib1.inc\";\nqreg q[2];\nh q[1e12];");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.column(), 5);
+}
+
+TEST(Parser, RejectsAClbitIndexAboveInt32) {
+  const pq::ParseError e =
+      parse_error("qreg q[1];\ncreg c[2];\nmeasure q[0] -> c[1e12];");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.column(), 19);
+}
+
+TEST(Parser, RejectsAFractionalIndex) {
+  const pq::ParseError e =
+      parse_error("include \"qelib1.inc\";\nqreg q[2];\nh q[0.9];");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.column(), 5);
+  EXPECT_NE(std::string(e.what()).find("integer"), std::string::npos)
+      << e.what();
+}
+
+TEST(Parser, RejectsAFractionalRegisterSize) {
+  const pq::ParseError e = parse_error("qreg q[2.5];");
+  EXPECT_EQ(e.column(), 8);
+}
+
+TEST(Parser, RejectsAQubitTotalPastInt32) {
+  const pq::ParseError e = parse_error("qreg a[2147483647];\nqreg b[2];");
+  EXPECT_EQ(e.line(), 2);
+  EXPECT_EQ(e.column(), 8);
+  EXPECT_NE(std::string(e.what()).find("qubit count"), std::string::npos)
+      << e.what();
+  // The largest register that fits still parses.
+  EXPECT_NO_THROW((void)pq::parse("qreg a[2147483646];\nqreg b[1];"));
+}
+
+TEST(Parser, RejectsAClbitTotalPastInt32) {
+  const pq::ParseError e = parse_error("creg a[2147483647];\ncreg b[2];");
+  EXPECT_EQ(e.line(), 2);
+  EXPECT_EQ(e.column(), 8);
+  EXPECT_NE(std::string(e.what()).find("clbit count"), std::string::npos)
+      << e.what();
+}
+
 TEST(Parser, MultipleQregsFlatten) {
   const auto result = pq::parse(R"(
     include "qelib1.inc";

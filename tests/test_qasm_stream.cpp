@@ -17,6 +17,8 @@
 #include "qasm/stream_parser.hpp"
 #include "qasm/writer.hpp"
 
+#include "mutation.hpp"
+
 namespace pq = parallax::qasm;
 namespace pc = parallax::circuit;
 namespace pb = parallax::bench_circuits;
@@ -171,6 +173,68 @@ TEST(Stream, WriterRoundTripFuzz) {
       ASSERT_TRUE(gates_equal(reparsed.gates()[i], original.gates()[i]))
           << "trial " << trial << " gate " << i;
     }
+  }
+}
+
+TEST(StreamFuzz, MutatedProgramsParseOrThrowParseError) {
+  // Between them the programs cover the include, parameterized custom
+  // gates, broadcasts, measures and barriers; the contract is a
+  // ParseResult or a qasm::ParseError. A parse that includes qelib1.inc
+  // re-parses the library (about twenty times the cost of the rest of a
+  // small program), so that program gets fewer mutants. The counts keep
+  // the test near 13 s under ThreadSanitizer (a parse costs 2-7 ms there),
+  // which runs the full ctest in CI.
+  struct Program {
+    std::string text;
+    int mutants;
+  };
+  const std::vector<Program> programs = {
+      {"OPENQASM 2.0;\n"
+       "include \"qelib1.inc\";\n"
+       "gate rot(theta, phi) a, b { u3(theta, phi / 2, -pi) a; cx a, b; "
+       "rz(sin(theta) * 2) b; }\n"
+       "qreg q[3];\n"
+       "creg c[3];\n"
+       "h q;\n"
+       "rot(0.25, 1.5e-1) q[0], q[2];\n"
+       "barrier q[0], q[1];\n"
+       "ccx q[0], q[1], q[2];\n"
+       "measure q -> c;\n",
+       1000},
+      {"OPENQASM 2.0;\n"
+       "gate layer(t) x, y, z { U(t, 0, -t) x; CX x, y; U(0, 0, t / 2) z; "
+       "CX y, z; }\n"
+       "qreg a[2];\n"
+       "qreg b[2];\n"
+       "creg m[2];\n"
+       "layer(pi / 4) a[0], a[1], b[0];\n"
+       "CX a, b;\n"
+       "barrier a, b;\n"
+       "measure b[1] -> m[0];\n"
+       "measure a -> m;\n",
+       2000},
+      {"OPENQASM 2.0;\n"
+       "gate twist(x) p { U(x, 0, ln(2)) p; }\n"
+       "gate pair(x, y) p, r { twist(x * y) p; CX p, r; twist(-y) r; }\n"
+       "qreg r[4];\n"
+       "creg k[4];\n"
+       "twist(exp(1) - sqrt(2)) r;\n"
+       "pair(cos(0.5), 3) r[0], r[3];\n"
+       "barrier r;\n"
+       "measure r -> k;\n",
+       2000},
+  };
+  std::uint64_t seed = 0x0A5E;
+  for (const Program& program : programs) {
+    ASSERT_NO_THROW((void)pq::parse(program.text)) << program.text;
+    const auto tally = parallax::fuzz::run_mutants<pq::ParseError>(
+        program.text, seed++, program.mutants,
+        [](const std::string& bytes) { (void)pq::parse(bytes); });
+    for (const std::string& escape : tally.escapes) {
+      ADD_FAILURE() << "outside the contract: " << escape;
+    }
+    EXPECT_GT(tally.decoded, 0u);
+    EXPECT_GT(tally.rejected, 0u);
   }
 }
 

@@ -467,6 +467,52 @@ TEST(SweepService, OverlappingSubmissionsShareOneColdCompile) {
   EXPECT_EQ(s2.result_cache_hits, spec.total_cells());
 }
 
+TEST(SweepService, ASecondIdenticalSubmitTranspilesNothingAndFramesAlike) {
+  // One handle warms every result on disk; the service runs on a fresh
+  // handle, so its first request hits every result but still transpiles
+  // each circuit once, and the second does neither.
+  const sh::SweepSpec spec = small_spec();
+  const std::string dir = fresh_dir("transpile_map");
+  {
+    sw::Options options = spec.options;
+    options.cache = pc::CompilationCache::open({.directory = dir});
+    (void)sw::run(spec.circuits, spec.techniques, spec.machines, options);
+  }
+  const auto cache = pc::CompilationCache::open({.directory = dir});
+  sv::SweepService service({.n_threads = 2, .cache = cache});
+  // The kCell frames the server would write, keyed by flat cell index,
+  // with the wall-clock compile_seconds zeroed.
+  const auto served_frames = [&] {
+    std::mutex mutex;
+    std::map<std::size_t, std::string> frames;
+    const sv::Summary summary =
+        service
+            .submit(spec, {}, {}, 1, 1,
+                    [&](const sw::Cell& cell, const pc::ScannedCell& cached) {
+                      sw::Cell timeless = cell;
+                      timeless.compile_seconds = 0.0;
+                      const std::size_t flat =
+                          cell.circuit_index * spec.techniques.size() +
+                          cell.technique_index;
+                      std::lock_guard lock(mutex);
+                      frames[flat] = sv::cell_frame(1, timeless, cached);
+                    })
+            ->wait();
+    EXPECT_TRUE(summary.ok()) << summary.error;
+    EXPECT_EQ(summary.result_cache_hits, spec.total_cells());
+    return frames;
+  };
+
+  const auto first = served_frames();
+  EXPECT_EQ(cache->stats().transpiles_run, spec.circuits.size());
+  EXPECT_EQ(cache->stats().transpiles_skipped, 0u);
+  const auto second = served_frames();
+  EXPECT_EQ(cache->stats().transpiles_run, spec.circuits.size());
+  EXPECT_EQ(cache->stats().transpiles_skipped, spec.circuits.size());
+  EXPECT_EQ(first.size(), spec.total_cells());
+  EXPECT_TRUE(second == first);
+}
+
 TEST(SweepService, CancellationStopsBeforeCompletingAllCells) {
   const sh::SweepSpec spec = small_spec();  // 6 cells
   // One worker: cells run strictly one at a time, so cancelling from the

@@ -1,15 +1,23 @@
 // Sweep-driver tests: thread-count invariance (the acceptance criterion of
 // the pipeline refactor), parity with sequential single-circuit compilation,
-// placement memoization accounting, error isolation, and shot planning.
+// placement memoization accounting, the cache handle's transpile map, error
+// isolation, and shot planning.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "bench_circuits/registry.hpp"
+#include "cache/cache.hpp"
 #include "cache/fingerprint.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
+#include "pipeline/passes.hpp"
+#include "shard/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
 
@@ -18,6 +26,7 @@ namespace pcache = parallax::cache;
 namespace ph = parallax::hardware;
 namespace pp = parallax::pipeline;
 namespace pt = parallax::technique;
+namespace sh = parallax::shard;
 namespace sw = parallax::sweep;
 
 namespace {
@@ -309,4 +318,155 @@ TEST(Sweep, BenchmarkCircuitHelpers) {
   EXPECT_EQ(sw::all_benchmark_circuits(gen).size(), 18u);
   EXPECT_THROW((void)sw::benchmark_circuits({"NOPE"}, gen),
                std::invalid_argument);
+}
+
+// --- the cache handle's transpile map -----------------------------------------
+
+namespace {
+
+std::shared_ptr<pcache::CompilationCache> memory_cache() {
+  return pcache::CompilationCache::open({.directory = "", .disk = false});
+}
+
+}  // namespace
+
+TEST(SweepTranspileMap, AWarmSweepOnTheSameHandleTranspilesNothing) {
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::vector<std::string> techniques = {"parallax", "eldi", "static"};
+  const auto circuits = small_circuits();
+  auto options = fast_sweep_options();
+  options.cache = memory_cache();
+  const auto cold =
+      sw::run(circuits, techniques, {{config.name, config}}, options);
+  EXPECT_EQ(cold.transpile_cache_misses, circuits.size());
+  EXPECT_EQ(cold.result_cache_misses, cold.cells.size());
+
+  const auto warm =
+      sw::run(circuits, techniques, {{config.name, config}}, options);
+  EXPECT_EQ(warm.transpile_cache_misses, 0u);
+  EXPECT_EQ(warm.transpile_cache_hits, 0u);
+  EXPECT_EQ(warm.result_cache_hits, warm.cells.size());
+  EXPECT_EQ(warm.result_cache_misses, 0u);
+  EXPECT_EQ(sh::canonical_bytes(warm), sh::canonical_bytes(cold));
+  const pcache::CacheStats stats = options.cache->stats();
+  EXPECT_EQ(stats.transpiles_run, circuits.size());
+  EXPECT_EQ(stats.transpiles_skipped, circuits.size());
+}
+
+TEST(SweepTranspileMap, AFreshHandleOnTheSameDirectoryTranspilesAgain) {
+  // The map lives in memory only: a new handle (a new process) transpiles
+  // once per circuit, and still serves every result from the disk tier.
+  const std::string dir = ::testing::TempDir() + "parallax_transpile_map_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const auto circuits = small_circuits();
+  auto options = fast_sweep_options();
+  options.cache = pcache::CompilationCache::open({.directory = dir});
+  const auto cold =
+      sw::run(circuits, {"parallax", "static"}, {{config.name, config}},
+              options);
+
+  options.cache = pcache::CompilationCache::open({.directory = dir});
+  const auto warm =
+      sw::run(circuits, {"parallax", "static"}, {{config.name, config}},
+              options);
+  EXPECT_EQ(warm.transpile_cache_misses, circuits.size());
+  EXPECT_EQ(warm.result_cache_hits, warm.cells.size());
+  EXPECT_EQ(sh::canonical_bytes(warm), sh::canonical_bytes(cold));
+  EXPECT_EQ(options.cache->stats().transpiles_run, circuits.size());
+  EXPECT_EQ(options.cache->stats().transpiles_skipped, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepTranspileMap, AResultMissAfterAMapHitTranspilesOncePerCircuit) {
+  // Another machine misses every result key but not the map: the cells
+  // that compile share one transpile per circuit and equal a cacheless
+  // sweep byte for byte.
+  const auto quera = ph::HardwareConfig::quera_aquila_256();
+  const auto atom = ph::HardwareConfig::atom_computing_1225();
+  const std::vector<std::string> techniques = {"parallax", "eldi", "static"};
+  const auto circuits = small_circuits();
+  auto options = fast_sweep_options();
+  options.cache = memory_cache();
+  (void)sw::run(circuits, techniques, {{quera.name, quera}}, options);
+
+  const auto other =
+      sw::run(circuits, techniques, {{atom.name, atom}}, options);
+  EXPECT_EQ(other.result_cache_misses, other.cells.size());
+  EXPECT_EQ(other.transpile_cache_misses, circuits.size());
+  EXPECT_EQ(other.transpile_cache_hits, other.cells.size() - circuits.size());
+  EXPECT_EQ(options.cache->stats().transpiles_skipped, circuits.size());
+  const auto reference = sw::run(circuits, techniques, {{atom.name, atom}},
+                                 fast_sweep_options());
+  EXPECT_EQ(sh::canonical_bytes(other), sh::canonical_bytes(reference));
+  // One cell per circuit paid for the transpile and reports it; the rest
+  // mark their transpile row as shared.
+  std::vector<int> paid(circuits.size(), 0);
+  for (const auto& cell : other.cells) {
+    ASSERT_TRUE(cell.ok()) << cell.error;
+    ASSERT_FALSE(cell.result.pass_timings.empty());
+    const auto& row = cell.result.pass_timings.front();
+    ASSERT_EQ(row.pass, "transpile");
+    if (!row.cached) ++paid[cell.circuit_index];
+  }
+  EXPECT_EQ(paid, std::vector<int>(circuits.size(), 1));
+}
+
+TEST(SweepTranspileMap, KeysOnTunedTranspileOptionsAcrossSweeps) {
+  // As TranspileMemoKeysOnTunedOptions, but across two sweeps on one
+  // handle: the eldi sweep's map entry must not serve the uncancelled
+  // variant its cancelled circuit.
+  pc::Circuit c(2, "czpair");
+  c.cz(0, 1);
+  c.cz(0, 1);
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const auto registry = with_tuned_variant(
+      "static-uncancelled", "static", [](pp::CompileOptions& compile) {
+        compile.transpile.cancel_cz_pairs = false;
+      });
+  auto options = fast_sweep_options();
+  options.cache = memory_cache();
+  const auto eldi = sw::run({{"czpair", c}}, {"eldi"},
+                            {{config.name, config}}, options, registry);
+  EXPECT_EQ(eldi.at("czpair", "eldi").result.stats.cz_gates, 0u);
+  const auto uncancelled =
+      sw::run({{"czpair", c}}, {"static-uncancelled"},
+              {{config.name, config}}, options, registry);
+  EXPECT_EQ(
+      uncancelled.at("czpair", "static-uncancelled").result.stats.cz_gates,
+      2u);
+  EXPECT_EQ(uncancelled.transpile_cache_misses, 1u);
+  EXPECT_EQ(options.cache->stats().transpiles_run, 2u);
+  EXPECT_EQ(options.cache->stats().transpiles_skipped, 0u);
+}
+
+TEST(SweepTranspileMap, RecordsTheTranspiledFingerprintOfEveryTableIIICircuit) {
+  // A transpile-only technique keeps the sweep cheap; what the map records
+  // for each Table III circuit must be the fingerprint a direct transpile
+  // gives.
+  pt::Registry registry;
+  registry.add("transpile-only", "the transpile pass alone",
+               [](const pp::CompileOptions&) {
+                 pp::Pipeline pipeline("transpile-only");
+                 pipeline.add(pp::passes::transpile());
+                 return pipeline;
+               });
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  sw::Options options;
+  options.compute_success_probability = false;
+  options.cache = memory_cache();
+  const auto circuits = sw::all_benchmark_circuits();
+  const auto swept = sw::run(circuits, {"transpile-only"},
+                             {{config.name, config}}, options, registry);
+  for (const auto& cell : swept.cells) ASSERT_TRUE(cell.ok()) << cell.error;
+  for (const auto& spec : circuits) {
+    const auto& transpile = options.compile.transpile;
+    const auto recorded = options.cache->find_transpiled(
+        pcache::transpiled_input_key(spec.circuit, transpile));
+    ASSERT_TRUE(recorded.has_value()) << spec.name;
+    EXPECT_EQ(*recorded,
+              pcache::fingerprint(pc::transpile(spec.circuit, transpile)))
+        << spec.name;
+  }
 }

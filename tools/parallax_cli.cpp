@@ -1034,6 +1034,19 @@ void install_serve_signal_handlers() {
   (void)::sigaction(SIGTERM, &action, nullptr);
 }
 
+/// The session cache's counters at drain: where the served results came
+/// from, and how many transpiles the handle's transpile map saved.
+void report_session_cache(const parallax::cache::CompilationCache& cache) {
+  const parallax::cache::CacheStats stats = cache.stats();
+  std::fprintf(stderr,
+               "serve: session cache: %zu result hits, %zu result misses, "
+               "%zu memory hits, %zu disk hits, %zu transpiles skipped, %zu "
+               "transpiles run\n",
+               stats.result_hits, stats.result_misses,
+               stats.store.memory_hits, stats.store.disk_hits,
+               stats.transpiles_skipped, stats.transpiles_run);
+}
+
 int run_serve_start(const Cli& cli) {
   namespace sv = parallax::serve;
   sv::ServiceOptions service_options;
@@ -1063,6 +1076,7 @@ int run_serve_start(const Cli& cli) {
         sv::serve_connection(0, 1, service, server_options);
     std::fprintf(stderr, "serve: connection closed after %zu requests\n",
                  served);
+    if (service_options.cache) report_session_cache(*service_options.cache);
     return 0;
   }
   std::fprintf(stderr, "serve: listening on %s (%zu worker threads)\n",
@@ -1073,6 +1087,7 @@ int run_serve_start(const Cli& cli) {
     return 1;
   }
   std::fprintf(stderr, "serve: session drained, socket unlinked\n");
+  if (service_options.cache) report_session_cache(*service_options.cache);
   return 0;
 }
 
