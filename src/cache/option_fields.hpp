@@ -1,27 +1,12 @@
 // The one field list of every compile-option struct: `fields(ar, options)`
-// visits the struct's fields in wire order through an archive. The sweep-spec
-// writer and reader (shard/spec.cpp) and the cache-key fingerprints
-// (fingerprint.cpp) are archives over these lists, so a field added here
-// lands in specs and keys together.
-//
-// Besides fixed-width fields (boolean, i32, i64, u64, f64, enum_u8,
-// enum_i32), a list may visit:
-//   - label(name): a display name; specs carry it, keys skip it;
-//   - topology(t) and optional(value, body);
-//   - keyed_when(non_default, body): a group legacy cache keys never saw.
-//     Specs always carry it; keys feed it only when non_default, so every
-//     key written before the group existed stays byte-identical;
-//   - expect(ok, what): a range check that only the spec reader enforces.
+// visits the struct's fields in wire order through an archive
+// (cache/archive.hpp, which lists the primitives). The sweep-spec writer and
+// reader (shard/spec.cpp) and the cache-key fingerprints (fingerprint.cpp)
+// are archives over these lists, so a field added here lands in specs and
+// keys together.
 #pragma once
 
-#include <concepts>
-#include <cstdint>
-#include <optional>
-#include <string_view>
-#include <type_traits>
-
-#include "cache/fingerprint.hpp"
-#include "cache/serialize.hpp"
+#include "cache/archive.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
 #include "noise/model.hpp"
@@ -33,20 +18,6 @@
 #include "shots/parallelize.hpp"
 
 namespace parallax::cache {
-
-/// `O` is `T` (read into) or `const T` (written or hashed).
-template <typename O, typename T>
-concept MaybeConst = std::same_as<std::remove_const_t<O>, T>;
-
-/// The enum values a decoder accepts.
-[[nodiscard]] constexpr bool known(placement::ProposalMode mode) noexcept {
-  return mode == placement::ProposalMode::kFullVector ||
-         mode == placement::ProposalMode::kBatched;
-}
-[[nodiscard]] constexpr bool known(noise::FidelityModel model) noexcept {
-  return model == noise::FidelityModel::kClosedForm ||
-         model == noise::FidelityModel::kSimulated;
-}
 
 template <typename Archive, MaybeConst<circuit::TranspileOptions> O>
 void fields(Archive& ar, O& o) {
@@ -165,44 +136,5 @@ void fields(Archive& ar, O& o) {
   ar.i64(o.logical_shots);
   ar.f64(o.inter_shot_overhead_us);
 }
-
-/// The writing archive: into a Writer, a spec (every field); into a
-/// Fingerprinter, a cache key (no labels; a legacy-invisible group only
-/// when non-default).
-template <typename Sink>
-class FieldWriter {
- public:
-  explicit FieldWriter(Sink& sink) noexcept : sink_(sink) {}
-
-  void boolean(bool v) { sink_.boolean(v); }
-  void i32(std::int32_t v) { sink_.i32(v); }
-  void i64(std::int64_t v) { sink_.i64(v); }
-  void u64(std::uint64_t v) { sink_.u64(v); }
-  void f64(double v) { sink_.f64(v); }
-  template <typename Enum>
-  void enum_u8(Enum v) { sink_.u8(static_cast<std::uint8_t>(v)); }
-  template <typename Enum>
-  void enum_i32(Enum v) { sink_.i32(static_cast<std::int32_t>(v)); }
-  void label(std::string_view name) {
-    if constexpr (!kKey) sink_.str(name);
-  }
-  void topology(const placement::Topology& value) {
-    sink_.str(serialize_topology(value));
-  }
-  template <typename T, typename Body>
-  void optional(const std::optional<T>& value, Body body) {
-    sink_.boolean(value.has_value());
-    if (value) body(*value);
-  }
-  template <typename Body>
-  void keyed_when(bool non_default, Body body) {
-    if (!kKey || non_default) body();
-  }
-  void expect(bool, const char*) noexcept {}
-
- private:
-  static constexpr bool kKey = std::is_same_v<Sink, Fingerprinter>;
-  Sink& sink_;
-};
 
 }  // namespace parallax::cache

@@ -18,8 +18,18 @@
 //     left, and a decoder reserves only counts it read through length().
 //     Any malformed input throws ReadError, which the store layer converts
 //     into a cache miss.
-// Payload versioning lives in the store's entry header (store.hpp); bumping
-// kPayloadVersion there retires old entries silently.
+//
+// Field lists. Each payload struct has one `fields(ar, x)` list below, in
+// wire order (shard.cpp and serve/protocol.cpp hold the lists of cells,
+// shard runs and serve frames). Three archives (cache/archive.hpp) walk
+// them: FieldWriter encodes, FieldReader decodes with every check, and
+// FieldScanner makes the reader's checks and builds nothing (scan_cell).
+// To add a payload field, add it to its struct's list; the writer, the
+// reader and the scanner all pick it up. A layout change bumps the version
+// of every container that carries the bytes: kPayloadVersion (store.hpp)
+// for cache entries, shard::kSpecVersion for spec and shard-run files, and
+// serve::kServeVersion for frames. Payload strings use `str`, never
+// `label`, which cache keys skip.
 //
 // Deliberately not serialized: CompileResult::pass_timings. Timings are
 // wall-clock observations, not results — they differ between the run that
@@ -28,11 +38,13 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "parallax/result.hpp"
@@ -113,15 +125,17 @@ class Reader {
     if (v > 1) throw ReadError("cache payload has a malformed bool");
     return v != 0;
   }
-  [[nodiscard]] std::string str();
+  /// A str field, as a view into the buffer.
+  [[nodiscard]] std::string_view str_view();
+  [[nodiscard]] std::string str() { return std::string(str_view()); }
 
   /// Reads a container length and validates that `count * min_element_bytes`
   /// still fits in the remaining buffer, so corrupt lengths fail fast
   /// instead of triggering gigabyte allocations.
   [[nodiscard]] std::size_t length(std::size_t min_element_bytes);
 
-  /// Steps over `n` bytes: a field or section scan_cell checks the size
-  /// of but does not decode.
+  /// Steps over `n` bytes: fields the scanner checks the size of but does
+  /// not load.
   void skip(std::uint64_t n) {
     if (n > remaining()) truncated();
     pos_ += static_cast<std::size_t>(n);
@@ -154,7 +168,11 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// --- artifact codecs ----------------------------------------------------------
+// --- payload field lists ------------------------------------------------------
+
+/// `O` is `T` (read into or scanned) or `const T` (written or hashed).
+template <typename O, typename T>
+concept MaybeConst = std::same_as<std::remove_const_t<O>, T>;
 
 /// A whole cached compile: the result plus the sweep-level derived outputs
 /// that ride with it in a sweep cell.
@@ -166,25 +184,149 @@ struct CachedCell {
   std::vector<shots::ParallelPlan> shot_plans;
 };
 
-void encode(Writer& writer, const placement::Topology& topology);
-[[nodiscard]] placement::Topology decode_topology(Reader& reader);
+/// The parts of a cell payload warm serving copies into a kCell frame as
+/// they are; the scanner records where each lies.
+enum class Section : std::uint8_t { kResult, kShotPlans };
 
-void encode(Writer& writer, const placement::PhysicalTopology& topology);
-[[nodiscard]] placement::PhysicalTopology decode_physical_topology(
-    Reader& reader);
+// The element sizes container counts are checked against (Reader::length):
+// a fixed-width element's width, or a variable one's minimum.
+inline constexpr std::size_t kPointBytes = 16;
+inline constexpr std::size_t kSiteBytes = 8;
+inline constexpr std::size_t kGateBytes = 33;  // type, two qubits, 3 angles
+inline constexpr std::size_t kLayerMinBytes = 36;
+inline constexpr std::size_t kShotPlanBytes = 24;
 
-void encode(Writer& writer, const circuit::Circuit& circuit);
-[[nodiscard]] circuit::Circuit decode_circuit(Reader& reader);
+template <typename Archive, MaybeConst<geom::Point> O>
+void fields(Archive& ar, O& point) {
+  ar.f64(point.x);
+  ar.f64(point.y);
+}
 
-void encode(Writer& writer, const compiler::CompileResult& result);
-[[nodiscard]] compiler::CompileResult decode_result(Reader& reader);
+template <typename Archive, MaybeConst<placement::Topology> O>
+void fields(Archive& ar, O& topology) {
+  ar.run(topology.positions, kPointBytes, [&](auto& p) { fields(ar, p); });
+  ar.f64(topology.interaction_radius);
+}
+
+template <typename Archive, MaybeConst<placement::PhysicalTopology> O>
+void fields(Archive& ar, O& topology) {
+  // geom::Grid has no setters and only asserts a positive side and pitch,
+  // so the two fields pass through locals and the check.
+  std::int32_t side = topology.grid.side();
+  double pitch = topology.grid.pitch();
+  ar.i32(side);
+  ar.f64(pitch);
+  ar.expect(side >= 1 && pitch > 0.0, "a malformed grid");
+  if constexpr (!std::is_const_v<O>) topology.grid = geom::Grid(side, pitch);
+  ar.run(topology.sites, kSiteBytes, [&](auto& site) {
+    ar.i32(site.col);
+    ar.i32(site.row);
+  });
+  ar.f64(topology.interaction_radius_um);
+  ar.f64(topology.blockade_radius_um);
+}
+
+/// One gate of a circuit on `n_qubits` qubits, checked the way
+/// Circuit::append checks it (its exceptions are not ReadErrors).
+template <typename Archive, MaybeConst<circuit::Gate> O>
+void fields(Archive& ar, O& gate, std::int32_t n_qubits) {
+  ar.enum_u8(gate.type);
+  ar.i32(gate.q[0]);
+  ar.i32(gate.q[1]);
+  ar.f64(gate.theta);
+  ar.f64(gate.phi);
+  ar.f64(gate.lambda);
+  for (int q = 0; q < gate.arity(); ++q) {
+    ar.expect(gate.q[q] >= 0 && gate.q[q] < n_qubits,
+              "a gate on an out-of-range qubit");
+  }
+  ar.expect(gate.arity() != 2 || gate.q[0] != gate.q[1],
+            "a two-qubit gate on one qubit");
+}
+
+/// Circuit keeps its members private; as its friend, this list reads them
+/// in place.
+struct CircuitFields {
+  template <typename Archive, MaybeConst<circuit::Circuit> O>
+  static void visit(Archive& ar, O& circuit) {
+    ar.i32(circuit.n_qubits_);
+    ar.str(circuit.name_);
+    ar.expect(circuit.n_qubits_ >= 0, "a malformed circuit");
+    ar.items(circuit.gates_, kGateBytes,
+             [&](auto& gate) { fields(ar, gate, circuit.n_qubits_); });
+  }
+};
+
+template <typename Archive, MaybeConst<circuit::Circuit> O>
+void fields(Archive& ar, O& circuit) {
+  CircuitFields::visit(ar, circuit);
+}
+
+template <typename Archive, MaybeConst<compiler::Layer> O>
+void fields(Archive& ar, O& layer) {
+  ar.run(layer.gates, 8, [&](auto& gate) { ar.u64(gate); });
+  ar.f64(layer.move_distance_um);
+  ar.f64(layer.return_distance_um);
+  ar.i32(layer.aod_moves);
+  ar.i32(layer.trap_changes);
+  ar.f64(layer.duration_us);
+  ar.run(layer.positions, kPointBytes, [&](auto& p) { fields(ar, p); });
+}
+
+template <typename Archive, MaybeConst<compiler::CompileStats> O>
+void fields(Archive& ar, O& stats) {
+  ar.u64(stats.u3_gates);
+  ar.u64(stats.cz_gates);
+  ar.u64(stats.swap_gates);
+  ar.u64(stats.layers);
+  ar.u64(stats.aod_moves);
+  ar.u64(stats.trap_changes);
+  ar.u64(stats.out_of_range_cz);
+  ar.u64(stats.slm_slm_cz);
+  ar.f64(stats.max_move_distance_um);
+  ar.f64(stats.total_move_distance_um);
+}
+
+template <typename Archive, MaybeConst<compiler::CompileResult> O>
+void fields(Archive& ar, O& result) {
+  ar.str(result.technique);
+  fields(ar, result.circuit);
+  fields(ar, result.topology);
+  ar.items(result.layers, kLayerMinBytes,
+           [&](auto& layer) { fields(ar, layer); });
+  ar.run(result.in_aod, 1, [&](auto& flag) { ar.i8(flag); });
+  fields(ar, result.stats);
+  ar.f64(result.runtime_us);
+  // pass_timings are never encoded: see the header contract.
+}
+
+template <typename Archive, MaybeConst<shots::ParallelPlan> O>
+void fields(Archive& ar, O& plan) {
+  ar.i32(plan.copies_per_dim);
+  ar.i32(plan.copies);
+  ar.i64(plan.physical_shots);
+  ar.f64(plan.total_execution_time_us);
+}
 
 /// A cell's Fig. 11 shot plans (the cache payload and the shard cell codec
 /// share this layout).
-void encode(Writer& writer, const std::vector<shots::ParallelPlan>& plans);
-[[nodiscard]] std::vector<shots::ParallelPlan> decode_shot_plans(
-    Reader& reader);
+template <typename Archive, MaybeConst<std::vector<shots::ParallelPlan>> O>
+void fields(Archive& ar, O& plans) {
+  ar.run(plans, kShotPlanBytes, [&](auto& plan) { fields(ar, plan); });
+}
 
+template <typename Archive, MaybeConst<CachedCell> O>
+void fields(Archive& ar, O& cell) {
+  ar.section(Section::kResult, [&] { fields(ar, cell.result); });
+  ar.boolean(cell.has_success_probability);
+  ar.f64(cell.success_probability);
+  ar.boolean(cell.has_shot_plans);
+  ar.section(Section::kShotPlans, [&] { fields(ar, cell.shot_plans); });
+}
+
+// --- artifact codecs ----------------------------------------------------------
+
+void encode(Writer& writer, const circuit::Circuit& circuit);
 void encode(Writer& writer, const CachedCell& cell);
 [[nodiscard]] CachedCell decode_cell(Reader& reader);
 
@@ -207,11 +349,8 @@ struct ScannedCell {
   }
 };
 
-/// Walks a cell payload making every check parse_cell makes (container
-/// length minimums, gate types and qubits, grid side and pitch, bools,
-/// trailing bytes) and builds nothing, so it throws ReadError exactly when
-/// parse_cell does. A change to the cell or result codec changes this scan
-/// in the same commit; the serve suite's differential fuzz catches drift.
+/// Walks a cell payload's field list with the checking archive, so it
+/// throws ReadError exactly when parse_cell does, and builds nothing.
 [[nodiscard]] ScannedCell scan_cell(std::string payload);
 
 // One-shot conveniences (serialize_* returns the payload bytes; parse_*

@@ -9,6 +9,10 @@
 
 #include "circuit/gate.hpp"
 
+namespace parallax::cache {
+struct CircuitFields;
+}
+
 namespace parallax::circuit {
 
 class Circuit {
@@ -85,6 +89,10 @@ class Circuit {
   void replace_gates(std::vector<Gate> gates);
 
  private:
+  /// The codec's field list (cache/serialize.hpp) reads the members in
+  /// place, with the checks append() makes.
+  friend struct cache::CircuitFields;
+
   std::int32_t n_qubits_ = 0;
   std::string name_;
   std::vector<Gate> gates_;

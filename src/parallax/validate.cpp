@@ -49,10 +49,12 @@ ValidationReport validate_schedule(const CompileResult& result,
     }
   }
 
-  // L3: no qubit reuse within a layer.
+  // L3: no qubit reuse within a layer. This check and the ones after it
+  // read each scheduled gate, so they skip the indices L2 reported.
   for (std::size_t li = 0; li < result.layers.size(); ++li) {
     std::set<std::int32_t> touched;
     for (const std::size_t gi : result.layers[li].gates) {
+      if (gi >= circuit.size()) continue;
       const auto& g = circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) {
         if (!touched.insert(g.q[k]).second) {
@@ -73,6 +75,7 @@ ValidationReport validate_schedule(const CompileResult& result,
   std::map<std::int32_t, std::vector<std::size_t>> actual_order;
   for (const Layer& layer : result.layers) {
     for (const std::size_t gi : layer.gates) {
+      if (gi >= circuit.size()) continue;
       const auto& g = circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) actual_order[g.q[k]].push_back(gi);
     }
@@ -81,16 +84,33 @@ ValidationReport validate_schedule(const CompileResult& result,
     report.fail("L4: per-qubit execution order deviates from program order");
   }
 
-  // Physical checks require the recorded snapshots.
+  // Physical checks require the recorded snapshots, one position per
+  // qubit; a snapshot, or an in_aod vector, of another size is reported
+  // instead of read.
   const double radius = result.topology.interaction_radius_um;
   const double blockade = result.topology.blockade_radius_um;
+  const auto n_qubits = static_cast<std::size_t>(circuit.n_qubits());
+  const bool flags_fit = result.in_aod.size() == n_qubits;
+  bool flags_reported = false;
   for (std::size_t li = 0; li < result.layers.size(); ++li) {
     const Layer& layer = result.layers[li];
     if (layer.positions.empty()) continue;
     const auto& pos = layer.positions;
+    if (pos.size() != n_qubits) {
+      report.fail("P1: layer " + std::to_string(li) + " records " +
+                  std::to_string(pos.size()) + " positions for " +
+                  std::to_string(n_qubits) + " qubits");
+      continue;
+    }
+    if (!flags_fit && !flags_reported) {
+      report.fail("P1: in_aod holds " + std::to_string(result.in_aod.size()) +
+                  " flags for " + std::to_string(n_qubits) + " qubits");
+      flags_reported = true;
+    }
 
-    // P1: CZ atoms in range.
+    // P1: CZ atoms in range (it reads the AOD flags).
     for (const std::size_t gi : layer.gates) {
+      if (gi >= circuit.size() || !flags_fit) continue;
       const auto& g = circuit.gate(gi);
       if (g.type != circuit::GateType::kCZ) continue;
       // Trap-change gates execute during an off-snapshot excursion; the
@@ -115,7 +135,8 @@ ValidationReport validate_schedule(const CompileResult& result,
     if (layer.trap_changes == 0) {
       std::vector<std::size_t> cz_gates;
       for (const std::size_t gi : layer.gates) {
-        if (circuit.gate(gi).type == circuit::GateType::kCZ) {
+        if (gi < circuit.size() &&
+            circuit.gate(gi).type == circuit::GateType::kCZ) {
           cz_gates.push_back(gi);
         }
       }

@@ -196,7 +196,7 @@ void StreamParser::parse_include() {
   require(TokenKind::kSemicolon, "';'");
   if (file.text == "qelib1.inc") {
     if (!qelib_loaded_) {
-      load_library(qelib1_source());
+      load_library();
       qelib_loaded_ = true;
     }
     return;
@@ -206,25 +206,34 @@ void StreamParser::parse_include() {
         file.line, file.column);
 }
 
-void StreamParser::load_library(std::string_view source) {
-  // Parse the library with a nested parser sharing the gate-definition
-  // table. The library contains only gate definitions.
-  ViewStreamBuf buf(source);
-  std::istream in(&buf);
-  StreamParser lib(in, "qelib1");
-  lib.gate_defs_ = std::move(gate_defs_);
-  while (!lib.check(TokenKind::kEof)) {
-    if (lib.check_ident("gate")) {
-      lib.parse_gate_def(false);
-    } else if (lib.check_ident("opaque")) {
-      lib.parse_gate_def(true);
-    } else {
-      lib.fail("library may contain only gate definitions");
+const StreamParser::GateTable& StreamParser::qelib1_defs() {
+  // Parsed once per process by a nested parser; the library contains only
+  // gate definitions.
+  static const GateTable defs = [] {
+    ViewStreamBuf buf(qelib1_source());
+    std::istream in(&buf);
+    StreamParser lib(in, "qelib1");
+    while (!lib.check(TokenKind::kEof)) {
+      if (lib.check_ident("gate")) {
+        lib.parse_gate_def(false);
+      } else if (lib.check_ident("opaque")) {
+        lib.parse_gate_def(true);
+      } else {
+        lib.fail("library may contain only gate definitions");
+      }
     }
-  }
-  gate_defs_ = std::move(lib.gate_defs_);
-  cz_is_native_ |= lib.cz_is_native_;
-  swap_is_native_ |= lib.swap_is_native_;
+    return std::move(lib.gate_defs_);
+  }();
+  return defs;
+}
+
+void StreamParser::load_library() {
+  // The library's definitions replace earlier ones of the same name; later
+  // definitions replace the library's.
+  const GateTable& library = qelib1_defs();
+  for (const auto& [name, def] : library) gate_defs_[name] = def;
+  cz_is_native_ |= library.count("cz") != 0;
+  swap_is_native_ |= library.count("swap") != 0;
   flat_defs_.clear();
   last_def_ = nullptr;
 }
@@ -306,7 +315,8 @@ void StreamParser::parse_gate_def(bool opaque) {
 
   if (def.name == "cz") cz_is_native_ = true;
   if (def.name == "swap") swap_is_native_ = true;
-  gate_defs_[def.name] = std::move(def);
+  auto& slot = gate_defs_[def.name];
+  slot = std::make_shared<const GateDef>(std::move(def));
   // A (re)definition can change what an already-flattened gate expands to.
   flat_defs_.clear();
   last_def_ = nullptr;
@@ -769,7 +779,7 @@ const StreamParser::FlatDef& StreamParser::flat_def(const std::string& name,
   if (it == gate_defs_.end()) {
     error("unknown gate '" + name + "'", line, column);
   }
-  const GateDef& def = it->second;
+  const GateDef& def = *it->second;
   if (def.opaque) {
     error("cannot expand opaque gate '" + name + "'", line, column);
   }
@@ -875,15 +885,15 @@ void StreamParser::flatten_into(int line, int column, const GateDef& def,
     if (it == gate_defs_.end()) {
       error("unknown gate '" + gname + "'", line, column);
     }
-    if (it->second.opaque) {
+    const GateDef& callee = *it->second;
+    if (callee.opaque) {
       error("cannot expand opaque gate '" + gname + "'", line, column);
     }
-    if (static_cast<int>(sub_exprs.size()) != it->second.n_params ||
-        static_cast<int>(sub_slots.size()) != it->second.n_qubits) {
+    if (static_cast<int>(sub_exprs.size()) != callee.n_params ||
+        static_cast<int>(sub_slots.size()) != callee.n_qubits) {
       error("wrong arity for gate '" + gname + "'", line, column);
     }
-    flatten_into(line, column, it->second, sub_exprs, sub_slots, depth + 1,
-                 out);
+    flatten_into(line, column, callee, sub_exprs, sub_slots, depth + 1, out);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <istream>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -124,7 +125,12 @@ class StreamParser {
   void parse_header();
   void parse_statement();
   void parse_include();
-  void load_library(std::string_view source);
+  /// Gate definitions by name. Immutable and shared, so every parse that
+  /// includes qelib1.inc shares the process's one parse of it.
+  using GateTable = std::map<std::string, std::shared_ptr<const GateDef>>;
+  [[nodiscard]] static const GateTable& qelib1_defs();
+  /// Merges qelib1_defs() into gate_defs_.
+  void load_library();
   void parse_reg(bool quantum);
   void parse_gate_def(bool opaque);
   BodyStatement parse_body_statement(
@@ -188,7 +194,7 @@ class StreamParser {
   GateStreamVisitor* visitor_ = nullptr;
   std::map<std::string, Register> qregs_;
   std::map<std::string, Register> cregs_;
-  std::map<std::string, GateDef> gate_defs_;
+  GateTable gate_defs_;
   std::map<std::string, FlatDef> flat_defs_;
   const FlatDef* last_def_ = nullptr;  // memo for runs of the same gate name
   std::string last_def_name_;

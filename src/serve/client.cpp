@@ -37,17 +37,13 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Client::quit() {
-  if (!write_all(fd_, quit_line())) {
+void Client::send(const std::string& line) {
+  if (!write_all(fd_, line)) {
     throw ServeError("cannot write to the serve connection");
   }
 }
 
-void Client::stop() {
-  const std::uint64_t id = ++last_id_;
-  if (!write_all(fd_, stop_line(id))) {
-    throw ServeError("cannot write to the serve connection");
-  }
+Frame Client::read_response(std::uint64_t id) {
   std::string bytes;
   if (!read_exact(fd_, bytes, kFrameHeaderBytes)) {
     throw ServeError("serve connection closed mid-response");
@@ -58,10 +54,21 @@ void Client::stop() {
                   static_cast<std::size_t>(header.payload_size))) {
     throw ServeError("serve connection closed mid-frame");
   }
-  const Frame frame = decode_frame(header, payload);
+  Frame frame = decode_frame(header, payload);
   if (frame.request_id != id) {
+    // One request per connection at a time; anything else is a protocol
+    // violation (including id-0 error frames for lines we never sent).
     throw ServeError("serve response names an unexpected request id");
   }
+  return frame;
+}
+
+void Client::quit() { send(quit_line()); }
+
+void Client::stop() {
+  const std::uint64_t id = ++last_id_;
+  send(stop_line(id));
+  const Frame frame = read_response(id);
   if (frame.type == FrameType::kError) {
     throw ServeError("serve stop request rejected: " + frame.message);
   }
@@ -72,39 +79,22 @@ void Client::stop() {
 
 SessionStats Client::stats() {
   const std::uint64_t id = ++last_id_;
-  if (!write_all(fd_, stats_line(id))) {
-    throw ServeError("cannot write to the serve connection");
-  }
-  std::string bytes;
-  if (!read_exact(fd_, bytes, kFrameHeaderBytes)) {
-    throw ServeError("serve connection closed mid-response");
-  }
-  const FrameHeader header = parse_frame_header(bytes);
-  std::string payload;
-  if (!read_exact(fd_, payload,
-                  static_cast<std::size_t>(header.payload_size))) {
-    throw ServeError("serve connection closed mid-frame");
-  }
-  const Frame frame = decode_frame(header, payload);
-  if (frame.request_id != id) {
-    throw ServeError("serve response names an unexpected request id");
-  }
+  send(stats_line(id));
+  Frame frame = read_response(id);
   if (frame.type == FrameType::kError) {
     throw ServeError("serve stats request rejected: " + frame.message);
   }
   if (frame.type != FrameType::kStats) {
     throw ServeError("serve answered STATS with the wrong frame type");
   }
-  return frame.stats;
+  return std::move(frame.stats);
 }
 
 ClientOutcome Client::run(
     const shard::SweepSpec& spec,
     const std::function<void(const sweep::Cell&)>& on_cell) {
   const std::uint64_t id = ++last_id_;
-  if (!write_all(fd_, submit_line(id, spec))) {
-    throw ServeError("cannot write to the serve connection");
-  }
+  send(submit_line(id, spec));
 
   const std::size_t n_techniques = spec.techniques.size();
   const std::size_t n_machines = spec.machines.size();
@@ -116,22 +106,7 @@ ClientOutcome Client::run(
 
   bool done = false;
   while (!done) {
-    std::string bytes;
-    if (!read_exact(fd_, bytes, kFrameHeaderBytes)) {
-      throw ServeError("serve connection closed mid-response");
-    }
-    const FrameHeader header = parse_frame_header(bytes);
-    std::string payload;
-    if (!read_exact(fd_, payload,
-                    static_cast<std::size_t>(header.payload_size))) {
-      throw ServeError("serve connection closed mid-frame");
-    }
-    Frame frame = decode_frame(header, payload);
-    if (frame.request_id != id) {
-      // One request per connection at a time; anything else is a protocol
-      // violation (including id-0 error frames for lines we never sent).
-      throw ServeError("serve response names an unexpected request id");
-    }
+    Frame frame = read_response(id);
     switch (frame.type) {
       case FrameType::kError:
         throw ServeError("serve request rejected: " + frame.message);

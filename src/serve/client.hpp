@@ -64,6 +64,12 @@ class Client {
   void stop();
 
  private:
+  /// Writes one request line; throws ServeError if the connection refuses.
+  void send(const std::string& line);
+  /// Reads, checks and decodes the next frame, which must answer request
+  /// `id`; throws ServeError on a closed connection or a protocol violation.
+  Frame read_response(std::uint64_t id);
+
   int fd_ = -1;
   std::uint64_t last_id_ = 0;
 };

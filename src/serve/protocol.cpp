@@ -7,7 +7,7 @@
 #include <array>
 #include <cerrno>
 
-#include "cache/serialize.hpp"
+#include "cache/archive.hpp"
 #include "shard/shard.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
@@ -51,88 +51,50 @@ std::string frame(FrameType type, std::uint64_t request_id,
   return writer.take();
 }
 
-void encode_summary(Writer& writer, const Summary& summary) {
-  writer.u64(summary.total_cells);
-  writer.u64(summary.executed_cells);
-  writer.u64(summary.failed_cells);
-  writer.u64(summary.cancelled_cells);
-  writer.u64(summary.result_cache_hits);
-  writer.u64(summary.result_cache_misses);
-  writer.u64(summary.placement_disk_hits);
-  writer.u64(summary.anneals);
-  writer.boolean(summary.cancelled);
-  writer.f64(summary.wall_seconds);
-  writer.str(summary.error);
+template <typename Archive, cache::MaybeConst<Summary> O>
+void fields(Archive& ar, O& summary) {
+  ar.u64(summary.total_cells);
+  ar.u64(summary.executed_cells);
+  ar.u64(summary.failed_cells);
+  ar.u64(summary.cancelled_cells);
+  ar.u64(summary.result_cache_hits);
+  ar.u64(summary.result_cache_misses);
+  ar.u64(summary.placement_disk_hits);
+  ar.u64(summary.anneals);
+  ar.boolean(summary.cancelled);
+  ar.f64(summary.wall_seconds);
+  ar.str(summary.error);
 }
 
-Summary decode_summary(Reader& reader) {
-  Summary summary;
-  summary.total_cells = reader.u64();
-  summary.executed_cells = reader.u64();
-  summary.failed_cells = reader.u64();
-  summary.cancelled_cells = reader.u64();
-  summary.result_cache_hits = reader.u64();
-  summary.result_cache_misses = reader.u64();
-  summary.placement_disk_hits = reader.u64();
-  summary.anneals = reader.u64();
-  summary.cancelled = reader.boolean();
-  summary.wall_seconds = reader.f64();
-  summary.error = reader.str();
-  return summary;
+/// One client row: six 8-byte fields and a bool.
+constexpr std::size_t kClientRowBytes = 6 * 8 + 1;
+
+template <typename Archive, cache::MaybeConst<ClientStats> O>
+void fields(Archive& ar, O& client) {
+  ar.u64(client.client_id);
+  ar.u64(client.requests);
+  ar.u64(client.cells_executed);
+  ar.u64(client.anneals);
+  ar.u64(client.bytes_queued);
+  ar.f64(client.connected_seconds);
+  ar.boolean(client.connected);
 }
 
-void encode_session_stats(Writer& writer, const SessionStats& stats) {
-  writer.u64(stats.requests);
-  writer.u64(stats.cells_executed);
-  writer.u64(stats.cells_failed);
-  writer.u64(stats.result_cache_hits);
-  writer.u64(stats.result_cache_misses);
-  writer.u64(stats.placement_cache_hits);
-  writer.u64(stats.placement_cache_misses);
-  writer.u64(stats.anneals);
-  writer.u64(stats.threads);
-  writer.boolean(stats.cache_enabled);
-  writer.f64(stats.uptime_seconds);
-  writer.u64(stats.clients.size());
-  for (const ClientStats& client : stats.clients) {
-    writer.u64(client.client_id);
-    writer.u64(client.requests);
-    writer.u64(client.cells_executed);
-    writer.u64(client.anneals);
-    writer.u64(client.bytes_queued);
-    writer.f64(client.connected_seconds);
-    writer.boolean(client.connected);
-  }
-}
-
-SessionStats decode_session_stats(Reader& reader) {
-  SessionStats stats;
-  stats.requests = reader.u64();
-  stats.cells_executed = reader.u64();
-  stats.cells_failed = reader.u64();
-  stats.result_cache_hits = reader.u64();
-  stats.result_cache_misses = reader.u64();
-  stats.placement_cache_hits = reader.u64();
-  stats.placement_cache_misses = reader.u64();
-  stats.anneals = reader.u64();
-  stats.threads = reader.u64();
-  stats.cache_enabled = reader.boolean();
-  stats.uptime_seconds = reader.f64();
-  // One row is six 8-byte fields and a bool.
-  const std::size_t n_clients = reader.length(6 * 8 + 1);
-  stats.clients.reserve(n_clients);
-  for (std::size_t i = 0; i < n_clients; ++i) {
-    ClientStats client;
-    client.client_id = reader.u64();
-    client.requests = reader.u64();
-    client.cells_executed = reader.u64();
-    client.anneals = reader.u64();
-    client.bytes_queued = reader.u64();
-    client.connected_seconds = reader.f64();
-    client.connected = reader.boolean();
-    stats.clients.push_back(client);
-  }
-  return stats;
+template <typename Archive, cache::MaybeConst<SessionStats> O>
+void fields(Archive& ar, O& stats) {
+  ar.u64(stats.requests);
+  ar.u64(stats.cells_executed);
+  ar.u64(stats.cells_failed);
+  ar.u64(stats.result_cache_hits);
+  ar.u64(stats.result_cache_misses);
+  ar.u64(stats.placement_cache_hits);
+  ar.u64(stats.placement_cache_misses);
+  ar.u64(stats.anneals);
+  ar.u64(stats.threads);
+  ar.boolean(stats.cache_enabled);
+  ar.f64(stats.uptime_seconds);
+  ar.items(stats.clients, kClientRowBytes,
+           [&](auto& client) { fields(ar, client); });
 }
 
 /// Writes the lowercase hex of `bytes` to `out`, two characters a byte.
@@ -325,13 +287,17 @@ std::string cell_frame(std::uint64_t request_id, const sweep::Cell& cell,
 }
 
 std::string done_frame(std::uint64_t request_id, const Summary& summary) {
-  return frame(FrameType::kDone, request_id,
-               [&](Writer& writer) { encode_summary(writer, summary); });
+  return frame(FrameType::kDone, request_id, [&](Writer& writer) {
+    cache::FieldWriter ar(writer);
+    fields(ar, summary);
+  });
 }
 
 std::string stats_frame(std::uint64_t request_id, const SessionStats& stats) {
-  return frame(FrameType::kStats, request_id,
-               [&](Writer& writer) { encode_session_stats(writer, stats); });
+  return frame(FrameType::kStats, request_id, [&](Writer& writer) {
+    cache::FieldWriter ar(writer);
+    fields(ar, stats);
+  });
 }
 
 std::string error_frame(std::uint64_t request_id, std::string_view message) {
@@ -377,18 +343,19 @@ Frame decode_frame(const FrameHeader& header, std::string_view payload) {
   result.type = header.type;
   result.request_id = header.request_id;
   Reader reader(payload);
+  cache::FieldReader ar(reader);
   switch (header.type) {
     case FrameType::kCell:
       result.cell = shard::decode_cell(reader);
       break;
     case FrameType::kDone:
-      result.summary = decode_summary(reader);
+      fields(ar, result.summary);
       break;
     case FrameType::kStats:
-      result.stats = decode_session_stats(reader);
+      fields(ar, result.stats);
       break;
     case FrameType::kError:
-      result.message = reader.str();
+      ar.str(result.message);
       break;
   }
   reader.expect_end();

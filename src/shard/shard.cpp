@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "cache/archive.hpp"
 #include "placement/graphine.hpp"
 #include "util/stopwatch.hpp"
 
@@ -14,7 +15,6 @@ namespace parallax::shard {
 namespace {
 
 using cache::Reader;
-using cache::ReadError;
 using cache::Writer;
 
 std::string local_host_name() {
@@ -24,50 +24,83 @@ std::string local_host_name() {
 }
 
 /// The fields of a cell ahead of its result: labels, indices, error.
-void encode_cell_labels(Writer& writer, const sweep::Cell& cell) {
-  writer.str(cell.circuit);
-  writer.str(cell.technique);
-  writer.str(cell.machine);
-  writer.u64(cell.circuit_index);
-  writer.u64(cell.technique_index);
-  writer.u64(cell.machine_index);
-  writer.str(cell.error);
+template <typename Archive, cache::MaybeConst<sweep::Cell> O>
+void label_fields(Archive& ar, O& cell) {
+  ar.str(cell.circuit);
+  ar.str(cell.technique);
+  ar.str(cell.machine);
+  ar.u64(cell.circuit_index);
+  ar.u64(cell.technique_index);
+  ar.u64(cell.machine_index);
+  ar.str(cell.error);
 }
 
 /// The byte-identity view of one cell: everything that constitutes the
 /// cell's content, nothing that describes how/where it was computed.
-void encode_cell_canonical(Writer& writer, const sweep::Cell& cell) {
-  encode_cell_labels(writer, cell);
-  cache::encode(writer, cell.result);
-  writer.f64(cell.success_probability);
-  cache::encode(writer, cell.shot_plans);
+template <typename Archive, cache::MaybeConst<sweep::Cell> O>
+void canonical_fields(Archive& ar, O& cell) {
+  label_fields(ar, cell);
+  cache::fields(ar, cell.result);
+  ar.f64(cell.success_probability);
+  cache::fields(ar, cell.shot_plans);
 }
 
 /// The execution metadata that follows the canonical fields on the wire.
-void encode_cell_metadata(Writer& writer, const sweep::Cell& cell) {
-  writer.str(cell.origin);
-  writer.boolean(cell.from_cache);
-  writer.f64(cell.compile_seconds);
+template <typename Archive, cache::MaybeConst<sweep::Cell> O>
+void metadata_fields(Archive& ar, O& cell) {
+  ar.str(cell.origin);
+  ar.boolean(cell.from_cache);
+  ar.f64(cell.compile_seconds);
 }
 
-sweep::Cell decode_cell_canonical(Reader& reader) {
-  sweep::Cell cell;
-  cell.circuit = reader.str();
-  cell.technique = reader.str();
-  cell.machine = reader.str();
-  cell.circuit_index = static_cast<std::size_t>(reader.u64());
-  cell.technique_index = static_cast<std::size_t>(reader.u64());
-  cell.machine_index = static_cast<std::size_t>(reader.u64());
-  cell.error = reader.str();
-  cell.result = cache::decode_result(reader);
-  cell.success_probability = reader.f64();
-  cell.shot_plans = cache::decode_shot_plans(reader);
-  return cell;
+template <typename Archive, cache::MaybeConst<sweep::Cell> O>
+void fields(Archive& ar, O& cell) {
+  canonical_fields(ar, cell);
+  metadata_fields(ar, cell);
+}
+
+/// The size of an encoded empty cell: no cell of a run is smaller.
+std::size_t empty_cell_bytes() {
+  static const std::size_t bytes = [] {
+    Writer writer;
+    encode_cell(writer, sweep::Cell{});
+    return writer.bytes().size();
+  }();
+  return bytes;
+}
+
+/// Cell indices and the matrix are checked by parse_shard_run, once the
+/// walk is done.
+template <typename Archive, cache::MaybeConst<ShardRun> O>
+void fields(Archive& ar, O& run) {
+  ar.u64(run.spec.hi);
+  ar.u64(run.spec.lo);
+  ar.u32(run.shard_index);
+  ar.u32(run.shard_count);
+  ar.u64(run.n_circuits);
+  ar.u64(run.n_techniques);
+  ar.u64(run.n_machines);
+  // Bounded by the smallest encoded cell, not by one byte: a sweep::Cell is
+  // hundreds of bytes in memory, so a crafted file backing each count with
+  // one byte could reserve gigabytes.
+  ar.items(run.cells, empty_cell_bytes(),
+           [&](auto& cell) { fields(ar, cell); });
+  ar.f64(run.wall_seconds);
+  ar.u64(run.threads_used);
+  ar.u64(run.placement_cache_hits);
+  ar.u64(run.placement_cache_misses);
+  ar.u64(run.transpile_cache_hits);
+  ar.u64(run.transpile_cache_misses);
+  ar.u64(run.placement_disk_hits);
+  ar.u64(run.result_cache_hits);
+  ar.u64(run.result_cache_misses);
+  ar.u64(run.anneals);
 }
 
 std::string canonical_cell_bytes(const sweep::Cell& cell) {
   Writer writer;
-  encode_cell_canonical(writer, cell);
+  cache::FieldWriter ar(writer);
+  canonical_fields(ar, cell);
   return writer.take();
 }
 
@@ -113,24 +146,24 @@ void fold_sweep_accounting(ShardRun& run, const sweep::Result& swept) {
 }  // namespace
 
 void encode_cell(Writer& writer, const sweep::Cell& cell) {
-  encode_cell_canonical(writer, cell);
-  encode_cell_metadata(writer, cell);
+  cache::FieldWriter ar(writer);
+  fields(ar, cell);
 }
 
 void encode_cell(Writer& writer, const sweep::Cell& cell,
                  const cache::ScannedCell& cached) {
-  encode_cell_labels(writer, cell);
+  cache::FieldWriter ar(writer);
+  label_fields(ar, cell);
   writer.raw(cached.result());
   writer.f64(cached.success_probability);
   writer.raw(cached.shot_plans());
-  encode_cell_metadata(writer, cell);
+  metadata_fields(ar, cell);
 }
 
 sweep::Cell decode_cell(Reader& reader) {
-  sweep::Cell cell = decode_cell_canonical(reader);
-  cell.origin = reader.str();
-  cell.from_cache = reader.boolean();
-  cell.compile_seconds = reader.f64();
+  sweep::Cell cell;
+  cache::FieldReader ar(reader);
+  fields(ar, cell);
   return cell;
 }
 
@@ -341,80 +374,38 @@ sweep::Result run_sharded(const std::vector<sweep::CircuitSpec>& circuits,
 
 std::string canonical_bytes(const sweep::Result& result) {
   Writer writer;
-  writer.u64(result.cells.size());
-  for (const auto& cell : result.cells) encode_cell_canonical(writer, cell);
+  cache::FieldWriter ar(writer);
+  ar.items(result.cells, 0,
+           [&](const sweep::Cell& cell) { canonical_fields(ar, cell); });
   return writer.take();
 }
 
 std::string serialize_shard_run(const ShardRun& run) {
   Writer writer;
-  writer.u64(run.spec.hi);
-  writer.u64(run.spec.lo);
-  writer.u32(run.shard_index);
-  writer.u32(run.shard_count);
-  writer.u64(run.n_circuits);
-  writer.u64(run.n_techniques);
-  writer.u64(run.n_machines);
-  writer.u64(run.cells.size());
-  for (const auto& cell : run.cells) encode_cell(writer, cell);
-  writer.f64(run.wall_seconds);
-  writer.u64(run.threads_used);
-  writer.u64(run.placement_cache_hits);
-  writer.u64(run.placement_cache_misses);
-  writer.u64(run.transpile_cache_hits);
-  writer.u64(run.transpile_cache_misses);
-  writer.u64(run.placement_disk_hits);
-  writer.u64(run.result_cache_hits);
-  writer.u64(run.result_cache_misses);
-  writer.u64(run.anneals);
+  cache::FieldWriter ar(writer);
+  fields(ar, run);
   return frame_payload(FileKind::kShardRun, writer.take());
 }
 
 ShardRun parse_shard_run(std::string_view bytes) {
   const std::string payload = unframe_payload(FileKind::kShardRun, bytes);
   Reader reader(payload);
+  cache::FieldReader ar(reader);
   ShardRun run;
-  run.spec.hi = reader.u64();
-  run.spec.lo = reader.u64();
-  run.shard_index = reader.u32();
-  run.shard_count = reader.u32();
-  run.n_circuits = reader.u64();
-  run.n_techniques = reader.u64();
-  run.n_machines = reader.u64();
+  fields(ar, run);
+  reader.expect_end();
   const std::size_t total =
       checked_total_cells(run.n_circuits, run.n_techniques, run.n_machines);
-  // Bound the count by the smallest encoded cell (an empty one), not by one
-  // byte: a sweep::Cell is hundreds of bytes in memory, so a crafted file
-  // backing each count with one byte could reserve gigabytes.
-  Writer empty;
-  shard::encode_cell(empty, sweep::Cell{});
-  const std::size_t n_cells = reader.length(empty.bytes().size());
-  if (n_cells > total) {
+  if (run.cells.size() > total) {
     throw ShardError("shard run carries more cells than its matrix holds");
   }
-  run.cells.reserve(n_cells);
-  for (std::size_t i = 0; i < n_cells; ++i) {
-    // Qualified: ADL on cache::Reader would also find cache::decode_cell
-    // (the CachedCell codec) and make the call ambiguous.
-    sweep::Cell cell = shard::decode_cell(reader);
+  for (const sweep::Cell& cell : run.cells) {
     if (cell.circuit_index >= run.n_circuits ||
         cell.technique_index >= run.n_techniques ||
         cell.machine_index >= run.n_machines) {
       throw ShardError("shard run cell indexes outside its matrix");
     }
-    run.cells.push_back(std::move(cell));
   }
-  run.wall_seconds = reader.f64();
-  run.threads_used = reader.u64();
-  run.placement_cache_hits = reader.u64();
-  run.placement_cache_misses = reader.u64();
-  run.transpile_cache_hits = reader.u64();
-  run.transpile_cache_misses = reader.u64();
-  run.placement_disk_hits = reader.u64();
-  run.result_cache_hits = reader.u64();
-  run.result_cache_misses = reader.u64();
-  run.anneals = reader.u64();
-  reader.expect_end();
   if (run.shard_count == 0 || run.shard_index >= run.shard_count) {
     throw ShardError("shard run has shard_index outside [0, shard_count)");
   }

@@ -159,7 +159,7 @@ void encode_cell(cache::Writer& writer, const sweep::Cell& cell);
 /// error and metadata around the cached result, success probability and
 /// shot plans, copied in without a decode. Byte-identical to encode_cell
 /// of the decoded cell, because the cache payload encodes those sections
-/// with the same codecs (cache/serialize.hpp).
+/// with the same field lists (cache/serialize.hpp).
 void encode_cell(cache::Writer& writer, const sweep::Cell& cell,
                  const cache::ScannedCell& cached);
 /// Throws cache::ReadError on malformed bytes. Index plausibility is the

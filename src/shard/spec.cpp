@@ -1,8 +1,5 @@
 #include "shard/spec.hpp"
 
-#include <optional>
-#include <utility>
-
 #include "cache/option_fields.hpp"
 
 namespace parallax::shard {
@@ -15,52 +12,6 @@ using cache::Writer;
 
 constexpr std::uint64_t kMagic = 0x3144524148535850ULL;  // "PXSHARD1" LE
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
-
-/// The reading archive over the option field lists
-/// (cache/option_fields.hpp): every field back in wire order, with each
-/// `expect` and every enum value checked.
-class SpecReader {
- public:
-  explicit SpecReader(Reader& reader) noexcept : reader_(reader) {}
-
-  void boolean(bool& v) { v = reader_.boolean(); }
-  void i32(std::int32_t& v) { v = reader_.i32(); }
-  void i64(std::int64_t& v) { v = reader_.i64(); }
-  void u64(std::uint64_t& v) { v = reader_.u64(); }
-  void f64(double& v) { v = reader_.f64(); }
-  template <typename Enum>
-  void enum_u8(Enum& v) { v = known_enum<Enum>(reader_.u8()); }
-  template <typename Enum>
-  void enum_i32(Enum& v) { v = known_enum<Enum>(reader_.i32()); }
-  void label(std::string& name) { name = reader_.str(); }
-  void topology(placement::Topology& value) {
-    value = cache::parse_topology(reader_.str());
-  }
-  template <typename T, typename Body>
-  void optional(std::optional<T>& value, Body body) {
-    value.reset();
-    if (reader_.boolean()) body(value.emplace());
-  }
-  template <typename Body>
-  void keyed_when(bool, Body body) { body(); }
-  void expect(bool ok, const char* what) {
-    if (!ok) throw ReadError(std::string("sweep spec has ") + what);
-  }
-
- private:
-  /// The wire value as an enum, unless it does not fit the enum or names a
-  /// value cache::known refuses.
-  template <typename Enum, typename Wire>
-  static Enum known_enum(Wire wire) {
-    const auto value = static_cast<Enum>(wire);
-    if (static_cast<Wire>(value) != wire || !cache::known(value)) {
-      throw ReadError("sweep spec has an unknown enum value");
-    }
-    return value;
-  }
-
-  Reader& reader_;
-};
 
 /// The deterministic subset of sweep::Options; the runtime-only fields
 /// (threads, cache, filter, provenance, hooks, pool) never travel.
@@ -78,6 +29,24 @@ void fields(Archive& ar, M& machine) {
   cache::fields(ar, machine.config);
 }
 
+template <typename Archive, cache::MaybeConst<SweepSpec> S>
+void fields(Archive& ar, S& spec) {
+  ar.items(spec.circuits, 8, [&](auto& circuit) {
+    ar.str(circuit.name);
+    cache::fields(ar, circuit.circuit);
+  });
+  ar.items(spec.techniques, 8, [&](auto& technique) { ar.str(technique); });
+  ar.items(spec.machines, 8, [&](auto& machine) { fields(ar, machine); });
+  fields(ar, spec.options);
+}
+
+SweepSpec decode_sweep_spec(Reader& reader) {
+  SweepSpec spec;
+  cache::FieldReader ar(reader, "sweep spec");
+  fields(ar, spec);
+  return spec;
+}
+
 }  // namespace
 
 std::string sweep_spec_payload(const SweepSpec& spec) {
@@ -88,16 +57,7 @@ std::string sweep_spec_payload(const SweepSpec& spec) {
   }
   Writer writer;
   cache::FieldWriter ar(writer);
-  writer.u64(spec.circuits.size());
-  for (const auto& circuit_spec : spec.circuits) {
-    writer.str(circuit_spec.name);
-    cache::encode(writer, circuit_spec.circuit);
-  }
-  writer.u64(spec.techniques.size());
-  for (const auto& technique : spec.techniques) writer.str(technique);
-  writer.u64(spec.machines.size());
-  for (const auto& machine : spec.machines) fields(ar, machine);
-  fields(ar, spec.options);
+  fields(ar, spec);
   return writer.take();
 }
 
@@ -105,35 +65,6 @@ util::Digest128 spec_digest(const SweepSpec& spec) {
   const std::string payload = sweep_spec_payload(spec);
   return util::hash128(payload.data(), payload.size());
 }
-
-namespace {
-
-SweepSpec decode_sweep_spec(Reader& reader) {
-  SweepSpec spec;
-  SpecReader ar(reader);
-  const std::size_t n_circuits = reader.length(8);
-  spec.circuits.reserve(n_circuits);
-  for (std::size_t i = 0; i < n_circuits; ++i) {
-    sweep::CircuitSpec circuit_spec;
-    circuit_spec.name = reader.str();
-    circuit_spec.circuit = cache::decode_circuit(reader);
-    spec.circuits.push_back(std::move(circuit_spec));
-  }
-  const std::size_t n_techniques = reader.length(8);
-  spec.techniques.reserve(n_techniques);
-  for (std::size_t i = 0; i < n_techniques; ++i) {
-    spec.techniques.push_back(reader.str());
-  }
-  const std::size_t n_machines = reader.length(8);
-  spec.machines.reserve(n_machines);
-  for (std::size_t i = 0; i < n_machines; ++i) {
-    fields(ar, spec.machines.emplace_back());
-  }
-  fields(ar, spec.options);
-  return spec;
-}
-
-}  // namespace
 
 std::string frame_payload(FileKind kind, const std::string& payload) {
   Writer writer;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "bench_circuits/registry.hpp"
 #include "cache/fingerprint.hpp"
@@ -23,6 +24,8 @@
 #include "hardware/config.hpp"
 #include "pipeline/passes.hpp"
 #include "placement/graphine.hpp"
+#include "serve/protocol.hpp"
+#include "shard/shard.hpp"
 #include "technique/registry.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -444,4 +447,246 @@ TEST(Goldens, RandomScheduleIsByteStable) {
   EXPECT_EQ(schedule_digest(circuit, "parallax-fast", placement,
                             ph::HardwareConfig::atom_computing_1225(), {}),
             "e0e45d53a7b1781dba882cb4eb0779d8");
+}
+
+// --- wire-format goldens -----------------------------------------------------
+//
+// The Digest128 of every byte path a compile reaches users through: cache
+// payloads (topology, result, cell), the shard cell codec and run files, the
+// sweep spec and every serve frame. The inputs are built by hand from
+// exactly representable doubles, so no compile and no libm call is involved:
+// a failure here means the encoding itself moved.
+
+namespace {
+
+namespace wc = parallax::cache;
+namespace wsh = parallax::shard;
+namespace wsv = parallax::serve;
+namespace wsw = parallax::sweep;
+
+std::string wire_digest(const std::string& bytes) {
+  return parallax::util::hash128(bytes.data(), bytes.size()).hex();
+}
+
+pp::Topology wire_topology() {
+  pp::Topology topology;
+  topology.positions = {{0.125, 0.75}, {0.5, 0.25}, {0.875, 0.5}};
+  topology.interaction_radius = 0.375;
+  return topology;
+}
+
+/// A three-qubit schedule: a U3, a CZ after a move, a barrier and a
+/// measurement; the second layer records positions.
+parallax::compiler::CompileResult wire_result() {
+  parallax::compiler::CompileResult result;
+  result.technique = "parallax";
+  result.circuit = parallax::circuit::Circuit(3, "wire3");
+  result.circuit.u3(0, 0.5, 0.25, -0.125);
+  result.circuit.cz(0, 2);
+  result.circuit.barrier();
+  result.circuit.measure(1);
+  result.topology.grid = parallax::geom::Grid(4, 7.5);
+  result.topology.sites = {{0, 0}, {1, 2}, {3, 1}};
+  result.topology.interaction_radius_um = 7.5;
+  result.topology.blockade_radius_um = 18.75;
+  parallax::compiler::Layer first;
+  first.gates = {0};
+  first.duration_us = 0.25;
+  parallax::compiler::Layer second;
+  second.gates = {1};
+  second.move_distance_um = 3.5;
+  second.return_distance_um = 3.25;
+  second.aod_moves = 1;
+  second.trap_changes = 2;
+  second.duration_us = 206.75;
+  second.positions = {{3.5, 0.0}, {7.5, 15.0}, {22.5, 7.5}};
+  parallax::compiler::Layer third;
+  third.gates = {2, 3};
+  third.duration_us = 5.5;
+  result.layers = {first, second, third};
+  result.in_aod = {1, 0, 0};
+  result.stats.u3_gates = 1;
+  result.stats.cz_gates = 1;
+  result.stats.swap_gates = 0;
+  result.stats.layers = 3;
+  result.stats.aod_moves = 1;
+  result.stats.trap_changes = 2;
+  result.stats.out_of_range_cz = 1;
+  result.stats.slm_slm_cz = 0;
+  result.stats.max_move_distance_um = 3.5;
+  result.stats.total_move_distance_um = 6.75;
+  result.runtime_us = 212.5;
+  result.pass_timings = {{"schedule", 0.125, false, false}};  // not encoded
+  return result;
+}
+
+std::vector<parallax::shots::ParallelPlan> wire_plans() {
+  return {{1, 1, 1000, 212500.0}, {2, 4, 250, 53125.5}};
+}
+
+wc::CachedCell wire_cached_cell(bool flags) {
+  wc::CachedCell cell;
+  cell.result = wire_result();
+  cell.has_success_probability = flags;
+  cell.success_probability = flags ? 0.875 : 0.0;
+  cell.has_shot_plans = flags;
+  if (flags) cell.shot_plans = wire_plans();
+  return cell;
+}
+
+/// A computed cell (from the cache, with shot plans) and an error cell.
+std::vector<wsw::Cell> wire_cells() {
+  wsw::Cell computed;
+  computed.circuit = "wire3";
+  computed.technique = "parallax";
+  computed.machine = "quera256";
+  computed.circuit_index = 0;
+  computed.technique_index = 0;
+  computed.machine_index = 1;
+  computed.result = wire_result();
+  computed.success_probability = 0.875;
+  computed.shot_plans = wire_plans();
+  computed.compile_seconds = 0.0625;
+  computed.from_cache = true;
+  computed.origin = "shard-0/2@host";
+  wsw::Cell failed;
+  failed.circuit = "wire3";
+  failed.technique = "graphine";
+  failed.machine = "atom1225";
+  failed.circuit_index = 0;
+  failed.technique_index = 1;
+  failed.machine_index = 0;
+  failed.compile_seconds = 1.5;
+  failed.origin = "shard-1/2@host";
+  failed.error = "compile failed";
+  return {computed, failed};
+}
+
+wsh::SweepSpec wire_spec() {
+  wsh::SweepSpec spec;
+  spec.circuits = {{"wire3", wire_result().circuit}};
+  spec.techniques = {"parallax", "graphine"};
+  parallax::hardware::HardwareConfig machine;
+  machine.name = "wire-machine";
+  machine.grid_side = 8;
+  spec.machines = {{"quera256", machine}};
+  spec.options.compile.scheduler.record_positions = true;
+  spec.options.compile.preset_topology = wire_topology();
+  spec.options.compile.seed = 0x5EED;
+  spec.options.shots = parallax::shots::ShotOptions{};
+  return spec;
+}
+
+}  // namespace
+
+TEST(Goldens, WireFormatsAreByteStable) {
+  std::map<std::string, std::string> actual;
+  actual["topology"] = wire_digest(wc::serialize_topology(wire_topology()));
+  actual["result"] = wire_digest(wc::serialize_result(wire_result()));
+  actual["cell/flags-on"] =
+      wire_digest(wc::serialize_cell(wire_cached_cell(true)));
+  actual["cell/flags-off"] =
+      wire_digest(wc::serialize_cell(wire_cached_cell(false)));
+
+  const std::vector<wsw::Cell> cells = wire_cells();
+  {
+    wc::Writer writer;
+    wsh::encode_cell(writer, cells[0]);
+    actual["shard-cell"] = wire_digest(writer.bytes());
+  }
+  // The splice overload: labels and metadata from a cell whose result is
+  // empty, sections from the scanned cache payload.
+  const wc::ScannedCell scanned =
+      wc::scan_cell(wc::serialize_cell(wire_cached_cell(true)));
+  EXPECT_EQ(scanned.result_end, 564u);
+  EXPECT_EQ(scanned.shot_plans_begin, 574u);
+  EXPECT_EQ(scanned.success_probability, 0.875);
+  wsw::Cell labels = cells[0];
+  labels.result = {};
+  labels.shot_plans.clear();
+  labels.success_probability = 0.0;
+  {
+    wc::Writer writer;
+    wsh::encode_cell(writer, labels, scanned);
+    actual["shard-cell/spliced"] = wire_digest(writer.bytes());
+  }
+
+  wsw::Result swept;
+  swept.cells = cells;
+  actual["canonical"] = wire_digest(wsh::canonical_bytes(swept));
+  wsh::ShardRun run;
+  run.spec = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  run.shard_index = 1;
+  run.shard_count = 2;
+  run.n_circuits = 1;
+  run.n_techniques = 2;
+  run.n_machines = 2;
+  run.cells = cells;
+  run.wall_seconds = 2.5;
+  run.threads_used = 4;
+  run.placement_cache_hits = 1;
+  run.placement_cache_misses = 2;
+  run.transpile_cache_hits = 3;
+  run.transpile_cache_misses = 4;
+  run.placement_disk_hits = 5;
+  run.result_cache_hits = 6;
+  run.result_cache_misses = 7;
+  run.anneals = 8;
+  actual["shard-run"] = wire_digest(wsh::serialize_shard_run(run));
+  actual["sweep-spec"] = wire_digest(wsh::serialize_sweep_spec(wire_spec()));
+
+  actual["frame/cell"] = wire_digest(wsv::cell_frame(7, cells[0]));
+  actual["frame/cell/spliced"] =
+      wire_digest(wsv::cell_frame(7, labels, scanned));
+  wsv::Summary summary;
+  summary.total_cells = 4;
+  summary.executed_cells = 3;
+  summary.failed_cells = 1;
+  summary.cancelled_cells = 1;
+  summary.result_cache_hits = 2;
+  summary.result_cache_misses = 1;
+  summary.placement_disk_hits = 1;
+  summary.anneals = 1;
+  summary.cancelled = true;
+  summary.wall_seconds = 0.75;
+  summary.error = "request cancelled";
+  actual["frame/done"] = wire_digest(wsv::done_frame(7, summary));
+  wsv::SessionStats stats;
+  stats.requests = 5;
+  stats.cells_executed = 20;
+  stats.cells_failed = 1;
+  stats.result_cache_hits = 12;
+  stats.result_cache_misses = 8;
+  stats.placement_cache_hits = 6;
+  stats.placement_cache_misses = 2;
+  stats.anneals = 2;
+  stats.threads = 4;
+  stats.cache_enabled = true;
+  stats.uptime_seconds = 30.5;
+  stats.clients = {{1, 3, 12, 2, 0, 10.25, false},
+                   {2, 2, 8, 0, 4096, 5.125, true}};
+  actual["frame/stats"] = wire_digest(wsv::stats_frame(8, stats));
+  actual["frame/error"] =
+      wire_digest(wsv::error_frame(9, "unknown technique 'x'"));
+
+  const std::map<std::string, std::string> expected = {
+      {"topology", "dcd708d4815d4e30ba505a19a4d36eac"},
+      {"result", "bb358c6282abe96911d8cb209fb5aefc"},
+      {"cell/flags-on", "84559319d9110692c57d6aac87ceb47c"},
+      {"cell/flags-off", "641d0f874a5e935f384304073669ed92"},
+      {"shard-cell", "af981b945c8664e90ca044c8277f0bcf"},
+      {"shard-cell/spliced", "af981b945c8664e90ca044c8277f0bcf"},
+      {"canonical", "64e6a9c1c58d6fdb4d4ac7e560bd7fe6"},
+      {"shard-run", "e9e54e25af5ea89ba3e6bee81031a96a"},
+      {"sweep-spec", "19dceef2410078368c06e488b619f096"},
+      {"frame/cell", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/cell/spliced", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/done", "fcafc4130724e33e652c33773aacbdd1"},
+      {"frame/stats", "cf3c52b58bdf1ed3854602a295541247"},
+      {"frame/error", "ae2c7f062e45f455a18dfc82887e3099"},
+  };
+  EXPECT_EQ(actual.size(), expected.size());
+  for (const auto& [name, digest] : expected) {
+    EXPECT_EQ(actual[name], digest) << name;
+  }
 }

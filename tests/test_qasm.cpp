@@ -440,3 +440,32 @@ TEST(Errors, ParseFileNamesMissingPath) {
         << e.what();
   }
 }
+
+TEST(Parser, TheLibraryReplacesEarlierDefinitionsAndLaterOnesReplaceIt) {
+  // `h` defined before the include gives way to qelib1's; `x` defined
+  // after it replaces qelib1's.
+  const auto result = pq::parse(R"(
+    gate h a { U(0.125,0,0) a; }
+    include "qelib1.inc";
+    gate x a { U(0.25,0,0) a; }
+    qreg q[1];
+    h q[0];
+    x q[0];
+  )");
+  const auto& g = result.circuit.gates();
+  ASSERT_EQ(g.size(), 2u);
+  EXPECT_DOUBLE_EQ(g[0].theta, kPi / 2);  // qelib1: h = u2(0,pi)
+  EXPECT_DOUBLE_EQ(g[0].lambda, kPi);
+  EXPECT_EQ(g[1].theta, 0.25);
+  EXPECT_EQ(g[1].lambda, 0.0);
+
+  // Another parse sees qelib1's `x` again, not the last program's.
+  const auto again = pq::parse(R"(
+    include "qelib1.inc";
+    qreg q[1];
+    x q[0];
+  )");
+  ASSERT_EQ(again.circuit.size(), 1u);
+  EXPECT_DOUBLE_EQ(again.circuit.gate(0).theta, kPi);
+  EXPECT_DOUBLE_EQ(again.circuit.gate(0).lambda, kPi);
+}

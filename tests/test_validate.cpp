@@ -155,3 +155,40 @@ TEST(Validate, DetectsSeparationViolation) {
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "P3"));
 }
+
+TEST(Validate, OutOfRangeGateIndexIsReportedNotRead) {
+  // A 2-qubit circuit whose one layer names gate 5. L2 reports the index,
+  // and the later checks must not read it: circuit.gate(5) is out of
+  // bounds (an abort under _GLIBCXX_ASSERTIONS).
+  px::CompileResult result;
+  result.circuit = parallax::circuit::Circuit(2, "two");
+  result.circuit.cz(0, 1);
+  result.in_aod = {1, 0};
+  px::Layer layer;
+  layer.gates = {0, 5};
+  layer.positions = {{0.0, 0.0}, {5.0, 0.0}};
+  result.layers = {layer};
+  const auto report = px::validate_schedule(
+      result, ph::HardwareConfig::quera_aquila_256());
+  EXPECT_TRUE(has_violation(report, "L2"));
+}
+
+TEST(Validate, SnapshotAndFlagSizesAreReportedNotRead) {
+  // One CZ on two qubits, but the layer records one position and in_aod
+  // holds no flag: both are reported, and neither is indexed by qubit.
+  px::CompileResult result;
+  result.circuit = parallax::circuit::Circuit(2, "two");
+  result.circuit.cz(0, 1);
+  px::Layer short_snapshot;
+  short_snapshot.gates = {0};
+  short_snapshot.positions = {{0.0, 0.0}};
+  result.layers = {short_snapshot};
+  auto report = px::validate_schedule(result,
+                                      ph::HardwareConfig::quera_aquila_256());
+  EXPECT_TRUE(has_violation(report, "P1: layer 0 records 1 positions"));
+
+  result.layers[0].positions = {{0.0, 0.0}, {5.0, 0.0}};
+  report = px::validate_schedule(result,
+                                 ph::HardwareConfig::quera_aquila_256());
+  EXPECT_TRUE(has_violation(report, "P1: in_aod holds 0 flags"));
+}
