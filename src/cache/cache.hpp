@@ -13,7 +13,11 @@
 //     the graphine-placement pass replays earlier runs' anneals. It asks
 //     the handle's transpile map for each raw circuit's transpiled
 //     fingerprint before it transpiles, so a warm request on a long-lived
-//     handle (a serve session) derives its keys without transpiling.
+//     handle (a serve session) derives its keys without transpiling. It
+//     holds the handle's write_back() guard for the whole run and flushes
+//     on its calling thread while the pool compiles, so its puts reach
+//     memory at once and disk by the time run() returns; a put outside a
+//     sweep is on disk when it returns.
 //   * tools/parallax_cli.cpp exposes `cache stats|clear|prewarm` and
 //     --cache-dir/--no-cache flags.
 //
@@ -105,6 +109,14 @@ class CompilationCache {
   /// present keeps its entry and age.
   void record_transpiled(const Digest128& raw_key,
                          const Digest128& transpiled_fingerprint);
+
+  /// Until the returned guard is released, puts through this handle
+  /// leave their disk writes queued for flush() (Store::WriteBack).
+  [[nodiscard]] Store::WriteBack write_back() {
+    return Store::WriteBack(store_);
+  }
+  /// Performs the queued disk writes on the calling thread (Store::flush).
+  void flush() noexcept { store_.flush(); }
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::vector<Store::IndexEntry> entries() const {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "cache/serialize.hpp"
 #include "util/parse.hpp"
@@ -112,6 +113,25 @@ Store::Store(StoreOptions options) : options_(std::move(options)) {
     // individual writes below fail quietly too.
     if (options_.max_disk_bytes > 0) load_disk_usage();
   }
+}
+
+Store::~Store() { flush(); }
+
+Store::WriteBack::WriteBack(Store& store) : store_(&store) {
+  std::lock_guard lock(store.mutex_);
+  ++store.write_back_holders_;
+}
+
+Store::WriteBack::WriteBack(WriteBack&& other) noexcept
+    : store_(std::exchange(other.store_, nullptr)) {}
+
+Store::WriteBack::~WriteBack() {
+  if (store_ == nullptr) return;
+  {
+    std::lock_guard lock(store_->mutex_);
+    --store_->write_back_holders_;
+  }
+  store_->flush();
 }
 
 void Store::load_disk_usage() {
@@ -303,24 +323,23 @@ std::vector<Store::IndexEntry> Store::scan_objects() const {
   return found;
 }
 
-void Store::memory_insert_locked(const MemKey& key,
-                                 const std::string& payload) {
+void Store::memory_insert_locked(const MemKey& key, const Payload& payload) {
   if (options_.max_memory_bytes == 0) return;
   if (const auto it = by_key_.find(key); it != by_key_.end()) {
     // Usually identical content (the address is the hash), but replace
     // anyway: a stale-schema payload that disk-hit into this tier must not
     // shadow the recomputed entry a later put() provides.
-    memory_bytes_ -= it->second->second.size();
+    memory_bytes_ -= it->second->second->size();
     it->second->second = payload;
-    memory_bytes_ += payload.size();
+    memory_bytes_ += payload->size();
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
     lru_.emplace_front(key, payload);
     by_key_[key] = lru_.begin();
-    memory_bytes_ += payload.size();
+    memory_bytes_ += payload->size();
   }
   while (memory_bytes_ > options_.max_memory_bytes && lru_.size() > 1) {
-    memory_bytes_ -= lru_.back().second.size();
+    memory_bytes_ -= lru_.back().second->size();
     by_key_.erase(lru_.back().first);
     lru_.pop_back();
     ++stats_.evictions;
@@ -396,7 +415,15 @@ std::optional<std::string> Store::get(Kind kind, const Digest128& key) {
     if (const auto it = by_key_.find(mem_key); it != by_key_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.memory_hits;
-      return it->second->second;
+      return *it->second->second;
+    }
+    // A queued write the memory tier dropped (or never held) must not miss
+    // before its file lands.
+    for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
+      if (it->key == mem_key) {
+        ++stats_.memory_hits;
+        return *it->payload;
+      }
     }
   }
   if (has_disk_tier()) {
@@ -409,7 +436,8 @@ std::optional<std::string> Store::get(Kind kind, const Digest128& key) {
     if (outcome.corrupt) ++stats_.corrupt;
     if (outcome.payload) {
       ++stats_.disk_hits;
-      memory_insert_locked(mem_key, *outcome.payload);
+      memory_insert_locked(
+          mem_key, std::make_shared<const std::string>(*outcome.payload));
       return outcome.payload;
     }
   }
@@ -418,15 +446,49 @@ std::optional<std::string> Store::get(Kind kind, const Digest128& key) {
   return std::nullopt;
 }
 
-void Store::put(Kind kind, const Digest128& key, const std::string& payload) {
+void Store::put(Kind kind, const Digest128& key, std::string payload) {
+  const MemKey mem_key{kind, key};
+  // A serializer's buffer can hold up to twice its bytes, and the memory
+  // tier keeps it for as long as the entry stays.
+  payload.shrink_to_fit();
+  auto shared = std::make_shared<const std::string>(std::move(payload));
+  bool write_now = false;
   {
     std::lock_guard lock(mutex_);
     ++stats_.stores;
-    memory_insert_locked(MemKey{kind, key}, payload);
+    memory_insert_locked(mem_key, shared);
+    if (!has_disk_tier()) return;
+    // Queued even when written at once, so the files land in put order
+    // behind any write a guard left queued.
+    pending_.push_back({mem_key, std::move(shared)});
+    write_now = write_back_holders_ == 0;
   }
-  if (has_disk_tier()) {
-    const DiskWrite written = disk_write(kind, key, payload);
+  if (write_now) flush();
+}
+
+void Store::flush() noexcept {
+  const std::lock_guard flushing(flush_mutex_);
+  std::size_t queued = 0;
+  {
     std::lock_guard lock(mutex_);
+    queued = pending_.size();
+  }
+  for (; queued > 0; --queued) {
+    PendingWrite next;
+    {
+      std::lock_guard lock(mutex_);
+      next = pending_.front();
+    }
+    // The entry stays queued, where get() finds it, until its file is in
+    // place. Only an allocation can throw here; like a full disk, it
+    // costs the entry its file, never the caller its flush.
+    DiskWrite written;
+    try {
+      written = disk_write(next.key.kind, next.key.key, *next.payload);
+    } catch (...) {
+    }
+    std::lock_guard lock(mutex_);
+    pending_.pop_front();
     stats_.bytes_written += written.bytes_written;
     stats_.disk_evictions += written.evictions;
   }
@@ -473,6 +535,7 @@ std::vector<Store::IndexEntry> Store::entries() const {
 }
 
 std::size_t Store::clear() {
+  flush();
   std::lock_guard lock(mutex_);
   lru_.clear();
   by_key_.clear();

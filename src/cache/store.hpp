@@ -13,20 +13,36 @@
 // older build, or a kind mismatch all degrade to a silent miss (and the bad
 // file is unlinked best-effort) — never an exception to the caller.
 //
+// Write-back: every disk write goes through a FIFO of pending writes, and
+// flush() performs them on its calling thread in put order. With no
+// WriteBack guard held, put() flushes before it returns, so the entry is on
+// disk when put() returns. While a guard is held, put() inserts into the
+// memory tier at once and leaves the disk write queued for a later flush();
+// sweep::run holds one for the whole run and flushes on its calling thread
+// while the pool compiles. A queued entry shares its payload buffer with
+// the memory tier, and get() serves it (as a memory hit) even after the
+// memory tier dropped it. clear() and the destructor flush first, and
+// releasing a guard flushes. stats() and entries() do not: a serve STATS
+// request must not wait behind a running sweep's writes, so during a sweep
+// they count and list what has reached disk so far.
+//
 // Concurrency: every operation is safe to call from the sweep driver's
-// worker threads. The LRU/stats bookkeeping sits behind one mutex held only
-// for map operations; file reads and writes run outside it, so worker
-// threads' cache IO proceeds in parallel (the content address makes a
-// doubly-read or doubly-written entry harmless — identical bytes). Across
-// processes, object writes are write-to-tmp + rename (atomic on POSIX), so
-// readers never observe a partial entry; the worst cross-process race is a
-// duplicate index line, which the index reader dedups.
+// worker threads. The LRU/stats bookkeeping and the queue sit behind one
+// mutex held only for map and queue operations; file reads and writes run
+// outside it, so worker threads' reads proceed in parallel (the content
+// address makes a doubly-read or doubly-written entry harmless — identical
+// bytes), and one flusher at a time writes. Across processes, object writes
+// are write-to-tmp + rename (atomic on POSIX), so readers never observe a
+// partial entry; the worst cross-process race is a duplicate index line,
+// which the index reader dedups.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -93,13 +109,36 @@ struct StoreStats {
 class Store {
  public:
   explicit Store(StoreOptions options);
+  /// Flushes the queued disk writes.
+  ~Store();
+
+  /// While at least one guard on a store is alive, that store's put()
+  /// leaves its disk write queued for flush(). Guards count: the queue
+  /// stays on until the last one is released, and each release flushes.
+  /// The store must outlive its guards.
+  class WriteBack {
+   public:
+    explicit WriteBack(Store& store);
+    WriteBack(WriteBack&& other) noexcept;
+    WriteBack& operator=(WriteBack&&) = delete;
+    ~WriteBack();
+
+   private:
+    Store* store_;  // null once moved from
+  };
 
   /// Payload bytes for `key`, or nullopt (absent or invalid).
   [[nodiscard]] std::optional<std::string> get(Kind kind, const Digest128& key);
 
-  /// Stores a payload in both tiers. Overwrites are idempotent — the content
-  /// address guarantees identical bytes.
-  void put(Kind kind, const Digest128& key, const std::string& payload);
+  /// Stores a payload in both tiers: in memory at once, on disk before
+  /// put() returns unless a WriteBack guard is held. Overwrites are
+  /// idempotent — the content address guarantees identical bytes.
+  void put(Kind kind, const Digest128& key, std::string payload);
+
+  /// Performs the queued disk writes on the calling thread, in put order;
+  /// puts made while it runs wait for the next flush. Never throws: a
+  /// failed write is skipped quietly, a later miss, as when put() writes.
+  void flush() noexcept;
 
   [[nodiscard]] StoreStats stats() const;
   [[nodiscard]] const std::string& directory() const noexcept {
@@ -127,7 +166,13 @@ class Store {
     Digest128 key;
     friend auto operator<=>(const MemKey&, const MemKey&) noexcept = default;
   };
-  using LruList = std::list<std::pair<MemKey, std::string>>;
+  /// One buffer per payload, shared by the memory tier and the queue.
+  using Payload = std::shared_ptr<const std::string>;
+  using LruList = std::list<std::pair<MemKey, Payload>>;
+  struct PendingWrite {
+    MemKey key;
+    Payload payload;
+  };
 
   [[nodiscard]] std::string object_path(const Digest128& key) const;
   /// Lists object files by reading each header (32 bytes, never the
@@ -136,7 +181,7 @@ class Store {
   [[nodiscard]] std::vector<IndexEntry> scan_objects() const;
   /// Inserts or replaces; replacement matters when a stale-but-checksummed
   /// payload was loaded before its entry was recomputed and re-put.
-  void memory_insert_locked(const MemKey& key, const std::string& payload);
+  void memory_insert_locked(const MemKey& key, const Payload& payload);
 
   /// Lock-free disk helpers: all shared state they touch is atomic or
   /// guarded separately; callers fold the returned accounting into stats_
@@ -188,10 +233,15 @@ class Store {
   void compact_index_locked();
 
   StoreOptions options_;
-  mutable std::mutex mutex_;  // LRU + stats bookkeeping only, never IO
+  mutable std::mutex mutex_;  // LRU, queue + stats bookkeeping, never IO
   LruList lru_;  // front = most recently used
   std::map<MemKey, LruList::iterator> by_key_;
   std::size_t memory_bytes_ = 0;
+  std::deque<PendingWrite> pending_;  // front = oldest put
+  std::size_t write_back_holders_ = 0;
+  /// Held by flush() throughout, so one flusher at a time pops the queue's
+  /// front and the files land in put order.
+  std::mutex flush_mutex_;
   std::atomic<std::uint64_t> tmp_counter_{0};
   mutable std::mutex index_mutex_;  // index.log appends + disk tracking
   DiskList disk_order_;

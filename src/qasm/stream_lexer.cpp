@@ -186,9 +186,10 @@ void StreamLexer::next_token(Token& out) {
   }
 
   advance();
-  auto simple = [&](TokenKind kind, const char* text) {
+  auto simple = [&](TokenKind kind, std::string_view text) {
     out.kind = kind;
-    out.text = text;
+    out.text.clear();
+    out.text.append(text);
   };
   switch (c) {
     case '(': return simple(TokenKind::kLParen, "(");

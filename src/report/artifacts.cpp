@@ -452,7 +452,9 @@ Artifact make_fig10() {
 const std::vector<std::string> kFig11Circuits = {"ADV",  "KNN",  "QV",
                                                  "SECA", "SQRT", "WST"};
 
-std::string k_label(std::int32_t k) { return "k" + std::to_string(k); }
+std::string k_label(std::int32_t k) {
+  return std::string("k").append(std::to_string(k));
+}
 
 sweep::MachineSpec fig11_budget_machine(
     const hardware::HardwareConfig& base_config, std::int32_t k) {

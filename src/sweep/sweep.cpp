@@ -1,6 +1,7 @@
 #include "sweep/sweep.hpp"
 
 #include <atomic>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -299,7 +300,17 @@ Result run(const std::vector<CircuitSpec>& circuits,
     }
   };
 
-  pool->parallel_for(sweep_result.cells.size(), run_cell);
+  // The workers' cache puts reach memory at once and queue their disk
+  // writes; this thread, idle otherwise, writes them while the pool
+  // compiles, and releasing the guard writes what is left.
+  std::optional<cache::Store::WriteBack> write_back;
+  std::function<void()> flush;
+  if (persistent != nullptr) {
+    write_back.emplace(persistent->write_back());
+    flush = [persistent] { persistent->flush(); };
+  }
+  pool->parallel_for(sweep_result.cells.size(), run_cell, flush);
+  write_back.reset();
   for (const Cell& cell : sweep_result.cells) {
     if (cell.cancelled) {
       sweep_result.cancelled = true;

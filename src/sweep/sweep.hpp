@@ -82,7 +82,11 @@ struct Options {
   /// consults and populates its disk tier (a rerun anneals nothing that any
   /// earlier run annealed), and whole cells short-circuit on result hits
   /// (incremental sweeps: a rerun only recompiles cells whose fingerprints
-  /// changed). Null (the default) keeps pure in-run memoization.
+  /// changed). Null (the default) keeps pure in-run memoization. The run
+  /// holds the cache's write_back() guard: workers' puts reach its memory
+  /// tier at once, the thread that called run() performs their disk
+  /// writes while the pool compiles, and every entry is on disk when run()
+  /// returns.
   std::shared_ptr<cache::CompilationCache> cache;
   /// Cell ownership predicate over the flat circuit-major cell index. Cells
   /// for which it returns false are labeled but never compiled (Cell::skipped
@@ -142,6 +146,8 @@ struct Cell {
   double success_probability = 0.0;
   /// Fig. 11 series (only when Options::shots is set and the cell compiled).
   std::vector<shots::ParallelPlan> shot_plans;
+  /// Wall time of the cell on its worker; the cache's disk writes, made
+  /// later by the thread that called run(), are not in it.
   double compile_seconds = 0.0;
   /// The whole cell (result, success probability, shot plans) was served
   /// from the persistent cache; no pass ran.

@@ -39,7 +39,8 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& f) {
+                              const std::function<void(std::size_t)>& f,
+                              const std::function<void()>& on_progress) {
   if (n == 0) return;
   std::vector<std::future<void>> futures;
   futures.reserve(n);
@@ -51,13 +52,21 @@ void ThreadPool::parallel_for(std::size_t n,
   // still queued/running would let them race a dangling reference (and a
   // caller's frame). The first failure wins; later ones are swallowed.
   std::exception_ptr first_error;
+  std::exception_ptr progress_error;
   for (auto& fut : futures) {
     try {
       fut.get();
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
+    if (!on_progress || progress_error) continue;
+    try {
+      on_progress();
+    } catch (...) {
+      progress_error = std::current_exception();
+    }
   }
+  if (!first_error) first_error = progress_error;
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -42,7 +42,16 @@ class ThreadPool {
   /// If any invocation throws, every task still runs to completion (or
   /// throws itself) before the first exception is rethrown here — `f` is
   /// never referenced after parallel_for returns.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& f);
+  ///
+  /// `on_progress`, when set, runs on the calling thread while it waits:
+  /// after each task finishes, in submit order (the caller waits for task
+  /// i before task i + 1), and so once after the last task (never when n
+  /// is 0). sweep::run passes the cache's flush, so the caller writes
+  /// finished cells' entries while the pool compiles. If it throws, it is
+  /// not run again; its exception is rethrown, after every task finished,
+  /// unless a task threw.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& f,
+                    const std::function<void()>& on_progress = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 

@@ -1,6 +1,7 @@
 // Persistent compilation cache tests: digest/fingerprint stability,
 // serialization round trips, two-tier store behavior, corruption tolerance,
-// and the acceptance criterion of the subsystem — a warm sweep over the same
+// the write-back queue a sweep's puts go through, and the acceptance
+// criterion of the subsystem — a warm sweep over the same
 // matrix performs zero Graphine annealing calls and returns byte-identical
 // results.
 #include <gtest/gtest.h>
@@ -991,4 +992,128 @@ TEST(StoreIndex, BudgetedReloadTracksEntriesPastATornLine) {
   pc::CompilationCache cache(
       {.directory = dir, .max_disk_bytes = 10 * (32 + payload.size())});
   EXPECT_EQ(cache.stats().store.disk_bytes, 2 * (32 + payload.size()));
+}
+
+// --- write-back: queued disk writes (Store::WriteBack, sweep::run) ------------
+
+TEST(StoreWriteBack, GuardsQueueWritesThatLandInPutOrderOnRelease) {
+  const std::string dir = fresh_dir("write_back");
+  const std::string payload = pc::serialize_topology(small_topology());
+  pc::Store store({.directory = dir, .max_memory_bytes = 0});
+  pc::Store reader({.directory = dir});
+  {
+    pc::Store::WriteBack outer(store);
+    {
+      pc::Store::WriteBack inner(store);
+      store.put(pc::Kind::kPlacement, salted_key(1), payload);
+      EXPECT_TRUE(reader.entries().empty());
+    }
+    // Releasing either guard flushes; the other keeps later puts queued.
+    EXPECT_EQ(reader.entries().size(), 1u);
+    store.put(pc::Kind::kPlacement, salted_key(3), payload);
+    store.put(pc::Kind::kPlacement, salted_key(2), payload);
+    EXPECT_EQ(reader.entries().size(), 1u);
+    // stats() and entries() leave the queue alone (a serve STATS request
+    // must not wait behind a sweep's writes): they see the written entry.
+    EXPECT_EQ(store.stats().bytes_written, 32 + payload.size());
+    EXPECT_EQ(store.entries().size(), 1u);
+    // No memory tier and no file yet: the queue serves it.
+    EXPECT_EQ(store.get(pc::Kind::kPlacement, salted_key(2)), payload);
+  }
+  EXPECT_EQ(reader.entries().size(), 3u);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(fs::path(dir) / "index.log");
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].substr(0, 32), salted_key(1).hex());
+  EXPECT_EQ(lines[1].substr(0, 32), salted_key(3).hex());
+  EXPECT_EQ(lines[2].substr(0, 32), salted_key(2).hex());
+  const pc::StoreStats stats = store.stats();
+  EXPECT_EQ(stats.stores, 3u);
+  EXPECT_EQ(stats.memory_hits, 1u);
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.bytes_written, 3 * (32 + payload.size()));
+}
+
+TEST(SweepWriteBack, AColdSweepsEntriesAreOnDiskWhenRunReturns) {
+  // The first handle stays open: nothing the run wrote may wait for its
+  // destructor. A second handle (another process) lists every entry and
+  // serves a warm run that anneals nothing.
+  const std::string dir = fresh_dir("write_back_sweep");
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const std::vector<std::string> techniques = {"parallax", "graphine",
+                                               "eldi", "static"};
+  auto options = fast_sweep_options();
+  options.n_threads = 4;
+  const auto first = pc::CompilationCache::open({.directory = dir});
+  options.cache = first;
+  const auto cold = sw::run(small_circuits(), techniques,
+                            {{config.name, config}}, options);
+  ASSERT_GT(cold.anneals, 0u);
+
+  const auto second = pc::CompilationCache::open({.directory = dir});
+  std::size_t placements = 0;
+  std::size_t results = 0;
+  for (const auto& entry : second->entries()) {
+    ++(entry.kind == pc::Kind::kResult ? results : placements);
+  }
+  EXPECT_EQ(results, cold.cells.size());
+  EXPECT_EQ(placements, cold.anneals);  // each circuit fits one window
+
+  options.cache = second;
+  const std::uint64_t anneals_before = ppl::annealing_invocations();
+  const auto warm = sw::run(small_circuits(), techniques,
+                            {{config.name, config}}, options);
+  EXPECT_EQ(ppl::annealing_invocations(), anneals_before);
+  EXPECT_EQ(warm.anneals, 0u);
+  EXPECT_EQ(warm.result_cache_hits, warm.cells.size());
+  ASSERT_EQ(warm.cells.size(), cold.cells.size());
+  for (std::size_t i = 0; i < warm.cells.size(); ++i) {
+    EXPECT_EQ(pc::serialize_result(warm.cells[i].result),
+              pc::serialize_result(cold.cells[i].result));
+  }
+}
+
+TEST(SweepWriteBack, AQueuedPlacementIsServedBeforeItsFileLands) {
+  // One cell on one worker: on_cell runs before the task finishes, so the
+  // calling thread has flushed nothing yet. With no memory tier, the
+  // placement the cell just annealed can only come from the queue.
+  const std::string dir = fresh_dir("write_back_queued");
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  const sw::CircuitSpec spec{"ghz8", ghz(8, "ghz8")};
+  auto options = fast_sweep_options();
+  options.n_threads = 1;
+  const auto cache =
+      pc::CompilationCache::open({.directory = dir, .max_memory_bytes = 0});
+  options.cache = cache;
+
+  const pcir::Circuit input =
+      pcir::transpile(spec.circuit, options.compile.transpile);
+  pp::CompileOptions tuned = options.compile;
+  pt::Registry::global().apply_tuning("parallax", tuned);
+  ppl::GraphineOptions placement = tuned.placement;
+  placement.seed =
+      pu::derive_seed(tuned.seed, input.name(), pu::kPlacementSeedSalt);
+  const auto key = pc::placement_key(pc::fingerprint(input), placement);
+
+  pc::CompilationCache reader({.directory = dir});
+  std::size_t listed_in_cell = 99;
+  bool served_in_cell = false;
+  options.on_cell = [&](const sw::Cell&) {
+    listed_in_cell = reader.entries().size();
+    served_in_cell = cache->get_placement(key).has_value();
+  };
+  const auto swept =
+      sw::run({spec}, {"parallax"}, {{config.name, config}}, options);
+  ASSERT_TRUE(swept.cells.at(0).ok()) << swept.cells.at(0).error;
+  EXPECT_EQ(listed_in_cell, 0u);
+  EXPECT_TRUE(served_in_cell);
+  const pc::CacheStats stats = cache->stats();
+  EXPECT_EQ(stats.placement_hits, 1u);
+  EXPECT_EQ(stats.store.memory_hits, 1u);
+  EXPECT_EQ(stats.store.disk_hits, 0u);
+  EXPECT_EQ(reader.entries().size(), 2u);  // the placement and the result
 }

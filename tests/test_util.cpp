@@ -3,13 +3,17 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
@@ -210,6 +214,98 @@ TEST(ThreadPool, ParallelForRethrowsTheFirstOfManyExceptions) {
     FAIL() << "parallel_for swallowed the exception";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "boom at 5");
+  }
+}
+
+TEST(ThreadPool, ParallelForRunsItsProgressCallbackOnTheCallingThread) {
+  pu::ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  int runs = 0;
+  bool ran_elsewhere = false;
+  pool.parallel_for(64, [](std::size_t) {}, [&] {
+    ran_elsewhere = ran_elsewhere || std::this_thread::get_id() != caller;
+    ++runs;
+  });
+  EXPECT_FALSE(ran_elsewhere);
+  EXPECT_GE(runs, 1);
+}
+
+TEST(ThreadPool, ParallelForProgressRunsBetweenTasks) {
+  // One worker, and task i waits for the callback's i-th run: the batch
+  // completes only if the callback runs after each task, not just at the
+  // end.
+  pu::ThreadPool pool(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t runs = 0;
+  bool timed_out = false;
+  pool.parallel_for(
+      4,
+      [&](std::size_t i) {
+        std::unique_lock lock(mutex);
+        if (!cv.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return runs >= i; })) {
+          timed_out = true;
+        }
+      },
+      [&] {
+        {
+          std::lock_guard lock(mutex);
+          ++runs;
+        }
+        cv.notify_all();
+      });
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(runs, 4u);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryTaskAndTheLastCallbackBeforeRethrowing) {
+  pu::ThreadPool pool(4);
+  std::atomic<int> executed{0};
+  int executed_at_last_run = -1;
+  try {
+    pool.parallel_for(
+        200,
+        [&](std::size_t i) {
+          ++executed;
+          if (i == 3) throw std::runtime_error("boom at 3");
+        },
+        [&] { executed_at_last_run = executed.load(); });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "boom at 3");
+  }
+  EXPECT_EQ(executed.load(), 200);
+  EXPECT_EQ(executed_at_last_run, 200);
+}
+
+TEST(ThreadPool, AThrowingProgressCallbackStopsButEveryTaskRuns) {
+  pu::ThreadPool pool(2);
+  std::atomic<int> executed{0};
+  int runs = 0;
+  const auto throwing_callback = [&] {
+    ++runs;
+    throw std::runtime_error("callback");
+  };
+  try {
+    pool.parallel_for(50, [&](std::size_t) { ++executed; }, throwing_callback);
+    FAIL() << "parallel_for swallowed the callback's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "callback");
+  }
+  EXPECT_EQ(executed.load(), 50);
+  EXPECT_EQ(runs, 1);
+  // A task's exception wins over the callback's.
+  try {
+    pool.parallel_for(
+        50,
+        [&](std::size_t i) {
+          if (i == 7) throw std::runtime_error("boom at 7");
+        },
+        throwing_callback);
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "boom at 7");
   }
 }
 
