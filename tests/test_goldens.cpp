@@ -379,6 +379,83 @@ constexpr ScheduleGolden kVariantScheduleGoldens[] = {
     {"QV/quera256/parallax/positions", "e8bc26507dde2024ced6e99018378178"},
 };
 
+constexpr const char* kBaselineTechniques[] = {"graphine", "eldi"};
+
+constexpr ScheduleGolden kBaselineScheduleGoldens[] = {
+    {"ADD/atom1225/eldi", "9d306fa8968931283cd56451c72289de"},
+    {"ADD/atom1225/graphine", "2f8bac06427d169a0410670d00c9ff9f"},
+    {"ADD/quera256/eldi", "1450f233e72f0c40c3537aaafcab4f92"},
+    {"ADD/quera256/graphine", "f9f3bb48476945f3f917b8c6c9b11214"},
+    {"ADV/atom1225/eldi", "62ebd2b14cd01136662d9a63c7cc7944"},
+    {"ADV/atom1225/graphine", "58b704196af1c8eb25be1057f20dd2c8"},
+    {"ADV/quera256/eldi", "96ef21ca79912ce29ffbade85d4cea3b"},
+    {"ADV/quera256/graphine", "043aed85f27490b52b95d744f7022ef3"},
+    {"GCM/atom1225/eldi", "d25e07e8fc2c8142ef305f45fcb8be5d"},
+    {"GCM/atom1225/graphine", "310b673673fc657f510995c22b510704"},
+    {"GCM/quera256/eldi", "19bc96148363ebf4366d0cff118b67c6"},
+    {"GCM/quera256/graphine", "b1f56a2a534f24cbff19a2302181e5e9"},
+    {"HLF/atom1225/eldi", "ecdc7c43ed8812bf270bb379e8681d75"},
+    {"HLF/atom1225/graphine", "9e7f9715770bb3ffa1ebb9ffb9f394fc"},
+    {"HLF/quera256/eldi", "c08db132e36c7e284f4fc5c8b8deb91c"},
+    {"HLF/quera256/graphine", "062a0a44837ca8e7eae67cad7ef9ab6c"},
+    {"HSB/atom1225/eldi", "644157a56d189abd872052bcbfc16ab5"},
+    {"HSB/atom1225/graphine", "42cf541632de336fc2916affd1a37d12"},
+    {"HSB/quera256/eldi", "071e4cab41215e8643ea3204efaa86f9"},
+    {"HSB/quera256/graphine", "5c2b2c2dc605c42f03513586398e79a7"},
+    {"KNN/atom1225/eldi", "38abf6f10f9aff156ffb24f477660a2e"},
+    {"KNN/atom1225/graphine", "acbc21fd6072b7d1f6bfa85d527bb5d9"},
+    {"KNN/quera256/eldi", "efbbb461013683d24cebc615ddb79810"},
+    {"KNN/quera256/graphine", "81a206cfbf49acaab1b8313ebf300852"},
+    {"MLT/atom1225/eldi", "f047be15744e9c6ec37a6d0dfea19c17"},
+    {"MLT/atom1225/graphine", "899ef15ce8ee0ffae19c742008cacf69"},
+    {"MLT/quera256/eldi", "1e7f8341075c32c8da1ed882ef8e31a1"},
+    {"MLT/quera256/graphine", "55a6a6d21e0476ea76c5986707ef6c16"},
+    {"QAOA/atom1225/eldi", "3aa88d7c007eadd79e826d285d80ae11"},
+    {"QAOA/atom1225/graphine", "cd2aff9a1a95ce3785d78bb94925ed24"},
+    {"QAOA/quera256/eldi", "576296e3668f383be3d44ae0d9efd1a7"},
+    {"QAOA/quera256/graphine", "a3fb37b5bb7177f2fffd2faa93e518c9"},
+    {"QEC/atom1225/eldi", "473fdef780b82e03f317b6d9fe1735f8"},
+    {"QEC/atom1225/graphine", "a3b221324a23ae20326def8fb7984bd0"},
+    {"QEC/quera256/eldi", "387bd53477c0e96354322511cce36919"},
+    {"QEC/quera256/graphine", "6b975bb6f8e9d9e9ba830051afa04e71"},
+    {"QFT/atom1225/eldi", "b103634bb8e03745a1736482f684d061"},
+    {"QFT/atom1225/graphine", "fdd2c5e13a135e8207774021d836c087"},
+    {"QFT/quera256/eldi", "1e3127a4c7d85521b149c0fa2956eb19"},
+    {"QFT/quera256/graphine", "70361f4013aea32bde0a713aa42eea51"},
+    {"QGAN/atom1225/eldi", "3d3fec97a7931d3f43ff7031151a455c"},
+    {"QGAN/atom1225/graphine", "a90774a830fc9fa4d8ea71b04703d5b7"},
+    {"QGAN/quera256/eldi", "81896bd73be15147d3a44b80511e63bf"},
+    {"QGAN/quera256/graphine", "88fbdfc7a18e94bd094ecae86b1298ec"},
+    {"QV/atom1225/eldi", "7f333da4b3f9b077e0acbb5c96866d3d"},
+    {"QV/atom1225/graphine", "e8d4080fbb71f1b594f08b251d37ed34"},
+    {"QV/quera256/eldi", "56c150ab52b6a45c107c277a1878cf96"},
+    {"QV/quera256/graphine", "b1866917387e7c61bcf2387380649396"},
+    {"SAT/atom1225/eldi", "55b66da66fe49e6ab01cf6bcdbe6d30a"},
+    {"SAT/atom1225/graphine", "100dea297d0e3472363bcd74d511293c"},
+    {"SAT/quera256/eldi", "dc9e3ceda6fa392c277c82b2892b94e9"},
+    {"SAT/quera256/graphine", "a1d2e0a0424f0ab9e42500f44d455dac"},
+    {"SECA/atom1225/eldi", "c4278fb452162b98ef78033dabf9091c"},
+    {"SECA/atom1225/graphine", "569c5724bc5fbeb4c62b05c92211ac48"},
+    {"SECA/quera256/eldi", "decbd5358ded59488fa8b2ed0b365ea3"},
+    {"SECA/quera256/graphine", "68fd7679a509aac469f96f936b257576"},
+    {"SQRT/atom1225/eldi", "a1850b6fc0126e245dad53f44c848a0f"},
+    {"SQRT/atom1225/graphine", "cb641b87384377409cd47b34a83ae421"},
+    {"SQRT/quera256/eldi", "341922c1b445cc22a44301e0593bc4f1"},
+    {"SQRT/quera256/graphine", "74d1fc3ef143461fa583ae75b5ca3453"},
+    {"TFIM/atom1225/eldi", "348108a71e03e9e2cf6f8fcd7a876524"},
+    {"TFIM/atom1225/graphine", "05b2fed3f3ab27e9d1d9df4630add9ea"},
+    {"TFIM/quera256/eldi", "f90223b46b784efc034ad3051b825f02"},
+    {"TFIM/quera256/graphine", "44e1ace07dac384c9152b4b5a14b0898"},
+    {"VQE/atom1225/eldi", "4a0fa203f951d11c03a29117a6c93926"},
+    {"VQE/atom1225/graphine", "cfee5e67a5c8a4bebcd2538d691ed152"},
+    {"VQE/quera256/eldi", "374fd016ba71c010aa075eca277b8953"},
+    {"VQE/quera256/graphine", "b03ee93b64cbde3985fbf0bcc9938229"},
+    {"WST/atom1225/eldi", "7a55fc7661383bbc8351dba759c96e0c"},
+    {"WST/atom1225/graphine", "0a04f4e99026b31c41612efcef9d14e5"},
+    {"WST/quera256/eldi", "25b5ea3fe1e939194550fc7f0b41fcda"},
+    {"WST/quera256/graphine", "441f30f0ddc15ee25f0f82010b12447f"},
+};
+
 /// A seeded random circuit: half U3, half CZ between uniformly drawn pairs.
 pc::Circuit random_circuit(std::int32_t n_qubits, int n_gates,
                            std::uint64_t seed) {
@@ -439,6 +516,27 @@ TEST(Goldens, SchedulerVariantsAreByteStable) {
     }
   }
   expect_goldens(actual, kVariantScheduleGoldens);
+}
+
+// The baselines' static schedules (baselines::schedule_static): graphine
+// routes SWAPs over the annealed placement, eldi over its compact grid
+// placement, and both layer the result under the blockade. The graphine
+// placement is annealed once per circuit and shared by both machines; eldi
+// places without an anneal, so the preset reaches only graphine.
+TEST(Goldens, BaselineSchedulesAreByteStable) {
+  namespace pb = parallax::bench_circuits;
+  std::map<std::string, std::string> actual;
+  for (const auto& info : pb::all_benchmarks()) {
+    const pc::Circuit circuit = pb::make_benchmark(info.acronym, {});
+    const pp::Topology placement = anneal_once(circuit, "graphine");
+    for (const NamedMachine& machine : golden_machines()) {
+      for (const char* technique : kBaselineTechniques) {
+        actual[info.acronym + "/" + machine.name + "/" + technique] =
+            schedule_digest(circuit, technique, placement, machine.config, {});
+      }
+    }
+  }
+  expect_goldens(actual, kBaselineScheduleGoldens);
 }
 
 TEST(Goldens, RandomScheduleIsByteStable) {
