@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "circuit/dag.hpp"
+#include "hardware/machine.hpp"
 #include "util/rng.hpp"
 
 namespace parallax::baselines {
@@ -20,21 +21,6 @@ double gate_time_us(const circuit::Gate& g,
   }
 }
 
-bool blockade_conflict(const std::vector<geom::Point>& positions,
-                       double blockade_radius, const circuit::Gate& g1,
-                       const circuit::Gate& g2) {
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      if (geom::distance(positions[static_cast<std::size_t>(g1.q[i])],
-                         positions[static_cast<std::size_t>(g2.q[j])]) <
-          blockade_radius) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
@@ -46,18 +32,11 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
   circuit::DependencyTracker dag(circuit);
   util::Rng rng(shuffle_seed);
 
+  std::vector<std::size_t> candidates;
+  std::vector<hardware::Endpoints> final_pairs;  // the layer's 2q gates so far
   while (!dag.done()) {
     // One ready gate per qubit.
-    std::vector<std::size_t> candidates;
-    for (std::int32_t q = 0; q < circuit.n_qubits(); ++q) {
-      const auto next = dag.next_gate(q);
-      if (!next || !dag.is_ready(*next)) continue;
-      if (std::find(candidates.begin(), candidates.end(), *next) !=
-          candidates.end()) {
-        continue;
-      }
-      candidates.push_back(*next);
-    }
+    dag.ready_gates(candidates);
     assert(!candidates.empty());
     rng.shuffle(candidates);
 
@@ -65,19 +44,20 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
     // three back-to-back CZs on the same pair) conflict within the radius.
     compiler::Layer layer;
     std::vector<std::size_t> final_gates;
+    final_pairs.clear();
     for (const std::size_t gi : candidates) {
       const circuit::Gate& g = circuit.gate(gi);
       if (g.is_two_qubit()) {
-        bool conflicts = false;
-        for (const std::size_t prior : final_gates) {
-          const circuit::Gate& pg = circuit.gate(prior);
-          if (pg.is_two_qubit() &&
-              blockade_conflict(positions, blockade_radius, g, pg)) {
-            conflicts = true;
-            break;
-          }
-        }
+        const hardware::Endpoints ends{
+            positions[static_cast<std::size_t>(g.q[0])],
+            positions[static_cast<std::size_t>(g.q[1])]};
+        const bool conflicts = std::any_of(
+            final_pairs.begin(), final_pairs.end(),
+            [&](const hardware::Endpoints& prior) {
+              return hardware::blockade_conflict(ends, prior, blockade_radius);
+            });
         if (conflicts) continue;
+        final_pairs.push_back(ends);
       }
       final_gates.push_back(gi);
     }

@@ -1,6 +1,8 @@
 // Per-qubit dependency tracking over a circuit's gate list. This is the
 // structure Algorithm 1 (the Parallax scheduler) iterates: a gate is ready
-// when it is the next unexecuted gate on every qubit it touches.
+// when it is the next unexecuted gate on every qubit it touches. The tracker
+// keeps the ready gates as a set, updated as gates execute, so a scheduler
+// reads each layer's candidates without rescanning every qubit.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,12 @@ class DependencyTracker {
   /// Precondition: is_ready(gate_index).
   void mark_executed(std::size_t gate_index);
 
+  /// Replaces `out` with the ready gates in ascending order of their lowest
+  /// qubit: the list a scan of next_gate(q) for q = 0, 1, ... builds when it
+  /// keeps the ready heads and drops a two-qubit gate's second appearance.
+  /// Two ready gates never share a qubit, so the order is strict.
+  void ready_gates(std::vector<std::size_t>& out) const;
+
   [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
   [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
 
@@ -38,6 +46,13 @@ class DependencyTracker {
   std::vector<std::vector<std::size_t>> per_qubit_;
   std::vector<std::size_t> cursor_;
   std::size_t remaining_ = 0;
+  // Bit q is set iff the head of q's queue is ready and q is its lowest
+  // qubit, so each ready gate has exactly one bit. Executing a gate changes
+  // the heads of its own qubits only, so only their bits can change.
+  std::vector<std::uint64_t> ready_;
+
+  /// Sets the bit of the head of `qubit`'s queue if that gate is ready.
+  void note_head(std::int32_t qubit);
 };
 
 /// ASAP layering of a circuit: gates grouped by dependency level only

@@ -41,6 +41,35 @@ struct Point {
   return dx * dx + dy * dy;
 }
 
+namespace detail {
+
+/// True when distance(a, b) certainly exceeds `r`: the squared distance
+/// exceeds r^2 (1 + 1e-9). The rounded squares, their sum and the scaled r^2
+/// err by a few ulps and hypot by under one, so such a pair's hypot exceeds
+/// r by about 5e-10 relative and no comparison with r can flip. When r^2 is
+/// not a normal double (r zero, too small or too large to square, infinite
+/// or NaN) the bound does not hold and this is false, as it is when the
+/// squared distance is NaN.
+[[nodiscard]] inline bool clearly_beyond(Point a, Point b, double r) noexcept {
+  const double r2 = r * r;
+  return std::isnormal(r2) && distance_sq(a, b) > r2 * (1.0 + 1e-9);
+}
+
+}  // namespace detail
+
+/// Exactly distance(a, b) < r, without the hypot call for pairs clearly
+/// farther apart than r.
+[[nodiscard]] inline bool distance_below(Point a, Point b, double r) noexcept {
+  return !detail::clearly_beyond(a, b, r) && distance(a, b) < r;
+}
+
+/// Exactly distance(a, b) <= r, without the hypot call for pairs clearly
+/// farther apart than r.
+[[nodiscard]] inline bool distance_at_most(Point a, Point b,
+                                           double r) noexcept {
+  return !detail::clearly_beyond(a, b, r) && distance(a, b) <= r;
+}
+
 /// Integer grid cell (discretized SLM site coordinates).
 struct Cell {
   std::int32_t col = 0;  // x index

@@ -75,10 +75,10 @@ std::pair<std::int32_t, double> Machine::nearest_atom(
 
 std::optional<std::pair<std::int32_t, std::int32_t>>
 Machine::separation_violation() const {
+  const double min_sep = config_.min_separation_um - 1e-9;
   for (std::int32_t a = 0; a < n_qubits(); ++a) {
     for (std::int32_t b = a + 1; b < n_qubits(); ++b) {
-      if (geom::distance(position(a), position(b)) <
-          config_.min_separation_um - 1e-9) {
+      if (geom::distance_below(position(a), position(b), min_sep)) {
         return std::make_pair(a, b);
       }
     }
@@ -88,12 +88,10 @@ Machine::separation_violation() const {
 
 bool Machine::placement_clear(std::int32_t q, geom::Point point,
                               std::int32_t ignore) const {
+  const double min_sep = config_.min_separation_um - 1e-9;
   for (std::int32_t other = 0; other < n_qubits(); ++other) {
     if (other == q || other == ignore) continue;
-    if (geom::distance(position(other), point) <
-        config_.min_separation_um - 1e-9) {
-      return false;
-    }
+    if (geom::distance_below(position(other), point, min_sep)) return false;
   }
   return true;
 }

@@ -5,6 +5,7 @@
 // src/parallax/movement.*.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -17,6 +18,23 @@
 #include "placement/discretize.hpp"
 
 namespace parallax::hardware {
+
+/// The positions of a two-qubit gate's two atoms.
+using Endpoints = std::array<geom::Point, 2>;
+
+/// Rydberg blockade interference (paper Fig. 3a): two two-qubit gates cannot
+/// run in the same layer if an endpoint of one lies strictly within
+/// `blockade_radius` of an endpoint of the other.
+[[nodiscard]] inline bool blockade_conflict(const Endpoints& g1,
+                                            const Endpoints& g2,
+                                            double blockade_radius) noexcept {
+  for (const geom::Point a : g1) {
+    for (const geom::Point b : g2) {
+      if (geom::distance_below(a, b, blockade_radius)) return true;
+    }
+  }
+  return false;
+}
 
 class Machine {
  public:
@@ -49,8 +67,8 @@ class Machine {
   }
   [[nodiscard]] bool within_interaction(std::int32_t a,
                                         std::int32_t b) const {
-    return geom::distance(position(a), position(b)) <=
-           interaction_radius_um_;
+    return geom::distance_at_most(position(a), position(b),
+                                  interaction_radius_um_);
   }
 
   /// Lifts a (currently SLM) atom into the AOD at the given row/column pair.

@@ -9,26 +9,6 @@
 
 namespace parallax::compiler {
 
-namespace {
-
-/// Blockade interference between two CZ gates at the initial placement: any
-/// endpoint of one within the blockade radius of any endpoint of the other.
-bool gates_interfere(const hardware::Machine& machine, const circuit::Gate& g1,
-                     const circuit::Gate& g2) {
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      if (geom::distance(machine.position(g1.q[i]),
-                         machine.position(g2.q[j])) <
-          machine.blockade_radius()) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 AodSelectionResult select_aod_qubits(const circuit::Circuit& circuit,
                                      hardware::Machine& machine,
                                      const AodSelectionOptions& options) {
@@ -50,19 +30,26 @@ AodSelectionResult select_aod_qubits(const circuit::Circuit& circuit,
   result.out_of_range_pairs = oor_pairs.size();
 
   // --- criterion 2: blockade-serialization caused in ASAP layers ------------
+  // Blockade interference at the initial placement.
   std::vector<double> interference(nq, 0.0);
+  std::vector<std::size_t> cz_gates;
+  std::vector<hardware::Endpoints> cz_ends;  // parallel to cz_gates
   for (const auto& layer : circuit::asap_layers(circuit)) {
-    std::vector<std::size_t> cz_gates;
+    cz_gates.clear();
+    cz_ends.clear();
     for (std::size_t gi : layer) {
-      if (circuit.gate(gi).type == circuit::GateType::kCZ) {
+      const circuit::Gate& g = circuit.gate(gi);
+      if (g.type == circuit::GateType::kCZ) {
         cz_gates.push_back(gi);
+        cz_ends.push_back({machine.position(g.q[0]), machine.position(g.q[1])});
       }
     }
     for (std::size_t i = 0; i < cz_gates.size(); ++i) {
       for (std::size_t j = i + 1; j < cz_gates.size(); ++j) {
         const auto& g1 = circuit.gate(cz_gates[i]);
         const auto& g2 = circuit.gate(cz_gates[j]);
-        if (gates_interfere(machine, g1, g2)) {
+        if (hardware::blockade_conflict(cz_ends[i], cz_ends[j],
+                                        machine.blockade_radius())) {
           for (int k = 0; k < 2; ++k) {
             interference[static_cast<std::size_t>(g1.q[k])] += 1.0;
             interference[static_cast<std::size_t>(g2.q[k])] += 1.0;

@@ -172,7 +172,7 @@ bool MovementEngine::place_atom(std::int32_t q, geom::Point target,
   const double min_sep = machine.config().min_separation_um;
   for (std::int32_t other = 0; other < machine.n_qubits(); ++other) {
     if (other == q || machine.atom(other).in_aod()) continue;
-    if (geom::distance(machine.position(other), target) < min_sep) {
+    if (geom::distance_below(machine.position(other), target, min_sep)) {
       return false;
     }
   }
@@ -182,7 +182,7 @@ bool MovementEngine::place_atom(std::int32_t q, geom::Point target,
   // Mobile atoms in the way are displaced recursively.
   for (std::int32_t other = 0; other < machine.n_qubits(); ++other) {
     if (other == q || !machine.atom(other).in_aod()) continue;
-    if (geom::distance(machine.position(other), target) < min_sep) {
+    if (geom::distance_below(machine.position(other), target, min_sep)) {
       if (!push_away(other, target, depth + 1)) return false;
     }
   }

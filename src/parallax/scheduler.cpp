@@ -28,23 +28,6 @@ double gate_time_us(const circuit::Gate& g,
   return 0.0;
 }
 
-/// Blockade interference at current atom positions: two CZ gates cannot run
-/// in the same layer if any endpoint of one lies within the blockade radius
-/// of an endpoint of the other (paper Fig. 3a).
-bool blockade_conflict(const hardware::Machine& machine,
-                       const circuit::Gate& g1, const circuit::Gate& g2) {
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      if (geom::distance(machine.position(g1.q[i]),
-                         machine.position(g2.q[j])) <
-          machine.blockade_radius()) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -164,23 +147,21 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
 
   machine.save_home();
 
+  // A gate the layer accepted and its trap change: 0 none (in range or
+  // moved), 1 after a failed move, 2 an SLM-SLM excursion.
+  struct Accepted {
+    std::size_t gate;
+    char trap_change;
+  };
+  std::vector<std::size_t> candidates;
+  std::vector<Accepted> accepted;
+  std::vector<hardware::Endpoints> final_czs;  // the layer's CZs so far
   while (!dag.done()) {
     Layer layer;
     bool moved_this_layer = false;
 
     // --- lines 8-11: one ready gate per qubit -------------------------------
-    std::vector<std::size_t> candidates;
-    for (std::int32_t q = 0; q < circuit.n_qubits(); ++q) {
-      const auto next = dag.next_gate(q);
-      if (!next || !dag.is_ready(*next)) continue;
-      // A two-qubit gate surfaces from both endpoints; keep one copy.
-      if (!candidates.empty() &&
-          std::find(candidates.begin(), candidates.end(), *next) !=
-              candidates.end()) {
-        continue;
-      }
-      candidates.push_back(*next);
-    }
+    dag.ready_gates(candidates);
     assert(!candidates.empty());  // a non-done DAG always has a ready head
 
     // --- lines 12-19: movement resolution for out-of-range CZs --------------
@@ -189,15 +170,13 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     // retries in a later layer and must not accumulate phantom trap
     // changes. The single physical AOD move is different: it mutates
     // machine state, so the moved gate is pinned into the layer.
-    std::vector<std::size_t> accepted;
-    std::vector<char> needs_trap_change;  // parallel to `accepted`
+    accepted.clear();
     std::size_t moved_gate = static_cast<std::size_t>(-1);
     for (const std::size_t gi : candidates) {
       const circuit::Gate& g = circuit.gate(gi);
       if (g.type != circuit::GateType::kCZ ||
           machine.within_interaction(g.q[0], g.q[1])) {
-        accepted.push_back(gi);
-        needs_trap_change.push_back(0);
+        accepted.push_back({gi, 0});
         continue;
       }
 
@@ -218,12 +197,10 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
           output.stats.total_move_distance_um += move.max_distance_um;
           output.stats.max_move_distance_um = std::max(
               output.stats.max_move_distance_um, move.max_distance_um);
-          accepted.push_back(gi);
-          needs_trap_change.push_back(0);
+          accepted.push_back({gi, 0});
         } else {
           // Failed moves are resolved with a trap change (paper Sec. III).
-          accepted.push_back(gi);
-          needs_trap_change.push_back(1);
+          accepted.push_back({gi, 1});
         }
         continue;
       }
@@ -231,8 +208,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
         // Both static and out of range: trap-and-move excursion (the ~1.3%
         // case). The atom is temporarily AOD-trapped, moved into range,
         // the gate runs, and it returns to its SLM trap within the layer.
-        accepted.push_back(gi);
-        needs_trap_change.push_back(2);  // 2 marks the SLM-SLM statistic
+        accepted.push_back({gi, 2});  // 2 marks the SLM-SLM statistic
         continue;
       }
       // Mobile endpoint exists but this layer already moved: defer the gate
@@ -240,57 +216,44 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     }
 
     // --- line 20: shuffle to avoid starvation --------------------------------
-    {
-      std::vector<std::size_t> order(accepted.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      rng.shuffle(order);
-      // Pin the physically-moved gate to the front so the blockade filter
-      // can never waste the move.
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (accepted[order[i]] == moved_gate) {
-          std::swap(order[0], order[i]);
-          break;
-        }
+    rng.shuffle(accepted);
+    // Pin the physically-moved gate to the front so the blockade filter can
+    // never waste the move.
+    for (Accepted& entry : accepted) {
+      if (entry.gate == moved_gate) {
+        std::swap(accepted.front(), entry);
+        break;
       }
-      std::vector<std::size_t> acc2(accepted.size());
-      std::vector<char> tc2(accepted.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        acc2[i] = accepted[order[i]];
-        tc2[i] = needs_trap_change[order[i]];
-      }
-      accepted = std::move(acc2);
-      needs_trap_change = std::move(tc2);
     }
 
     // --- lines 21-22: blockade-interference serialization --------------------
     std::vector<std::size_t> final_gates;
-    for (std::size_t idx = 0; idx < accepted.size(); ++idx) {
-      const std::size_t gi = accepted[idx];
+    final_czs.clear();
+    for (const auto [gi, trap_change] : accepted) {
       const circuit::Gate& g = circuit.gate(gi);
       if (g.type == circuit::GateType::kCZ) {
         // Re-verify range: the layer's AOD move may have recursively
         // displaced an endpoint of a gate that was in range when it was
         // accepted. Such gates are ejected and retry next layer.
         // (Trap-change gates execute via an excursion and are exempt.)
-        if (needs_trap_change[idx] == 0 &&
-            !machine.within_interaction(g.q[0], g.q[1])) {
+        if (trap_change == 0 && !machine.within_interaction(g.q[0], g.q[1])) {
           continue;
         }
-        bool conflicts = false;
-        for (const std::size_t prior : final_gates) {
-          const circuit::Gate& pg = circuit.gate(prior);
-          if (pg.type == circuit::GateType::kCZ &&
-              blockade_conflict(machine, g, pg)) {
-            conflicts = true;
-            break;
-          }
-        }
+        const hardware::Endpoints ends{machine.position(g.q[0]),
+                                       machine.position(g.q[1])};
+        const bool conflicts = std::any_of(
+            final_czs.begin(), final_czs.end(),
+            [&](const hardware::Endpoints& prior) {
+              return hardware::blockade_conflict(ends, prior,
+                                                 machine.blockade_radius());
+            });
         if (conflicts) continue;  // ejected back to the pool
+        final_czs.push_back(ends);
       }
-      if (needs_trap_change[idx] != 0) {
+      if (trap_change != 0) {
         ++layer.trap_changes;
         ++output.stats.trap_changes;
-        if (needs_trap_change[idx] == 2) ++output.stats.slm_slm_cz;
+        if (trap_change == 2) ++output.stats.slm_slm_cz;
       }
       final_gates.push_back(gi);
     }
@@ -302,7 +265,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
       assert(!accepted.empty());
       ++layer.trap_changes;
       ++output.stats.trap_changes;
-      final_gates.push_back(accepted.front());
+      final_gates.push_back(accepted.front().gate);
     }
 
     // --- line 23: execute -----------------------------------------------------
@@ -325,12 +288,17 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     }
 
     // --- line 24: reset moved atoms -------------------------------------------
-    if (options.return_home) {
-      layer.return_distance_um = machine.return_all_home();
-    } else if (moved_this_layer) {
-      // Home drifts with the atoms: future saves anchor at current state.
-      machine.save_home();
-      moves.clear();
+    // Only a successful move leaves home: a failed search is rolled back bit
+    // for bit and a trap-change excursion moves no atom, so after any other
+    // layer the machine is already home and a return would travel +0.0.
+    if (moved_this_layer) {
+      if (options.return_home) {
+        layer.return_distance_um = machine.return_all_home();
+      } else {
+        // Home drifts with the atoms: future saves anchor at current state.
+        machine.save_home();
+        moves.clear();
+      }
     }
 
     layer.gates = std::move(final_gates);

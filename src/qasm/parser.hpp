@@ -4,7 +4,9 @@
 // Custom `gate` macros are fully expanded; the native cz/swap idioms from
 // qelib1 are recognized and kept as native gates rather than re-decomposed.
 // Callers that must not materialize the whole gate list (million-gate
-// corpora) should drive StreamParser with their own visitor instead.
+// corpora) should drive StreamParser with their own visitor instead. The
+// collected circuit holds at most CircuitBuilder::kMaxGates (2^22) gates; a
+// statement that would pass the cap is a ParseError before it emits.
 //
 // Supported: OPENQASM header, include "qelib1.inc" (embedded), qreg/creg,
 // gate definitions with parameter expressions, gate calls with QASM2

@@ -633,12 +633,15 @@ void StreamParser::parse_measure() {
   if (src.count > 1 && clcount > 1 && src.count != clcount) {
     error("measure register size mismatch", kw_line, kw_column);
   }
+  check_gate_cap(static_cast<std::uint64_t>(src.count), kw_line, kw_column);
   for (std::int32_t i = 0; i < src.count; ++i) {
     emit(circuit::Gate::measure(src.at(i)));
   }
 }
 
 void StreamParser::parse_barrier() {
+  const int kw_line = current_.line;
+  const int kw_column = current_.column;
   skip();  // barrier
   // Arguments are parsed but the barrier applies circuit-wide in our IR
   // (a conservative over-approximation that never reorders illegally).
@@ -650,6 +653,7 @@ void StreamParser::parse_barrier() {
     }
   }
   require(TokenKind::kSemicolon, "';'");
+  check_gate_cap(1, kw_line, kw_column);
   emit(circuit::Gate::barrier());
 }
 
@@ -693,23 +697,28 @@ void StreamParser::parse_gate_call() {
 
   const std::vector<double>& params = params_scratch_;
   const std::vector<QubitArg>& args = args_scratch_;
-  auto need = [&](std::size_t n_params, std::size_t n_qubits) {
+  // Checks the call's arity, then that its `per_call` gates per broadcast
+  // element fit the cap.
+  auto need = [&](std::size_t n_params, std::size_t n_qubits,
+                  std::uint64_t per_call) {
     if (params.size() != n_params || args.size() != n_qubits) {
       error("wrong arity for gate '" + call_name_ + "'", name_line,
             name_column);
     }
+    check_gate_cap(static_cast<std::uint64_t>(broadcast) * per_call,
+                   name_line, name_column);
   };
 
   // Builtins.
   if (call_name_ == "U") {
-    need(3, 1);
+    need(3, 1, 1);
     for (std::int32_t i = 0; i < broadcast; ++i) {
       emit(circuit::Gate::u3(args[0].at(i), params[0], params[1], params[2]));
     }
     return;
   }
   if (call_name_ == "CX") {
-    need(0, 2);
+    need(0, 2, 3);
     for (std::int32_t i = 0; i < broadcast; ++i) {
       emit_cx(args[0].at(i), args[1].at(i));
     }
@@ -718,14 +727,14 @@ void StreamParser::parse_gate_call() {
   // Native-gate interception: cz and swap map 1:1 onto the hardware IR, so
   // expanding their qelib1 macro bodies would only add cancellable H pairs.
   if (cz_is_native_ && call_name_ == "cz") {
-    need(0, 2);
+    need(0, 2, 1);
     for (std::int32_t i = 0; i < broadcast; ++i) {
       emit(circuit::Gate::cz(args[0].at(i), args[1].at(i)));
     }
     return;
   }
   if (swap_is_native_ && call_name_ == "swap") {
-    need(0, 2);
+    need(0, 2, 1);
     for (std::int32_t i = 0; i < broadcast; ++i) {
       emit(circuit::Gate::swap(args[0].at(i), args[1].at(i)));
     }
@@ -742,6 +751,8 @@ void StreamParser::parse_gate_call() {
       static_cast<int>(args.size()) != def.n_qubits) {
     error("wrong arity for gate '" + call_name_ + "'", name_line, name_column);
   }
+  check_gate_cap(static_cast<std::uint64_t>(broadcast) * def.ops.size(),
+                 name_line, name_column);
   for (std::int32_t i = 0; i < broadcast; ++i) {
     for (const FlatOp& op : def.ops) {
       switch (op.kind) {
@@ -894,6 +905,16 @@ void StreamParser::flatten_into(int line, int column, const GateDef& def,
       error("wrong arity for gate '" + gname + "'", line, column);
     }
     flatten_into(line, column, callee, sub_exprs, sub_slots, depth + 1, out);
+  }
+}
+
+void StreamParser::check_gate_cap(std::uint64_t count, int line,
+                                  int column) const {
+  const std::uint64_t cap = visitor_->max_gates();
+  if (count > cap - n_gates_) {
+    error("statement would exceed the limit of " + std::to_string(cap) +
+              " gates per parsed circuit",
+          line, column);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,6 +43,13 @@ class GateStreamVisitor {
   }
   /// One resolved gate (U3/CZ/SWAP/measure/barrier) in program order.
   virtual void on_gate(const circuit::Gate& gate) = 0;
+  /// Most gates this visitor accepts over one run. StreamParser rejects the
+  /// statement that would emit past it with a ParseError at the statement's
+  /// first token, before emitting any of its gates. Unbounded by default: a
+  /// streaming visitor keeps no per-gate state.
+  [[nodiscard]] virtual std::uint64_t max_gates() const noexcept {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
   /// End of input; the totals are final.
   virtual void on_end(std::int32_t n_qubits, std::int32_t n_clbits) {
     (void)n_qubits, (void)n_clbits;
@@ -63,7 +71,16 @@ struct StreamTotals {
 /// visitor and stay O(1) in the gate count.
 class CircuitBuilder : public GateStreamVisitor {
  public:
+  /// The in-memory parse's gate cap: 2^22 gates, about 170 MB of
+  /// circuit::Gate. A broadcast such as `qreg q[200000000]; h q;` is then a
+  /// ParseError, not an allocation failure, and the gate vector's growth to
+  /// the cap fits under a 2 GiB address-space limit.
+  static constexpr std::uint64_t kMaxGates = std::uint64_t{1} << 22;
+
   void on_gate(const circuit::Gate& gate) override { gates_.push_back(gate); }
+  [[nodiscard]] std::uint64_t max_gates() const noexcept override {
+    return kMaxGates;
+  }
 
   /// Assembles the circuit after StreamParser::run() returns. The builder is
   /// left empty.
@@ -156,6 +173,9 @@ class StreamParser {
   void parse_measure();
   void parse_barrier();
   void parse_gate_call();
+  /// Rejects, at (line, column), a statement that would emit `count` gates
+  /// past the visitor's max_gates().
+  void check_gate_cap(std::uint64_t count, int line, int column) const;
   void emit(const circuit::Gate& gate);
   void emit_cx(std::int32_t control, std::int32_t target);
 

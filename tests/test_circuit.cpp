@@ -2,12 +2,15 @@
 // layering, unitary algebra, and the interaction graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numbers>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/dag.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/unitary.hpp"
+#include "util/rng.hpp"
 
 namespace pc = parallax::circuit;
 constexpr double kPi = std::numbers::pi;
@@ -130,6 +133,111 @@ TEST(DependencyTracker, NextGatePerQubit) {
   EXPECT_FALSE(dag.is_ready(1));
   dag.mark_executed(0);
   EXPECT_TRUE(dag.is_ready(1));
+}
+
+namespace {
+
+/// The ready list as a per-qubit scan builds it: each qubit's next gate in
+/// ascending qubit order if it is ready, a gate's second appearance dropped.
+std::vector<std::size_t> scanned_ready(const pc::DependencyTracker& dag) {
+  std::vector<std::size_t> ready;
+  for (std::int32_t q = 0; q < dag.circuit().n_qubits(); ++q) {
+    const auto next = dag.next_gate(q);
+    if (!next || !dag.is_ready(*next)) continue;
+    if (std::find(ready.begin(), ready.end(), *next) != ready.end()) continue;
+    ready.push_back(*next);
+  }
+  return ready;
+}
+
+std::vector<std::size_t> tracked_ready(const pc::DependencyTracker& dag) {
+  std::vector<std::size_t> ready{7, 7, 7};  // stale contents are replaced
+  dag.ready_gates(ready);
+  return ready;
+}
+
+/// A seeded circuit mixing U3, CZ, measure and barrier gates.
+pc::Circuit random_mixed_circuit(std::int32_t n_qubits, std::size_t n_gates,
+                                 parallax::util::Rng& rng) {
+  pc::Circuit c(n_qubits);
+  const auto n = static_cast<std::uint64_t>(n_qubits);
+  for (std::size_t i = 0; i < n_gates; ++i) {
+    const auto q = static_cast<std::int32_t>(rng.next_below(n));
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 4 || (kind < 8 && n_qubits < 2)) {
+      c.u3(q, 0.1, 0.2, 0.3);
+    } else if (kind < 8) {
+      auto partner = static_cast<std::int32_t>(rng.next_below(n));
+      while (partner == q) {
+        partner = static_cast<std::int32_t>(rng.next_below(n));
+      }
+      c.cz(q, partner);
+    } else if (kind < 9) {
+      c.measure(q);
+    } else {
+      c.barrier();
+    }
+  }
+  return c;
+}
+
+}  // namespace
+
+// The ready set must hand out exactly the list the per-qubit scan builds,
+// element for element, after construction and after every executed gate,
+// on circuits wide enough to span several 64-bit words.
+TEST(DependencyTracker, ReadySetMatchesThePerQubitScan) {
+  parallax::util::Rng rng(0x5eadULL);
+  for (int trial = 0; trial < 64; ++trial) {
+    const auto n_qubits = static_cast<std::int32_t>(1 + rng.next_below(130));
+    const std::size_t n_gates =
+        rng.next_below(static_cast<std::uint64_t>(4 * n_qubits + 8));
+    const pc::Circuit c = random_mixed_circuit(n_qubits, n_gates, rng);
+    pc::DependencyTracker dag(c);
+    ASSERT_EQ(tracked_ready(dag), scanned_ready(dag)) << "trial " << trial;
+    while (!dag.done()) {
+      std::vector<std::size_t> ready = tracked_ready(dag);
+      ASSERT_FALSE(ready.empty()) << "trial " << trial;
+      // Execute a random non-empty subset of the ready gates, in random
+      // order, as a layer would.
+      rng.shuffle(ready);
+      ready.resize(1 + rng.next_below(ready.size()));
+      for (const std::size_t gate : ready) {
+        dag.mark_executed(gate);
+        ASSERT_EQ(tracked_ready(dag), scanned_ready(dag))
+            << "trial " << trial << ", after gate " << gate;
+      }
+    }
+    EXPECT_TRUE(tracked_ready(dag).empty());
+  }
+}
+
+TEST(DependencyTracker, EmptyAndZeroQubitCircuitsHaveNoReadyGates) {
+  const pc::Circuit empty(5);
+  const pc::DependencyTracker empty_dag(empty);
+  EXPECT_TRUE(empty_dag.done());
+  EXPECT_TRUE(tracked_ready(empty_dag).empty());
+
+  pc::Circuit zero(0);
+  zero.barrier();  // barriers never enter the tracker
+  const pc::DependencyTracker zero_dag(zero);
+  EXPECT_TRUE(zero_dag.done());
+  EXPECT_TRUE(tracked_ready(zero_dag).empty());
+}
+
+TEST(DependencyTracker, RepeatedPairIsReadyOnlyAfterBothCursorsAdvance) {
+  pc::Circuit c(70);
+  c.cz(69, 3);  // lowest qubit 3, in the first word
+  c.cz(3, 69);
+  c.h(69);      // lowest qubit 69, in the second word
+  pc::DependencyTracker dag(c);
+  EXPECT_EQ(tracked_ready(dag), (std::vector<std::size_t>{0}));
+  dag.mark_executed(0);
+  EXPECT_EQ(tracked_ready(dag), (std::vector<std::size_t>{1}));
+  dag.mark_executed(1);
+  EXPECT_EQ(tracked_ready(dag), (std::vector<std::size_t>{2}));
+  dag.mark_executed(2);
+  EXPECT_TRUE(tracked_ready(dag).empty());
 }
 
 TEST(AsapLayers, RespectsDependencies) {

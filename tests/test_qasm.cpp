@@ -2,6 +2,9 @@
 // broadcasting, expressions, error reporting, and writer round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <numbers>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +15,7 @@
 #include "qasm/parser.hpp"
 #include "qasm/stream_parser.hpp"
 #include "qasm/writer.hpp"
+#include "mutation.hpp"
 
 namespace pq = parallax::qasm;
 namespace pc = parallax::circuit;
@@ -321,6 +325,102 @@ TEST(Parser, RejectsAClbitTotalPastInt32) {
   EXPECT_EQ(e.column(), 8);
   EXPECT_NE(std::string(e.what()).find("clbit count"), std::string::npos)
       << e.what();
+}
+
+// --- the in-memory parse holds at most CircuitBuilder::kMaxGates gates -----
+
+TEST(Parser, RejectsABroadcastPastTheGateCap) {
+  static_assert(pq::CircuitBuilder::kMaxGates == 4194304);
+  // 2*10^8 gates from one broadcast: rejected at the gate name, before the
+  // first gate is emitted.
+  const pq::ParseError e = parse_error(
+      "include \"qelib1.inc\";\nqreg q[200000000];\n  h q;");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.column(), 3);
+  EXPECT_NE(std::string(e.what()).find(
+                "statement would exceed the limit of 4194304 gates"),
+            std::string::npos)
+      << e.what();
+  // One gate past the cap; a CX broadcast counts its three gates per pair.
+  EXPECT_EQ(parse_error("qreg q[4194305];\nU(0,0,0) q;").line(), 2);
+  const pq::ParseError cx =
+      parse_error("qreg a[1398102];\nqreg b[1398102];\nCX a, b;");
+  EXPECT_EQ(cx.line(), 3);
+  EXPECT_EQ(cx.column(), 1);
+  EXPECT_EQ(parse_error("qreg q[4194305];\ncreg c[4194305];\n"
+                        "measure q -> c;")
+                .column(),
+            1);
+}
+
+TEST(Parser, GateCapCountsEachStatementBeforeItEmits) {
+  // A visitor capped at `cap` gates; the program emits 4 + 3 + 1 + 1 gates,
+  // then a qelib1 cx (three more).
+  class Capped final : public pq::GateStreamVisitor {
+   public:
+    explicit Capped(std::uint64_t cap) : cap_(cap) {}
+    void on_gate(const pc::Gate&) override { ++seen; }
+    [[nodiscard]] std::uint64_t max_gates() const noexcept override {
+      return cap_;
+    }
+    std::uint64_t seen = 0;
+
+   private:
+    std::uint64_t cap_;
+  };
+  const std::string program =
+      "include \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\n"
+      "h q;\nCX q[0], q[1];\nbarrier q;\nmeasure q[0] -> c[0];\n"
+      "cx q[2], q[3];\n";
+  {
+    // The cap is inclusive: 12 gates fit a cap of 12.
+    std::istringstream in(program);
+    pq::StreamParser parser(in);
+    Capped visitor(12);
+    EXPECT_EQ(parser.run(visitor).n_gates, 12u);
+  }
+  // Under a cap of 11 the cx is rejected at its name, and none of its gates
+  // reach the visitor.
+  std::istringstream in(program);
+  pq::StreamParser parser(in);
+  Capped visitor(11);
+  try {
+    (void)parser.run(visitor);
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const pq::ParseError& e) {
+    EXPECT_EQ(e.line(), 8);
+    EXPECT_EQ(e.column(), 1);
+  }
+  EXPECT_EQ(visitor.seen, 9u);
+  // A visitor that keeps no gates is unbounded by default.
+  class CountOnly final : public pq::GateStreamVisitor {
+   public:
+    void on_gate(const pc::Gate&) override {}
+  };
+  EXPECT_EQ(CountOnly{}.max_gates(),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Parser, AnOversizedBroadcastIsAParseErrorNotAnAllocation) {
+  // 2*10^8 gates are 8 GB of circuit::Gate. The probe runs in a child
+  // process capped 1 GiB above its size, so a parse that materializes the
+  // broadcast fails there with std::bad_alloc instead of touching memory.
+  EXPECT_EXIT(
+      {
+        if (!parallax::fuzz::cap_address_space(std::uint64_t{1} << 30)) {
+          std::_Exit(2);
+        }
+        try {
+          (void)pq::parse(
+              "include \"qelib1.inc\";\nqreg q[200000000];\nh q;");
+        } catch (const pq::ParseError& error) {
+          std::fprintf(stderr, "%s\n", error.what());
+          std::_Exit(0);
+        }
+        std::_Exit(1);
+      },
+      ::testing::ExitedWithCode(0),
+      "qasm:3:1: statement would exceed the limit of 4194304 gates");
 }
 
 TEST(Parser, MultipleQregsFlatten) {
