@@ -9,7 +9,11 @@
 // the change or accept a cache-breaking release and re-record the digests
 // (and say so loudly in the changelog — every cached placement invalidates).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <span>
@@ -17,15 +21,19 @@
 #include <vector>
 
 #include "bench_circuits/registry.hpp"
+#include "cache/cache.hpp"
 #include "cache/fingerprint.hpp"
 #include "cache/serialize.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
+#include "parallax/scheduler.hpp"
 #include "pipeline/passes.hpp"
 #include "placement/graphine.hpp"
+#include "placement/windowed.hpp"
 #include "serve/protocol.hpp"
 #include "shard/shard.hpp"
+#include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -786,5 +794,307 @@ TEST(Goldens, WireFormatsAreByteStable) {
   EXPECT_EQ(actual.size(), expected.size());
   for (const auto& [name, digest] : expected) {
     EXPECT_EQ(actual[name], digest) << name;
+  }
+}
+
+// --- work-counter goldens ----------------------------------------------------
+//
+// The work a compile does, counted, at master seed 42 (the command line's
+// default): the anneal on TFIM-128 under each tuning, the windowed
+// placement's windows, the schedule pass's move memo, and the cache traffic
+// of a cold then a warm sweep. Counters are deterministic where wall clocks
+// are not, so they are pinned exactly. They catch what the byte goldens
+// cannot: a memo that stops replaying, or a sweep that stores a result
+// twice, leaves every digest above unchanged. A change that moves a counter
+// re-records it here and names it in CHANGES.md.
+
+namespace {
+
+constexpr std::uint64_t kCounterSeed = 42;
+
+struct CounterGolden {
+  const char* name;
+  std::int64_t value;
+};
+
+using Counters = std::map<std::string, std::int64_t>;
+
+void expect_counters(const Counters& actual,
+                     std::span<const CounterGolden> goldens) {
+  EXPECT_EQ(actual.size(), goldens.size());
+  for (const CounterGolden& golden : goldens) {
+    const auto it = actual.find(golden.name);
+    ASSERT_TRUE(it != actual.end()) << golden.name;
+    EXPECT_EQ(it->second, golden.value) << golden.name;
+  }
+}
+
+/// The placement options `technique` tunes (the default tuning for null),
+/// seeded the way the graphine-placement pass seeds `circuit`.
+pp::GraphineOptions counter_placement(const char* technique,
+                                      const pc::Circuit& circuit) {
+  pl::CompileOptions options;
+  if (technique != nullptr) {
+    parallax::technique::Registry::global().apply_tuning(technique, options);
+  }
+  options.placement.seed = parallax::util::derive_seed(
+      kCounterSeed, circuit.name(), parallax::util::kPlacementSeedSalt);
+  return options.placement;
+}
+
+pc::Circuit counter_circuit(const char* acronym) {
+  parallax::bench_circuits::GenOptions gen;
+  gen.seed = kCounterSeed;
+  return parallax::bench_circuits::make_benchmark(acronym, gen);
+}
+
+constexpr CounterGolden kAnnealCounters[] = {
+    {"TFIM/default/chains", 1},
+    {"TFIM/default/delta_evaluations", 0},
+    {"TFIM/default/evaluations", 1002},
+    {"TFIM/default/local_searches", 1},
+    {"TFIM/default/restarts", 0},
+    {"TFIM/parallax-fast/chains", 1},
+    {"TFIM/parallax-fast/delta_evaluations", 15360},
+    {"TFIM/parallax-fast/evaluations", 302},
+    {"TFIM/parallax-fast/local_searches", 1},
+    {"TFIM/parallax-fast/restarts", 0},
+    {"TFIM/parallax-mc4/chains", 4},
+    {"TFIM/parallax-mc4/delta_evaluations", 128000},
+    {"TFIM/parallax-mc4/evaluations", 1208},
+    {"TFIM/parallax-mc4/local_searches", 4},
+    {"TFIM/parallax-mc4/restarts", 0},
+    {"TFIM/parallax-race/chains", 1},
+    {"TFIM/parallax-race/delta_evaluations", 15360},
+    {"TFIM/parallax-race/entrant[delta]/delta_evaluations", 5120},
+    {"TFIM/parallax-race/entrant[delta]/evaluations", 302},
+    {"TFIM/parallax-race/entrant[delta]/winner", 1},
+    {"TFIM/parallax-race/entrant[mc4]/delta_evaluations", 5120},
+    {"TFIM/parallax-race/entrant[mc4]/evaluations", 1208},
+    {"TFIM/parallax-race/entrant[mc4]/winner", 0},
+    {"TFIM/parallax-race/entrant[nm]/delta_evaluations", 0},
+    {"TFIM/parallax-race/entrant[nm]/evaluations", 300},
+    {"TFIM/parallax-race/entrant[nm]/winner", 0},
+    {"TFIM/parallax-race/entrant[restart]/delta_evaluations", 5120},
+    {"TFIM/parallax-race/entrant[restart]/evaluations", 302},
+    {"TFIM/parallax-race/entrant[restart]/winner", 0},
+    {"TFIM/parallax-race/evaluations", 2112},
+    {"TFIM/parallax-race/local_searches", 7},
+    {"TFIM/parallax-race/restarts", 0},
+    {"TFIM/windowed/windows", 4},
+    {"TFIM/windowed/windows_annealed", 4},
+};
+
+constexpr CounterGolden kScheduleCounters[] = {
+    {"HSB/atom1225/parallax-fast/aod_moves", 408},
+    {"HSB/atom1225/parallax-fast/layers", 2790},
+    {"HSB/atom1225/parallax-fast/move_evaluations", 2},
+    {"HSB/atom1225/parallax-fast/move_replays", 406},
+    {"HSB/atom1225/parallax/aod_moves", 204},
+    {"HSB/atom1225/parallax/layers", 3064},
+    {"HSB/atom1225/parallax/move_evaluations", 1},
+    {"HSB/atom1225/parallax/move_replays", 203},
+    {"HSB/quera256/parallax-fast/aod_moves", 408},
+    {"HSB/quera256/parallax-fast/layers", 2790},
+    {"HSB/quera256/parallax-fast/move_evaluations", 2},
+    {"HSB/quera256/parallax-fast/move_replays", 406},
+    {"HSB/quera256/parallax/aod_moves", 204},
+    {"HSB/quera256/parallax/layers", 3064},
+    {"HSB/quera256/parallax/move_evaluations", 1},
+    {"HSB/quera256/parallax/move_replays", 203},
+    {"KNN/atom1225/parallax-fast/aod_moves", 38},
+    {"KNN/atom1225/parallax-fast/layers", 113},
+    {"KNN/atom1225/parallax-fast/move_evaluations", 19},
+    {"KNN/atom1225/parallax-fast/move_replays", 19},
+    {"KNN/atom1225/parallax/aod_moves", 62},
+    {"KNN/atom1225/parallax/layers", 117},
+    {"KNN/atom1225/parallax/move_evaluations", 24},
+    {"KNN/atom1225/parallax/move_replays", 38},
+    {"KNN/quera256/parallax-fast/aod_moves", 38},
+    {"KNN/quera256/parallax-fast/layers", 113},
+    {"KNN/quera256/parallax-fast/move_evaluations", 19},
+    {"KNN/quera256/parallax-fast/move_replays", 19},
+    {"KNN/quera256/parallax/aod_moves", 62},
+    {"KNN/quera256/parallax/layers", 117},
+    {"KNN/quera256/parallax/move_evaluations", 24},
+    {"KNN/quera256/parallax/move_replays", 38},
+    {"QGAN/atom1225/parallax-fast/aod_moves", 32},
+    {"QGAN/atom1225/parallax-fast/layers", 188},
+    {"QGAN/atom1225/parallax-fast/move_evaluations", 29},
+    {"QGAN/atom1225/parallax-fast/move_replays", 151},
+    {"QGAN/atom1225/parallax/aod_moves", 78},
+    {"QGAN/atom1225/parallax/layers", 161},
+    {"QGAN/atom1225/parallax/move_evaluations", 41},
+    {"QGAN/atom1225/parallax/move_replays", 237},
+    {"QGAN/quera256/parallax-fast/aod_moves", 32},
+    {"QGAN/quera256/parallax-fast/layers", 186},
+    {"QGAN/quera256/parallax-fast/move_evaluations", 29},
+    {"QGAN/quera256/parallax-fast/move_replays", 148},
+    {"QGAN/quera256/parallax/aod_moves", 88},
+    {"QGAN/quera256/parallax/layers", 163},
+    {"QGAN/quera256/parallax/move_evaluations", 41},
+    {"QGAN/quera256/parallax/move_replays", 263},
+    {"QV/atom1225/parallax-fast/aod_moves", 537},
+    {"QV/atom1225/parallax-fast/layers", 1252},
+    {"QV/atom1225/parallax-fast/move_evaluations", 288},
+    {"QV/atom1225/parallax-fast/move_replays", 4418},
+    {"QV/atom1225/parallax/aod_moves", 444},
+    {"QV/atom1225/parallax/layers", 1491},
+    {"QV/atom1225/parallax/move_evaluations", 182},
+    {"QV/atom1225/parallax/move_replays", 2769},
+    {"QV/quera256/parallax-fast/aod_moves", 522},
+    {"QV/quera256/parallax-fast/layers", 1268},
+    {"QV/quera256/parallax-fast/move_evaluations", 288},
+    {"QV/quera256/parallax-fast/move_replays", 4658},
+    {"QV/quera256/parallax/aod_moves", 450},
+    {"QV/quera256/parallax/layers", 1492},
+    {"QV/quera256/parallax/move_evaluations", 182},
+    {"QV/quera256/parallax/move_replays", 2884},
+};
+
+constexpr CounterGolden kSweepCounters[] = {
+    {"cold/anneals", 8},
+    {"cold/bytes_written", 1191040},
+    {"cold/result_hits", 0},
+    {"cold/result_misses", 8},
+    {"cold/stores", 16},
+    {"warm/anneals", 0},
+    {"warm/bytes_written", 1191040},
+    {"warm/result_hits", 8},
+    {"warm/result_misses", 0},
+    {"warm/stores", 16},
+};
+
+/// A cold then a warm sweep of WST/QAOA/TFIM/QV x {parallax, parallax-mc4}
+/// on `threads` workers through one handle on a fresh cache directory.
+/// The store counters are cumulative, so the warm ones equal the cold ones
+/// exactly when the warm sweep stores nothing.
+Counters sweep_counters(std::size_t threads) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("parallax_counters_" + std::to_string(::getpid()) + "_" +
+       std::to_string(threads));
+  fs::remove_all(dir);
+  parallax::bench_circuits::GenOptions gen;
+  gen.seed = kCounterSeed;
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  parallax::sweep::Options options;
+  options.compile.seed = kCounterSeed;
+  options.n_threads = threads;
+  options.cache = parallax::cache::CompilationCache::open(
+      {.directory = dir.string()});
+  const auto circuits =
+      parallax::sweep::benchmark_circuits({"WST", "QAOA", "TFIM", "QV"}, gen);
+  Counters counters;
+  for (const char* pass : {"cold", "warm"}) {
+    const parallax::sweep::Result result = parallax::sweep::run(
+        circuits, {"parallax", "parallax-mc4"}, {{config.name, config}},
+        options);
+    const parallax::cache::StoreStats store = options.cache->stats().store;
+    const std::string prefix = std::string(pass) + "/";
+    counters[prefix + "anneals"] = static_cast<std::int64_t>(result.anneals);
+    counters[prefix + "result_hits"] =
+        static_cast<std::int64_t>(result.result_cache_hits);
+    counters[prefix + "result_misses"] =
+        static_cast<std::int64_t>(result.result_cache_misses);
+    counters[prefix + "stores"] = static_cast<std::int64_t>(store.stores);
+    counters[prefix + "bytes_written"] =
+        static_cast<std::int64_t>(store.bytes_written);
+  }
+  options.cache.reset();
+  fs::remove_all(dir);
+  return counters;
+}
+
+}  // namespace
+
+TEST(Goldens, WorkCountersAreStable) {
+  // The TFIM anneal under every tuning the perf snapshot compared, and the
+  // windowed placement of the same graph (a quarter of its qubits a
+  // window).
+  const pc::Circuit tfim = pc::transpile(counter_circuit("TFIM"));
+  const pc::InteractionGraph graph(tfim);
+  Counters anneal;
+  std::string race_winner;
+  for (const char* technique :
+       {static_cast<const char*>(nullptr), "parallax-fast", "parallax-mc4",
+        "parallax-race"}) {
+    const std::string prefix =
+        std::string("TFIM/") + (technique ? technique : "default") + "/";
+    pp::PlacementStats stats;
+    (void)pp::graphine_place(graph, counter_placement(technique, tfim),
+                             &stats);
+    anneal[prefix + "evaluations"] = stats.evaluations;
+    anneal[prefix + "delta_evaluations"] = stats.delta_evaluations;
+    anneal[prefix + "local_searches"] = stats.local_searches;
+    anneal[prefix + "restarts"] = stats.restarts;
+    anneal[prefix + "chains"] = stats.chains;
+    for (const auto& entrant : stats.entrants) {
+      const std::string row = prefix + "entrant[" + entrant.name + "]/";
+      anneal[row + "evaluations"] = entrant.evaluations;
+      anneal[row + "delta_evaluations"] = entrant.delta_evaluations;
+      anneal[row + "winner"] = entrant.winner ? 1 : 0;
+    }
+    if (!stats.portfolio_winner.empty()) race_winner = stats.portfolio_winner;
+  }
+  {
+    pp::GraphineOptions windowed = counter_placement("parallax-fast", tfim);
+    windowed.max_window_qubits = std::max(graph.n_qubits() / 4, 8);
+    pp::PlacementStats stats;
+    (void)pp::windowed_place(graph, windowed, &stats);
+    anneal["TFIM/windowed/windows"] = stats.windows;
+    anneal["TFIM/windowed/windows_annealed"] = stats.windows_annealed;
+  }
+  expect_counters(anneal, kAnnealCounters);
+  EXPECT_EQ(race_winner, "delta");
+
+  // The schedule pass's move memo: schedule_gates as the schedule pass
+  // calls it, on the circuits and machines of the scheduler-variant
+  // goldens.
+  Counters schedule;
+  for (const char* acronym : {"QV", "QGAN", "HSB", "KNN"}) {
+    const pc::Circuit circuit = counter_circuit(acronym);
+    for (const char* technique : kScheduleTechniques) {
+      pl::CompileOptions options;
+      parallax::technique::Registry::global().apply_tuning(technique,
+                                                           options);
+      options.seed = kCounterSeed;
+      for (const NamedMachine& machine : golden_machines()) {
+        parallax::compiler::ScheduleOutput output;
+        pl::Pipeline pipeline(technique);
+        pipeline.add(pl::passes::transpile())
+            .add(pl::passes::graphine_placement())
+            .add(pl::passes::discretize())
+            .add(pl::passes::aod_selection())
+            .add(pl::Pass("schedule", [&output](pl::CompileContext& ctx) {
+              parallax::compiler::SchedulerOptions scheduler =
+                  ctx.options.scheduler;
+              scheduler.shuffle_seed = parallax::util::derive_seed(
+                  ctx.options.seed, ctx.input.name(),
+                  parallax::util::kShuffleSeedSalt);
+              output = parallax::compiler::schedule_gates(
+                  ctx.result.circuit, *ctx.machine, scheduler);
+            }));
+        (void)pipeline.run(circuit, machine.config, options);
+        const std::string prefix =
+            std::string(acronym) + "/" + machine.name + "/" + technique + "/";
+        schedule[prefix + "layers"] =
+            static_cast<std::int64_t>(output.stats.layers);
+        schedule[prefix + "aod_moves"] =
+            static_cast<std::int64_t>(output.stats.aod_moves);
+        schedule[prefix + "move_evaluations"] =
+            static_cast<std::int64_t>(output.move_evaluations);
+        schedule[prefix + "move_replays"] =
+            static_cast<std::int64_t>(output.move_replays);
+      }
+    }
+  }
+  expect_counters(schedule, kScheduleCounters);
+
+  // A sweep's cache traffic does not depend on its thread count.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_counters(sweep_counters(threads), kSweepCounters);
   }
 }
