@@ -134,7 +134,7 @@ struct PlacementStats {
 [[nodiscard]] std::uint64_t annealing_invocations() noexcept;
 
 /// Process-wide totals of full and incremental objective evaluations across
-/// every anneal — the denominator for evaluations/sec in perf snapshots.
+/// every anneal (perfbench's paper-suite reports a round's share).
 [[nodiscard]] std::uint64_t objective_evaluations() noexcept;
 [[nodiscard]] std::uint64_t delta_evaluations() noexcept;
 

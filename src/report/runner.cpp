@@ -1,8 +1,8 @@
 #include "report/runner.hpp"
 
+#include <exception>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "report/artifact.hpp"
 #include "shard/shard.hpp"
@@ -42,57 +42,29 @@ sweep::Result InProcessRunner::execute(const shard::SweepSpec& spec) {
 }
 
 sweep::Result ServiceRunner::execute(const shard::SweepSpec& spec) {
-  const std::size_t n_techniques = spec.techniques.size();
-  const std::size_t n_machines = spec.machines.size();
-  const std::size_t total = spec.total_cells();
-
-  sweep::Result result;
-  result.cells.resize(total);
-  std::vector<char> placed(total, 0);
+  serve::Reassembly reassembly(spec);
   std::mutex mutex;  // cell callbacks may overlap across worker threads
-
+  // A cell the reassembly refuses fails the request once it has drained;
+  // the callback itself must not throw.
+  std::exception_ptr refused;
   const auto ticket = service_.submit(
       spec, [&](const sweep::Cell& cell) {
-        const std::size_t flat =
-            (cell.circuit_index * n_techniques + cell.technique_index) *
-                n_machines +
-            cell.machine_index;
         {
           std::lock_guard lock(mutex);
-          if (flat < total && placed[flat] == 0) {
-            placed[flat] = 1;
-            result.cells[flat] = cell;
+          try {
+            (void)reassembly.place(sweep::Cell(cell));
+          } catch (...) {
+            if (!refused) refused = std::current_exception();
           }
         }
         if (on_cell_) on_cell_(cell);
       });
   const serve::Summary& summary = ticket->wait();
+  if (refused) std::rethrow_exception(refused);
   if (!summary.ok()) {
     throw ReportError("serve session request failed: " + summary.error);
   }
-
-  // Label the cells the session never streamed (a cancelled request) the
-  // way sweep::run labels them — same shape either way.
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    if (placed[flat] != 0) continue;
-    sweep::Cell& cell = result.cells[flat];
-    const std::size_t per_circuit = n_techniques * n_machines;
-    cell.circuit_index = flat / per_circuit;
-    cell.technique_index = (flat % per_circuit) / n_machines;
-    cell.machine_index = flat % n_machines;
-    cell.circuit = spec.circuits[cell.circuit_index].name;
-    cell.technique = spec.techniques[cell.technique_index];
-    cell.machine = spec.machines[cell.machine_index].name;
-    cell.cancelled = summary.cancelled;
-    cell.skipped = !summary.cancelled;
-  }
-  result.cancelled = summary.cancelled;
-  result.result_cache_hits = summary.result_cache_hits;
-  result.result_cache_misses = summary.result_cache_misses;
-  result.placement_disk_hits = summary.placement_disk_hits;
-  result.anneals = static_cast<std::size_t>(summary.anneals);
-  result.wall_seconds = summary.wall_seconds;
-  return result;
+  return std::move(reassembly).finish(summary);
 }
 
 sweep::Result ClientRunner::execute(const shard::SweepSpec& spec) {

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 namespace parallax::serve {
 
@@ -90,20 +89,57 @@ SessionStats Client::stats() {
   return std::move(frame.stats);
 }
 
+Reassembly::Reassembly(const shard::SweepSpec& spec)
+    : spec_(spec),
+      matrix_{spec.circuits.size(), spec.techniques.size(),
+              spec.machines.size()},
+      placed_(matrix_.cells(), 0) {
+  result_.cells.resize(matrix_.cells());
+}
+
+const sweep::Cell& Reassembly::place(sweep::Cell&& cell) {
+  if (!matrix_.contains(cell)) {
+    throw ServeError("streamed cell indexes outside the request matrix");
+  }
+  const std::size_t flat = matrix_.flat_index(cell);
+  if (placed_[flat] != 0) {
+    throw ServeError("server streamed the same cell twice");
+  }
+  placed_[flat] = 1;
+  return result_.cells[flat] = std::move(cell);
+}
+
+sweep::Result Reassembly::finish(const Summary& summary) && {
+  for (std::size_t flat = 0; flat < placed_.size(); ++flat) {
+    if (placed_[flat] != 0) continue;
+    sweep::Cell& cell = result_.cells[flat];
+    const auto [ci, ti, mi] = matrix_.index(flat);
+    cell.circuit_index = ci;
+    cell.technique_index = ti;
+    cell.machine_index = mi;
+    cell.circuit = spec_.circuits[ci].name;
+    cell.technique = spec_.techniques[ti];
+    cell.machine = spec_.machines[mi].name;
+    cell.cancelled = summary.cancelled;
+    cell.skipped = !summary.cancelled;
+  }
+  result_.cancelled = summary.cancelled;
+  result_.result_cache_hits = summary.result_cache_hits;
+  result_.result_cache_misses = summary.result_cache_misses;
+  result_.placement_disk_hits = summary.placement_disk_hits;
+  result_.anneals = static_cast<std::size_t>(summary.anneals);
+  result_.wall_seconds = summary.wall_seconds;
+  return std::move(result_);
+}
+
 ClientOutcome Client::run(
     const shard::SweepSpec& spec,
     const std::function<void(const sweep::Cell&)>& on_cell) {
   const std::uint64_t id = ++last_id_;
   send(submit_line(id, spec));
 
-  const std::size_t n_techniques = spec.techniques.size();
-  const std::size_t n_machines = spec.machines.size();
-  const std::size_t total = spec.total_cells();
-
+  Reassembly reassembly(spec);
   ClientOutcome outcome;
-  outcome.result.cells.resize(total);
-  std::vector<char> placed(total, 0);
-
   bool done = false;
   while (!done) {
     Frame frame = read_response(id);
@@ -119,49 +155,13 @@ ClientOutcome Client::run(
         done = true;
         break;
       case FrameType::kCell: {
-        sweep::Cell& cell = frame.cell;
-        if (cell.circuit_index >= spec.circuits.size() ||
-            cell.technique_index >= n_techniques ||
-            cell.machine_index >= n_machines) {
-          throw ServeError("streamed cell indexes outside the request matrix");
-        }
-        const std::size_t flat =
-            (cell.circuit_index * n_techniques + cell.technique_index) *
-                n_machines +
-            cell.machine_index;
-        if (placed[flat] != 0) {
-          throw ServeError("server streamed the same cell twice");
-        }
-        placed[flat] = 1;
-        outcome.result.cells[flat] = std::move(cell);
-        if (on_cell) on_cell(outcome.result.cells[flat]);
+        const sweep::Cell& cell = reassembly.place(std::move(frame.cell));
+        if (on_cell) on_cell(cell);
         break;
       }
     }
   }
-
-  // Label the cells the server never streamed (a cancelled request) the
-  // way sweep::run labels them, so the reassembled Result is shaped
-  // identically either way.
-  for (std::size_t flat = 0; flat < total; ++flat) {
-    if (placed[flat] != 0) continue;
-    sweep::Cell& cell = outcome.result.cells[flat];
-    const std::size_t per_circuit = n_techniques * n_machines;
-    cell.circuit_index = flat / per_circuit;
-    cell.technique_index = (flat % per_circuit) / n_machines;
-    cell.machine_index = flat % n_machines;
-    cell.circuit = spec.circuits[cell.circuit_index].name;
-    cell.technique = spec.techniques[cell.technique_index];
-    cell.machine = spec.machines[cell.machine_index].name;
-    cell.cancelled = outcome.summary.cancelled;
-    cell.skipped = !outcome.summary.cancelled;
-  }
-  outcome.result.cancelled = outcome.summary.cancelled;
-  outcome.result.result_cache_hits = outcome.summary.result_cache_hits;
-  outcome.result.result_cache_misses = outcome.summary.result_cache_misses;
-  outcome.result.placement_disk_hits = outcome.summary.placement_disk_hits;
-  outcome.result.anneals = static_cast<std::size_t>(outcome.summary.anneals);
-  outcome.result.wall_seconds = outcome.summary.wall_seconds;
+  outcome.result = std::move(reassembly).finish(outcome.summary);
   return outcome;
 }
 

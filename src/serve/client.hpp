@@ -13,12 +13,42 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
 
 namespace parallax::serve {
+
+/// Rebuilds the flat circuit-major sweep::Result of one request from the
+/// cells it streams, in any order: Client::run and the report layer's
+/// in-process ServiceRunner both reassemble through it. Not thread-safe; a
+/// caller whose cells arrive on several threads serializes place().
+class Reassembly {
+ public:
+  /// `spec` must outlive the reassembly.
+  explicit Reassembly(const shard::SweepSpec& spec);
+  Reassembly(const Reassembly&) = delete;
+  Reassembly& operator=(const Reassembly&) = delete;
+
+  /// Stores a streamed cell at its flat index and returns the stored cell.
+  /// Throws ServeError when the cell's indices lie outside the request's
+  /// matrix or its cell was already placed.
+  const sweep::Cell& place(sweep::Cell&& cell);
+
+  /// The reassembled Result, once every cell has streamed: each cell never
+  /// placed gets its labels, marked cancelled when `summary` says the
+  /// request was cancelled and skipped otherwise, as sweep::run labels
+  /// them; the counters come from `summary`.
+  [[nodiscard]] sweep::Result finish(const Summary& summary) &&;
+
+ private:
+  const shard::SweepSpec& spec_;
+  sweep::Matrix matrix_;
+  sweep::Result result_;
+  std::vector<char> placed_;
+};
 
 struct ClientOutcome {
   /// Cells in flat circuit-major order. Cells the server never ran

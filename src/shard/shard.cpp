@@ -104,13 +104,6 @@ std::string canonical_cell_bytes(const sweep::Cell& cell) {
   return writer.take();
 }
 
-std::size_t flat_index(const sweep::Cell& cell, std::size_t n_techniques,
-                       std::size_t n_machines) {
-  return (cell.circuit_index * n_techniques + cell.technique_index) *
-             n_machines +
-         cell.machine_index;
-}
-
 /// Matrix size from untrusted (file-supplied) dimensions, overflow-checked
 /// and capped: the frame checksum is an integrity check, not a security
 /// boundary, and a crafted header must yield ShardError — never a wrapped
@@ -260,9 +253,9 @@ sweep::Result merge(std::vector<ShardRun> runs) {
   }
   const std::size_t total = checked_total_cells(
       first.n_circuits, first.n_techniques, first.n_machines);
-  const std::size_t n_techniques =
-      static_cast<std::size_t>(first.n_techniques);
-  const std::size_t n_machines = static_cast<std::size_t>(first.n_machines);
+  const sweep::Matrix matrix{static_cast<std::size_t>(first.n_circuits),
+                             static_cast<std::size_t>(first.n_techniques),
+                             static_cast<std::size_t>(first.n_machines)};
 
   // Cells by flat index. Everything is sized by the cells the runs carry,
   // never by the declared matrix, which a crafted run file can inflate.
@@ -270,15 +263,13 @@ sweep::Result merge(std::vector<ShardRun> runs) {
   sweep::Result merged;
   for (auto& run : runs) {
     for (auto& cell : run.cells) {
-      if (cell.circuit_index >= first.n_circuits ||
-          cell.technique_index >= n_techniques ||
-          cell.machine_index >= n_machines) {
+      if (!matrix.contains(cell)) {
         throw ShardError("shard run contains a cell outside the matrix: " +
                          cell.circuit + "/" + cell.technique + "/" +
                          cell.machine);
       }
       const auto [at, inserted] =
-          by_flat.emplace(flat_index(cell, n_techniques, n_machines), &cell);
+          by_flat.emplace(matrix.flat_index(cell), &cell);
       if (!inserted) {
         const bool identical =
             canonical_cell_bytes(*at->second) == canonical_cell_bytes(cell);
@@ -310,12 +301,11 @@ sweep::Result merge(std::vector<ShardRun> runs) {
     ++missing;
   }
   if (missing < total) {
-    const std::size_t per_circuit = n_techniques * n_machines;
-    throw ShardError(
-        "missing cell in shard runs: circuit " +
-        std::to_string(missing / per_circuit) + ", technique " +
-        std::to_string((missing % per_circuit) / n_machines) + ", machine " +
-        std::to_string(missing % n_machines));
+    const sweep::CellIndex at = matrix.index(missing);
+    throw ShardError("missing cell in shard runs: circuit " +
+                     std::to_string(at.circuit) + ", technique " +
+                     std::to_string(at.technique) + ", machine " +
+                     std::to_string(at.machine));
   }
   merged.cells.reserve(total);
   for (const auto& entry : by_flat) {

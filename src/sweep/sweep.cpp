@@ -89,9 +89,9 @@ Result run(const std::vector<CircuitSpec>& circuits,
   for (const auto& name : techniques) (void)registry.info(name);
 
   const Stopwatch stopwatch;
+  const Matrix matrix{circuits.size(), techniques.size(), machines.size()};
   Result sweep_result;
-  sweep_result.cells.resize(circuits.size() * techniques.size() *
-                            machines.size());
+  sweep_result.cells.resize(matrix.cells());
 
   // Each circuit is transpiled once and shared by every (technique, machine)
   // cell with the same transpile options — the paper's Qiskit-preprocessing
@@ -260,10 +260,7 @@ Result run(const std::vector<CircuitSpec>& circuits,
   };
 
   const auto run_cell = [&](std::size_t flat) {
-    const std::size_t per_circuit = techniques.size() * machines.size();
-    const std::size_t ci = flat / per_circuit;
-    const std::size_t ti = (flat % per_circuit) / machines.size();
-    const std::size_t mi = flat % machines.size();
+    const auto [ci, ti, mi] = matrix.index(flat);
     const CircuitSpec& spec = circuits[ci];
     const MachineSpec& machine = machines[mi];
 

@@ -167,6 +167,42 @@ struct Cell {
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
 
+/// The three indices of a cell in its sweep matrix.
+struct CellIndex {
+  std::size_t circuit = 0;
+  std::size_t technique = 0;
+  std::size_t machine = 0;
+};
+
+/// The dimensions of a sweep matrix and its one cell order: the flat index
+/// runs circuit-major, then technique, then machine. run(), the shard layer
+/// and the serve layer's reassembly all encode and decode through it.
+struct Matrix {
+  std::size_t circuits = 0;
+  std::size_t techniques = 0;
+  std::size_t machines = 0;
+
+  [[nodiscard]] std::size_t cells() const noexcept {
+    return circuits * techniques * machines;
+  }
+  /// Whether the cell's indices name a cell of this matrix.
+  [[nodiscard]] bool contains(const Cell& cell) const noexcept {
+    return cell.circuit_index < circuits &&
+           cell.technique_index < techniques && cell.machine_index < machines;
+  }
+  /// The flat index of the cell's indices.
+  [[nodiscard]] std::size_t flat_index(const Cell& cell) const noexcept {
+    return (cell.circuit_index * techniques + cell.technique_index) *
+               machines +
+           cell.machine_index;
+  }
+  /// The indices of flat index `flat`.
+  [[nodiscard]] CellIndex index(std::size_t flat) const noexcept {
+    return {flat / (techniques * machines), flat / machines % techniques,
+            flat % machines};
+  }
+};
+
 struct Result {
   /// Cells in deterministic circuit-major order (then technique, then
   /// machine), independent of thread count.

@@ -209,6 +209,9 @@ TEST(CliContract, MalformedValues) {
       {{"--threads", "4x"},
        2,
        "error: --threads expects a non-negative integer, got '4x'"},
+      {{"--benchmark", "WST", "--threads", "1025"},
+       2,
+       "error: --threads must be in [0, 1024]"},
       {{"--max-disk-bytes", "-5"},
        2,
        "error: --max-disk-bytes expects a non-negative integer, got '-5'"},
@@ -292,11 +295,8 @@ TEST(CliContract, RequiredFlags) {
 
 TEST(CliContract, BenchModeRules) {
   const std::string modes =
-      "error: bench needs exactly one of --list, --all, --perf-json, or "
-      "artifact names (see bench --list)";
-  const std::string perf_tail =
-      " does not apply to bench --perf-json (the perf suite uses a scratch "
-      "cache and a fixed matrix)";
+      "error: bench needs exactly one of --list, --all, or artifact names "
+      "(see bench --list)";
   const std::string local_tail =
       " configures this process, not the serve session --serve names (set "
       "it on `parallax serve` instead)";
@@ -304,39 +304,13 @@ TEST(CliContract, BenchModeRules) {
       {{"bench"}, 2, modes},
       {{"bench", "--all", "--list"}, 2, modes},
       {{"bench", "--all", "table02"}, 2, modes},
-      {{"bench", "--perf-json", "p.json", "--all"}, 2, modes},
-      {{"bench", "--perf-json", "", "--seed", "3"}, 2, modes},
-      {{"bench", "--perf-json", "p.json", "--serve", "off"},
+      // No command takes these flags.
+      {{"bench", "--perf-json", "p.json"},
        2,
-       "error: --serve" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--format", "csv"},
-       2,
-       "error: --format" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--benchmarks", "WST"},
-       2,
-       "error: --benchmarks" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--full-scale"},
-       2,
-       "error: --full-scale" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--cache-dir", "d"},
-       2,
-       "error: --cache-dir" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--no-cache"},
-       2,
-       "error: --no-cache" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--max-disk-bytes", "9"},
-       2,
-       "error: --max-disk-bytes" + perf_tail},
-      {{"bench", "--perf-json", "p.json", "--shards", "2"},
-       2,
-       "error: --shards" + perf_tail},
-      // The exclusions are checked in a fixed order, not argv order.
-      {{"bench", "--perf-json", "p.json", "--shards", "2", "--serve", "off"},
-       2,
-       "error: --serve" + perf_tail},
+       "error: unknown option --perf-json"},
       {{"bench", "--all", "--perf-baseline", "b.json"},
        2,
-       "error: --perf-baseline requires --perf-json"},
+       "error: unknown option --perf-baseline"},
       {{"bench", "--all", "--shards", "2"},
        2,
        "error: --shards only applies to --serve off (a serve session "
@@ -539,6 +513,12 @@ TEST(CliContract, HelpAndListingsExitZero) {
     EXPECT_EQ(run.status, 0);
     EXPECT_EQ(run.out.rfind("table02", 0), 0u) << run.out;
   }
+  {
+    // The largest --threads; listing the artifacts starts no pool.
+    const CliRun run = run_cli({"bench", "--list", "--threads", "1024"});
+    EXPECT_EQ(run.status, 0);
+    EXPECT_EQ(run.out.rfind("table02", 0), 0u) << run.out;
+  }
 }
 
 // --- accepted flag sets -------------------------------------------------------
@@ -566,7 +546,6 @@ const std::vector<std::pair<std::string, std::string>>& all_flags() {
       {"--max-client-bytes", "9"}, {"--serve", "off"},
       {"--format", "csv"},        {"--all", ""},
       {"--list", ""},             {"--full-scale", ""},
-      {"--perf-json", "p.json"},  {"--perf-baseline", "b.json"},
       {"--manifest", "m.tsv"},
   };
   return flags;
@@ -621,7 +600,7 @@ const std::vector<CommandSpec>& all_commands() {
        {"bench"},
        {"--all", "--list", "--serve", "--format", "--benchmarks", "--seed",
         "--threads", "--full-scale", "--cache-dir", "--no-cache",
-        "--max-disk-bytes", "--shards", "--perf-json", "--perf-baseline"}},
+        "--max-disk-bytes", "--shards"}},
       {"sim",
        {"sim"},
        {"--benchmark", "--circuit", "--machine", "--technique", "--aod-count",
@@ -800,7 +779,7 @@ TEST(CliUsage, ShowsTheExactlyOneGroups) {
         "(--benchmark NAME | --circuit FILE.qasm)"}) {
     EXPECT_NE(flat.find(group), std::string::npos) << group << "\n" << flat;
   }
-  EXPECT_NE(flat.find("bench (--list | --all | --perf-json FILE | NAME...)"),
+  EXPECT_NE(flat.find("bench (--list | --all | NAME...)"),
             std::string::npos)
       << flat;
 }

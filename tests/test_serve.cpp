@@ -735,6 +735,82 @@ TEST(ServeEndToEnd, ClientReassemblyIsByteIdenticalAndWarmRepeatIsFree) {
   ::close(fds[0]);
 }
 
+// The one reassembly behind serve::Client::run and the report layer's
+// ServiceRunner: it refuses a repeated cell and a cell outside the matrix,
+// and labels every cell a cancelled request never streamed.
+TEST(ServeReassembly, RefusesBadCellsAndLabelsTheUnstreamed) {
+  const sh::SweepSpec spec = small_spec();  // 3 circuits x 2 techniques
+  const auto streamed = [](std::size_t circuit, std::size_t technique,
+                           std::size_t machine) {
+    sw::Cell cell;
+    cell.circuit = "streamed";
+    cell.circuit_index = circuit;
+    cell.technique_index = technique;
+    cell.machine_index = machine;
+    return cell;
+  };
+  const auto refusal = [](sv::Reassembly& reassembly, sw::Cell cell) {
+    try {
+      (void)reassembly.place(std::move(cell));
+    } catch (const sv::ServeError& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+
+  sv::Reassembly reassembly(spec);
+  EXPECT_EQ(reassembly.place(streamed(1, 1, 0)).circuit, "streamed");
+  EXPECT_EQ(refusal(reassembly, streamed(1, 1, 0)),
+            "server streamed the same cell twice");
+  for (const sw::Cell& outside :
+       {streamed(3, 0, 0), streamed(0, 2, 0), streamed(0, 0, 1)}) {
+    EXPECT_EQ(refusal(reassembly, outside),
+              "streamed cell indexes outside the request matrix");
+  }
+
+  sv::Summary summary;
+  summary.cancelled = true;
+  summary.result_cache_hits = 1;
+  summary.result_cache_misses = 2;
+  summary.placement_disk_hits = 3;
+  summary.anneals = 4;
+  summary.wall_seconds = 0.5;
+  const sw::Result result = std::move(reassembly).finish(summary);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.result_cache_hits, 1u);
+  EXPECT_EQ(result.result_cache_misses, 2u);
+  EXPECT_EQ(result.placement_disk_hits, 3u);
+  EXPECT_EQ(result.anneals, 4u);
+  EXPECT_EQ(result.wall_seconds, 0.5);
+  ASSERT_EQ(result.cells.size(), spec.total_cells());
+  for (std::size_t flat = 0; flat < result.cells.size(); ++flat) {
+    SCOPED_TRACE("cell " + std::to_string(flat));
+    const sw::Cell& cell = result.cells[flat];
+    EXPECT_EQ(cell.circuit_index, flat / 2);
+    EXPECT_EQ(cell.technique_index, flat % 2);
+    EXPECT_EQ(cell.machine_index, 0u);
+    EXPECT_FALSE(cell.skipped);
+    if (flat == 3) {
+      EXPECT_EQ(cell.circuit, "streamed");
+      EXPECT_FALSE(cell.cancelled);
+      continue;
+    }
+    EXPECT_EQ(cell.circuit, spec.circuits[flat / 2].name);
+    EXPECT_EQ(cell.technique, spec.techniques[flat % 2]);
+    EXPECT_EQ(cell.machine, spec.machines[0].name);
+    EXPECT_TRUE(cell.cancelled);
+  }
+
+  // A request that completed without streaming a cell leaves it skipped.
+  sv::Reassembly partial(spec);
+  const sw::Result skipped = std::move(partial).finish(sv::Summary{});
+  EXPECT_FALSE(skipped.cancelled);
+  for (const sw::Cell& cell : skipped.cells) {
+    EXPECT_TRUE(cell.skipped);
+    EXPECT_FALSE(cell.cancelled);
+  }
+}
+
 TEST(ServeEndToEnd, ServiceShutdownReleasesWaitersAsCancelled) {
   const sh::SweepSpec spec = small_spec();
   std::shared_ptr<sv::Ticket> running;

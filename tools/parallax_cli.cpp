@@ -35,7 +35,6 @@
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "report/orchestrator.hpp"
-#include "report/perf.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -90,8 +89,6 @@ struct Cli {
   bool all_artifacts = false;
   bool list_artifacts = false;
   bool full_scale = false;
-  std::string perf_json;
-  std::string perf_baseline;
   std::vector<std::string> inputs;  // positional arguments
   /// The last value each given flag took (nullptr for a switch).
   std::map<std::string_view, const char*> given;
@@ -153,6 +150,14 @@ void set_positive_f64(Cli& cli, const char* flag, const char* value) {
   cli.*field = *parsed;
 }
 
+/// util::ThreadPool starts every worker it is asked for, and a thread the
+/// system refuses aborts the process, so the count is capped here.
+void set_threads(Cli& cli, const char* flag, const char* value) {
+  const std::uint64_t n = u64_value(cli, flag, value);
+  if (n > 1024) reject(cli, "--threads must be in [0, 1024]");
+  cli.threads = static_cast<std::size_t>(n);
+}
+
 void set_shards(Cli& cli, const char* flag, const char* value) {
   const std::uint64_t n = u64_value(cli, flag, value);
   if (n == 0 || n > (1u << 20)) reject(cli, "--shards must be in [1, 1048576]");
@@ -185,7 +190,7 @@ const Flag kFlags[] = {
     {"--window", "N", set_positive_i32<&Cli::window>},
     {"--spread", "F", set_positive_f64<&Cli::spread>},
     {"--seed", "N", set_u64<&Cli::seed>},
-    {"--threads", "N", set_u64<&Cli::threads>},
+    {"--threads", "N", set_threads},
     {"--json", nullptr, set_switch<&Cli::json, true>},
     {"--layers", nullptr, set_switch<&Cli::layers, true>},
     {"--render", nullptr, set_switch<&Cli::render, true>},
@@ -207,8 +212,6 @@ const Flag kFlags[] = {
     {"--manifest", "OUT", set_text<&Cli::manifest_out>},
     {"--list", nullptr, set_switch<&Cli::list_artifacts, true>},
     {"--all", nullptr, set_switch<&Cli::all_artifacts, true>},
-    {"--perf-json", "FILE", set_text<&Cli::perf_json>},
-    {"--perf-baseline", "FILE", set_text<&Cli::perf_baseline>},
     {"--serve", "auto|off|SOCKET", set_text<&Cli::serve_mode>},
     {"--format", "table|csv|json", set_text<&Cli::format>},
     {"--full-scale", nullptr, set_switch<&Cli::full_scale, true>},
@@ -285,24 +288,8 @@ void check_compile(const Cli& cli) {
 
 void check_bench(const Cli& cli) {
   exactly_one(cli,
-              "bench needs exactly one of --list, --all, --perf-json, or "
-              "artifact names (see bench --list)");
-  if (!cli.perf_json.empty()) {
-    // The perf suite manages its own scratch cache and runs in-process;
-    // silently ignoring session/artifact flags would misreport (e.g.
-    // --no-cache numbers measured through a cache).
-    for (const char* unsupported :
-         {"--serve", "--format", "--benchmarks", "--full-scale", "--cache-dir",
-          "--no-cache", "--max-disk-bytes", "--shards"}) {
-      if (cli.given.count(unsupported) != 0) {
-        reject(cli, std::string(unsupported) +
-                        " does not apply to bench --perf-json (the perf "
-                        "suite uses a scratch cache and a fixed matrix)");
-      }
-    }
-  } else if (!cli.perf_baseline.empty()) {
-    reject(cli, "--perf-baseline requires --perf-json");
-  }
+              "bench needs exactly one of --list, --all, or artifact names "
+              "(see bench --list)");
   if (cli.shards != 0 && cli.serve_mode != "off") {
     reject(cli,
            "--shards only applies to --serve off (a serve session executes "
@@ -424,10 +411,10 @@ const std::vector<Command> kCommands = {
     {.words = "serve stats", .required = {"--socket"}, .run = run_serve_stats},
     {.words = "serve stop", .required = {"--socket"}, .run = run_serve_stop},
     {.words = "bench",
-     .choice = {"--list", "--all", "--perf-json", "NAME..."},
+     .choice = {"--list", "--all", "NAME..."},
      .optional = {"--serve", "--format", "--benchmarks", "--seed",
                   "--threads", "--full-scale", "--cache-dir", "--no-cache",
-                  "--max-disk-bytes", "--shards", "--perf-baseline"},
+                  "--max-disk-bytes", "--shards"},
      .positional = "NAME...",
      .cache_story = "the warm session story needs the cache",
      .check = check_bench,
@@ -1272,14 +1259,6 @@ int run_sim(const Cli& cli) {
 int run_bench(const Cli& cli) {
   namespace rp = parallax::report;
   const rp::Registry& registry = rp::Registry::global();
-
-  if (!cli.perf_json.empty()) {
-    rp::PerfOptions perf;
-    perf.seed = cli.seed;
-    perf.threads = cli.threads;
-    perf.baseline_path = cli.perf_baseline;
-    return rp::run_perf_snapshot(cli.perf_json, perf, stderr);
-  }
 
   if (cli.list_artifacts) {
     for (const auto& name : registry.names()) {
