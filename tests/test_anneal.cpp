@@ -5,8 +5,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "anneal/dual_annealing.hpp"
@@ -14,6 +17,7 @@
 #include "anneal/objective.hpp"
 #include "anneal/portfolio.hpp"
 #include "util/exact_sum.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -431,6 +435,133 @@ TEST(NelderMead, BothOverloadsValidateInputs) {
                                        std::vector<double>(4, -1.0),
                                        std::vector<double>(4, 1.0), options),
                  std::invalid_argument);
+  }
+}
+
+// --- Simplex iterates on ties ---------------------------------------------
+
+namespace {
+
+/// Per-axis weighted sum of floor(4 x_i): a staircase whose flat treads give
+/// the simplex many vertices of equal value.
+double staircase(const std::vector<double>& x) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    s += (1.0 + 0.5 * static_cast<double>(i % 3)) * std::floor(4.0 * x[i]);
+  }
+  return s;
+}
+
+double constant_one(const std::vector<double>&) { return 1.0; }
+
+/// Any full-state objective behind the incremental interface, for the lean
+/// simplex (which probes full() alone).
+class FullRescore final : public pa::IncrementalObjective {
+ public:
+  FullRescore(pa::Objective f, std::size_t sites)
+      : f_(std::move(f)), coords_(2 * sites, 0.0) {}
+
+  [[nodiscard]] std::size_t sites() const noexcept override {
+    return coords_.size() / 2;
+  }
+  double reset(const std::vector<double>& coords) override {
+    coords_ = coords;
+    return value_ = f_(coords_);
+  }
+  [[nodiscard]] double value() const noexcept override { return value_; }
+  double propose(std::size_t q, double x, double y) override {
+    pending_ = coords_;
+    pending_[2 * q] = x;
+    pending_[2 * q + 1] = y;
+    return pending_value_ = f_(pending_);
+  }
+  void commit() override {
+    coords_.swap(pending_);
+    value_ = pending_value_;
+  }
+  void snapshot(std::vector<double>& coords) const override {
+    coords = coords_;
+  }
+  double full(const std::vector<double>& coords) override { return f_(coords); }
+
+ private:
+  pa::Objective f_;
+  std::vector<double> coords_, pending_;
+  double value_ = 0.0, pending_value_ = 0.0;
+};
+
+void hash_word(parallax::util::Hash128& h, std::uint64_t word) {
+  unsigned char bytes[8];
+  for (int b = 0; b < 8; ++b) {
+    bytes[b] = static_cast<unsigned char>(word >> (8 * b));
+  }
+  h.update(bytes, sizeof bytes);
+}
+
+}  // namespace
+
+TEST(NelderMead, IteratesAreByteStableOnTies) {
+  // Both simplexes rank vertices by value, so on an objective with many
+  // equal values the handling of ties decides which vertex is worst, the
+  // centroid's summation order and every later probe. A staircase and a
+  // constant objective, started inside the box and at its corners (where
+  // the initial axis steps flip inward), over dimensions 1 to 40 (past the
+  // 16 elements std::sort finishes by insertion) and several budgets; each
+  // digest covers every run's evaluation count, value bits and x bits.
+  struct Family {
+    const char* name;
+    pa::Objective f;
+    bool corner;
+  };
+  const std::vector<Family> families{
+      {"staircase/interior", staircase, false},
+      {"staircase/corner", staircase, true},
+      {"constant/interior", constant_one, false},
+      {"constant/corner", constant_one, true},
+  };
+  const std::map<std::string, std::string> expected{
+      {"legacy/staircase/interior", "01f4b848d0f3993fd6fb432d041db940"},
+      {"legacy/staircase/corner", "17be6e42a87b456c563b5ceedd508830"},
+      {"legacy/constant/interior", "15c0b8e0de78ec303c48710458bb2242"},
+      {"legacy/constant/corner", "aa4c947c6bca478af38ded75f304579f"},
+      {"lean/staircase/interior", "ecf5576c509401862930bb3b12c56bb7"},
+      {"lean/staircase/corner", "1767f1e4527f48c5abcf68691940ed5a"},
+      {"lean/constant/interior", "921ec213c79d53b3921659b839969996"},
+      {"lean/constant/corner", "9f73f6480abe9dcd9b732c59f8a6ee76"},
+  };
+  std::map<std::string, std::string> actual;
+  for (const Family& family : families) {
+    parallax::util::Hash128 legacy, lean;
+    for (std::size_t dim = 1; dim <= 40; ++dim) {
+      std::vector<double> x0(dim);
+      parallax::util::Rng rng(1000 + dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        x0[i] = family.corner ? (i % 2 == 0 ? 1.0 : 0.0) : rng.next_double();
+      }
+      const std::vector<double> lower(dim, 0.0), upper(dim, 1.0);
+      for (const int budget : {30, 150, 600, 2500}) {
+        pa::NelderMeadOptions options;
+        options.max_evaluations = budget;
+        auto record = [](parallax::util::Hash128& h,
+                         const pa::LocalResult& r) {
+          hash_word(h, static_cast<std::uint64_t>(r.evaluations));
+          hash_word(h, std::bit_cast<std::uint64_t>(r.value));
+          for (const double c : r.x) {
+            hash_word(h, std::bit_cast<std::uint64_t>(c));
+          }
+        };
+        record(legacy, pa::nelder_mead(family.f, x0, lower, upper, options));
+        if (dim % 2 == 0) {
+          FullRescore objective(family.f, dim / 2);
+          record(lean, pa::nelder_mead(objective, x0, lower, upper, options));
+        }
+      }
+    }
+    actual[std::string("legacy/") + family.name] = legacy.digest().hex();
+    actual[std::string("lean/") + family.name] = lean.digest().hex();
+  }
+  for (const auto& [name, digest] : expected) {
+    EXPECT_EQ(actual[name], digest) << name;
   }
 }
 
