@@ -72,27 +72,37 @@ double log_gamma(double x) {
   return lgamma_r(x, &sign);
 }
 
-/// Scale of the Tsallis visiting distribution at temperature `temperature`
-/// with shape `qv`, following the standard GSA formulation (Tsallis &
-/// Stariolo, 1996). It depends on (qv, temperature) alone, so the
-/// full-vector anneal computes it once per iteration. The legacy goldens
-/// pin this exact expression sequence; VisitConstants::sigma reassociates
-/// it and differs in the last bits.
-double visit_sigma(double qv, double temperature) {
-  const double factor1 = std::exp(std::log(temperature) / (qv - 1.0));
-  const double factor2 = std::exp((4.0 - qv) * std::log(qv - 1.0));
-  const double factor3 =
-      std::exp((2.0 - qv) / (qv - 1.0) * std::log(2.0 / (3.0 - qv)));
-  const double factor4 =
-      std::sqrt(std::numbers::pi) * factor1 * factor2 /
-      (factor3 * (3.0 - qv));
-  const double factor5 = 1.0 / (qv - 1.0) - 0.5;
-  const double d1 = 2.0 - factor5;
-  const double factor6 = std::numbers::pi * (1.0 - factor5) /
-                         std::sin(std::numbers::pi * (1.0 - factor5)) /
-                         std::exp(log_gamma(d1));
-  return std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
-}
+/// Scale of the Tsallis visiting distribution with shape `qv`, following
+/// the standard GSA formulation (Tsallis & Stariolo, 1996). Only factor1
+/// depends on the temperature, so the full-vector anneal builds this once
+/// and calls sigma() once per iteration. The legacy goldens pin this exact
+/// expression sequence; VisitConstants::sigma reassociates it and differs
+/// in the last bits.
+struct LegacyVisitSigma {
+  double qv;
+  double factor2;
+  double factor3;
+  double factor6;
+
+  explicit LegacyVisitSigma(double shape)
+      : qv(shape),
+        factor2(std::exp((4.0 - qv) * std::log(qv - 1.0))),
+        factor3(
+            std::exp((2.0 - qv) / (qv - 1.0) * std::log(2.0 / (3.0 - qv)))) {
+    const double factor5 = 1.0 / (qv - 1.0) - 0.5;
+    const double d1 = 2.0 - factor5;
+    factor6 = std::numbers::pi * (1.0 - factor5) /
+              std::sin(std::numbers::pi * (1.0 - factor5)) /
+              std::exp(log_gamma(d1));
+  }
+
+  [[nodiscard]] double sigma(double temperature) const {
+    const double factor1 = std::exp(std::log(temperature) / (qv - 1.0));
+    const double factor4 = std::sqrt(std::numbers::pi) * factor1 * factor2 /
+                           (factor3 * (3.0 - qv));
+    return std::exp(-(qv - 1.0) * std::log(factor6 / factor4) / (3.0 - qv));
+  }
+};
 
 /// Draws a step from the visiting distribution of scale `sigma_x`: a ratio
 /// of a Gaussian (drawn first) to a power of another Gaussian's magnitude
@@ -105,10 +115,10 @@ double visit_step(util::Rng& rng, double qv, double sigma_x) {
   return den != 0.0 ? x / den : x;
 }
 
-/// Temperature-independent constants of the visiting distribution; the
-/// single-coordinate hot path draws a million-plus steps per anneal, so
-/// visit_sigma's factors are hoisted here (factor1 — and through it sigma —
-/// is the only temperature-dependent piece).
+/// Temperature-independent constants of the visiting distribution for the
+/// single-coordinate path, which draws a million-plus steps per anneal:
+/// LegacyVisitSigma's factors with factor4's product regrouped, so its
+/// sigma differs from the legacy one in the last bits.
 struct VisitConstants {
   double factor4_base = 0.0;  // factor4 without the factor1 term
   double factor6 = 0.0;
@@ -210,7 +220,9 @@ AnnealResult dual_annealing(const Objective& f,
   // GSA temperature schedule: T(k) = T0 * (2^{qv-1} - 1) /
   //                                   ((1+k)^{qv-1} - 1).
   const double t_coeff = std::pow(2.0, qv - 1.0) - 1.0;
+  const LegacyVisitSigma visit(qv);
 
+  std::vector<double> candidate(n);
   int accepted_since_local = 0;
   int k = 0;
   for (int iter = 0; iter < options.max_iterations; ++iter, ++k) {
@@ -223,8 +235,8 @@ AnnealResult dual_annealing(const Objective& f,
     }
 
     // Propose: perturb every dimension with a heavy-tailed visit.
-    const double sigma_x = visit_sigma(qv, temperature);
-    std::vector<double> candidate = current;
+    const double sigma_x = visit.sigma(temperature);
+    candidate = current;
     for (std::size_t i = 0; i < n; ++i) {
       const double span = upper[i] - lower[i];
       double step = visit_step(rng, qv, sigma_x);
@@ -251,7 +263,7 @@ AnnealResult dual_annealing(const Objective& f,
     }
 
     if (accept) {
-      current = candidate;
+      current.swap(candidate);
       current_value = candidate_value;
       ++accepted_since_local;
       if (current_value < best.value) {

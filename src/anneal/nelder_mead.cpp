@@ -73,107 +73,112 @@ LocalResult nelder_mead(const Objective& f, std::vector<double> x0,
     return f(x);
   };
 
-  // Initial simplex: x0 plus a step along each axis.
-  struct Vertex {
-    std::vector<double> x;
-    double value;
+  // Flat vertex storage: row r of `verts` is vertex r, and `order` ranks
+  // the rows, persisting from one iteration to the next. std::sort makes
+  // the same comparisons and the same moves on indices compared by value
+  // as on vertices compared by value, so the ranking (ties included), the
+  // centroid's summation order and every iterate are those of a sorted
+  // array of vertices: the legacy iterates are fingerprint-relevant.
+  const std::size_t rows = n + 1;
+  std::vector<double> verts(rows * n);
+  std::vector<double> values(rows);
+  std::vector<std::size_t> order(rows);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  auto row_of = [&](std::size_t r) { return verts.data() + r * n; };
+  const auto by_value = [&](std::size_t a, std::size_t b) {
+    return values[a] < values[b];
   };
-  std::vector<Vertex> simplex;
-  simplex.reserve(n + 1);
-  {
-    Vertex v{x0, 0.0};
-    v.value = eval(v.x);
-    simplex.push_back(std::move(v));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    Vertex v{x0, 0.0};
-    v.x[i] += axis_step(v.x[i], i, lower, upper, options);
-    v.value = eval(v.x);
-    simplex.push_back(std::move(v));
-  }
+  std::vector<double> xbuf(n), centroid(n), xr(n), xe(n), xc(n);
+  auto store = [&](std::size_t r, const std::vector<double>& x, double fx) {
+    std::copy(x.begin(), x.end(), row_of(r));
+    values[r] = fx;
+  };
 
-  // Probe buffers hoisted out of the loop; everything inside computes the
-  // exact same values in the exact same order as before the hoist (the
-  // legacy iterates are fingerprint-relevant).
-  std::vector<double> centroid(n), xr(n), xe(n), xc(n);
+  // Initial simplex: x0 plus a step along each axis.
+  xbuf = x0;
+  store(0, xbuf, eval(xbuf));
+  for (std::size_t i = 0; i < n; ++i) {
+    xbuf = x0;
+    xbuf[i] += axis_step(xbuf[i], i, lower, upper, options);
+    store(i + 1, xbuf, eval(xbuf));
+  }
 
   while (evals < options.max_evaluations) {
-    std::sort(simplex.begin(), simplex.end(),
-              [](const Vertex& a, const Vertex& b) { return a.value < b.value; });
+    std::sort(order.begin(), order.end(), by_value);
+    const std::size_t best = order.front();
+    const std::size_t worst = order.back();
 
     // Convergence: value spread first (O(1)); the O(n^2) diameter scan only
     // runs once values have collapsed — the break needs BOTH below
     // tolerance, so short-circuiting cannot change the outcome.
-    const double f_spread =
-        std::abs(simplex.back().value - simplex.front().value);
+    const double f_spread = std::abs(values[worst] - values[best]);
     if (f_spread < options.f_tolerance) {
       double x_spread = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        double lo = simplex.front().x[i], hi = lo;
-        for (const Vertex& v : simplex) {
-          lo = std::min(lo, v.x[i]);
-          hi = std::max(hi, v.x[i]);
+        double lo = row_of(best)[i], hi = lo;
+        for (const std::size_t r : order) {
+          lo = std::min(lo, row_of(r)[i]);
+          hi = std::max(hi, row_of(r)[i]);
         }
         x_spread = std::max(x_spread, hi - lo);
       }
       if (x_spread < options.x_tolerance) break;
     }
 
-    // Centroid of all but the worst.
+    // Centroid of all but the worst, summed in rank order.
     std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t i = 0; i < n; ++i) centroid[i] += simplex[v].x[i];
+      const double* x = row_of(order[v]);
+      for (std::size_t i = 0; i < n; ++i) centroid[i] += x[i];
     }
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    Vertex& worst = simplex.back();
+    const double* w = row_of(worst);
     auto blend = [&](double coeff, std::vector<double>& out) {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = centroid[i] + coeff * (centroid[i] - worst.x[i]);
+        out[i] = centroid[i] + coeff * (centroid[i] - w[i]);
       }
     };
 
     blend(kAlpha, xr);
     const double fr = eval(xr);
-    if (fr < simplex.front().value) {
+    if (fr < values[best]) {
       blend(kGamma, xe);
       const double fe = eval(xe);
       if (fe < fr) {
-        worst.x = xe;
-        worst.value = fe;
+        store(worst, xe, fe);
       } else {
-        worst.x = xr;
-        worst.value = fr;
+        store(worst, xr, fr);
       }
       continue;
     }
-    if (fr < simplex[simplex.size() - 2].value) {
-      worst.x = xr;
-      worst.value = fr;
+    if (fr < values[order[rows - 2]]) {
+      store(worst, xr, fr);
       continue;
     }
     // Contraction (outside if reflected point improved on worst).
-    const bool outside = fr < worst.value;
+    const bool outside = fr < values[worst];
     blend(outside ? kRho : -kRho, xc);
     const double fc = eval(xc);
-    if (fc < std::min(fr, worst.value)) {
-      worst.x = xc;
-      worst.value = fc;
+    if (fc < std::min(fr, values[worst])) {
+      store(worst, xc, fc);
       continue;
     }
-    // Shrink toward the best vertex.
-    for (std::size_t v = 1; v < simplex.size(); ++v) {
+    // Shrink toward the best vertex, in rank order.
+    const double* b = row_of(best);
+    for (std::size_t v = 1; v < rows; ++v) {
+      const double* x = row_of(order[v]);
       for (std::size_t i = 0; i < n; ++i) {
-        simplex[v].x[i] = simplex[0].x[i] +
-                          kSigma * (simplex[v].x[i] - simplex[0].x[i]);
+        xbuf[i] = b[i] + kSigma * (x[i] - b[i]);
       }
-      simplex[v].value = eval(simplex[v].x);
+      store(order[v], xbuf, eval(xbuf));
     }
   }
 
-  std::sort(simplex.begin(), simplex.end(),
-            [](const Vertex& a, const Vertex& b) { return a.value < b.value; });
-  return LocalResult{simplex.front().x, simplex.front().value, evals};
+  std::sort(order.begin(), order.end(), by_value);
+  const std::size_t best = order.front();
+  return LocalResult{std::vector<double>(row_of(best), row_of(best) + n),
+                     values[best], evals};
 }
 
 LocalResult nelder_mead(IncrementalObjective& f, std::vector<double> x0,
@@ -220,14 +225,15 @@ LocalResult nelder_mead(IncrementalObjective& f, std::vector<double> x0,
     for (std::size_t i = 0; i < n; ++i) total[i] += v[i];
   }
   std::iota(order.begin(), order.end(), std::size_t{0});
-  auto resort = [&] {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (values[a] != values[b]) return values[a] < values[b];
-      return a < b;
-    });
+  const auto ranks_before = [&](std::size_t a, std::size_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
+    return a < b;
   };
-  resort();
+  std::sort(order.begin(), order.end(), ranks_before);
 
+  // Only the worst row changes, and it ranks last: re-rank it alone among
+  // the others, which stay in order. The (value, index) order is total, so
+  // the result is the one a full sort would give.
   auto replace_worst = [&](std::size_t worst, const std::vector<double>& x,
                            double fx) {
     double* w = row_of(worst);
@@ -236,7 +242,9 @@ LocalResult nelder_mead(IncrementalObjective& f, std::vector<double> x0,
       w[i] = x[i];
     }
     values[worst] = fx;
-    resort();
+    const auto last = order.end() - 1;
+    std::rotate(std::upper_bound(order.begin(), last, worst, ranks_before),
+                last, order.end());
   };
 
   while (evals < options.max_evaluations) {
@@ -305,7 +313,7 @@ LocalResult nelder_mead(IncrementalObjective& f, std::vector<double> x0,
       const double* v = row_of(r);
       for (std::size_t i = 0; i < n; ++i) total[i] += v[i];
     }
-    resort();
+    std::sort(order.begin(), order.end(), ranks_before);
   }
 
   const std::size_t best = order.front();

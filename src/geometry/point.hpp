@@ -7,6 +7,7 @@
 #include <cmath>
 #include <compare>
 #include <cstdint>
+#include <limits>
 
 namespace parallax::geom {
 
@@ -43,6 +44,15 @@ struct Point {
 
 namespace detail {
 
+/// The squared distance beyond which clearly_beyond rules a pair out:
+/// r^2 (1 + 1e-9), or +inf (ruling nothing out) when r^2 is not a normal
+/// double. A loop that tests many pairs against one r computes it once.
+[[nodiscard]] inline double beyond_cutoff(double r) noexcept {
+  const double r2 = r * r;
+  return std::isnormal(r2) ? r2 * (1.0 + 1e-9)
+                           : std::numeric_limits<double>::infinity();
+}
+
 /// True when distance(a, b) certainly exceeds `r`: the squared distance
 /// exceeds r^2 (1 + 1e-9). The rounded squares, their sum and the scaled r^2
 /// err by a few ulps and hypot by under one, so such a pair's hypot exceeds
@@ -51,8 +61,7 @@ namespace detail {
 /// or NaN) the bound does not hold and this is false, as it is when the
 /// squared distance is NaN.
 [[nodiscard]] inline bool clearly_beyond(Point a, Point b, double r) noexcept {
-  const double r2 = r * r;
-  return std::isnormal(r2) && distance_sq(a, b) > r2 * (1.0 + 1e-9);
+  return distance_sq(a, b) > beyond_cutoff(r);
 }
 
 }  // namespace detail

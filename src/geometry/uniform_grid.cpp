@@ -1,6 +1,5 @@
 #include "geometry/uniform_grid.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -13,57 +12,58 @@ UniformGrid::UniformGrid(double radius, std::size_t points) {
   // the rounding of this division and of the bucketing products.
   const double fit = radius > 0.0 ? 1.0 / (radius * (1.0 + 1e-9)) : 1.0;
   side_ = static_cast<int>(std::clamp(fit, 1.0, cap));
-  buckets_.resize(static_cast<std::size_t>(side_) *
-                  static_cast<std::size_t>(side_));
-}
-
-int UniformGrid::axis_cell(double v) const noexcept {
-  if (!(v > 0.0)) return 0;  // NaN included
-  if (v >= 1.0) return side_ - 1;
-  return std::min(side_ - 1, static_cast<int>(v * static_cast<double>(side_)));
-}
-
-int UniformGrid::cell_of(double x, double y) const noexcept {
-  return axis_cell(y) * side_ + axis_cell(x);
+  start_.assign(static_cast<std::size_t>(side_) *
+                        static_cast<std::size_t>(side_) +
+                    1,
+                0);
 }
 
 void UniformGrid::assign(const std::vector<double>& coords) {
-  for (const int c : cell_) buckets_[static_cast<std::size_t>(c)].clear();
-  cell_.resize(coords.size() / 2);
-  for (std::size_t i = 0; i < cell_.size(); ++i) {
+  const std::size_t n = coords.size() / 2;
+  cell_.resize(n);
+  slots_.resize(n);
+  // Count each cell's points, turn the counts into cell ends, then fill
+  // every cell from its end backwards in descending index order: each end
+  // becomes its cell's start, and each cell lists its points ascending.
+  std::fill(start_.begin(), start_.end(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
     cell_[i] = cell_of(coords[2 * i], coords[2 * i + 1]);
-    buckets_[static_cast<std::size_t>(cell_[i])].push_back(
-        static_cast<std::int32_t>(i));
+    ++start_[static_cast<std::size_t>(cell_[i])];
+  }
+  for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+  for (std::size_t i = n; i-- > 0;) {
+    slots_[static_cast<std::size_t>(
+        --start_[static_cast<std::size_t>(cell_[i])])] =
+        static_cast<std::int32_t>(i);
   }
 }
 
 void UniformGrid::move(std::size_t i, double x, double y) {
   const int to = cell_of(x, y);
-  if (to == cell_[i]) return;
-  auto& from = buckets_[static_cast<std::size_t>(cell_[i])];
-  const auto it = std::find(from.begin(), from.end(),
-                            static_cast<std::int32_t>(i));
-  assert(it != from.end());
-  *it = from.back();
-  from.pop_back();
-  buckets_[static_cast<std::size_t>(to)].push_back(
-      static_cast<std::int32_t>(i));
-  cell_[i] = to;
-}
-
-void UniformGrid::neighbours(double x, double y,
-                             std::vector<std::int32_t>& out) const {
-  out.clear();
-  const int cx = axis_cell(x);
-  const int cy = axis_cell(y);
-  const int x0 = std::max(cx - 1, 0), x1 = std::min(cx + 1, side_ - 1);
-  const int y0 = std::max(cy - 1, 0), y1 = std::min(cy + 1, side_ - 1);
-  for (int gy = y0; gy <= y1; ++gy) {
-    for (int gx = x0; gx <= x1; ++gx) {
-      const auto& bucket = buckets_[static_cast<std::size_t>(gy * side_ + gx)];
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
+  const int from = cell_[i];
+  if (to == from) return;
+  const auto id = static_cast<std::int32_t>(i);
+  std::int32_t* const slots = slots_.data();
+  std::int32_t* const at =
+      std::find(slots + start_[static_cast<std::size_t>(from)],
+                slots + start_[static_cast<std::size_t>(from) + 1], id);
+  assert(at != slots + start_[static_cast<std::size_t>(from) + 1]);
+  if (from < to) {
+    // The rest of `from` and every cell before `to` move one slot down; the
+    // freed slot just before `to` becomes its first.
+    std::int32_t* const end = slots + start_[static_cast<std::size_t>(to)];
+    std::copy(at + 1, end, at);
+    end[-1] = id;
+    for (int c = from + 1; c <= to; ++c) --start_[static_cast<std::size_t>(c)];
+  } else {
+    // Every cell after `to` up to `i`'s slot moves one slot up; the freed
+    // slot just after `to` becomes its last.
+    std::int32_t* const end = slots + start_[static_cast<std::size_t>(to) + 1];
+    std::copy_backward(end, at, at + 1);
+    *end = id;
+    for (int c = to + 1; c <= from; ++c) ++start_[static_cast<std::size_t>(c)];
   }
+  cell_[i] = to;
 }
 
 }  // namespace parallax::geom

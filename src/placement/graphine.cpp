@@ -35,8 +35,10 @@ class LegacyObjective {
         d_min_(n_ > 1 ? options.crowding_distance /
                             std::sqrt(static_cast<double>(n_))
                       : 0.0),
+        cutoff_(geom::detail::beyond_cutoff(d_min_)),
         crowding_weight_(options.crowding_weight),
-        grid_(d_min_, n_) {}
+        grid_(d_min_, n_),
+        near_(n_) {}
 
   double operator()(const std::vector<double>& coords) {
     assert(coords.size() == 2 * n_);
@@ -58,13 +60,29 @@ class LegacyObjective {
     grid_.assign(coords);
     for (std::size_t i = 0; i < n_; ++i) {
       const geom::Point p = point(i);
-      grid_.neighbours(p.x, p.y, near_);
-      std::erase_if(near_, [i](std::int32_t j) {
-        return static_cast<std::size_t>(j) <= i;
-      });
-      std::sort(near_.begin(), near_.end());
-      for (const std::int32_t j : near_) {
-        const double d = geom::distance(p, point(static_cast<std::size_t>(j)));
+      // Candidates j > i the squared-distance bound cannot rule out, sorted
+      // by insertion as they arrive (there are few), then the exact hypot
+      // test in ascending j.
+      std::size_t near = 0;
+      grid_.for_each_row_span(
+          grid_.cell(i), [&](const std::int32_t* row, std::size_t count) {
+            for (std::size_t k = 0; k < count; ++k) {
+              const std::int32_t j = row[k];
+              if (static_cast<std::size_t>(j) <= i ||
+                  geom::distance_sq(p, point(static_cast<std::size_t>(j))) >
+                      cutoff_) {
+                continue;
+              }
+              std::size_t at = near++;
+              for (; at > 0 && near_[at - 1] > j; --at) {
+                near_[at] = near_[at - 1];
+              }
+              near_[at] = j;
+            }
+          });
+      for (std::size_t t = 0; t < near; ++t) {
+        const double d =
+            geom::distance(p, point(static_cast<std::size_t>(near_[t])));
         if (d < d_min_) {
           const double v = d_min_ - d;
           cost += crowding_weight_ * v * v / (d_min_ * d_min_);
@@ -78,9 +96,10 @@ class LegacyObjective {
   const circuit::InteractionGraph& graph_;
   std::size_t n_;
   double d_min_;
+  double cutoff_;  // pairs farther than this squared distance skip hypot
   double crowding_weight_;
   geom::UniformGrid grid_;
-  std::vector<std::int32_t> near_;
+  std::vector<std::int32_t> near_;  // one qubit's candidates, at most n - 1
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "placement/objective.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -48,27 +49,52 @@ DeltaPlacementObjective::DeltaPlacementObjective(
     adj_weight_[static_cast<std::size_t>(fill[b]++)] = edge_w_[e];
   }
 
+  const auto max_degree =
+      static_cast<std::size_t>(*std::max_element(degree.begin(), degree.end()));
+  term_buf_.resize(std::max(edge_a_.size(), max_degree + n_));
   xs_.assign(n_, 0.0);
   ys_.assign(n_, 0.0);
+  scratch_xs_.assign(n_, 0.0);
+  scratch_ys_.assign(n_, 0.0);
 }
 
-void DeltaPlacementObjective::collect_terms(std::size_t q, double px,
-                                            double py,
-                                            std::vector<double>& out) {
+std::size_t DeltaPlacementObjective::collect_terms(std::size_t q, double px,
+                                                   double py) {
   const auto start = static_cast<std::size_t>(adj_start_[q]);
   const auto deg = static_cast<std::size_t>(adj_start_[q + 1]) - start;
-  out.resize(deg);
+  double* const out = term_buf_.data();
   kernels::edge_terms_gather(adj_qubit_.data() + start,
                              adj_weight_.data() + start, deg, px, py,
-                             xs_.data(), ys_.data(), out.data());
+                             xs_.data(), ys_.data(), out);
+  std::size_t count = deg;
+  if (!crowding_) return count;
+  grid_.for_each_row_span(
+      grid_.cell_of(px, py), [&](const std::int32_t* row, std::size_t size) {
+        count += kernels::crowding_terms_excluding_self(
+            row, size, static_cast<std::int32_t>(q), px, py, xs_.data(),
+            ys_.data(), d_min_, denom_, crowding_weight_, out + count);
+      });
+  return count;
+}
+
+void DeltaPlacementObjective::accumulate_all(const double* xs,
+                                             const double* ys,
+                                             const geom::UniformGrid& grid,
+                                             util::ExactSum& acc) {
+  double* const out = term_buf_.data();
+  kernels::edge_terms_pairs(edge_a_.data(), edge_b_.data(), edge_w_.data(),
+                            edge_a_.size(), xs, ys, out);
+  for (std::size_t t = 0; t < edge_a_.size(); ++t) acc.add(out[t]);
   if (!crowding_) return;
-  grid_.neighbours(px, py, cand_);
-  out.resize(deg + cand_.size());
-  const std::size_t produced = kernels::crowding_terms_excluding_self(
-      cand_.data(), cand_.size(), static_cast<std::int32_t>(q), px, py,
-      xs_.data(), ys_.data(), d_min_, denom_, crowding_weight_,
-      out.data() + deg);
-  out.resize(deg + produced);
+  for (std::size_t i = 0; i < n_; ++i) {
+    grid.for_each_row_span(
+        grid.cell(i), [&](const std::int32_t* row, std::size_t size) {
+          const std::size_t produced = kernels::crowding_terms_above_self(
+              row, size, static_cast<std::int32_t>(i), xs[i], ys[i], xs, ys,
+              d_min_, denom_, crowding_weight_, out);
+          for (std::size_t t = 0; t < produced; ++t) acc.add(out[t]);
+        });
+  }
 }
 
 double DeltaPlacementObjective::reset(const std::vector<double>& coords) {
@@ -81,45 +107,29 @@ double DeltaPlacementObjective::reset(const std::vector<double>& coords) {
   grid_.assign(coords);
 
   acc_.clear();
-  term_buf_.resize(edge_a_.size());
-  kernels::edge_terms_pairs(edge_a_.data(), edge_b_.data(), edge_w_.data(),
-                            edge_a_.size(), xs_.data(), ys_.data(),
-                            term_buf_.data());
-  for (const double t : term_buf_) acc_.add(t);
-  if (crowding_) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      grid_.neighbours(xs_[i], ys_[i], cand_);
-      term_buf_.resize(cand_.size());
-      const std::size_t produced = kernels::crowding_terms_above_self(
-          cand_.data(), cand_.size(), static_cast<std::int32_t>(i), xs_[i],
-          ys_[i], xs_.data(), ys_.data(), d_min_, denom_, crowding_weight_,
-          term_buf_.data());
-      for (std::size_t t = 0; t < produced; ++t) acc_.add(term_buf_[t]);
-    }
-  }
+  accumulate_all(xs_.data(), ys_.data(), grid_, acc_);
   value_ = acc_.round();
   return value_;
 }
 
 double DeltaPlacementObjective::propose(std::size_t q, double x, double y) {
   assert(q < n_);
-  collect_terms(q, xs_[q], ys_[q], pending_remove_);
-  collect_terms(q, x, y, pending_add_);
-  util::ExactSum acc = acc_;
-  for (const double t : pending_remove_) acc.subtract(t);
-  for (const double t : pending_add_) acc.add(t);
+  pending_acc_ = acc_;
+  std::size_t count = collect_terms(q, xs_[q], ys_[q]);
+  for (std::size_t t = 0; t < count; ++t) pending_acc_.subtract(term_buf_[t]);
+  count = collect_terms(q, x, y);
+  for (std::size_t t = 0; t < count; ++t) pending_acc_.add(term_buf_[t]);
   pending_q_ = q;
   pending_x_ = x;
   pending_y_ = y;
-  pending_value_ = acc.round();
+  pending_value_ = pending_acc_.round();
   pending_ = true;
   return pending_value_;
 }
 
 void DeltaPlacementObjective::commit() {
   assert(pending_ && "commit() without a prior propose()");
-  for (const double t : pending_remove_) acc_.subtract(t);
-  for (const double t : pending_add_) acc_.add(t);
+  acc_ = pending_acc_;
   grid_.move(pending_q_, pending_x_, pending_y_);
   xs_[pending_q_] = pending_x_;
   ys_[pending_q_] = pending_y_;
@@ -139,31 +149,13 @@ double DeltaPlacementObjective::full(const std::vector<double>& coords) {
   assert(coords.size() == 2 * n_);
   // De-stride the query geometry once so every kernel below runs over
   // unit-stride SoA arrays.
-  scratch_xs_.resize(n_);
-  scratch_ys_.resize(n_);
   for (std::size_t q = 0; q < n_; ++q) {
     scratch_xs_[q] = coords[2 * q];
     scratch_ys_[q] = coords[2 * q + 1];
   }
+  if (crowding_) scratch_grid_.assign(coords);
   util::ExactSum acc;
-  term_buf_.resize(edge_a_.size());
-  kernels::edge_terms_pairs(edge_a_.data(), edge_b_.data(), edge_w_.data(),
-                            edge_a_.size(), scratch_xs_.data(),
-                            scratch_ys_.data(), term_buf_.data());
-  for (const double t : term_buf_) acc.add(t);
-  if (crowding_) {
-    scratch_grid_.assign(coords);
-    for (std::size_t i = 0; i < n_; ++i) {
-      scratch_grid_.neighbours(scratch_xs_[i], scratch_ys_[i], cand_);
-      term_buf_.resize(cand_.size());
-      const std::size_t produced = kernels::crowding_terms_above_self(
-          cand_.data(), cand_.size(), static_cast<std::int32_t>(i),
-          scratch_xs_[i], scratch_ys_[i], scratch_xs_.data(),
-          scratch_ys_.data(), d_min_, denom_, crowding_weight_,
-          term_buf_.data());
-      for (std::size_t t = 0; t < produced; ++t) acc.add(term_buf_[t]);
-    }
-  }
+  accumulate_all(scratch_xs_.data(), scratch_ys_.data(), scratch_grid_, acc);
   return acc.round();
 }
 

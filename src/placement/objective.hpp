@@ -49,13 +49,17 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   double full(const std::vector<double>& coords) override;
 
  private:
-  /// Every cost term involving site q at position (px, py) against the
-  /// current positions of all other sites: deg(q) edge terms plus the
-  /// crowding terms of neighbors within d_min. Batched through
-  /// anneal::kernels; term values stay bit-identical to the scalar formulas
-  /// (see kernels.hpp).
-  void collect_terms(std::size_t q, double px, double py,
-                     std::vector<double>& out);
+  /// Writes into term_buf_ every cost term involving site q at position
+  /// (px, py) against the current positions of all other sites: deg(q) edge
+  /// terms plus the crowding terms of neighbors within d_min, one kernel
+  /// call per grid row span. Returns the term count. Term values stay
+  /// bit-identical to the scalar formulas (see kernels.hpp).
+  std::size_t collect_terms(std::size_t q, double px, double py);
+
+  /// Adds every edge term and every crowding pair (i < j) of the geometry
+  /// (xs, ys), bucketed in `grid`, to `acc`.
+  void accumulate_all(const double* xs, const double* ys,
+                      const geom::UniformGrid& grid, util::ExactSum& acc);
 
   std::size_t n_ = 0;
   double d_min_ = 0.0;
@@ -77,18 +81,19 @@ class DeltaPlacementObjective final : public anneal::IncrementalObjective {
   util::ExactSum acc_;
   double value_ = 0.0;
 
-  // Pending move staged by propose(), applied by commit().
+  // Pending move staged by propose(), applied by commit(): the running cost
+  // with the move's terms already swapped, so commit() copies it.
   bool pending_ = false;
   std::size_t pending_q_ = 0;
   double pending_x_ = 0.0, pending_y_ = 0.0, pending_value_ = 0.0;
-  std::vector<double> pending_remove_, pending_add_;
+  util::ExactSum pending_acc_;
 
   // Scratch grid for full() (arbitrary query geometry), the de-strided
-  // coordinate copies full() feeds the kernels, and the crowding
-  // candidate/term staging buffers shared by all batched paths.
+  // coordinate copies full() feeds the kernels, and the term staging
+  // buffer shared by all batched paths, sized once to the most terms any
+  // of them stages: every edge, or a site's edges plus all n sites.
   geom::UniformGrid scratch_grid_;
   std::vector<double> scratch_xs_, scratch_ys_;
-  std::vector<std::int32_t> cand_;
   std::vector<double> term_buf_;
 };
 

@@ -55,14 +55,18 @@ void ExactSum::accumulate(double value, bool negate) noexcept {
 }
 
 double ExactSum::round() const noexcept {
-  std::array<std::uint64_t, kLimbs> mag = limbs_;
-  const bool negative = (mag[kLimbs - 1] >> 63) != 0;
+  // The magnitude is the limbs themselves unless the sum is negative; only
+  // then is a negated copy made.
+  const std::uint64_t* mag = limbs_.data();
+  std::array<std::uint64_t, kLimbs> negated;
+  const bool negative = (limbs_[kLimbs - 1] >> 63) != 0;
   if (negative) {
     std::uint64_t carry = 1;
-    for (auto& limb : mag) {
-      limb = ~limb + carry;
-      carry = (carry != 0 && limb == 0) ? 1 : 0;
+    for (int i = 0; i < kLimbs; ++i) {
+      negated[i] = ~limbs_[i] + carry;
+      carry = (carry != 0 && negated[i] == 0) ? 1 : 0;
     }
+    mag = negated.data();
   }
 
   int top = kLimbs - 1;

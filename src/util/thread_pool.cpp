@@ -10,12 +10,23 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < n_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // The system refused a thread. Unwinding would destroy the condition
+    // variable the started workers wait on (glibc's destroy then waits for
+    // them forever) and their joinable threads (which terminate): stop and
+    // join them first.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
   {
     std::lock_guard lock(mutex_);
     stop_ = true;

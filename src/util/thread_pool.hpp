@@ -16,7 +16,9 @@ namespace parallax::util {
 
 class ThreadPool {
  public:
-  /// n_threads == 0 selects hardware_concurrency (at least 1).
+  /// n_threads == 0 selects hardware_concurrency (at least 1). Throws what
+  /// starting a thread throws (std::system_error when the system refuses
+  /// one), after joining the workers already started.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
@@ -57,6 +59,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Lets the workers drain the queue and exit, then joins them.
+  void stop_and_join() noexcept;
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

@@ -1,12 +1,17 @@
-// Geometry tests: points, cells, grids, occupancy spiral search.
+// Geometry tests: points, cells, grids, occupancy spiral search, and the
+// uniform neighbour grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <vector>
 
 #include "geometry/grid.hpp"
 #include "geometry/point.hpp"
+#include "geometry/uniform_grid.hpp"
 #include "util/rng.hpp"
 
 namespace pg = parallax::geom;
@@ -182,4 +187,189 @@ TEST(Occupancy, FullGridReturnsNullopt) {
     for (std::int32_t c = 0; c < 2; ++c) occ.set({c, r}, true);
   }
   EXPECT_FALSE(occ.nearest_free({0, 0}).has_value());
+}
+
+// --- Uniform neighbour grid -------------------------------------------------
+
+namespace {
+
+enum class GridLayout { kUniform, kClustered, kLattice, kOutOfBox, kNaN };
+
+std::vector<double> grid_layout(GridLayout layout, parallax::util::Rng& rng,
+                                std::size_t n, double radius) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> coords(2 * n);
+  switch (layout) {
+    case GridLayout::kUniform:
+      for (double& c : coords) c = rng.next_double();
+      break;
+    case GridLayout::kClustered: {
+      // Everything in one small spot, which may sit on a box edge.
+      const double cx = rng.next_double() < 0.5 ? 1.0 : rng.next_double();
+      const double cy = rng.next_double() < 0.5 ? 0.0 : rng.next_double();
+      for (std::size_t i = 0; i < n; ++i) {
+        coords[2 * i] = cx + rng.uniform(-0.01, 0.01);
+        coords[2 * i + 1] = cy + rng.uniform(-0.01, 0.01);
+      }
+      break;
+    }
+    case GridLayout::kLattice: {
+      // A square lattice at the radius's pitch, so neighbours sit exactly on
+      // cell-sized spacings.
+      const double pitch = radius > 0.0 && radius < 1.0 ? radius : 0.1;
+      const auto side = static_cast<std::size_t>(
+          std::ceil(std::sqrt(static_cast<double>(n))));
+      for (std::size_t i = 0; i < n; ++i) {
+        coords[2 * i] = static_cast<double>(i % side) * pitch;
+        coords[2 * i + 1] = static_cast<double>(i / side) * pitch;
+      }
+      break;
+    }
+    case GridLayout::kOutOfBox:
+      for (double& c : coords) c = rng.uniform(-0.5, 1.5);
+      break;
+    case GridLayout::kNaN:
+      for (double& c : coords) {
+        c = rng.next_double() < 0.2 ? kNan : rng.next_double();
+      }
+      break;
+  }
+  return coords;
+}
+
+/// Checks the grid against its contract for the points at `coords`. Every
+/// point sits in the cell cell_of names for it. Around every cell, the row
+/// spans list exactly the points whose cells lie in its 3x3 block, each
+/// once, one grid row per span and cells ascending within it; after an
+/// assign, each cell's points are in ascending index order. With
+/// `brute_force`, every pair closer than `radius` (by the hypot comparison)
+/// also appears in the spans around either point.
+void expect_grid_contract(const parallax::geom::UniformGrid& grid,
+                          const std::vector<double>& coords, double radius,
+                          bool ascending_cells, bool brute_force) {
+  const std::size_t n = coords.size() / 2;
+  const int side = grid.cell_of(1.0, 0.0) + 1;
+  ASSERT_EQ(grid.cell_of(0.0, 1.0), (side - 1) * side);
+  std::vector<std::vector<std::int32_t>> members(
+      static_cast<std::size_t>(side * side));
+  for (std::size_t i = 0; i < n; ++i) {
+    const int cell = grid.cell(i);
+    ASSERT_EQ(cell, grid.cell_of(coords[2 * i], coords[2 * i + 1]))
+        << "point " << i;
+    members[static_cast<std::size_t>(cell)].push_back(
+        static_cast<std::int32_t>(i));
+  }
+  std::vector<std::int32_t> listed, expected;
+  for (int cell = 0; cell < side * side; ++cell) {
+    listed.clear();
+    int previous_row = -1;
+    grid.for_each_row_span(cell, [&](const std::int32_t* first,
+                                     std::size_t count) {
+      ASSERT_GT(count, 0u);
+      const int row = grid.cell(static_cast<std::size_t>(first[0])) / side;
+      EXPECT_GT(row, previous_row) << "rows ascend, one span each";
+      previous_row = row;
+      for (std::size_t k = 0; k < count; ++k) {
+        const auto j = static_cast<std::size_t>(first[k]);
+        EXPECT_EQ(grid.cell(j) / side, row) << "a span is one grid row";
+        if (k > 0) {
+          const auto prev = static_cast<std::size_t>(first[k - 1]);
+          EXPECT_LE(grid.cell(prev), grid.cell(j)) << "cells ascend";
+          if (ascending_cells && grid.cell(prev) == grid.cell(j)) {
+            EXPECT_LT(prev, j) << "a cell lists its points by index";
+          }
+        }
+        listed.push_back(first[k]);
+      }
+    });
+    expected.clear();
+    const int cy = cell / side, cx = cell % side;
+    for (int gy = std::max(cy - 1, 0); gy <= std::min(cy + 1, side - 1); ++gy) {
+      for (int gx = std::max(cx - 1, 0); gx <= std::min(cx + 1, side - 1);
+           ++gx) {
+        const auto& in = members[static_cast<std::size_t>(gy * side + gx)];
+        expected.insert(expected.end(), in.begin(), in.end());
+      }
+    }
+    std::sort(listed.begin(), listed.end());
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(listed, expected) << "block around cell " << cell;
+  }
+  if (!brute_force) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const pg::Point p{coords[2 * i], coords[2 * i + 1]};
+    listed.clear();
+    grid.for_each_row_span(grid.cell(i), [&](const std::int32_t* first,
+                                             std::size_t count) {
+      listed.insert(listed.end(), first, first + count);
+    });
+    for (std::size_t j = 0; j < n; ++j) {
+      const pg::Point q{coords[2 * j], coords[2 * j + 1]};
+      if (!(pg::distance(p, q) < radius)) continue;
+      EXPECT_EQ(std::count(listed.begin(), listed.end(),
+                           static_cast<std::int32_t>(j)),
+                1)
+          << "point " << j << " within " << radius << " of point " << i;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(UniformGrid, RowSpansListEveryNeighbourOnceAfterAssignAndMoves) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const GridLayout layouts[] = {GridLayout::kUniform, GridLayout::kClustered,
+                                GridLayout::kLattice, GridLayout::kOutOfBox,
+                                GridLayout::kNaN};
+  parallax::util::Rng rng(0x6e1dULL);
+  int cases = 0;
+  for (const std::size_t n : {1u, 2u, 9u, 40u, 150u}) {
+    const double placement_radius = 0.5 / std::sqrt(static_cast<double>(n));
+    for (const double radius : {1e-300, 1e-4, 0.02, placement_radius, 0.3,
+                                0.9, 1.5, 40.0, 0.0, kNan}) {
+      for (const GridLayout layout : layouts) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n " << n << " radius " << radius << " layout "
+                     << static_cast<int>(layout));
+        pg::UniformGrid grid(radius, n);
+        std::vector<double> coords = grid_layout(layout, rng, n, radius);
+        grid.assign(coords);
+        expect_grid_contract(grid, coords, radius, true, true);
+        if (::testing::Test::HasFatalFailure()) return;
+        for (int move = 0; move < 60; ++move) {
+          const auto i = static_cast<std::size_t>(rng.next_below(n));
+          double x = 0.0, y = 0.0;
+          switch (move % 4) {
+            case 0:  // corner to corner, across every cell in between
+              x = coords[2 * i] < 0.5 ? 1.0 : 0.0;
+              y = coords[2 * i + 1] < 0.5 ? 1.0 : 0.0;
+              break;
+            case 1:  // anywhere, a little outside the box included
+              x = rng.uniform(-0.2, 1.2);
+              y = rng.uniform(-0.2, 1.2);
+              break;
+            case 2:  // a local step, often within the same cell
+              x = coords[2 * i] + rng.uniform(-0.02, 0.02);
+              y = coords[2 * i + 1] + rng.uniform(-0.02, 0.02);
+              break;
+            default:  // a NaN coordinate buckets at 0
+              x = rng.next_double() < 0.5 ? kNan : rng.next_double();
+              y = rng.next_double() < 0.5 ? kNan : rng.next_double();
+              break;
+          }
+          grid.move(i, x, y);
+          coords[2 * i] = x;
+          coords[2 * i + 1] = y;
+          expect_grid_contract(grid, coords, radius, false, move % 10 == 9);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        // A fresh assign restores index order within every cell.
+        grid.assign(coords);
+        expect_grid_contract(grid, coords, radius, true, true);
+        if (::testing::Test::HasFatalFailure()) return;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 5 * 10 * 5);
 }

@@ -10,12 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "mutation.hpp"
 #include "util/csv.hpp"
 #include "util/exact_sum.hpp"
 #include "util/parse.hpp"
@@ -175,6 +178,28 @@ TEST(ThreadPool, SubmitReturnsResults) {
 TEST(ThreadPool, ZeroTasksIsNoop) {
   pu::ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, AConstructorThatCannotStartItsThreadsThrows) {
+  // The child caps its address space 48 MiB above its size, room for only a
+  // handful of thread stacks. The pool of 64 must throw from its
+  // constructor, having joined the workers it did start; joinable threads
+  // left behind would terminate the child from their destructors.
+  EXPECT_EXIT(
+      {
+        if (!parallax::fuzz::cap_address_space(std::uint64_t{48} << 20)) {
+          std::_Exit(2);
+        }
+        try {
+          pu::ThreadPool pool(64);
+        } catch (const std::system_error&) {
+          std::_Exit(0);
+        } catch (const std::bad_alloc&) {
+          std::_Exit(0);
+        }
+        std::_Exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // Regression: parallel_for used to rethrow from the first failed future
