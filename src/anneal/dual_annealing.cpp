@@ -182,17 +182,8 @@ AnnealResult dual_annealing(const Objective& f,
   util::Rng rng(options.seed);
 
   auto clamp_wrap = [&](std::vector<double>& x) {
-    // GSA wraps out-of-box coordinates back into the box (SciPy does the
-    // same) so boundary states are not oversampled.
     for (std::size_t i = 0; i < n; ++i) {
-      const double span = upper[i] - lower[i];
-      if (span <= 0.0) {
-        x[i] = lower[i];
-        continue;
-      }
-      double v = std::fmod(x[i] - lower[i], span);
-      if (v < 0) v += span;
-      x[i] = lower[i] + v;
+      x[i] = wrap_into_box(x[i], lower[i], upper[i]);
     }
   };
 
@@ -319,14 +310,6 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
   }
   util::Rng rng(options.seed);
 
-  auto wrap = [](double v, double lo, double hi) {
-    const double span = hi - lo;
-    if (span <= 0.0) return lo;
-    double w = std::fmod(v - lo, span);
-    if (w < 0) w += span;
-    return lo + w;
-  };
-
   std::vector<double> current(n);
   if (options.initial) {
     current = *options.initial;
@@ -411,12 +394,12 @@ AnnealResult dual_annealing(IncrementalObjective& objective,
 
     for (std::size_t q = 0; q < sites; ++q) {
       const std::size_t xi = 2 * q, yi = 2 * q + 1;
-      const double cx =
-          wrap(current[xi] + steps[xi] * (upper[xi] - lower[xi]) * 1e-2,
-               lower[xi], upper[xi]);
-      const double cy =
-          wrap(current[yi] + steps[yi] * (upper[yi] - lower[yi]) * 1e-2,
-               lower[yi], upper[yi]);
+      const double cx = wrap_into_box(
+          current[xi] + steps[xi] * (upper[xi] - lower[xi]) * 1e-2, lower[xi],
+          upper[xi]);
+      const double cy = wrap_into_box(
+          current[yi] + steps[yi] * (upper[yi] - lower[yi]) * 1e-2, lower[yi],
+          upper[yi]);
       const double candidate_value = objective.propose(q, cx, cy);
       ++best.delta_evaluations;
 

@@ -18,6 +18,7 @@
 //     Nelder-Mead overload.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -84,6 +85,23 @@ struct AnnealResult {
   std::string winner;
   std::vector<EntrantAccount> entrants;
 };
+
+/// `v` wrapped into [lo, hi): lo + (v - lo) mod (hi - lo), or lo when the
+/// box is empty. GSA wraps out-of-box coordinates back into the box (SciPy
+/// does the same) so boundary states are not oversampled. std::fmod is
+/// exact, so on [+0, span) it returns its argument: an in-box coordinate
+/// skips it, and -0.0 and NaN take the full expression.
+[[nodiscard]] inline double wrap_into_box(double v, double lo,
+                                          double hi) noexcept {
+  const double span = hi - lo;
+  if (span <= 0.0) return lo;
+  double w = v - lo;
+  if (std::signbit(w) || !(w < span)) {
+    w = std::fmod(w, span);
+    if (w < 0) w += span;
+  }
+  return lo + w;
+}
 
 /// Minimizes `f` over the box [lower, upper]^n (full-vector proposals).
 /// Throws std::invalid_argument for out-of-range options or mismatched

@@ -13,7 +13,13 @@
 //   - items(v, min_bytes, body): a u64 count, then body(element) for each;
 //     the reader checks the count against min_bytes per element;
 //   - run(v, width, body): items of fixed-width elements, `width` bytes
-//     each, that no check reads; the scanner steps over them in one skip;
+//     each, that no check reads; the scanner steps over them in one skip,
+//     and the reader copies them in one memcpy when an element's bytes in
+//     memory are its wire form (kWireLayout);
+//   - record(width, body): fixed-width fields, `width` bytes in all, that
+//     body(r) visits through r's enum_u8, i32 and f64; the reader and the
+//     scanner check the width once and load each field from a pointer, the
+//     writer writes them one by one;
 //   - topology(t) and optional(value, body);
 //   - keyed_when(non_default, body): a group legacy cache keys never saw.
 //     Specs always carry it; keys feed it only when non_default, so every
@@ -23,7 +29,12 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,6 +60,24 @@ namespace parallax::cache {
 [[nodiscard]] constexpr bool known(circuit::GateType type) noexcept {
   return type <= circuit::GateType::kBarrier;
 }
+
+/// True when a T's object representation on this host is its wire form
+/// (little-endian integers and IEEE doubles, in field order), so a run of
+/// Ts decodes with one memcpy. Other hosts decode element by element.
+template <typename T>
+inline constexpr bool kWireLayout =
+    std::endian::native == std::endian::little && std::is_integral_v<T> &&
+    !std::is_same_v<T, bool>;
+template <>
+inline constexpr bool kWireLayout<geom::Point> =
+    std::endian::native == std::endian::little &&
+    std::numeric_limits<double>::is_iec559;
+static_assert(std::is_trivially_copyable_v<geom::Point> &&
+                  std::is_standard_layout_v<geom::Point> &&
+                  sizeof(geom::Point) == kPointBytes &&
+                  offsetof(geom::Point, x) == 0 &&
+                  offsetof(geom::Point, y) == 8,
+              "geom::Point's layout is its wire form: x then y");
 
 /// The writing archive: into a Writer, a payload or a spec (every field);
 /// into a Fingerprinter, a cache key (no labels; a legacy-invisible group
@@ -81,6 +110,10 @@ class FieldWriter {
   template <typename T, typename Body>
   void run(const std::vector<T>& values, std::size_t width, Body body) {
     items(values, width, body);
+  }
+  template <typename Body>
+  void record(std::size_t, Body body) {
+    body(*this);
   }
   void topology(const placement::Topology& value) {
     sink_.str(serialize_topology(value));
@@ -135,8 +168,57 @@ class FieldReader {
   }
   template <typename T, typename Body>
   void run(std::vector<T>& values, std::size_t width, Body body) {
+    if constexpr (kWireLayout<T>) {
+      if (width == sizeof(T)) {
+        const std::size_t n = reader_.length(width);
+        const std::size_t old = values.size();
+        values.resize(old + n);
+        if (n != 0) {
+          std::memcpy(values.data() + old, reader_.take(n * width),
+                      n * width);
+        }
+        return;
+      }
+    }
     items(values, width, body);
   }
+
+  /// The fields of one record, loaded from the bytes the reader checked.
+  class Record {
+   public:
+    Record(FieldReader& owner, const unsigned char* at) noexcept
+        : owner_(owner), at_(at) {}
+
+    void i32(std::int32_t& v) {
+      v = static_cast<std::int32_t>(load<std::uint32_t>());
+    }
+    void f64(double& v) { v = std::bit_cast<double>(load<std::uint64_t>()); }
+    template <typename Enum>
+    void enum_u8(Enum& v) {
+      v = owner_.known_enum<Enum>(load<std::uint8_t>());
+    }
+
+    [[nodiscard]] const unsigned char* at() const noexcept { return at_; }
+
+   private:
+    template <typename Unsigned>
+    Unsigned load() noexcept {
+      const auto v = Reader::load_le<Unsigned>(at_);
+      at_ += sizeof(Unsigned);
+      return v;
+    }
+
+    FieldReader& owner_;
+    const unsigned char* at_;
+  };
+  template <typename Body>
+  void record(std::size_t width, Body body) {
+    const unsigned char* begin = reader_.take(width);
+    Record loaded(*this, begin);
+    body(loaded);
+    assert(loaded.at() == begin + width && "a record's fields fill its width");
+  }
+
   void topology(placement::Topology& value) {
     value = parse_topology(reader_.str_view());
   }
@@ -176,8 +258,9 @@ class FieldReader {
 };
 
 /// The checking archive: the reader's checks on every field, but strings
-/// and runs are stepped over, and the elements of checked containers are
-/// read into one scratch element, so a walk allocates nothing.
+/// and runs are stepped over, and the elements of checked containers (and
+/// so their records) are read into one scratch element, so a walk
+/// allocates nothing.
 class FieldScanner : public FieldReader {
  public:
   using Span = std::pair<std::size_t, std::size_t>;
@@ -191,7 +274,7 @@ class FieldScanner : public FieldReader {
   }
   template <typename T, typename Body>
   void run(std::vector<T>&, std::size_t width, Body) {
-    reader_.skip(width * reader_.length(width));
+    (void)reader_.take(width * reader_.length(width));
   }
   template <typename Body>
   void section(Section which, Body body) {

@@ -43,10 +43,10 @@ template <typename Parse>
 auto read_counted(Store& store, Kind kind, const Digest128& key,
                   std::mutex& mutex, std::size_t& hits, std::size_t& misses,
                   const Parse& parse)
-    -> std::optional<decltype(parse(std::string()))> {
-  if (auto payload = store.get(kind, key)) {
+    -> std::optional<decltype(parse(Store::Payload()))> {
+  if (const Store::Payload payload = store.get(kind, key)) {
     try {
-      auto parsed = parse(std::move(*payload));
+      auto parsed = parse(payload);
       std::lock_guard lock(mutex);
       ++hits;
       return parsed;
@@ -65,7 +65,7 @@ std::optional<placement::Topology> CompilationCache::get_placement(
   return read_counted(
       store_, Kind::kPlacement, key, mutex_, stats_.placement_hits,
       stats_.placement_misses,
-      [](const std::string& bytes) { return parse_topology(bytes); });
+      [](const Store::Payload& bytes) { return parse_topology(*bytes); });
 }
 
 void CompilationCache::put_placement(const Digest128& key,
@@ -77,7 +77,7 @@ std::optional<CachedCell> CompilationCache::get_result(const Digest128& key) {
   return read_counted(
       store_, Kind::kResult, key, mutex_, stats_.result_hits,
       stats_.result_misses,
-      [](const std::string& bytes) { return parse_cell(bytes); });
+      [](const Store::Payload& bytes) { return parse_cell(*bytes); });
 }
 
 std::optional<ScannedCell> CompilationCache::get_result_bytes(
@@ -85,7 +85,7 @@ std::optional<ScannedCell> CompilationCache::get_result_bytes(
   return read_counted(
       store_, Kind::kResult, key, mutex_, stats_.result_hits,
       stats_.result_misses,
-      [](std::string bytes) { return scan_cell(std::move(bytes)); });
+      [](const Store::Payload& bytes) { return scan_cell(bytes); });
 }
 
 void CompilationCache::put_result(const Digest128& key,

@@ -87,9 +87,9 @@ class CompilationCache {
 
   [[nodiscard]] std::optional<CachedCell> get_result(const Digest128& key);
   /// The result hit as its payload bytes: get_result's store read and
-  /// hit/miss accounting, with scan_cell in place of the decode. A payload
-  /// the scan rejects is a miss, as one parse_cell rejects is for
-  /// get_result.
+  /// hit/miss accounting, with scan_cell over the buffer the store lends
+  /// in place of the decode. A payload the scan rejects is a miss, as one
+  /// parse_cell rejects is for get_result.
   [[nodiscard]] std::optional<ScannedCell> get_result_bytes(
       const Digest128& key);
   void put_result(const Digest128& key, const CachedCell& cell);

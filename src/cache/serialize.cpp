@@ -14,14 +14,7 @@ std::string_view Reader::str_view() {
   return s;
 }
 
-std::size_t Reader::length(std::size_t min_element_bytes) {
-  const std::uint64_t count = u64();
-  if (min_element_bytes != 0 &&
-      count > remaining() / min_element_bytes) {
-    throw ReadError("cache payload length overruns");
-  }
-  return static_cast<std::size_t>(count);
-}
+void Reader::overruns() { throw ReadError("cache payload length overruns"); }
 
 void Reader::expect_end() const {
   if (remaining() != 0) {
@@ -73,8 +66,8 @@ void encode(Writer& writer, const CachedCell& cell) { write(writer, cell); }
 
 CachedCell decode_cell(Reader& reader) { return read<CachedCell>(reader); }
 
-ScannedCell scan_cell(std::string payload) {
-  Reader reader(payload);
+ScannedCell scan_cell(std::shared_ptr<const std::string> payload) {
+  Reader reader(*payload);
   FieldScanner ar(reader);
   CachedCell scratch;
   fields(ar, scratch);

@@ -12,12 +12,12 @@
 //     are bit casts of those) or a u64 length followed by raw bytes (str);
 //   - Writer assembles each field locally and appends it in one call: one
 //     capacity check per field, and growth never zero-fills slack capacity;
-//   - Reader makes one bounds check per field and loads it through a local
-//     pointer. It never reads out of bounds and never allocates more than
-//     the input could back: length() caps a container count by the bytes
-//     left, and a decoder reserves only counts it read through length().
-//     Any malformed input throws ReadError, which the store layer converts
-//     into a cache miss.
+//   - Reader makes one bounds check per field, or per record of fixed-width
+//     fields (take), and loads it through a local pointer. It never reads
+//     out of bounds and never allocates more than the input could back:
+//     length() caps a container count by the bytes left, and a decoder
+//     reserves only counts it read through length(). Any malformed input
+//     throws ReadError, which the store layer converts into a cache miss.
 //
 // Field lists. Each payload struct has one `fields(ar, x)` list below, in
 // wire order (shard.cpp and serve/protocol.cpp hold the lists of cells,
@@ -41,6 +41,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -129,16 +130,39 @@ class Reader {
   [[nodiscard]] std::string_view str_view();
   [[nodiscard]] std::string str() { return std::string(str_view()); }
 
-  /// Reads a container length and validates that `count * min_element_bytes`
-  /// still fits in the remaining buffer, so corrupt lengths fail fast
-  /// instead of triggering gigabyte allocations.
-  [[nodiscard]] std::size_t length(std::size_t min_element_bytes);
+  /// Reads a container length and checks that `count * min_element_bytes`
+  /// (overflow-checked) still fits in the remaining buffer, so corrupt
+  /// lengths fail fast instead of triggering gigabyte allocations.
+  [[nodiscard]] std::size_t length(std::size_t min_element_bytes) {
+    const std::uint64_t count = u64();
+    std::uint64_t bytes = 0;
+    if (__builtin_mul_overflow(count, min_element_bytes, &bytes) ||
+        bytes > remaining()) {
+      overruns();
+    }
+    return static_cast<std::size_t>(count);
+  }
 
-  /// Steps over `n` bytes: fields the scanner checks the size of but does
-  /// not load.
-  void skip(std::uint64_t n) {
+  /// Steps over `n` bytes and returns where they start, for a caller that
+  /// loads fixed-width fields from them (a record, a copied run) or only
+  /// checks their size (a scanned run).
+  [[nodiscard]] const unsigned char* take(std::size_t n) {
     if (n > remaining()) truncated();
-    pos_ += static_cast<std::size_t>(n);
+    const auto* at =
+        reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
+    pos_ += n;
+    return at;
+  }
+
+  /// The little-endian Unsigned stored at `field`.
+  template <typename Unsigned>
+  [[nodiscard]] static Unsigned load_le(const unsigned char* field) noexcept {
+    Unsigned v = 0;
+    for (std::size_t i = 0; i < sizeof(Unsigned); ++i) {
+      v = static_cast<Unsigned>(v |
+                                (static_cast<Unsigned>(field[i]) << (8 * i)));
+    }
+    return v;
   }
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
@@ -151,18 +175,10 @@ class Reader {
  private:
   template <typename Unsigned>
   Unsigned load() {
-    if (remaining() < sizeof(Unsigned)) truncated();
-    const auto* field =
-        reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
-    Unsigned v = 0;
-    for (std::size_t i = 0; i < sizeof(Unsigned); ++i) {
-      v = static_cast<Unsigned>(v |
-                                (static_cast<Unsigned>(field[i]) << (8 * i)));
-    }
-    pos_ += sizeof(Unsigned);
-    return v;
+    return load_le<Unsigned>(take(sizeof(Unsigned)));
   }
   [[noreturn]] static void truncated();
+  [[noreturn]] static void overruns();
 
   std::string_view data_;
   std::size_t pos_ = 0;
@@ -194,6 +210,8 @@ inline constexpr std::size_t kPointBytes = 16;
 inline constexpr std::size_t kSiteBytes = 8;
 inline constexpr std::size_t kGateBytes = 33;  // type, two qubits, 3 angles
 inline constexpr std::size_t kLayerMinBytes = 36;
+/// A layer's five scalars: two distances, two counts, a duration.
+inline constexpr std::size_t kLayerScalarBytes = 32;
 inline constexpr std::size_t kShotPlanBytes = 24;
 
 template <typename Archive, MaybeConst<geom::Point> O>
@@ -230,12 +248,14 @@ void fields(Archive& ar, O& topology) {
 /// Circuit::append checks it (its exceptions are not ReadErrors).
 template <typename Archive, MaybeConst<circuit::Gate> O>
 void fields(Archive& ar, O& gate, std::int32_t n_qubits) {
-  ar.enum_u8(gate.type);
-  ar.i32(gate.q[0]);
-  ar.i32(gate.q[1]);
-  ar.f64(gate.theta);
-  ar.f64(gate.phi);
-  ar.f64(gate.lambda);
+  ar.record(kGateBytes, [&](auto& r) {
+    r.enum_u8(gate.type);
+    r.i32(gate.q[0]);
+    r.i32(gate.q[1]);
+    r.f64(gate.theta);
+    r.f64(gate.phi);
+    r.f64(gate.lambda);
+  });
   for (int q = 0; q < gate.arity(); ++q) {
     ar.expect(gate.q[q] >= 0 && gate.q[q] < n_qubits,
               "a gate on an out-of-range qubit");
@@ -265,11 +285,13 @@ void fields(Archive& ar, O& circuit) {
 template <typename Archive, MaybeConst<compiler::Layer> O>
 void fields(Archive& ar, O& layer) {
   ar.run(layer.gates, 8, [&](auto& gate) { ar.u64(gate); });
-  ar.f64(layer.move_distance_um);
-  ar.f64(layer.return_distance_um);
-  ar.i32(layer.aod_moves);
-  ar.i32(layer.trap_changes);
-  ar.f64(layer.duration_us);
+  ar.record(kLayerScalarBytes, [&](auto& r) {
+    r.f64(layer.move_distance_um);
+    r.f64(layer.return_distance_um);
+    r.i32(layer.aod_moves);
+    r.i32(layer.trap_changes);
+    r.f64(layer.duration_us);
+  });
   ar.run(layer.positions, kPointBytes, [&](auto& p) { fields(ar, p); });
 }
 
@@ -332,9 +354,10 @@ void encode(Writer& writer, const CachedCell& cell);
 
 /// A cell payload that scan_cell accepted, kept as bytes: where its
 /// sections lie, so a serve frame can copy them in without decoding (the
-/// warm-serve splice, serve::cell_frame).
+/// warm-serve splice, serve::cell_frame). The payload is the cache's
+/// immutable buffer (Store::get lends it), shared, never copied.
 struct ScannedCell {
-  std::string payload;
+  std::shared_ptr<const std::string> payload;
   /// payload[0, result_end) is the encoded CompileResult.
   std::size_t result_end = 0;
   double success_probability = 0.0;
@@ -342,16 +365,18 @@ struct ScannedCell {
   std::size_t shot_plans_begin = 0;
 
   [[nodiscard]] std::string_view result() const noexcept {
-    return std::string_view(payload).substr(0, result_end);
+    return std::string_view(*payload).substr(0, result_end);
   }
   [[nodiscard]] std::string_view shot_plans() const noexcept {
-    return std::string_view(payload).substr(shot_plans_begin);
+    return std::string_view(*payload).substr(shot_plans_begin);
   }
 };
 
 /// Walks a cell payload's field list with the checking archive, so it
-/// throws ReadError exactly when parse_cell does, and builds nothing.
-[[nodiscard]] ScannedCell scan_cell(std::string payload);
+/// throws ReadError exactly when parse_cell does, and builds nothing. The
+/// payload must not be null; the scanned cell keeps it.
+[[nodiscard]] ScannedCell scan_cell(
+    std::shared_ptr<const std::string> payload);
 
 // One-shot conveniences (serialize_* returns the payload bytes; parse_*
 // validates that the buffer holds exactly one artifact).

@@ -1,10 +1,15 @@
 #include "cache/store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -30,34 +35,46 @@ std::string encode_header(Kind kind, const std::string& payload) {
   return writer.take();
 }
 
-/// Validates a whole entry file; returns the payload or nullopt.
-std::optional<std::string> validate_entry(Kind kind, std::string contents) {
-  if (contents.size() < kHeaderBytes) return std::nullopt;
+/// Whether a whole entry file holds a valid `kind` entry: its header and
+/// its payload's checksum, checked where they lie.
+bool valid_entry(Kind kind, std::string_view contents) {
+  if (contents.size() < kHeaderBytes) return false;
   Reader reader(contents);
-  try {
-    if (reader.u64() != kMagic) return std::nullopt;
-    if (reader.u32() != kPayloadVersion) return std::nullopt;
-    if (reader.u32() != static_cast<std::uint32_t>(kind)) return std::nullopt;
-    const std::uint64_t size = reader.u64();
-    const std::uint64_t checksum = reader.u64();
-    if (size != contents.size() - kHeaderBytes) return std::nullopt;
-    std::string payload = contents.substr(kHeaderBytes);
-    if (util::checksum64(payload.data(), payload.size()) != checksum) {
-      return std::nullopt;
-    }
-    return payload;
-  } catch (const ReadError&) {
-    return std::nullopt;
-  }
+  if (reader.u64() != kMagic) return false;
+  if (reader.u32() != kPayloadVersion) return false;
+  if (reader.u32() != static_cast<std::uint32_t>(kind)) return false;
+  const std::uint64_t size = reader.u64();
+  const std::uint64_t checksum = reader.u64();
+  if (size != contents.size() - kHeaderBytes) return false;
+  return util::checksum64(contents.data() + kHeaderBytes, size) == checksum;
 }
 
+/// The whole file in one buffer sized from its length, or nullopt.
 std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return std::move(buffer).str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat info{};
+  bool ok = ::fstat(fd, &info) == 0 && info.st_size >= 0;
+  std::string contents;
+  if (ok) {
+    contents.resize(static_cast<std::size_t>(info.st_size));
+    std::size_t got = 0;
+    while (got < contents.size()) {
+      const ssize_t n =
+          ::read(fd, contents.data() + got, contents.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      // A file shorter than it was stops here: validation refuses it.
+      if (n <= 0) {
+        ok = n == 0;
+        break;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    contents.resize(got);
+  }
+  ::close(fd);
+  if (!ok) return std::nullopt;
+  return contents;
 }
 
 void remove_quietly(const fs::path& path) noexcept {
@@ -352,13 +369,17 @@ Store::DiskRead Store::disk_read(Kind kind, const Digest128& key) {
   auto contents = read_file(path);
   if (!contents) return outcome;
   outcome.bytes_read = contents->size();
-  outcome.payload = validate_entry(kind, std::move(*contents));
-  if (!outcome.payload) {
+  if (!valid_entry(kind, *contents)) {
     // Corrupt, truncated, stale-version, or wrong-kind entry: drop it so the
     // next run rewrites a good one.
     outcome.corrupt = true;
     remove_quietly(path);
+    return outcome;
   }
+  // The payload stays in the buffer that read it: the header goes, and
+  // the buffer becomes the memory tier's entry.
+  contents->erase(0, kHeaderBytes);
+  outcome.payload = std::make_shared<const std::string>(std::move(*contents));
   return outcome;
 }
 
@@ -408,21 +429,21 @@ Store::DiskWrite Store::disk_write(Kind kind, const Digest128& key,
   return outcome;
 }
 
-std::optional<std::string> Store::get(Kind kind, const Digest128& key) {
+Store::Payload Store::get(Kind kind, const Digest128& key) {
   const MemKey mem_key{kind, key};
   {
     std::lock_guard lock(mutex_);
     if (const auto it = by_key_.find(mem_key); it != by_key_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.memory_hits;
-      return *it->second->second;
+      return it->second->second;
     }
     // A queued write the memory tier dropped (or never held) must not miss
     // before its file lands.
     for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
       if (it->key == mem_key) {
         ++stats_.memory_hits;
-        return *it->payload;
+        return it->payload;
       }
     }
   }
@@ -436,14 +457,13 @@ std::optional<std::string> Store::get(Kind kind, const Digest128& key) {
     if (outcome.corrupt) ++stats_.corrupt;
     if (outcome.payload) {
       ++stats_.disk_hits;
-      memory_insert_locked(
-          mem_key, std::make_shared<const std::string>(*outcome.payload));
-      return outcome.payload;
+      memory_insert_locked(mem_key, outcome.payload);
+      return std::move(outcome.payload);
     }
   }
   std::lock_guard lock(mutex_);
   ++stats_.misses;
-  return std::nullopt;
+  return nullptr;
 }
 
 void Store::put(Kind kind, const Digest128& key, std::string payload) {

@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,8 +126,16 @@ class Store {
     Store* store_;  // null once moved from
   };
 
-  /// Payload bytes for `key`, or nullopt (absent or invalid).
-  [[nodiscard]] std::optional<std::string> get(Kind kind, const Digest128& key);
+  /// One buffer per payload, shared by the memory tier, the queue and the
+  /// readers it is lent to; immutable once stored.
+  using Payload = std::shared_ptr<const std::string>;
+
+  /// The payload bytes for `key`, lent, or null (absent or invalid). A
+  /// memory hit lends the tier's own buffer, a disk hit the buffer it just
+  /// read and moved into the tier: the bytes are never copied out. A lent
+  /// buffer outlives its eviction for as long as its reader holds it; the
+  /// tier's byte budget counts only the entries it holds.
+  [[nodiscard]] Payload get(Kind kind, const Digest128& key);
 
   /// Stores a payload in both tiers: in memory at once, on disk before
   /// put() returns unless a WriteBack guard is held. Overwrites are
@@ -166,8 +173,6 @@ class Store {
     Digest128 key;
     friend auto operator<=>(const MemKey&, const MemKey&) noexcept = default;
   };
-  /// One buffer per payload, shared by the memory tier and the queue.
-  using Payload = std::shared_ptr<const std::string>;
   using LruList = std::list<std::pair<MemKey, Payload>>;
   struct PendingWrite {
     MemKey key;
@@ -187,7 +192,8 @@ class Store {
   /// guarded separately; callers fold the returned accounting into stats_
   /// under the mutex.
   struct DiskRead {
-    std::optional<std::string> payload;
+    /// The entry's payload, null unless the file read and validated.
+    Payload payload;
     std::uint64_t bytes_read = 0;
     bool corrupt = false;
   };

@@ -4,8 +4,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 namespace parallax::serve {
@@ -30,6 +32,7 @@ Client::Client(const std::string& socket_path) {
     throw ServeError("cannot connect to serve socket '" + socket_path +
                      "': " + std::strerror(saved));
   }
+  frames_ = FrameReader(fd_);
 }
 
 Client::~Client() {
@@ -42,18 +45,56 @@ void Client::send(const std::string& line) {
   }
 }
 
+Frame FrameReader::next() {
+  while (end_ - begin_ < kFrameHeaderBytes) {
+    if (!fill(kFrameHeaderBytes)) {
+      throw ServeError("serve connection closed mid-response");
+    }
+  }
+  const FrameHeader header = parse_frame_header(
+      std::string_view(buffer_).substr(begin_, kFrameHeaderBytes));
+  // parse_frame_header caps payload_size far below SIZE_MAX.
+  const std::size_t size =
+      kFrameHeaderBytes + static_cast<std::size_t>(header.payload_size);
+  while (end_ - begin_ < size) {
+    if (!fill(size)) throw ServeError("serve connection closed mid-frame");
+  }
+  const std::size_t frame_begin = begin_;
+  begin_ += size;
+  if (begin_ == end_) begin_ = end_ = 0;
+  return decode_frame(header, std::string_view(buffer_).substr(
+                                  frame_begin + kFrameHeaderBytes,
+                                  size - kFrameHeaderBytes));
+}
+
+bool FrameReader::fill(std::size_t need) {
+  // `need` may come from a peer's frame header, so the buffer grows with
+  // the bytes that arrive, never by the declared count alone: to at most
+  // twice what it holds, and to at least kMinBytes.
+  constexpr std::size_t kMinBytes = std::size_t{1} << 20;
+  if (buffer_.size() - begin_ < need) {
+    // Too little room past the frame's start: move its bytes to the front,
+    // then grow if that is still too little.
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (buffer_.size() < need) {
+      buffer_.resize(
+          std::max({buffer_.size(), kMinBytes, std::min(need, 2 * end_)}));
+    }
+  }
+  for (;;) {
+    const ssize_t got =
+        ::read(fd_, buffer_.data() + end_, buffer_.size() - end_);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    end_ += static_cast<std::size_t>(got);
+    return true;
+  }
+}
+
 Frame Client::read_response(std::uint64_t id) {
-  std::string bytes;
-  if (!read_exact(fd_, bytes, kFrameHeaderBytes)) {
-    throw ServeError("serve connection closed mid-response");
-  }
-  const FrameHeader header = parse_frame_header(bytes);
-  std::string payload;
-  if (!read_exact(fd_, payload,
-                  static_cast<std::size_t>(header.payload_size))) {
-    throw ServeError("serve connection closed mid-frame");
-  }
-  Frame frame = decode_frame(header, payload);
+  Frame frame = frames_.next();
   if (frame.request_id != id) {
     // One request per connection at a time; anything else is a protocol
     // violation (including id-0 error frames for lines we never sent).

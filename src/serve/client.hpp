@@ -50,6 +50,33 @@ class Reassembly {
   std::vector<char> placed_;
 };
 
+/// Reads the response frames of one connection through one receive buffer.
+/// Each read takes whatever the socket holds, and a frame's header and
+/// payload are checked and decoded where they lie. The buffer grows only
+/// by what has arrived: a header that declares a payload the peer never
+/// sends costs at most twice the bytes received, plus 1 MiB.
+class FrameReader {
+ public:
+  /// Reads from `fd`, which the reader does not own.
+  explicit FrameReader(int fd) noexcept : fd_(fd) {}
+
+  /// The next frame. Throws ServeError when the connection closes or fails
+  /// before the frame is whole, or when the frame is malformed.
+  [[nodiscard]] Frame next();
+
+ private:
+  /// Makes room toward the `need` bytes the frame at begin_ takes in all,
+  /// as far as the growth rule allows, and reads once; false on end of
+  /// stream or a failed read.
+  bool fill(std::size_t need);
+
+  int fd_;
+  std::string buffer_;
+  /// buffer_[begin_, end_) holds bytes received and not yet decoded.
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
 struct ClientOutcome {
   /// Cells in flat circuit-major order. Cells the server never ran
   /// (cancelled request) carry labels with Cell::cancelled set.
@@ -64,7 +91,8 @@ class Client {
   explicit Client(const std::string& socket_path);
   /// Adopts an already-connected descriptor (tests hand in a socketpair
   /// end; closed on destruction).
-  explicit Client(int connected_fd) noexcept : fd_(connected_fd) {}
+  explicit Client(int connected_fd) noexcept
+      : fd_(connected_fd), frames_(connected_fd) {}
   ~Client();
 
   Client(const Client&) = delete;
@@ -101,6 +129,7 @@ class Client {
   Frame read_response(std::uint64_t id);
 
   int fd_ = -1;
+  FrameReader frames_{-1};
   std::uint64_t last_id_ = 0;
 };
 

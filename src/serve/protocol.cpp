@@ -3,9 +3,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cstring>
 
 #include "cache/archive.hpp"
 #include "shard/shard.hpp"
@@ -97,13 +97,22 @@ void fields(Archive& ar, O& stats) {
            [&](auto& client) { fields(ar, client); });
 }
 
+/// Every byte's two lowercase hex digits, in order.
+constexpr std::array<char, 512> kHexPairs = [] {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::array<char, 512> table{};
+  for (int b = 0; b < 256; ++b) {
+    table[2 * b] = kDigits[b >> 4];
+    table[2 * b + 1] = kDigits[b & 0xf];
+  }
+  return table;
+}();
+
 /// Writes the lowercase hex of `bytes` to `out`, two characters a byte.
 void encode_hex(std::string_view bytes, char* out) {
-  static constexpr char kDigits[] = "0123456789abcdef";
   for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    *out++ = kDigits[b >> 4];
-    *out++ = kDigits[b & 0xf];
+    std::memcpy(out, &kHexPairs[2 * static_cast<unsigned char>(c)], 2);
+    out += 2;
   }
 }
 
@@ -161,15 +170,30 @@ std::uint8_t char_class(char c) {
 }
 
 /// Decodes the longest run of whole hex pairs at the front of `text` into
-/// `out`; returns how many characters it consumed.
+/// `out`; returns how many characters it consumed. Whole blocks of
+/// kBlockPairs pairs decode with no exit branch, and a block that holds a
+/// non-hex byte is decoded again pair by pair up to that byte.
 std::size_t decode_hex_pairs(std::string_view text, std::string& out) {
+  constexpr std::size_t kBlockPairs = 8;
   out.resize(text.size() / 2);
+  const char* in = text.data();
+  char* bytes = out.data();
   std::size_t n = 0;
+  for (; n + kBlockPairs <= out.size(); n += kBlockPairs) {
+    std::uint8_t classes = 0;
+    for (std::size_t k = n; k < n + kBlockPairs; ++k) {
+      const std::uint8_t hi = char_class(in[2 * k]);
+      const std::uint8_t lo = char_class(in[2 * k + 1]);
+      classes |= hi | lo;
+      bytes[k] = static_cast<char>((hi << 4) | lo);
+    }
+    if (classes > 15) break;
+  }
   for (; n < out.size(); ++n) {
-    const std::uint8_t hi = char_class(text[2 * n]);
-    const std::uint8_t lo = char_class(text[2 * n + 1]);
+    const std::uint8_t hi = char_class(in[2 * n]);
+    const std::uint8_t lo = char_class(in[2 * n + 1]);
     if ((hi | lo) > 15) break;
-    out[n] = static_cast<char>((hi << 4) | lo);
+    bytes[n] = static_cast<char>((hi << 4) | lo);
   }
   out.resize(n);
   return 2 * n;
@@ -278,7 +302,7 @@ std::string cell_frame(std::uint64_t request_id, const sweep::Cell& cell,
                        const cache::ScannedCell& cached) {
   // The cached bytes plus the cell's strings bound the payload, give or
   // take the fixed-width fields around them.
-  const std::size_t hint = cached.payload.size() + cell.circuit.size() +
+  const std::size_t hint = cached.payload->size() + cell.circuit.size() +
                            cell.technique.size() + cell.machine.size() +
                            cell.error.size() + cell.origin.size() + 128;
   return frame(
@@ -393,33 +417,5 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
-bool read_exact(int fd, std::string& out, std::size_t n) {
-  // `n` comes from a peer's frame header, so the buffer grows with the
-  // bytes that arrive, never by the declared count alone: each step adds
-  // at most what has arrived so far, and at least kMinStep. A peer that
-  // declares gigabytes and then closes costs about what it sent.
-  constexpr std::size_t kMinStep = std::size_t{1} << 20;
-  const std::size_t start = out.size();
-  std::size_t offset = 0;
-  while (offset < n) {
-    if (out.size() == start + offset) {
-      out.resize(start + offset +
-                 std::min(n - offset, std::max(offset, kMinStep)));
-    }
-    const ssize_t got = ::read(fd, out.data() + start + offset,
-                               out.size() - start - offset);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      out.resize(start);
-      return false;
-    }
-    if (got == 0) {
-      out.resize(start);
-      return false;
-    }
-    offset += static_cast<std::size_t>(got);
-  }
-  return true;
-}
 
 }  // namespace parallax::serve

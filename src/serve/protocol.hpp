@@ -208,9 +208,5 @@ struct Frame {
 /// Full write with EINTR retry; uses send(MSG_NOSIGNAL) on sockets so a
 /// vanished peer is an error return, never a SIGPIPE kill.
 [[nodiscard]] bool write_all(int fd, std::string_view bytes);
-/// Appends exactly `n` bytes from fd to `out`; false on EOF or error.
-/// `out` grows as bytes arrive, so a peer-declared `n` allocates at most
-/// twice what the peer actually sent, plus 1 MiB.
-[[nodiscard]] bool read_exact(int fd, std::string& out, std::size_t n);
 
 }  // namespace parallax::serve

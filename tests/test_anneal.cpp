@@ -5,8 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -194,6 +196,43 @@ TEST(DualAnnealing, ReportsWorkCounters) {
   EXPECT_GE(result.evaluations, 1 + result.iterations);
   EXPECT_EQ(result.delta_evaluations, 0);
   EXPECT_GE(result.restarts, 0);
+}
+
+TEST(DualAnnealing, WrapIntoBoxMatchesTheFmodFormBitForBit) {
+  // The wrap both annealers spelled out before the in-box shortcut.
+  const auto fmod_form = [](double v, double lo, double hi) {
+    const double span = hi - lo;
+    if (span <= 0.0) return lo;
+    double w = std::fmod(v - lo, span);
+    if (w < 0) w += span;
+    return lo + w;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> boxes[] = {
+      {0.0, 1.0},   {0.0, 35.0}, {-3.5, 7.25}, {1e-3, 2e-3}, {2.0, 2.0},
+      {5.0, 1.0},   {0.0, inf},  {-inf, 0.0},  {0.0, nan},   {-1e300, 1e300},
+  };
+  std::mt19937_64 rng(0xF30D);
+  std::uniform_real_distribution<double> uniform(-3.0, 3.0);
+  for (const auto& [lo, hi] : boxes) {
+    const double span = hi - lo;
+    std::vector<double> offsets = {
+        0.0,  -0.0, std::nextafter(span, 0.0), span, 2 * span, -span,
+        1e300, -1e300, nan, -nan, inf, -inf, std::nextafter(0.0, 1.0),
+        -std::nextafter(0.0, 1.0)};
+    for (int i = 0; i < 500; ++i) offsets.push_back(uniform(rng) * span);
+    for (int i = 0; i < 500; ++i) {
+      offsets.push_back(std::bit_cast<double>(static_cast<std::uint64_t>(rng())));
+    }
+    for (const double offset : offsets) {
+      for (const double v : {offset, lo + offset}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pa::wrap_into_box(v, lo, hi)),
+                  std::bit_cast<std::uint64_t>(fmod_form(v, lo, hi)))
+            << "v=" << v << " box=[" << lo << ", " << hi << ")";
+      }
+    }
+  }
 }
 
 TEST(DualAnnealing, FullVectorResultsAreByteStable) {

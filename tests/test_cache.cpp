@@ -728,6 +728,46 @@ TEST(CompilationCache, TranspileMapNeverReachesTheStore) {
   EXPECT_FALSE(reopened.find_transpiled(pu::Digest128{1, 2}).has_value());
 }
 
+TEST(Store, HitsLendOneBufferThatOutlivesItsEvictionWhileHeld) {
+  const std::string dir = fresh_dir("lending");
+  const std::string first(1000, 'a');
+  const std::string second(1000, 'b');
+  {
+    // Every memory hit lends the tier's one buffer.
+    pc::Store store({.directory = dir});
+    store.put(pc::Kind::kResult, salted_key(1), first);
+    const pc::Store::Payload lent = store.get(pc::Kind::kResult, salted_key(1));
+    ASSERT_NE(lent, nullptr);
+    EXPECT_EQ(*lent, first);
+    EXPECT_EQ(store.get(pc::Kind::kResult, salted_key(1)), lent);
+    EXPECT_EQ(store.stats().memory_hits, 2u);
+  }
+  {
+    // A tier that holds one of the two entries. A disk hit lends the
+    // buffer that read the file and keeps that same buffer in the tier.
+    pc::Store store({.directory = dir, .max_memory_bytes = 1500});
+    const pc::Store::Payload lent = store.get(pc::Kind::kResult, salted_key(1));
+    ASSERT_NE(lent, nullptr);
+    EXPECT_EQ(*lent, first);
+    EXPECT_EQ(store.get(pc::Kind::kResult, salted_key(1)), lent);
+    // Evicted from the tier, the buffer lives on with its reader; the next
+    // read comes from disk in a new buffer.
+    store.put(pc::Kind::kResult, salted_key(2), second);
+    EXPECT_EQ(store.stats().evictions, 1u);
+    EXPECT_EQ(*lent, first);
+    const pc::Store::Payload reread =
+        store.get(pc::Kind::kResult, salted_key(1));
+    ASSERT_NE(reread, nullptr);
+    EXPECT_NE(reread, lent);
+    EXPECT_EQ(*reread, first);
+    const pc::StoreStats stats = store.stats();
+    EXPECT_EQ(stats.disk_hits, 2u);
+    EXPECT_EQ(stats.memory_hits, 1u);
+    EXPECT_EQ(stats.evictions, 2u);
+  }
+  fs::remove_all(dir);
+}
+
 TEST(StoreFuzz, MutatedEntryFilesReadAsTheOriginalOrAMiss) {
   // Rewrites one stored entry's object file with each mutant. A fresh
   // Store's get never throws, and returns nothing or the exact payload.
@@ -1018,7 +1058,10 @@ TEST(StoreWriteBack, GuardsQueueWritesThatLandInPutOrderOnRelease) {
     EXPECT_EQ(store.stats().bytes_written, 32 + payload.size());
     EXPECT_EQ(store.entries().size(), 1u);
     // No memory tier and no file yet: the queue serves it.
-    EXPECT_EQ(store.get(pc::Kind::kPlacement, salted_key(2)), payload);
+    const pc::Store::Payload queued =
+        store.get(pc::Kind::kPlacement, salted_key(2));
+    EXPECT_EQ(queued ? std::optional<std::string>(*queued) : std::nullopt,
+              payload);
   }
   EXPECT_EQ(reader.entries().size(), 3u);
   std::vector<std::string> lines;

@@ -702,8 +702,9 @@ TEST(Goldens, WireFormatsAreByteStable) {
   }
   // The splice overload: labels and metadata from a cell whose result is
   // empty, sections from the scanned cache payload.
-  const wc::ScannedCell scanned =
-      wc::scan_cell(wc::serialize_cell(wire_cached_cell(true)));
+  const wc::ScannedCell scanned = wc::scan_cell(
+      std::make_shared<const std::string>(
+          wc::serialize_cell(wire_cached_cell(true))));
   EXPECT_EQ(scanned.result_end, 564u);
   EXPECT_EQ(scanned.shot_plans_begin, 574u);
   EXPECT_EQ(scanned.success_probability, 0.875);

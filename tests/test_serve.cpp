@@ -21,7 +21,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -133,16 +135,8 @@ struct CellCollector {
   }
 };
 
-/// Reads one response frame from fd (blocking).
-sv::Frame read_frame(int fd) {
-  std::string header_bytes;
-  EXPECT_TRUE(sv::read_exact(fd, header_bytes, sv::kFrameHeaderBytes));
-  const sv::FrameHeader header = sv::parse_frame_header(header_bytes);
-  std::string payload;
-  EXPECT_TRUE(sv::read_exact(fd, payload,
-                             static_cast<std::size_t>(header.payload_size)));
-  return sv::decode_frame(header, payload);
-}
+/// Reads one response frame (blocking) through the connection's reader.
+sv::Frame read_frame(sv::FrameReader& frames) { return frames.next(); }
 
 /// A server thread that cannot outlive its test. A failed ASSERT returns
 /// from the test body early, and a still-joinable std::thread would then
@@ -604,6 +598,7 @@ TEST(ServeConnection, MalformedLinesGetErrorFramesAndServiceSurvives) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   ScopedServer server(
       [&] {
         (void)sv::serve_connection(pipes.in[0], pipes.out[1], service);
@@ -615,17 +610,17 @@ TEST(ServeConnection, MalformedLinesGetErrorFramesAndServiceSurvives) {
   // Garbage verb, bad hex, and an unknown CANCEL id: three error frames,
   // connection stays up.
   ASSERT_TRUE(sv::write_all(pipes.in[1], "FROBNICATE 1 aa\n"));
-  sv::Frame frame = read_frame(pipes.out[0]);
+  sv::Frame frame = read_frame(frames);
   EXPECT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 1u);
 
   ASSERT_TRUE(sv::write_all(pipes.in[1], "SUBMIT 7 nothex!\n"));
-  frame = read_frame(pipes.out[0]);
+  frame = read_frame(frames);
   EXPECT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 7u);
 
   ASSERT_TRUE(sv::write_all(pipes.in[1], "CANCEL 99\n"));
-  frame = read_frame(pipes.out[0]);
+  frame = read_frame(frames);
   EXPECT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 99u);
 
@@ -634,7 +629,7 @@ TEST(ServeConnection, MalformedLinesGetErrorFramesAndServiceSurvives) {
   corrupt_spec[corrupt_spec.size() / 2] ^= 0x20;
   ASSERT_TRUE(sv::write_all(
       pipes.in[1], "SUBMIT 8 " + sv::hex_encode(corrupt_spec) + "\n"));
-  frame = read_frame(pipes.out[0]);
+  frame = read_frame(frames);
   EXPECT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 8u);
 
@@ -642,7 +637,7 @@ TEST(ServeConnection, MalformedLinesGetErrorFramesAndServiceSurvives) {
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::submit_line(9, spec)));
   std::size_t cells = 0;
   for (;;) {
-    frame = read_frame(pipes.out[0]);
+    frame = read_frame(frames);
     ASSERT_EQ(frame.request_id, 9u);
     if (frame.type == sv::FrameType::kDone) break;
     ASSERT_EQ(frame.type, sv::FrameType::kCell);
@@ -659,6 +654,7 @@ TEST(ServeConnection, EofDrainsInFlightRequestsBeforeReturning) {
   const sh::SweepSpec spec = small_spec();
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   const int in_flags = ::fcntl(pipes.in[0], F_GETFL);
   const int out_flags = ::fcntl(pipes.out[1], F_GETFL);
   ScopedServer server(
@@ -678,7 +674,7 @@ TEST(ServeConnection, EofDrainsInFlightRequestsBeforeReturning) {
   std::size_t cells = 0;
   sv::Frame frame;
   for (;;) {
-    frame = read_frame(pipes.out[0]);
+    frame = read_frame(frames);
     if (frame.type == sv::FrameType::kDone) break;
     ++cells;
   }
@@ -1187,6 +1183,7 @@ TEST(ServeConnection, CompletedRequestIdsArePrunedAndReusable) {
       pc::CompilationCache::open({.directory = fresh_dir("prune")});
   sv::SweepService service(service_options);
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   ScopedServer server(
       [&] {
         EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service),
@@ -1199,7 +1196,7 @@ TEST(ServeConnection, CompletedRequestIdsArePrunedAndReusable) {
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::submit_line(5, spec)));
   sv::Frame frame;
   do {
-    frame = read_frame(pipes.out[0]);
+    frame = read_frame(frames);
     ASSERT_EQ(frame.request_id, 5u);
   } while (frame.type != sv::FrameType::kDone);
   ASSERT_TRUE(frame.summary.ok());
@@ -1207,7 +1204,7 @@ TEST(ServeConnection, CompletedRequestIdsArePrunedAndReusable) {
   // The finished ticket must be pruned: cancelling its id is an unknown-id
   // error, not a silent hit on a parked ticket.
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::cancel_line(5)));
-  frame = read_frame(pipes.out[0]);
+  frame = read_frame(frames);
   EXPECT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 5u);
   EXPECT_NE(frame.message.find("unknown or completed"), std::string::npos);
@@ -1216,7 +1213,7 @@ TEST(ServeConnection, CompletedRequestIdsArePrunedAndReusable) {
   ASSERT_TRUE(sv::write_all(pipes.in[1], sv::submit_line(5, spec)));
   std::size_t cells = 0;
   for (;;) {
-    frame = read_frame(pipes.out[0]);
+    frame = read_frame(frames);
     ASSERT_EQ(frame.request_id, 5u);
     if (frame.type == sv::FrameType::kDone) break;
     ASSERT_EQ(frame.type, sv::FrameType::kCell);
@@ -1236,6 +1233,7 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
   sv::ServerOptions options;
   options.max_inflight_per_client = 1;
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   ScopedServer server(
       [&] {
         (void)sv::serve_connection(pipes.in[0], pipes.out[1], service,
@@ -1251,7 +1249,7 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
   ASSERT_TRUE(hold.holding());
   ASSERT_TRUE(sv::write_all(pipes.in[1],
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
-  sv::Frame frame = read_frame(pipes.out[0]);
+  sv::Frame frame = read_frame(frames);
   ASSERT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 2u);
   EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
@@ -1259,7 +1257,7 @@ TEST(ServeConnection, SubmitOverTheInflightQuotaIsRejectedNamingTheLimit) {
   hold.release();
   std::size_t cells = 0;
   for (;;) {
-    frame = read_frame(pipes.out[0]);
+    frame = read_frame(frames);
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
@@ -1284,6 +1282,7 @@ TEST(ServeConnection, OneConnectionMultiplexesOutstandingRequests) {
       pc::CompilationCache::open({.directory = fresh_dir("mux")});
   sv::SweepService service(service_options);
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   ScopedServer server(
       [&] {
         EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service),
@@ -1300,7 +1299,7 @@ TEST(ServeConnection, OneConnectionMultiplexesOutstandingRequests) {
   std::map<std::uint64_t, std::vector<sw::Cell>> cells;
   std::map<std::uint64_t, sv::Summary> done;
   while (done.size() < 2) {
-    sv::Frame frame = read_frame(pipes.out[0]);
+    sv::Frame frame = read_frame(frames);
     ASSERT_TRUE(frame.request_id == 1 || frame.request_id == 2);
     if (frame.type == sv::FrameType::kDone) {
       done[frame.request_id] = std::move(frame.summary);
@@ -1332,6 +1331,7 @@ TEST(ServeConnection, StopAcksCancelsInflightAndSetsTheSessionFlag) {
   sv::ServerOptions options;
   options.stop = &stop;
   PipePair pipes;
+  sv::FrameReader frames(pipes.out[0]);
   ScopedServer server(
       [&] {
         EXPECT_EQ(sv::serve_connection(pipes.in[0], pipes.out[1], service,
@@ -1348,7 +1348,7 @@ TEST(ServeConnection, StopAcksCancelsInflightAndSetsTheSessionFlag) {
   sv::Summary summary;
   bool summary_seen = false;
   while (!acked || !summary_seen) {
-    const sv::Frame frame = read_frame(pipes.out[0]);
+    const sv::Frame frame = read_frame(frames);
     if (frame.request_id == 99) {
       ASSERT_EQ(frame.type, sv::FrameType::kDone);
       acked = true;
@@ -1507,7 +1507,8 @@ TEST(ServeFarm, ASocketThatExistsAcceptsItsFirstConnect) {
       continue;
     }
     ASSERT_TRUE(sv::write_all(fd, sv::stop_line(1)));
-    const sv::Frame ack = read_frame(fd);
+    sv::FrameReader frames(fd);
+    const sv::Frame ack = read_frame(frames);
     ::close(fd);
     server.join();
     ASSERT_EQ(ack.type, sv::FrameType::kDone) << cycle;
@@ -1625,13 +1626,14 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
 
   const int fd = connect_unix(socket_path);
   ASSERT_GE(fd, 0);
+  sv::FrameReader frames(fd);
   // As in the ServeConnection test: request 1 queues behind the held
   // dispatcher, so the rejection of request 2 is the first frame.
   DispatcherHold hold(service);
   ASSERT_TRUE(hold.holding());
   ASSERT_TRUE(sv::write_all(fd,
                             sv::submit_line(1, spec) + sv::submit_line(2, spec)));
-  sv::Frame frame = read_frame(fd);
+  sv::Frame frame = read_frame(frames);
   ASSERT_EQ(frame.type, sv::FrameType::kError);
   EXPECT_EQ(frame.request_id, 2u);
   EXPECT_NE(frame.message.find("max in-flight"), std::string::npos);
@@ -1639,7 +1641,7 @@ TEST(ServeFarm, SubmitOverTheInflightQuotaGetsAnErrorNamingTheLimit) {
   hold.release();
   std::size_t cells = 0;
   for (;;) {
-    frame = read_frame(fd);
+    frame = read_frame(frames);
     ASSERT_EQ(frame.request_id, 1u);
     if (frame.type == sv::FrameType::kDone) {
       EXPECT_TRUE(frame.summary.ok());
@@ -2006,7 +2008,7 @@ TEST(ServeFrameFuzz, ScanRejectsWhatParseCellRejectsAndSplicesIdentically) {
     }
     std::optional<pc::ScannedCell> scanned;
     try {
-      scanned = pc::scan_cell(mutant);
+      scanned = pc::scan_cell(std::make_shared<const std::string>(mutant));
     } catch (const pc::ReadError&) {
     }
     ASSERT_EQ(scanned.has_value(), decoded.has_value()) << "mutant " << i;
@@ -2043,7 +2045,7 @@ TEST(SweepHooks, OnCachedCellTakesTheHitsAndOnCellTheComputedCells) {
     EXPECT_EQ(cell.technique, "parallax");
     EXPECT_TRUE(cell.result.layers.empty());
     EXPECT_EQ(cached.result(),
-              pc::serialize_result(pc::parse_cell(cached.payload).result));
+              pc::serialize_result(pc::parse_cell(*cached.payload).result));
     ++spliced;
   };
   const sw::Result result =
@@ -2107,7 +2109,9 @@ TEST(ServeEndToEnd, AChecksumValidMalformedEntryIsAServedMiss) {
           return e.kind == pc::Kind::kResult;
         });
     ASSERT_NE(entry, entries.end());
-    std::string payload = store.get(pc::Kind::kResult, entry->key).value();
+    const pc::Store::Payload lent = store.get(pc::Kind::kResult, entry->key);
+    ASSERT_NE(lent, nullptr);
+    std::string payload = *lent;
     const pc::CachedCell cell = pc::parse_cell(payload);
     ASSERT_GT(cell.result.circuit.size(), 0u);
     // technique, n_qubits, name, gate count: then the first gate's type.
@@ -2115,7 +2119,9 @@ TEST(ServeEndToEnd, AChecksumValidMalformedEntryIsAServedMiss) {
                                    8 + cell.result.circuit.name().size() + 8;
     payload[first_gate] = static_cast<char>(0xFF);
     store.put(pc::Kind::kResult, entry->key, payload);
-    ASSERT_THROW((void)pc::scan_cell(payload), pc::ReadError);
+    ASSERT_THROW(
+        (void)pc::scan_cell(std::make_shared<const std::string>(payload)),
+        pc::ReadError);
   }
   // A fresh handle reads the rewritten entry from the disk tier.
   const auto [served, again] =
@@ -2164,4 +2170,219 @@ TEST(ServeClient, ALyingFrameHeaderIsAClosedConnectionNotAnAllocation) {
       ::testing::ExitedWithCode(0), "serve connection closed mid-frame");
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+TEST(ServeClient, FrameReaderReturnsEveryFrameWhateverTheChunking) {
+  // A run of kCell and kDone frames, written in chunks of each size and
+  // once all at once, must read back as exactly those frames, in order.
+  // The large stream adds a cell past the reader's 1 MiB first buffer.
+  pp::CompileOptions options;
+  options.placement.anneal_iterations = 60;
+  options.placement.local_search_evaluations = 40;
+  options.scheduler.record_positions = true;
+  const auto config = ph::HardwareConfig::quera_aquila_256();
+  sw::Cell cell;
+  cell.circuit = "ghz5";
+  cell.technique = "parallax";
+  cell.machine = config.name;
+  cell.result = pt::compile("parallax", ghz(5, "ghz5"), config, options);
+  cell.success_probability = 0.5;
+  cell.shot_plans = parallax::shots::parallelization_sweep(cell.result, config);
+  std::vector<std::string> frames;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    for (std::size_t ci = 0; ci < 3; ++ci) {
+      cell.circuit_index = ci;
+      cell.error = std::string(ci * 17, 'e');
+      cell.compile_seconds = 0.25 * static_cast<double>(ci);
+      frames.push_back(sv::cell_frame(id, cell));
+    }
+    sv::Summary summary;
+    summary.total_cells = 3;
+    summary.executed_cells = 3;
+    summary.wall_seconds = 0.5;
+    frames.push_back(sv::done_frame(id, summary));
+  }
+  std::vector<std::string> large = frames;
+  cell.error = std::string((std::size_t{3} << 19) + 11, 'x');
+  large.insert(large.begin() + 1, sv::cell_frame(9, cell));
+  large.push_back(sv::done_frame(9, sv::Summary{}));
+
+  const auto read_back = [](const std::vector<std::string>& sent,
+                            std::size_t chunk) {
+    std::string stream;
+    for (const std::string& frame : sent) stream += frame;
+    if (chunk == 0) chunk = stream.size();
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread writer([&] {
+      for (std::size_t at = 0; at < stream.size(); at += chunk) {
+        if (!sv::write_all(fds[0], std::string_view(stream).substr(at, chunk))) {
+          break;
+        }
+      }
+      ::shutdown(fds[0], SHUT_WR);
+    });
+    sv::FrameReader reader(fds[1]);
+    try {
+      for (std::size_t i = 0; i < sent.size(); ++i) {
+        const sv::Frame frame = reader.next();
+        const std::string again =
+            frame.type == sv::FrameType::kCell
+                ? sv::cell_frame(frame.request_id, frame.cell)
+                : sv::done_frame(frame.request_id, frame.summary);
+        EXPECT_EQ(again, sent[i]) << "frame " << i << ", chunks of " << chunk;
+      }
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << error.what() << ", chunks of " << chunk;
+    }
+    // The stream ends on a frame boundary.
+    EXPECT_THROW((void)reader.next(), sv::ServeError);
+    ::shutdown(fds[1], SHUT_RDWR);  // a writer left blocked gets an error
+    writer.join();
+    ::close(fds[0]);
+    ::close(fds[1]);
+  };
+  for (const std::size_t chunk : {1, 7, 39, 40, 41, 65536, 0}) {
+    read_back(frames, chunk);
+  }
+  for (const std::size_t chunk : {65536, 0}) read_back(large, chunk);
+}
+
+namespace {
+
+/// The per-pair hex decode and byte-loop encode the table-driven codec
+/// replaced, kept as its reference.
+namespace reference_hex {
+
+constexpr std::uint8_t kSpace = 16;
+constexpr std::uint8_t kOther = 17;
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kOther);
+  for (int c = '0'; c <= '9'; ++c) {
+    table[c] = static_cast<std::uint8_t>(c - '0');
+  }
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+    table[c - 'a' + 'A'] = table[c];
+  }
+  for (const char c : {' ', '\t', '\r', '\v', '\f'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  return table;
+}();
+
+std::string encode(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  return hex;
+}
+
+/// How many characters of `text` the reference decodes: its leading run of
+/// whole hex pairs.
+std::size_t consumed(std::string_view text, std::string& out) {
+  out.resize(text.size() / 2);
+  std::size_t n = 0;
+  for (; n < out.size(); ++n) {
+    const std::uint8_t hi = kCharClass[static_cast<unsigned char>(text[2 * n])];
+    const std::uint8_t lo =
+        kCharClass[static_cast<unsigned char>(text[2 * n + 1])];
+    if ((hi | lo) > 15) break;
+    out[n] = static_cast<char>((hi << 4) | lo);
+  }
+  out.resize(n);
+  return 2 * n;
+}
+
+std::optional<std::string> decode(std::string_view hex) {
+  if (hex.size() % 2 != 0) return std::nullopt;
+  std::string bytes;
+  if (consumed(hex, bytes) != hex.size()) return std::nullopt;
+  return bytes;
+}
+
+}  // namespace reference_hex
+
+}  // namespace
+
+TEST(ServeProtocol, HexCodecMatchesTheReferenceCodec) {
+  std::mt19937_64 rng(0x4E7);
+  const auto random_bytes = [&](std::size_t n) {
+    std::string bytes(n, '\0');
+    for (char& b : bytes) b = static_cast<char>(rng() % 256);
+    return bytes;
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  for (const std::size_t n : {63, 64, 65, 255, 256, 4097}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE(n);
+    const std::string bytes = random_bytes(n);
+    const std::string hex = sv::hex_encode(bytes);
+    EXPECT_EQ(hex, reference_hex::encode(bytes));
+    EXPECT_EQ(sv::hex_decode(hex), bytes);
+    std::string upper = hex;
+    for (std::size_t i = 0; i < upper.size(); i += 1 + rng() % 2) {
+      upper[i] = static_cast<char>(std::toupper(upper[i]));
+    }
+    EXPECT_EQ(sv::hex_decode(upper), reference_hex::decode(upper));
+    EXPECT_EQ(sv::hex_decode(upper), bytes);
+    // Odd lengths, and every prefix, decode or not as the reference does.
+    for (std::size_t end = 0; end <= hex.size() && end <= 80; ++end) {
+      const std::string_view prefix = std::string_view(upper).substr(0, end);
+      EXPECT_EQ(sv::hex_decode(prefix), reference_hex::decode(prefix));
+    }
+  }
+  // A non-hex byte at every position of 5 blocks of 8 pairs, with more
+  // blocks behind it: every prefix is refused exactly where the reference
+  // stops.
+  const std::string hex = sv::hex_encode(random_bytes(48));
+  for (std::size_t at = 0; at < 80; ++at) {
+    for (const char bad : {'g', 'G', '/', ':', '@', '`', ' ', '\0', '\xff'}) {
+      std::string text = hex;
+      text[at] = bad;
+      std::string ignored;
+      const std::size_t stop = reference_hex::consumed(text, ignored);
+      ASSERT_EQ(stop, at - at % 2);
+      for (const std::size_t end : {at, at + 1, at + 2, at + 17, text.size()}) {
+        const std::string_view prefix = std::string_view(text).substr(0, end);
+        EXPECT_EQ(sv::hex_decode(prefix), reference_hex::decode(prefix))
+            << "bad byte at " << at << ", prefix " << end;
+      }
+    }
+  }
+}
+
+TEST(ServeProtocol, SubmitHexIsRefusedAtEveryNonHexByte) {
+  // parse_request_line decodes SUBMIT hex in the pass that finds the
+  // token's end: a non-hex byte anywhere in the token refuses the line, as
+  // the reference decode refuses the token, and the valid line parses.
+  const sh::SweepSpec spec = small_spec();
+  std::string line = sv::submit_line(3, spec);
+  line.pop_back();
+  const std::size_t begin = line.find(' ', 7) + 1;
+  const std::string_view token = std::string_view(line).substr(begin);
+  ASSERT_EQ(reference_hex::decode(token), sh::serialize_sweep_spec(spec));
+  EXPECT_EQ(sh::spec_digest(sv::parse_request_line(line).spec),
+            sh::spec_digest(spec));
+  std::string upper = line;
+  for (std::size_t i = begin; i < upper.size(); ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  EXPECT_EQ(sh::spec_digest(sv::parse_request_line(upper).spec),
+            sh::spec_digest(spec));
+  for (std::size_t at = begin; at < line.size(); ++at) {
+    std::string bad = line;
+    bad[at] = (at % 3 == 0) ? 'g' : (at % 3 == 1) ? '\xff' : '\0';
+    ASSERT_FALSE(reference_hex::decode(std::string_view(bad).substr(begin)));
+    EXPECT_EQ(request_error(bad), "SUBMIT payload is not valid hex")
+        << "bad byte at " << at - begin;
+  }
+  // An odd token: every pair decodes, its last character does not.
+  EXPECT_EQ(request_error(line + "a"), "SUBMIT payload is not valid hex");
 }
