@@ -687,6 +687,17 @@ wsh::SweepSpec wire_spec() {
 
 TEST(Goldens, WireFormatsAreByteStable) {
   std::map<std::string, std::string> actual;
+  // A format whose header carries a version and a checksum64 of the payload
+  // gets a second digest of the payload alone, so a change to the header
+  // (a version bump, a new checksum) shows as exactly that.
+  constexpr std::size_t kShardHeaderBytes = 32;  // magic, version, kind,
+                                                 // size, checksum64
+  const auto with_header = [&](const std::string& name,
+                               const std::string& bytes,
+                               std::size_t header_bytes) {
+    actual[name] = wire_digest(bytes);
+    actual[name + "/payload"] = wire_digest(bytes.substr(header_bytes));
+  };
   actual["topology"] = wire_digest(wc::serialize_topology(wire_topology()));
   actual["result"] = wire_digest(wc::serialize_result(wire_result()));
   actual["cell/flags-on"] =
@@ -739,12 +750,14 @@ TEST(Goldens, WireFormatsAreByteStable) {
   run.result_cache_hits = 6;
   run.result_cache_misses = 7;
   run.anneals = 8;
-  actual["shard-run"] = wire_digest(wsh::serialize_shard_run(run));
-  actual["sweep-spec"] = wire_digest(wsh::serialize_sweep_spec(wire_spec()));
+  with_header("shard-run", wsh::serialize_shard_run(run), kShardHeaderBytes);
+  with_header("sweep-spec", wsh::serialize_sweep_spec(wire_spec()),
+              kShardHeaderBytes);
 
-  actual["frame/cell"] = wire_digest(wsv::cell_frame(7, cells[0]));
-  actual["frame/cell/spliced"] =
-      wire_digest(wsv::cell_frame(7, labels, scanned));
+  with_header("frame/cell", wsv::cell_frame(7, cells[0]),
+              wsv::kFrameHeaderBytes);
+  with_header("frame/cell/spliced", wsv::cell_frame(7, labels, scanned),
+              wsv::kFrameHeaderBytes);
   wsv::Summary summary;
   summary.total_cells = 4;
   summary.executed_cells = 3;
@@ -757,7 +770,8 @@ TEST(Goldens, WireFormatsAreByteStable) {
   summary.cancelled = true;
   summary.wall_seconds = 0.75;
   summary.error = "request cancelled";
-  actual["frame/done"] = wire_digest(wsv::done_frame(7, summary));
+  with_header("frame/done", wsv::done_frame(7, summary),
+              wsv::kFrameHeaderBytes);
   wsv::SessionStats stats;
   stats.requests = 5;
   stats.cells_executed = 20;
@@ -772,9 +786,10 @@ TEST(Goldens, WireFormatsAreByteStable) {
   stats.uptime_seconds = 30.5;
   stats.clients = {{1, 3, 12, 2, 0, 10.25, false},
                    {2, 2, 8, 0, 4096, 5.125, true}};
-  actual["frame/stats"] = wire_digest(wsv::stats_frame(8, stats));
-  actual["frame/error"] =
-      wire_digest(wsv::error_frame(9, "unknown technique 'x'"));
+  with_header("frame/stats", wsv::stats_frame(8, stats),
+              wsv::kFrameHeaderBytes);
+  with_header("frame/error", wsv::error_frame(9, "unknown technique 'x'"),
+              wsv::kFrameHeaderBytes);
 
   const std::map<std::string, std::string> expected = {
       {"topology", "dcd708d4815d4e30ba505a19a4d36eac"},
@@ -785,12 +800,19 @@ TEST(Goldens, WireFormatsAreByteStable) {
       {"shard-cell/spliced", "af981b945c8664e90ca044c8277f0bcf"},
       {"canonical", "64e6a9c1c58d6fdb4d4ac7e560bd7fe6"},
       {"shard-run", "e9e54e25af5ea89ba3e6bee81031a96a"},
+      {"shard-run/payload", "69c211571b0098de194a6eefb72037e5"},
       {"sweep-spec", "19dceef2410078368c06e488b619f096"},
+      {"sweep-spec/payload", "d8fccf655e91eaa0531064366f21eb41"},
       {"frame/cell", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/cell/payload", "af981b945c8664e90ca044c8277f0bcf"},
       {"frame/cell/spliced", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/cell/spliced/payload", "af981b945c8664e90ca044c8277f0bcf"},
       {"frame/done", "fcafc4130724e33e652c33773aacbdd1"},
+      {"frame/done/payload", "96eebeacb7dd700ab5fc3df50c6fe9d4"},
       {"frame/stats", "cf3c52b58bdf1ed3854602a295541247"},
+      {"frame/stats/payload", "2a2db25eafe64636b1e6e4f4b96f243d"},
       {"frame/error", "ae2c7f062e45f455a18dfc82887e3099"},
+      {"frame/error/payload", "02077acc2cbb1786791933ef66b3f1c1"},
   };
   EXPECT_EQ(actual.size(), expected.size());
   for (const auto& [name, digest] : expected) {
