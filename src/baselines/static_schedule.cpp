@@ -33,6 +33,7 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
   util::Rng rng(shuffle_seed);
 
   std::vector<std::size_t> candidates;
+  std::vector<std::size_t> final_gates;          // the layer's gates so far
   std::vector<hardware::Endpoints> final_pairs;  // the layer's 2q gates so far
   while (!dag.done()) {
     // One ready gate per qubit.
@@ -43,7 +44,7 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
     // Blockade serialization: multi-qubit gates (CZ and SWAP — a SWAP is
     // three back-to-back CZs on the same pair) conflict within the radius.
     compiler::Layer layer;
-    std::vector<std::size_t> final_gates;
+    final_gates.clear();
     final_pairs.clear();
     for (const std::size_t gi : candidates) {
       const circuit::Gate& g = circuit.gate(gi);
@@ -69,7 +70,10 @@ StaticScheduleOutput schedule_static(const circuit::Circuit& circuit,
           std::max(max_gate_time, gate_time_us(circuit.gate(gi), config));
       dag.mark_executed(gi);
     }
-    layer.gates = std::move(final_gates);
+    layer.gates_begin = output.layer_gates.size();
+    output.layer_gates.insert(output.layer_gates.end(), final_gates.begin(),
+                              final_gates.end());
+    layer.gates_end = output.layer_gates.size();
     layer.duration_us = max_gate_time;
     output.runtime_us += layer.duration_us;
     output.layers.push_back(std::move(layer));

@@ -15,6 +15,7 @@ namespace parallax::baselines {
 
 struct StaticScheduleOutput {
   std::vector<compiler::Layer> layers;
+  std::vector<std::size_t> layer_gates;  // see CompileResult::layer_gates
   double runtime_us = 0.0;
 };
 

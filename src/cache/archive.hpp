@@ -16,6 +16,10 @@
 //     each, that no check reads; the scanner steps over them in one skip,
 //     and the reader copies them in one memcpy when an element's bytes in
 //     memory are its wire form (kWireLayout);
+//   - slice(v, begin, end, width, body): the run v[begin, end) of a vector
+//     several owners share (a result's layer_gates): on the wire a run of
+//     its own; the reader appends it to v and sets [begin, end) to where it
+//     landed;
 //   - record(width, body): fixed-width fields, `width` bytes in all, that
 //     body(r) visits through r's enum_u8, i32 and f64; the reader and the
 //     scanner check the width once and load each field from a pointer, the
@@ -36,6 +40,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -111,6 +116,14 @@ class FieldWriter {
   void run(const std::vector<T>& values, std::size_t width, Body body) {
     items(values, width, body);
   }
+  template <typename T, typename Body>
+  void slice(const std::vector<T>& values, std::size_t begin, std::size_t end,
+             std::size_t, Body body) {
+    const std::span<const T> run =
+        std::span(values).subspan(begin, end - begin);
+    sink_.u64(run.size());
+    for (const T& value : run) body(value);
+  }
   template <typename Body>
   void record(std::size_t, Body body) {
     body(*this);
@@ -181,6 +194,13 @@ class FieldReader {
       }
     }
     items(values, width, body);
+  }
+  template <typename T, typename Body>
+  void slice(std::vector<T>& values, std::size_t& begin, std::size_t& end,
+             std::size_t width, Body body) {
+    begin = values.size();
+    run(values, width, body);
+    end = values.size();
   }
 
   /// The fields of one record, loaded from the bytes the reader checked.
@@ -275,6 +295,11 @@ class FieldScanner : public FieldReader {
   template <typename T, typename Body>
   void run(std::vector<T>&, std::size_t width, Body) {
     (void)reader_.take(width * reader_.length(width));
+  }
+  template <typename T, typename Body>
+  void slice(std::vector<T>& values, std::size_t&, std::size_t&,
+             std::size_t width, Body body) {
+    run(values, width, body);
   }
   template <typename Body>
   void section(Section which, Body body) {

@@ -209,9 +209,10 @@ enum class Section : std::uint8_t { kResult, kShotPlans };
 inline constexpr std::size_t kPointBytes = 16;
 inline constexpr std::size_t kSiteBytes = 8;
 inline constexpr std::size_t kGateBytes = 33;  // type, two qubits, 3 angles
-inline constexpr std::size_t kLayerMinBytes = 36;
 /// A layer's five scalars: two distances, two counts, a duration.
 inline constexpr std::size_t kLayerScalarBytes = 32;
+/// An empty layer: its gate count, its scalars and its position count.
+inline constexpr std::size_t kLayerMinBytes = 8 + kLayerScalarBytes + 8;
 inline constexpr std::size_t kShotPlanBytes = 24;
 
 template <typename Archive, MaybeConst<geom::Point> O>
@@ -282,9 +283,13 @@ void fields(Archive& ar, O& circuit) {
   CircuitFields::visit(ar, circuit);
 }
 
-template <typename Archive, MaybeConst<compiler::Layer> O>
-void fields(Archive& ar, O& layer) {
-  ar.run(layer.gates, 8, [&](auto& gate) { ar.u64(gate); });
+/// One layer of a result whose gate array is `layer_gates`. Its gates go on
+/// the wire as a run of their own: a count, then the indices.
+template <typename Archive, MaybeConst<compiler::Layer> O,
+          MaybeConst<std::vector<std::size_t>> G>
+void fields(Archive& ar, O& layer, G& layer_gates) {
+  ar.slice(layer_gates, layer.gates_begin, layer.gates_end, 8,
+           [&](auto& gate) { ar.u64(gate); });
   ar.record(kLayerScalarBytes, [&](auto& r) {
     r.f64(layer.move_distance_um);
     r.f64(layer.return_distance_um);
@@ -314,8 +319,13 @@ void fields(Archive& ar, O& result) {
   ar.str(result.technique);
   fields(ar, result.circuit);
   fields(ar, result.topology);
+  // A valid schedule lists every gate of the circuit at most once, so one
+  // reserve sizes the decoder's gate array; a longer array still appends.
+  if constexpr (!std::is_const_v<O>) {
+    result.layer_gates.reserve(result.circuit.size());
+  }
   ar.items(result.layers, kLayerMinBytes,
-           [&](auto& layer) { fields(ar, layer); });
+           [&](auto& layer) { fields(ar, layer, result.layer_gates); });
   ar.run(result.in_aod, 1, [&](auto& flag) { ar.i8(flag); });
   fields(ar, result.stats);
   ar.f64(result.runtime_us);

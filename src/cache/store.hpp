@@ -66,7 +66,9 @@ enum class Kind : std::uint32_t {
 /// Bump to retire every existing on-disk entry (serialization change).
 /// v2: Layer::aod_moves joined the layer codec (per-layer movement-loss
 /// accounting for the discrete-event simulator).
-inline constexpr std::uint32_t kPayloadVersion = 2;
+/// v3: the header's checksum is XXH64 (util::checksum64); payloads are
+/// v2's bytes.
+inline constexpr std::uint32_t kPayloadVersion = 3;
 
 struct StoreOptions {
   /// On-disk root; empty disables the disk tier (memory-only cache).

@@ -49,7 +49,7 @@ std::string report_json(const CompileResult& result,
     for (const Layer& layer : result.layers) {
       JsonValue item = JsonValue::object();
       JsonValue gate_list = JsonValue::array();
-      for (const std::size_t gi : layer.gates) gate_list.push_back(gi);
+      for (const std::size_t gi : result.gates(layer)) gate_list.push_back(gi);
       item["gates"] = std::move(gate_list);
       item["duration_us"] = layer.duration_us;
       item["move_distance_um"] = layer.move_distance_um;

@@ -3,7 +3,9 @@
 // baseline compilers so the bench harness can treat techniques uniformly.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,9 +15,12 @@
 namespace parallax::compiler {
 
 /// One hardware-executable layer: gates that run simultaneously, plus the
-/// movement and trap-change activity that preceded them.
+/// movement and trap-change activity that preceded them. Its gates are the
+/// range [gates_begin, gates_end) of its result's `layer_gates`; read them
+/// through CompileResult::gates.
 struct Layer {
-  std::vector<std::size_t> gates;   // indices into `CompileResult::circuit`
+  std::size_t gates_begin = 0;
+  std::size_t gates_end = 0;
   double move_distance_um = 0.0;    // max distance any atom moved (inbound)
   double return_distance_um = 0.0;  // max distance for the home-return leg
   int aod_moves = 0;                // move-into-range operations this layer
@@ -67,6 +72,9 @@ struct CompileResult {
   circuit::Circuit circuit;       // the gate stream actually scheduled
   placement::PhysicalTopology topology;
   std::vector<Layer> layers;
+  /// Every layer's gates, indices into `circuit`, layer after layer: one
+  /// array per result, not one per layer.
+  std::vector<std::size_t> layer_gates;
   std::vector<std::int8_t> in_aod;  // per logical qubit, after AOD selection
   CompileStats stats;
   /// One logical shot's runtime (us) — the paper's Table IV metric.
@@ -74,6 +82,19 @@ struct CompileResult {
   /// Per-pass compile-time profile, in pipeline order (ROADMAP: O(q^5)
   /// placement dominance without google-benchmark).
   std::vector<PassTiming> pass_timings;
+
+  /// True when `layer`'s gate range lies in `layer_gates`.
+  [[nodiscard]] bool gates_fit(const Layer& layer) const noexcept {
+    return layer.gates_begin <= layer.gates_end &&
+           layer.gates_end <= layer_gates.size();
+  }
+  /// The gates of `layer`, whose range must fit (validate_schedule reports
+  /// a layer whose range does not, and sim::build_timeline rejects it).
+  [[nodiscard]] std::span<const std::size_t> gates(const Layer& layer) const {
+    assert(gates_fit(layer));
+    return std::span(layer_gates)
+        .subspan(layer.gates_begin, layer.gates_end - layer.gates_begin);
+  }
 
   [[nodiscard]] std::size_t aod_qubit_count() const {
     std::size_t n = 0;

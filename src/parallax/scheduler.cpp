@@ -155,6 +155,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
   };
   std::vector<std::size_t> candidates;
   std::vector<Accepted> accepted;
+  std::vector<std::size_t> final_gates;  // the layer's gates so far
   std::vector<hardware::Endpoints> final_czs;  // the layer's CZs so far
   while (!dag.done()) {
     Layer layer;
@@ -227,7 +228,7 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
     }
 
     // --- lines 21-22: blockade-interference serialization --------------------
-    std::vector<std::size_t> final_gates;
+    final_gates.clear();
     final_czs.clear();
     for (const auto [gi, trap_change] : accepted) {
       const circuit::Gate& g = circuit.gate(gi);
@@ -301,7 +302,10 @@ ScheduleOutput schedule_gates(const circuit::Circuit& circuit,
       }
     }
 
-    layer.gates = std::move(final_gates);
+    layer.gates_begin = output.layer_gates.size();
+    output.layer_gates.insert(output.layer_gates.end(), final_gates.begin(),
+                              final_gates.end());
+    layer.gates_end = output.layer_gates.size();
     layer.duration_us =
         max_gate_time +
         (layer.move_distance_um + layer.return_distance_um) /

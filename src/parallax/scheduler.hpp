@@ -38,6 +38,7 @@ struct SchedulerOptions {
 
 struct ScheduleOutput {
   std::vector<Layer> layers;
+  std::vector<std::size_t> layer_gates;  // see CompileResult::layer_gates
   CompileStats stats;
   double runtime_us = 0.0;
   /// Work counters of the move memo: move_into_range searches the movement

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 namespace parallax::compiler {
@@ -12,6 +13,14 @@ std::string gate_desc(const circuit::Circuit& circuit, std::size_t index) {
   std::ostringstream out;
   out << "gate#" << index << " (" << circuit.gate(index).to_string() << ")";
   return out.str();
+}
+
+/// The gates of `layer`, or none when its range does not fit (L2 reports
+/// such a layer).
+std::span<const std::size_t> checked_gates(const CompileResult& result,
+                                           const Layer& layer) {
+  if (!result.gates_fit(layer)) return {};
+  return result.gates(layer);
 }
 
 }  // namespace
@@ -28,10 +37,20 @@ ValidationReport validate_schedule(const CompileResult& result,
                 std::to_string(circuit.swap_count()) + " SWAP gates");
   }
 
-  // L2: every non-barrier gate scheduled exactly once.
+  // L2: every layer's range lies in layer_gates, and every non-barrier gate
+  // is scheduled exactly once.
   std::vector<int> times_scheduled(circuit.size(), 0);
-  for (const Layer& layer : result.layers) {
-    for (const std::size_t gi : layer.gates) {
+  for (std::size_t li = 0; li < result.layers.size(); ++li) {
+    const Layer& layer = result.layers[li];
+    if (!result.gates_fit(layer)) {
+      report.fail("L2: layer " + std::to_string(li) + " has gate range [" +
+                  std::to_string(layer.gates_begin) + ", " +
+                  std::to_string(layer.gates_end) + ") outside the " +
+                  std::to_string(result.layer_gates.size()) +
+                  " layer gates");
+      continue;
+    }
+    for (const std::size_t gi : result.gates(layer)) {
       if (gi >= circuit.size()) {
         report.fail("L2: layer references out-of-range gate index " +
                     std::to_string(gi));
@@ -50,10 +69,11 @@ ValidationReport validate_schedule(const CompileResult& result,
   }
 
   // L3: no qubit reuse within a layer. This check and the ones after it
-  // read each scheduled gate, so they skip the indices L2 reported.
+  // read each scheduled gate, so they skip the ranges and indices L2
+  // reported.
   for (std::size_t li = 0; li < result.layers.size(); ++li) {
     std::set<std::int32_t> touched;
-    for (const std::size_t gi : result.layers[li].gates) {
+    for (const std::size_t gi : checked_gates(result, result.layers[li])) {
       if (gi >= circuit.size()) continue;
       const auto& g = circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) {
@@ -74,7 +94,7 @@ ValidationReport validate_schedule(const CompileResult& result,
   }
   std::map<std::int32_t, std::vector<std::size_t>> actual_order;
   for (const Layer& layer : result.layers) {
-    for (const std::size_t gi : layer.gates) {
+    for (const std::size_t gi : checked_gates(result, layer)) {
       if (gi >= circuit.size()) continue;
       const auto& g = circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) actual_order[g.q[k]].push_back(gi);
@@ -109,7 +129,8 @@ ValidationReport validate_schedule(const CompileResult& result,
     }
 
     // P1: CZ atoms in range (it reads the AOD flags).
-    for (const std::size_t gi : layer.gates) {
+    const std::span<const std::size_t> gates = checked_gates(result, layer);
+    for (const std::size_t gi : gates) {
       if (gi >= circuit.size() || !flags_fit) continue;
       const auto& g = circuit.gate(gi);
       if (g.type != circuit::GateType::kCZ) continue;
@@ -134,7 +155,7 @@ ValidationReport validate_schedule(const CompileResult& result,
     // layers, whose excursions are not in the snapshot).
     if (layer.trap_changes == 0) {
       std::vector<std::size_t> cz_gates;
-      for (const std::size_t gi : layer.gates) {
+      for (const std::size_t gi : gates) {
         if (gi < circuit.size() &&
             circuit.gate(gi).type == circuit::GateType::kCZ) {
           cz_gates.push_back(gi);

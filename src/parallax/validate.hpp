@@ -12,9 +12,10 @@
 //   P1  every CZ executes with its atoms within the interaction radius;
 //   P2  no two distinct CZs in a layer violate the blockade radius;
 //   P3  the minimum separation constraint holds at every execution snapshot.
-// A layer index past the circuit fails L2 and is skipped by the other
-// checks; a snapshot or in_aod vector that does not hold one entry per qubit
-// fails P1 and is never indexed.
+// A layer whose gate range is reversed or runs past the result's
+// layer_gates, and a gate index past the circuit, fail L2 and are skipped by
+// the other checks; a snapshot or in_aod vector that does not hold one entry
+// per qubit fails P1 and is never indexed.
 #pragma once
 
 #include <string>

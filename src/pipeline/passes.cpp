@@ -168,6 +168,7 @@ Pass schedule() {
     compiler::ScheduleOutput output =
         compiler::schedule_gates(ctx.result.circuit, *ctx.machine, options);
     ctx.result.layers = std::move(output.layers);
+    ctx.result.layer_gates = std::move(output.layer_gates);
     ctx.result.stats = output.stats;
     ctx.result.runtime_us = output.runtime_us;
   });
@@ -193,6 +194,7 @@ Pass static_schedule() {
         util::derive_seed(ctx.options.seed, ctx.input.name(),
                           util::kShuffleSeedSalt));
     ctx.result.layers = std::move(output.layers);
+    ctx.result.layer_gates = std::move(output.layer_gates);
     ctx.result.runtime_us = output.runtime_us;
     if (ctx.options.scheduler.record_positions) {
       // Baseline atoms never move: every layer executes at the placement's

@@ -62,7 +62,9 @@ class ServeError : public std::runtime_error {
 /// v2: STATS request verb + kStats response frame.
 /// v3: multi-tenant farm — per-client rows in the kStats payload and the
 ///     STOP (graceful session drain) request verb.
-inline constexpr std::uint32_t kServeVersion = 3;
+/// v4: the header's checksum is XXH64 (util::checksum64); payloads are v3's
+///     bytes.
+inline constexpr std::uint32_t kServeVersion = 4;
 
 enum class FrameType : std::uint32_t {
   kCell = 1,

@@ -70,8 +70,9 @@ struct ShardSpec {
 /// travels: GraphineOptions' proposal, chains, max_window_qubits and
 /// portfolio_entrants joined; sweep::Options::reuse_results left; the
 /// fidelity model shrank from four bytes to one; a preset topology is
-/// length-prefixed.
-inline constexpr std::uint32_t kSpecVersion = 4;
+/// length-prefixed. v5: the header's checksum is XXH64 (util::checksum64);
+/// payloads are v4's bytes.
+inline constexpr std::uint32_t kSpecVersion = 5;
 
 // --- spec serialization -------------------------------------------------------
 

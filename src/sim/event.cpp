@@ -1,6 +1,7 @@
 #include "sim/event.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace parallax::sim {
 
@@ -79,8 +80,16 @@ Timeline build_timeline(const compiler::CompileResult& result,
       throw SimError("layer " + std::to_string(li) +
                      " has negative movement/trap accounting");
     }
+    if (!result.gates_fit(layer)) {
+      throw SimError("layer " + std::to_string(li) + " has gate range [" +
+                     std::to_string(layer.gates_begin) + ", " +
+                     std::to_string(layer.gates_end) + ") outside the " +
+                     std::to_string(result.layer_gates.size()) +
+                     " layer gates");
+    }
+    const std::span<const std::size_t> gates = result.gates(layer);
     double max_gate_time = 0.0;
-    for (const std::size_t gi : layer.gates) {
+    for (const std::size_t gi : gates) {
       if (gi >= result.circuit.size()) {
         throw SimError("layer " + std::to_string(li) +
                        " references gate " + std::to_string(gi) +
@@ -113,7 +122,7 @@ Timeline build_timeline(const compiler::CompileResult& result,
                                  0.0});
       cursor += leg;
     }
-    for (const std::size_t gi : layer.gates) {
+    for (const std::size_t gi : gates) {
       timeline.events.push_back(
           {EventKind::kGatePulse, li, cursor,
            cursor + gate_pulse_us(result.circuit.gate(gi), config), gi, 1,

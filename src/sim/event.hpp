@@ -28,7 +28,8 @@
 namespace parallax::sim {
 
 /// Thrown on unsimulatable input: a schedule without recorded atom
-/// positions, a gate index outside the circuit, malformed layer scalars.
+/// positions, a layer gate range outside the result's layer_gates, a gate
+/// index outside the circuit, malformed layer scalars.
 /// Deliberately a distinct type so callers can separate "this schedule
 /// cannot be simulated" from a simulation finding a physics violation.
 class SimError : public std::runtime_error {
@@ -89,8 +90,9 @@ void require_positions(const compiler::CompileResult& result);
 [[nodiscard]] std::vector<std::vector<geom::Point>> layer_start_configs(
     const compiler::CompileResult& result);
 
-/// Unrolls `result` into its event timeline. Throws SimError on gate
-/// indices outside the circuit or negative layer scalars.
+/// Unrolls `result` into its event timeline. Throws SimError on a layer
+/// gate range outside `result.layer_gates`, gate indices outside the
+/// circuit or negative layer scalars.
 [[nodiscard]] Timeline build_timeline(const compiler::CompileResult& result,
                                       const hardware::HardwareConfig& config);
 

@@ -25,6 +25,39 @@ constexpr std::uint64_t avalanche(std::uint64_t z) noexcept {
   return z ^ (z >> 31);
 }
 
+/// The little-endian Unsigned at `bytes`, on every target.
+template <typename Unsigned>
+Unsigned load_le(const unsigned char* bytes) noexcept {
+  Unsigned v;
+  std::memcpy(&v, bytes, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(v) == 8) {
+      v = byteswap64(v);
+    } else {
+      v = static_cast<Unsigned>(byteswap64(v) >> 32);
+    }
+  }
+  return v;
+}
+
+// XXH64's primes.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+/// One lane's step over one 8-byte word.
+constexpr std::uint64_t xxh_round(std::uint64_t lane,
+                                  std::uint64_t word) noexcept {
+  return rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+constexpr std::uint64_t xxh_merge(std::uint64_t hash,
+                                  std::uint64_t lane) noexcept {
+  return (hash ^ xxh_round(0, lane)) * kPrime1 + kPrime4;
+}
+
 constexpr int hex_value(char c) noexcept {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -115,7 +148,49 @@ Digest128 hash128(const void* data, std::size_t size,
 }
 
 std::uint64_t checksum64(const void* data, std::size_t size) noexcept {
-  return hash128(data, size, 0x5eedc0dedULL).lo;
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + size;
+  std::uint64_t hash;
+  if (size >= 32) {
+    // Four lanes, each over every fourth word of the 32-byte stripes.
+    std::uint64_t v1 = kPrime1 + kPrime2;
+    std::uint64_t v2 = kPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kPrime1;
+    for (const unsigned char* const limit = end - 32; p <= limit; p += 32) {
+      v1 = xxh_round(v1, load_le<std::uint64_t>(p));
+      v2 = xxh_round(v2, load_le<std::uint64_t>(p + 8));
+      v3 = xxh_round(v3, load_le<std::uint64_t>(p + 16));
+      v4 = xxh_round(v4, load_le<std::uint64_t>(p + 24));
+    }
+    hash = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    hash = xxh_merge(hash, v1);
+    hash = xxh_merge(hash, v2);
+    hash = xxh_merge(hash, v3);
+    hash = xxh_merge(hash, v4);
+  } else {
+    hash = kPrime5;
+  }
+  hash += static_cast<std::uint64_t>(size);
+  // The tail: whole words, then a half word, then single bytes.
+  for (; end - p >= 8; p += 8) {
+    hash = rotl(hash ^ xxh_round(0, load_le<std::uint64_t>(p)), 27) * kPrime1 +
+           kPrime4;
+  }
+  if (end - p >= 4) {
+    hash = rotl(hash ^ (load_le<std::uint32_t>(p) * kPrime1), 23) * kPrime2 +
+           kPrime3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    hash = rotl(hash ^ (*p * kPrime5), 11) * kPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
 }
 
 }  // namespace parallax::util

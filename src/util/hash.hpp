@@ -70,8 +70,10 @@ class Hash128 {
 [[nodiscard]] Digest128 hash128(const void* data, std::size_t size,
                                 std::uint64_t seed = 0) noexcept;
 
-/// 64-bit checksum used by cache entry headers (cheaper to store than the
-/// full digest; corruption detection only).
+/// 64-bit checksum in the headers of cache entries, shard files and serve
+/// frames (corruption detection only): XXH64, Yann Collet's published
+/// 64-bit xxHash, at seed 0. Its four independent lanes hash a payload
+/// about three times as fast as the serial Hash128 chain.
 [[nodiscard]] std::uint64_t checksum64(const void* data,
                                        std::size_t size) noexcept;
 

@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "baselines/static_schedule.hpp"
 #include "baselines/swap_router.hpp"
@@ -161,10 +162,13 @@ TEST(StaticSchedule, LayersRespectBlockade) {
   const auto output =
       pb::schedule_static(routed.circuit, positions, blockade, config, 1);
   for (const auto& layer : output.layers) {
-    for (std::size_t i = 0; i < layer.gates.size(); ++i) {
-      for (std::size_t j = i + 1; j < layer.gates.size(); ++j) {
-        const auto& g1 = routed.circuit.gate(layer.gates[i]);
-        const auto& g2 = routed.circuit.gate(layer.gates[j]);
+    const std::span<const std::size_t> gates =
+        std::span(output.layer_gates)
+            .subspan(layer.gates_begin, layer.gates_end - layer.gates_begin);
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      for (std::size_t j = i + 1; j < gates.size(); ++j) {
+        const auto& g1 = routed.circuit.gate(gates[i]);
+        const auto& g2 = routed.circuit.gate(gates[j]);
         if (!g1.is_two_qubit() || !g2.is_two_qubit()) continue;
         for (int a = 0; a < 2; ++a) {
           for (int b = 0; b < 2; ++b) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -122,6 +123,80 @@ TEST(Hash128, HexRoundTrip) {
   EXPECT_FALSE(pu::Digest128::from_hex("short").has_value());
   EXPECT_FALSE(
       pu::Digest128::from_hex("zz0e52b0704537e934d8f6f42a4b8688").has_value());
+}
+
+namespace {
+
+/// XXH64 at seed 0 as its specification reads, loading each word a byte at
+/// a time: the reference checksum64 must match at every length.
+std::uint64_t xxh64_bytewise(const unsigned char* p, std::size_t size) {
+  constexpr std::uint64_t k1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t k2 = 0xc2b2ae3d27d4eb4fULL;
+  constexpr std::uint64_t k3 = 0x165667b19e3779f9ULL;
+  constexpr std::uint64_t k4 = 0x85ebca77c2b2ae63ULL;
+  constexpr std::uint64_t k5 = 0x27d4eb2f165667c5ULL;
+  const auto rotl = [](std::uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+  };
+  const auto word = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int i = width - 1; i >= 0; --i) v = (v << 8) | p[at + i];
+    return v;
+  };
+  const auto round = [&](std::uint64_t lane, std::uint64_t w) {
+    return rotl(lane + w * k2, 31) * k1;
+  };
+  std::size_t i = 0;
+  std::uint64_t h = k5;
+  if (size >= 32) {
+    std::uint64_t lanes[4] = {k1 + k2, k2, 0, 0 - k1};
+    for (; i + 32 <= size; i += 32) {
+      for (int l = 0; l < 4; ++l) {
+        lanes[l] = round(lanes[l], word(i + 8 * l, 8));
+      }
+    }
+    h = rotl(lanes[0], 1) + rotl(lanes[1], 7) + rotl(lanes[2], 12) +
+        rotl(lanes[3], 18);
+    for (const std::uint64_t lane : lanes) h = (h ^ round(0, lane)) * k1 + k4;
+  }
+  h += size;
+  for (; i + 8 <= size; i += 8) {
+    h = rotl(h ^ round(0, word(i, 8)), 27) * k1 + k4;
+  }
+  if (i + 4 <= size) {
+    h = rotl(h ^ (word(i, 4) * k1), 23) * k2 + k3;
+    i += 4;
+  }
+  for (; i < size; ++i) h = rotl(h ^ (p[i] * k5), 11) * k1;
+  h ^= h >> 33;
+  h *= k2;
+  h ^= h >> 29;
+  h *= k3;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+TEST(Checksum64, MatchesThePublishedXxh64Vectors) {
+  EXPECT_EQ(pu::checksum64("", 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(pu::checksum64("abc", 3), 0x44bc2cf5ad770999ULL);
+  const std::string spam = "Nobody inspects the spammish repetition";
+  ASSERT_EQ(spam.size(), 39u);  // one 32-byte stripe, then a tail
+  EXPECT_EQ(pu::checksum64(spam.data(), spam.size()), 0xfbcea83c8a378bf1ULL);
+}
+
+TEST(Checksum64, EveryLengthMatchesAByteAtATimeReference) {
+  // Lengths 0 to 100 cut from one buffer, one byte past its start so no
+  // word load is aligned: every tail path (words, a half word, bytes) on
+  // both sides of the stripe loop, and up to three stripes.
+  std::vector<unsigned char> buffer(102);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  const unsigned char* data = buffer.data() + 1;
+  for (std::size_t n = 0; n <= 100; ++n) {
+    EXPECT_EQ(pu::checksum64(data, n), xxh64_bytewise(data, n)) << n;
+  }
 }
 
 // --- cache/fingerprint --------------------------------------------------------
@@ -244,7 +319,8 @@ TEST(Serialize, CompileResultRoundTripIsExact) {
   EXPECT_EQ(parsed.in_aod, result.in_aod);
   ASSERT_EQ(parsed.layers.size(), result.layers.size());
   for (std::size_t i = 0; i < parsed.layers.size(); ++i) {
-    EXPECT_EQ(parsed.layers[i].gates, result.layers[i].gates);
+    EXPECT_TRUE(std::ranges::equal(parsed.gates(parsed.layers[i]),
+                                   result.gates(result.layers[i])));
     EXPECT_EQ(parsed.layers[i].duration_us, result.layers[i].duration_us);
     EXPECT_EQ(parsed.layers[i].positions.size(),
               result.layers[i].positions.size());

@@ -596,10 +596,12 @@ parallax::compiler::CompileResult wire_result() {
   result.topology.interaction_radius_um = 7.5;
   result.topology.blockade_radius_um = 18.75;
   parallax::compiler::Layer first;
-  first.gates = {0};
+  first.gates_begin = 0;
+  first.gates_end = 1;
   first.duration_us = 0.25;
   parallax::compiler::Layer second;
-  second.gates = {1};
+  second.gates_begin = 1;
+  second.gates_end = 2;
   second.move_distance_um = 3.5;
   second.return_distance_um = 3.25;
   second.aod_moves = 1;
@@ -607,9 +609,11 @@ parallax::compiler::CompileResult wire_result() {
   second.duration_us = 206.75;
   second.positions = {{3.5, 0.0}, {7.5, 15.0}, {22.5, 7.5}};
   parallax::compiler::Layer third;
-  third.gates = {2, 3};
+  third.gates_begin = 2;
+  third.gates_end = 4;
   third.duration_us = 5.5;
   result.layers = {first, second, third};
+  result.layer_gates = {0, 1, 2, 3};
   result.in_aod = {1, 0, 0};
   result.stats.u3_gates = 1;
   result.stats.cz_gates = 1;
@@ -799,19 +803,19 @@ TEST(Goldens, WireFormatsAreByteStable) {
       {"shard-cell", "af981b945c8664e90ca044c8277f0bcf"},
       {"shard-cell/spliced", "af981b945c8664e90ca044c8277f0bcf"},
       {"canonical", "64e6a9c1c58d6fdb4d4ac7e560bd7fe6"},
-      {"shard-run", "e9e54e25af5ea89ba3e6bee81031a96a"},
+      {"shard-run", "b0d990fa2b365bb8aefc584baddbf6ee"},
       {"shard-run/payload", "69c211571b0098de194a6eefb72037e5"},
-      {"sweep-spec", "19dceef2410078368c06e488b619f096"},
+      {"sweep-spec", "7f316c71bd2bfbe9db81e1a2db82ac99"},
       {"sweep-spec/payload", "d8fccf655e91eaa0531064366f21eb41"},
-      {"frame/cell", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/cell", "8e5950b9132e6afbacfacab8e8d34a80"},
       {"frame/cell/payload", "af981b945c8664e90ca044c8277f0bcf"},
-      {"frame/cell/spliced", "8eb765bc001a9990a40c4193bee02e67"},
+      {"frame/cell/spliced", "8e5950b9132e6afbacfacab8e8d34a80"},
       {"frame/cell/spliced/payload", "af981b945c8664e90ca044c8277f0bcf"},
-      {"frame/done", "fcafc4130724e33e652c33773aacbdd1"},
+      {"frame/done", "fb8262c617449888b3ab28956020d0f9"},
       {"frame/done/payload", "96eebeacb7dd700ab5fc3df50c6fe9d4"},
-      {"frame/stats", "cf3c52b58bdf1ed3854602a295541247"},
+      {"frame/stats", "4c33e0570c11ea69862307d84971af8a"},
       {"frame/stats/payload", "2a2db25eafe64636b1e6e4f4b96f243d"},
-      {"frame/error", "ae2c7f062e45f455a18dfc82887e3099"},
+      {"frame/error", "fd2dcc446bbbaea566b2e37a084c5c15"},
       {"frame/error/payload", "02077acc2cbb1786791933ef66b3f1c1"},
   };
   EXPECT_EQ(actual.size(), expected.size());

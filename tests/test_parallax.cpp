@@ -75,7 +75,7 @@ void check_schedule_invariants(const px::CompileResult& result) {
   for (const auto& layer : result.layers) {
     // (2) No two gates in a layer touch the same qubit.
     std::set<std::int32_t> touched;
-    for (const auto gi : layer.gates) {
+    for (const auto gi : result.gates(layer)) {
       const auto& g = result.circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) {
         EXPECT_TRUE(touched.insert(g.q[k]).second)
@@ -92,7 +92,7 @@ void check_schedule_invariants(const px::CompileResult& result) {
     for (int k = 0; k < g.arity(); ++k) expected[g.q[k]].push_back(gi);
   }
   for (const auto& layer : result.layers) {
-    for (const auto gi : layer.gates) {
+    for (const auto gi : result.gates(layer)) {
       const auto& g = result.circuit.gate(gi);
       for (int k = 0; k < g.arity(); ++k) actual[g.q[k]].push_back(gi);
     }
@@ -100,7 +100,9 @@ void check_schedule_invariants(const px::CompileResult& result) {
   EXPECT_EQ(expected, actual);
   // (4) Every gate scheduled exactly once.
   std::size_t scheduled = 0;
-  for (const auto& layer : result.layers) scheduled += layer.gates.size();
+  for (const auto& layer : result.layers) {
+    scheduled += result.gates(layer).size();
+  }
   std::size_t schedulable = 0;
   for (const auto& g : result.circuit.gates()) {
     schedulable += (g.type != pc::GateType::kBarrier);
@@ -282,7 +284,9 @@ TEST(Scheduler, AllGatesScheduledOnce) {
   px::SchedulerOptions options;
   const auto output = px::schedule_gates(c, *fixture.machine, options);
   std::size_t total = 0;
-  for (const auto& layer : output.layers) total += layer.gates.size();
+  for (const auto& layer : output.layers) {
+    total += layer.gates_end - layer.gates_begin;
+  }
   std::size_t schedulable = 0;
   for (const auto& g : c.gates()) {
     schedulable += (g.type != pc::GateType::kBarrier);

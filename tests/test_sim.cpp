@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "bench_circuits/registry.hpp"
 #include "circuit/circuit.hpp"
@@ -182,6 +183,26 @@ TEST(Sim, MissingPositionsIsAClearError) {
   EXPECT_THROW(
       (void)ps::simulate(result, ph::HardwareConfig::quera_aquila_256(), {}),
       ps::SimError);
+}
+
+TEST(Sim, ALayerRangeOutsideLayerGatesIsAClearError) {
+  // A reversed range and one past the end of layer_gates: the timeline
+  // throws instead of reading either, and the ledger reports it as E1.
+  const px::CompileResult schedule = ghz_schedule();
+  const std::size_t n = schedule.layer_gates.size();
+  for (const auto& [begin, end] :
+       {std::pair<std::size_t, std::size_t>{1, 0}, {0, n + 1}}) {
+    px::CompileResult corrupted = schedule;
+    corrupted.layers.back().gates_begin = begin;
+    corrupted.layers.back().gates_end = end;
+    EXPECT_THROW((void)ps::build_timeline(
+                     corrupted, ph::HardwareConfig::quera_aquila_256()),
+                 ps::SimError);
+    const auto report = px::validate_continuous(
+        corrupted, ph::HardwareConfig::quera_aquila_256());
+    ASSERT_FALSE(report.ok);
+    EXPECT_EQ(report.violations.front().rfind("E1", 0), 0u);
+  }
 }
 
 TEST(Sim, RejectsNonPositiveShotCounts) {

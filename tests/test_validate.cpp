@@ -2,6 +2,8 @@
 // the exact invariant that was broken.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bench_circuits/registry.hpp"
 #include "circuit/transpile.hpp"
 #include "hardware/config.hpp"
@@ -27,6 +29,29 @@ bool has_violation(const px::ValidationReport& report, const char* prefix) {
     if (v.rfind(prefix, 0) == 0) return true;
   }
   return false;
+}
+
+using GateLists = std::vector<std::vector<std::size_t>>;
+
+/// Each layer's gates as a list of its own, for a test that edits them.
+GateLists gate_lists(const px::CompileResult& result) {
+  GateLists lists;
+  for (const auto& layer : result.layers) {
+    const auto gates = result.gates(layer);
+    lists.emplace_back(gates.begin(), gates.end());
+  }
+  return lists;
+}
+
+/// Lays one list per layer out as `result`'s layer_gates, in layer order.
+void set_gate_lists(px::CompileResult& result, const GateLists& lists) {
+  result.layer_gates.clear();
+  for (std::size_t li = 0; li < lists.size(); ++li) {
+    result.layers[li].gates_begin = result.layer_gates.size();
+    result.layer_gates.insert(result.layer_gates.end(), lists[li].begin(),
+                              lists[li].end());
+    result.layers[li].gates_end = result.layer_gates.size();
+  }
 }
 }  // namespace
 
@@ -66,7 +91,9 @@ TEST(Validate, SwapsAllowedForBaselines) {
 TEST(Validate, DetectsDoubleScheduling) {
   auto result = compiled_qaoa();
   ASSERT_FALSE(result.layers.empty());
-  result.layers.back().gates.push_back(result.layers.front().gates.front());
+  GateLists lists = gate_lists(result);
+  lists.back().push_back(lists.front().front());
+  set_gate_lists(result, lists);
   const auto report = px::validate_schedule(
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "L2"));
@@ -74,12 +101,14 @@ TEST(Validate, DetectsDoubleScheduling) {
 
 TEST(Validate, DetectsMissingGate) {
   auto result = compiled_qaoa();
-  for (auto& layer : result.layers) {
-    if (!layer.gates.empty()) {
-      layer.gates.pop_back();
+  GateLists lists = gate_lists(result);
+  for (auto& gates : lists) {
+    if (!gates.empty()) {
+      gates.pop_back();
       break;
     }
   }
+  set_gate_lists(result, lists);
   const auto report = px::validate_schedule(
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "L2"));
@@ -89,12 +118,14 @@ TEST(Validate, DetectsQubitReuseInLayer) {
   auto result = compiled_qaoa();
   // Duplicate a gate within one layer: both L2 (scheduled twice) and L3
   // (same qubit twice in the layer) must fire.
-  for (auto& layer : result.layers) {
-    if (!layer.gates.empty()) {
-      layer.gates.push_back(layer.gates.front());
+  GateLists lists = gate_lists(result);
+  for (auto& gates : lists) {
+    if (!gates.empty()) {
+      gates.push_back(gates.front());
       break;
     }
   }
+  set_gate_lists(result, lists);
   const auto report = px::validate_schedule(
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "L3"));
@@ -104,18 +135,20 @@ TEST(Validate, DetectsOrderViolation) {
   auto result = compiled_qaoa();
   // Swap the gate lists of the first two nonempty layers touching a shared
   // qubit — with overwhelming likelihood this breaks per-qubit order.
-  std::size_t first = result.layers.size(), second = result.layers.size();
-  for (std::size_t i = 0; i < result.layers.size(); ++i) {
-    if (result.layers[i].gates.empty()) continue;
-    if (first == result.layers.size()) {
+  GateLists lists = gate_lists(result);
+  std::size_t first = lists.size(), second = lists.size();
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    if (lists[i].empty()) continue;
+    if (first == lists.size()) {
       first = i;
     } else {
       second = i;
       break;
     }
   }
-  ASSERT_LT(second, result.layers.size());
-  std::swap(result.layers[first].gates, result.layers[second].gates);
+  ASSERT_LT(second, lists.size());
+  std::swap(lists[first], lists[second]);
+  set_gate_lists(result, lists);
   const auto report = px::validate_schedule(
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_FALSE(report.ok);
@@ -126,7 +159,7 @@ TEST(Validate, DetectsOutOfRangeCz) {
   // Teleport one CZ's atom far away in the recorded snapshot.
   for (auto& layer : result.layers) {
     if (layer.positions.empty() || layer.trap_changes != 0) continue;
-    for (const auto gi : layer.gates) {
+    for (const auto gi : result.gates(layer)) {
       const auto& g = result.circuit.gate(gi);
       if (g.type != parallax::circuit::GateType::kCZ) continue;
       if (!result.in_aod[static_cast<std::size_t>(g.q[0])] &&
@@ -165,12 +198,36 @@ TEST(Validate, OutOfRangeGateIndexIsReportedNotRead) {
   result.circuit.cz(0, 1);
   result.in_aod = {1, 0};
   px::Layer layer;
-  layer.gates = {0, 5};
   layer.positions = {{0.0, 0.0}, {5.0, 0.0}};
   result.layers = {layer};
+  set_gate_lists(result, {{0, 5}});
   const auto report = px::validate_schedule(
       result, ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "L2"));
+}
+
+TEST(Validate, LayerRangeOutsideLayerGatesIsReportedNotRead) {
+  // One CZ scheduled in layer 0; layer 1's range is reversed and layer 2's
+  // runs past layer_gates. L2 reports both, and no check reads them (a read
+  // past layer_gates aborts under _GLIBCXX_ASSERTIONS).
+  px::CompileResult result;
+  result.circuit = parallax::circuit::Circuit(2, "two");
+  result.circuit.cz(0, 1);
+  result.in_aod = {1, 0};
+  px::Layer layer;
+  layer.positions = {{0.0, 0.0}, {5.0, 0.0}};
+  result.layers = {layer, layer, layer};
+  set_gate_lists(result, {{0}, {}, {}});
+  result.layers[1].gates_begin = 1;
+  result.layers[1].gates_end = 0;
+  result.layers[2].gates_begin = 0;
+  result.layers[2].gates_end = 3;
+  const auto report = px::validate_schedule(
+      result, ph::HardwareConfig::quera_aquila_256());
+  EXPECT_TRUE(
+      has_violation(report, "L2: layer 1 has gate range [1, 0) outside"));
+  EXPECT_TRUE(
+      has_violation(report, "L2: layer 2 has gate range [0, 3) outside"));
 }
 
 TEST(Validate, SnapshotAndFlagSizesAreReportedNotRead) {
@@ -180,9 +237,9 @@ TEST(Validate, SnapshotAndFlagSizesAreReportedNotRead) {
   result.circuit = parallax::circuit::Circuit(2, "two");
   result.circuit.cz(0, 1);
   px::Layer short_snapshot;
-  short_snapshot.gates = {0};
   short_snapshot.positions = {{0.0, 0.0}};
   result.layers = {short_snapshot};
+  set_gate_lists(result, {{0}});
   auto report = px::validate_schedule(result,
                                       ph::HardwareConfig::quera_aquila_256());
   EXPECT_TRUE(has_violation(report, "P1: layer 0 records 1 positions"));
