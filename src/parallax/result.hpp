@@ -72,8 +72,7 @@ struct CompileResult {
   circuit::Circuit circuit;       // the gate stream actually scheduled
   placement::PhysicalTopology topology;
   std::vector<Layer> layers;
-  /// Every layer's gates, indices into `circuit`, layer after layer: one
-  /// array per result, not one per layer.
+  /// Every layer's gates, indices into `circuit`, layer after layer.
   std::vector<std::size_t> layer_gates;
   std::vector<std::int8_t> in_aod;  // per logical qubit, after AOD selection
   CompileStats stats;
