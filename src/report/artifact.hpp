@@ -5,10 +5,10 @@
 // rendering. Here an artifact is data: a name, a sweep-spec planner, and a
 // renderer that turns sweep::Results into rows plus derived summary lines.
 // One orchestrator (report/orchestrator.hpp) drives any subset of the
-// registry against one executor — in-process, an in-process warm
-// SweepService session, or a remote `parallax serve` socket — so
-// regenerating the whole paper is a single command against one warm cache,
-// and the rendering logic lives once, testably, in the library.
+// registry against one executor — in-process sweeps or a remote
+// `parallax serve` socket — so regenerating the whole paper is a single
+// command against one warm cache, and the rendering logic lives once,
+// testably, in the library.
 // `parallax_cli bench` is its one front end.
 //
 // Determinism contract: everything a renderer puts into Rendered::blocks
@@ -104,7 +104,8 @@ class Registry {
  public:
   Registry() = default;
 
-  /// The ten paper artifacts: table02-04, fig09-13, ablation, compile-time.
+  /// The eleven paper artifacts: table02-04, fig09-13, ablation,
+  /// compile-time, sim-vs-model.
   [[nodiscard]] static const Registry& global();
 
   /// Throws ReportError on a duplicate name.
@@ -124,8 +125,9 @@ class Registry {
 /// Drives one artifact's full plan through `run_spec` and renders it: the
 /// in-process path of the orchestrator and the reference implementation the
 /// differential tests compare serve-session rendering against. Throws
-/// ReportError when any executed cell reports a compile error (an artifact
-/// built from partial results would silently misreport the paper).
+/// ReportError when any cell reports a compile error or did not run
+/// (skipped or cancelled): an artifact built from partial results would
+/// silently misreport the paper.
 [[nodiscard]] Rendered generate(
     const Artifact& artifact, const Options& options,
     const std::function<sweep::Result(const shard::SweepSpec&)>& run_spec);

@@ -278,6 +278,14 @@ Artifact make_table04() {
     // a warm result-cache hit that ran no pass at all).
     const auto& first_timings =
         suite.at(circuits.front(), "parallax", quera.name).result.pass_timings;
+    if (first_timings.empty()) {
+      // The cell codec drops pass timings, so cells served over a socket
+      // carry none; a table of them would be a column of zeros.
+      rendered.volatile_text =
+          "Parallax per-pass compile time on " + quera.name +
+          ": not shown (per-pass times are not carried over a serve socket)";
+      return rendered;
+    }
     std::vector<std::string> headers = {"Bench"};
     for (const auto& timing : first_timings) headers.push_back(timing.pass);
     headers.push_back("total");
@@ -1071,10 +1079,14 @@ Rendered generate(
     for (const auto& spec : specs) {
       sweep::Result result = run_spec(spec);
       for (const auto& cell : result.cells) {
-        if (!cell.ok()) {
-          throw ReportError("artifact '" + artifact.name + "' sweep cell " +
-                            cell.circuit + "/" + cell.technique + "/" +
-                            cell.machine + " failed: " + cell.error);
+        // A cell that never ran (a cancelled request's unstarted cells)
+        // holds an empty result, which would render as zeros.
+        const bool ran = !cell.skipped && !cell.cancelled;
+        if (!cell.ok() || !ran) {
+          throw ReportError(
+              "artifact '" + artifact.name + "' sweep cell " + cell.circuit +
+              "/" + cell.technique + "/" + cell.machine +
+              (ran ? " failed: " + cell.error : std::string(" did not run")));
         }
       }
       results.push_back(std::move(result));

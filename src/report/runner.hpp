@@ -1,15 +1,13 @@
 // Executors the report orchestrator drives artifact sweeps through, with
-// uniform accounting. Three ways to run one spec:
-//   * InProcessRunner — sweep::run (or shard::run_sharded) in this process,
-//     optionally against a persistent cache: `bench --serve off`.
-//   * ServiceRunner  — an in-process serve::SweepService session: one cache,
-//     one persistent pool, request streaming — the `--serve auto` warm
-//     session without a socket.
-//   * ClientRunner   — a remote `parallax serve --socket` session over a
-//     serve::Client connection: the session state lives in the server.
-// All three return the same flat circuit-major sweep::Result (byte-identical
-// under shard::canonical_bytes), which is what the differential report tests
-// assert.
+// uniform accounting. Two ways to run one spec:
+//   * InProcessRunner — sweep::run in this process, optionally against a
+//     persistent cache: `bench` without --socket.
+//   * ClientRunner    — a remote `parallax serve --socket` session over a
+//     serve::Client connection: the session state lives in the server
+//     (`bench --socket PATH`).
+// Both return the same flat circuit-major sweep::Result (byte-identical
+// under shard::canonical_bytes), which is what the differential report test
+// asserts.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +16,6 @@
 
 #include "cache/cache.hpp"
 #include "serve/client.hpp"
-#include "serve/service.hpp"
 #include "shard/spec.hpp"
 #include "sweep/sweep.hpp"
 
@@ -26,7 +23,7 @@ namespace parallax::report {
 
 /// Accounting accumulated across every spec a Runner executed — the
 /// orchestrator's session-wide epilogue. All counters fold in per-sweep
-/// tallies from sweep::Result (the serve paths carry them in the request
+/// tallies from sweep::Result (the serve path carries them in the request
 /// summary).
 struct RunTotals {
   std::uint64_t sweeps = 0;
@@ -75,10 +72,6 @@ class InProcessRunner : public Runner {
   struct Config {
     /// Worker threads; 0 selects hardware concurrency.
     std::size_t n_threads = 0;
-    /// Partition every sweep into this many shards and merge (1 = plain
-    /// sweep::run). Byte-identical either way; this is the harness-level
-    /// exerciser of the shard layer's guarantee.
-    std::uint32_t shards = 1;
     /// Persistent cache shared by every sweep of the run; null keeps pure
     /// in-run memoization.
     std::shared_ptr<cache::CompilationCache> cache;
@@ -92,21 +85,6 @@ class InProcessRunner : public Runner {
 
  private:
   Config config_;
-};
-
-/// Runs specs through an in-process SweepService session (submit + stream +
-/// reassemble), so `parallax bench` exercises the same session machinery as
-/// a socket client — cache-mediated warm replay included — without a server
-/// process.
-class ServiceRunner : public Runner {
- public:
-  explicit ServiceRunner(serve::SweepService& service) : service_(service) {}
-
- protected:
-  [[nodiscard]] sweep::Result execute(const shard::SweepSpec& spec) override;
-
- private:
-  serve::SweepService& service_;
 };
 
 /// Runs specs through a connected serve::Client (a `parallax serve --socket`

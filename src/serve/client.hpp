@@ -4,7 +4,7 @@
 // in-process sweep::run would have produced — for a fully-executed request
 // the reassembly is byte-identical under shard::canonical_bytes.
 //
-// This is what `parallax_cli bench --serve SOCKET` speaks to a serve
+// This is what `parallax_cli bench --socket PATH` speaks to a serve
 // socket, and what `parallax serve submit` wraps. One connection serves
 // many sequential run() calls (the warm-session pattern: the second run of
 // the same spec replays from the server's cache with zero anneals).
@@ -22,9 +22,7 @@
 namespace parallax::serve {
 
 /// Rebuilds the flat circuit-major sweep::Result of one request from the
-/// cells it streams, in any order: Client::run and the report layer's
-/// in-process ServiceRunner both reassemble through it. Not thread-safe; a
-/// caller whose cells arrive on several threads serializes place().
+/// cells it streams, in any order, as Client::run does. Not thread-safe.
 class Reassembly {
  public:
   /// `spec` must outlive the reassembly.
@@ -86,7 +84,7 @@ struct ClientOutcome {
 
 class Client {
  public:
-  /// Connects to a serve unix socket (what `bench --serve` names). Throws
+  /// Connects to a serve unix socket (what `bench --socket` names). Throws
   /// ServeError when the socket cannot be reached.
   explicit Client(const std::string& socket_path);
   /// Adopts an already-connected descriptor (tests hand in a socketpair

@@ -3,7 +3,7 @@
 // transports; it owns line framing, quotas, stall detection and detach:
 //
 //   * serve_unix_socket — the multi-tenant farm that `parallax_cli bench
-//     --serve SOCKET` and `serve submit` target: the loop accepts and
+//     --socket PATH` and `serve submit` target: the loop accepts and
 //     multiplexes many concurrent AF_UNIX connections over one
 //     SweepService.
 //   * serve_connection — the same loop without a listener, over one lent

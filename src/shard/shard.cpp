@@ -8,7 +8,6 @@
 
 #include "cache/archive.hpp"
 #include "placement/graphine.hpp"
-#include "util/stopwatch.hpp"
 
 namespace parallax::shard {
 
@@ -311,54 +310,6 @@ sweep::Result merge(std::vector<ShardRun> runs) {
   for (const auto& entry : by_flat) {
     merged.cells.push_back(std::move(*entry.second));
   }
-  return merged;
-}
-
-sweep::Result run_sharded(const std::vector<sweep::CircuitSpec>& circuits,
-                          const std::vector<std::string>& techniques,
-                          const std::vector<sweep::MachineSpec>& machines,
-                          std::uint32_t shard_count,
-                          const sweep::Options& options,
-                          const technique::Registry& registry) {
-  if (shard_count == 0) throw ShardError("shard_count must be at least 1");
-  if (options.cell_filter) {
-    throw ShardError(
-        "run_sharded owns cell partitioning and cannot compose a caller "
-        "cell_filter; filter the matrix axes instead");
-  }
-  const util::Stopwatch stopwatch;
-  const std::size_t total =
-      circuits.size() * techniques.size() * machines.size();
-  sweep::Result merged;
-  merged.cells.resize(total);
-  for (std::uint32_t index = 0; index < shard_count; ++index) {
-    const CellRange owned = shard_cell_range(total, shard_count, index);
-    if (owned.size() == 0) continue;
-    sweep::Options shard_options = options;
-    shard_options.cell_filter = [owned](std::size_t flat) {
-      return owned.contains(flat);
-    };
-    if (shard_options.provenance.empty()) {
-      shard_options.provenance = "shard-" + std::to_string(index) + "/" +
-                                 std::to_string(shard_count) + "@" +
-                                 local_host_name();
-    }
-    sweep::Result swept =
-        sweep::run(circuits, techniques, machines, shard_options, registry);
-    for (std::size_t flat = owned.begin; flat < owned.end; ++flat) {
-      merged.cells[flat] = std::move(swept.cells[flat]);
-    }
-    merged.placement_cache_hits += swept.placement_cache_hits;
-    merged.placement_cache_misses += swept.placement_cache_misses;
-    merged.transpile_cache_hits += swept.transpile_cache_hits;
-    merged.transpile_cache_misses += swept.transpile_cache_misses;
-    merged.placement_disk_hits += swept.placement_disk_hits;
-    merged.result_cache_hits += swept.result_cache_hits;
-    merged.result_cache_misses += swept.result_cache_misses;
-    merged.anneals += swept.anneals;
-    merged.threads_used = std::max(merged.threads_used, swept.threads_used);
-  }
-  merged.wall_seconds = stopwatch.seconds();
   return merged;
 }
 

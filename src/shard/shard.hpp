@@ -131,16 +131,6 @@ struct ShardRun {
 ///   * missing cells (coverage gaps).
 [[nodiscard]] sweep::Result merge(std::vector<ShardRun> runs);
 
-/// In-process convenience behind `parallax_cli bench --serve off --shards N`:
-/// plan + run each shard sequentially + merge, all in this process (nothing
-/// is serialized). Byte-identical to sweep::run over the same arguments.
-[[nodiscard]] sweep::Result run_sharded(
-    const std::vector<sweep::CircuitSpec>& circuits,
-    const std::vector<std::string>& techniques,
-    const std::vector<sweep::MachineSpec>& machines,
-    std::uint32_t shard_count, const sweep::Options& options = {},
-    const technique::Registry& registry = technique::Registry::global());
-
 /// Canonical deterministic serialization of a sweep::Result's cells — the
 /// byte-identity artifact the differential tests and the CI shard job diff.
 /// Covers labels, indices, errors, results (pass timings excluded by the

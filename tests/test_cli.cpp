@@ -194,7 +194,7 @@ TEST(CliContract, MissingValues) {
       {{"--benchmark"}, 2, "error: missing value for option"},
       {{"shard", "plan", "--out-dir"}, 2, "error: missing value for option"},
       {{"sim", "--shots"}, 2, "error: missing value for option"},
-      {{"bench", "--all", "--serve"}, 2, "error: missing value for option"},
+      {{"bench", "--all", "--socket"}, 2, "error: missing value for option"},
   });
 }
 
@@ -239,11 +239,13 @@ TEST(CliContract, MalformedValues) {
        2,
        "error: exactly one of --benchmark / --circuit / --import is "
        "required"},
-      {{"bench", "--shards", "0"}, 2, "error: --shards must be in [1, 1048576]"},
-      {{"bench", "--shards", "1048577"},
+      {{"shard", "plan", "--shards", "0"},
        2,
        "error: --shards must be in [1, 1048576]"},
-      {{"bench", "--shards", "x"},
+      {{"shard", "plan", "--shards", "1048577"},
+       2,
+       "error: --shards must be in [1, 1048576]"},
+      {{"shard", "plan", "--shards", "x"},
        2,
        "error: --shards expects a non-negative integer, got 'x'"},
       {{"sim", "--shots", "0"}, 2, "error: --shots expects a positive shot count"},
@@ -298,7 +300,7 @@ TEST(CliContract, BenchModeRules) {
       "error: bench needs exactly one of --list, --all, or artifact names "
       "(see bench --list)";
   const std::string local_tail =
-      " configures this process, not the serve session --serve names (set "
+      " configures this process, not the serve session --socket names (set "
       "it on `parallax serve` instead)";
   expect_cases({
       {{"bench"}, 2, modes},
@@ -313,25 +315,23 @@ TEST(CliContract, BenchModeRules) {
        "error: unknown option --perf-baseline"},
       {{"bench", "--all", "--shards", "2"},
        2,
-       "error: --shards only applies to --serve off (a serve session "
-       "executes whole specs; sharding is the in-process campaign shape)"},
-      {{"bench", "--all", "--shards", "2", "--serve", "s.sock"},
+       "error: bench does not take --shards"},
+      {{"bench", "--all", "--serve", "s.sock"},
        2,
-       "error: --shards only applies to --serve off (a serve session "
-       "executes whole specs; sharding is the in-process campaign shape)"},
-      {{"bench", "--all", "--serve", "s.sock", "--threads", "2"},
+       "error: unknown option --serve"},
+      {{"bench", "--all", "--socket", "s.sock", "--threads", "2"},
        2,
        "error: --threads" + local_tail},
-      {{"bench", "--all", "--serve", "s.sock", "--cache-dir", "d"},
+      {{"bench", "--all", "--socket", "s.sock", "--cache-dir", "d"},
        2,
        "error: --cache-dir" + local_tail},
-      {{"bench", "--all", "--serve", "s.sock", "--no-cache"},
+      {{"bench", "--all", "--socket", "s.sock", "--no-cache"},
        2,
        "error: --no-cache" + local_tail},
-      {{"bench", "--all", "--serve", "s.sock", "--max-disk-bytes", "5"},
+      {{"bench", "--all", "--socket", "s.sock", "--max-disk-bytes", "5"},
        2,
        "error: --max-disk-bytes" + local_tail},
-      {{"bench", "--all", "--serve", "s.sock", "--no-cache", "--cache-dir",
+      {{"bench", "--all", "--socket", "s.sock", "--no-cache", "--cache-dir",
         "d"},
        2,
        "error: --cache-dir" + local_tail},
@@ -407,14 +407,13 @@ TEST(CliContract, LateRejections) {
        2,
        "error: unknown technique 'nosuch' (known: parallax, eldi, graphine, "
        "static, parallax-fast, parallax-mc4, graphine-mc4, parallax-race)"},
-      {{"bench", "table02", "--format", "xml", "--serve", "off", "--no-cache"},
+      {{"bench", "table02", "--format", "xml", "--no-cache"},
        2,
        "error: --format expects table, csv, or json, got 'xml'"},
-      {{"bench", "table02", "--benchmarks", "NOPE", "--serve", "off",
-        "--no-cache"},
+      {{"bench", "table02", "--benchmarks", "NOPE", "--no-cache"},
        2,
        "error: --benchmarks names an unknown Table III acronym 'NOPE'"},
-      {{"bench", "nosuch", "--serve", "off", "--no-cache"},
+      {{"bench", "nosuch", "--no-cache"},
        2,
        "error: unknown artifact 'nosuch' (known: table02, table03, table04, "
        "fig09, fig10, fig11, fig12, fig13, ablation, compile-time, "
@@ -543,10 +542,9 @@ const std::vector<std::pair<std::string, std::string>>& all_flags() {
       {"--spec", "s.spec"},       {"--out", "o.bin"},
       {"--origin", "host"},       {"--shots", ""},
       {"--socket", "s.sock"},     {"--max-inflight", "2"},
-      {"--max-client-bytes", "9"}, {"--serve", "off"},
-      {"--format", "csv"},        {"--all", ""},
-      {"--list", ""},             {"--full-scale", ""},
-      {"--manifest", "m.tsv"},
+      {"--max-client-bytes", "9"}, {"--format", "csv"},
+      {"--all", ""},              {"--list", ""},
+      {"--full-scale", ""},       {"--manifest", "m.tsv"},
   };
   return flags;
 }
@@ -598,9 +596,9 @@ const std::vector<CommandSpec>& all_commands() {
       {"serve stop", {"serve", "stop"}, {"--socket"}},
       {"bench",
        {"bench"},
-       {"--all", "--list", "--serve", "--format", "--benchmarks", "--seed",
+       {"--all", "--list", "--socket", "--format", "--benchmarks", "--seed",
         "--threads", "--full-scale", "--cache-dir", "--no-cache",
-        "--max-disk-bytes", "--shards"}},
+        "--max-disk-bytes"}},
       {"sim",
        {"sim"},
        {"--benchmark", "--circuit", "--machine", "--technique", "--aod-count",

@@ -1,10 +1,11 @@
 // Report-layer tests. The acceptance core: every artifact renders an
-// identical document whether its sweeps run in-process, through an
-// in-process SweepService session, or through a serve::Client connection
-// (the differential guarantee `parallax bench --serve` rests on). Around
-// it: registry integrity (eleven unique names, unknown names rejected,
-// duplicate registration rejected), spec serializability round trips,
-// renderer formats, and warm-session accounting through the Runner layer.
+// identical document whether its sweeps run in-process or through a
+// serve::Client connection (the differential guarantee `parallax bench
+// --socket` rests on). Around it: registry integrity (eleven unique names,
+// unknown names rejected, duplicate registration rejected), spec
+// serializability round trips, generate's refusal of cells that failed or
+// never ran, renderer formats, and warm-session accounting through the
+// Runner layer.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -140,20 +141,7 @@ TEST(ArtifactRegistry, EverySpecRoundTripsThroughTheWireCodec) {
   EXPECT_GE(specs_seen, 17u);
 }
 
-// --- differential rendering: in-process vs serve session ----------------------
-
-TEST(ReportDifferential, ServiceSessionRendersIdenticalDocuments) {
-  const rp::Options options = small_options();
-  rp::InProcessRunner in_process;
-  sv::SweepService service({.n_threads = 2, .cache = nullptr});
-  rp::ServiceRunner session(service);
-  for (const auto& name : rp::Registry::global().names()) {
-    const rp::Artifact& artifact = rp::Registry::global().at(name);
-    EXPECT_EQ(render_via(in_process, artifact, options),
-              render_via(session, artifact, options))
-        << "artifact " << name << " renders differently through a session";
-  }
-}
+// --- differential rendering: in-process vs a serve socket --------------------
 
 TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
   const rp::Options options = small_options();
@@ -169,9 +157,9 @@ TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
   {
     sv::Client client(fds[1]);
     rp::ClientRunner remote(client);
-    // The full wire path for a representative single-phase artifact and the
-    // multi-phase fig11 (whose second phase depends on first-phase results).
-    for (const char* name : {"fig09", "fig11", "compile-time"}) {
+    // The full wire path for every artifact, the multi-phase fig11 (whose
+    // second phase depends on first-phase results) among them.
+    for (const auto& name : rp::Registry::global().names()) {
       const rp::Artifact& artifact = rp::Registry::global().at(name);
       EXPECT_EQ(render_via(in_process, artifact, options),
                 render_via(remote, artifact, options))
@@ -180,17 +168,6 @@ TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
     client.quit();
   }
   server.join();
-}
-
-TEST(ReportDifferential, ShardedExecutionRendersIdenticalDocuments) {
-  const rp::Options options = small_options();
-  rp::InProcessRunner plain;
-  rp::InProcessRunner::Config sharded_config;
-  sharded_config.shards = 3;
-  rp::InProcessRunner sharded(std::move(sharded_config));
-  const rp::Artifact& artifact = rp::Registry::global().at("fig09");
-  EXPECT_EQ(render_via(plain, artifact, options),
-            render_via(sharded, artifact, options));
 }
 
 // --- runner accounting --------------------------------------------------------
@@ -260,6 +237,68 @@ TEST(Generate, FailedCellsFailTheArtifactLoudly) {
                            return runner.run(spec);
                          }),
       rp::ReportError);
+}
+
+TEST(Generate, CellsThatNeverRanFailTheArtifact) {
+  // A cancelled request's unstarted cells, like the cells a filter skips,
+  // carry labels and an empty result; rendered, they would be rows of
+  // zeros averaged into the paper comparison.
+  const rp::Options options = small_options();
+  const rp::Artifact& artifact = rp::Registry::global().at("fig09");
+  rp::InProcessRunner runner;
+  for (const bool cancelled : {true, false}) {
+    SCOPED_TRACE(cancelled ? "cancelled" : "skipped");
+    std::string last_cell;
+    try {
+      (void)rp::generate(artifact, options, [&](const sh::SweepSpec& spec) {
+        sw::Result result = runner.run(spec);
+        sw::Cell& last = result.cells.back();
+        last_cell = last.circuit + "/" + last.technique + "/" + last.machine;
+        sw::Cell never_ran;
+        never_ran.circuit = last.circuit;
+        never_ran.technique = last.technique;
+        never_ran.machine = last.machine;
+        never_ran.circuit_index = last.circuit_index;
+        never_ran.technique_index = last.technique_index;
+        never_ran.machine_index = last.machine_index;
+        never_ran.cancelled = cancelled;
+        never_ran.skipped = !cancelled;
+        last = std::move(never_ran);
+        return result;
+      });
+      ADD_FAILURE() << "rendered from a cell that never ran";
+    } catch (const rp::ReportError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "artifact 'fig09' sweep cell " + last_cell + " did not run");
+    }
+  }
+}
+
+TEST(Generate, Table04ProfileWithoutPassTimesIsOneLine) {
+  // The cell codec drops pass timings, so cells served over a socket carry
+  // none. The profile then says so instead of printing a column of zeros,
+  // and the rendered document does not change.
+  const rp::Options options = small_options();
+  const rp::Artifact& artifact = rp::Registry::global().at("table04");
+  rp::InProcessRunner runner;
+  const rp::Rendered timed = rp::generate(
+      artifact, options,
+      [&](const sh::SweepSpec& spec) { return runner.run(spec); });
+  EXPECT_NE(timed.volatile_text.find("Bench"), std::string::npos)
+      << timed.volatile_text;
+  const rp::Rendered untimed =
+      rp::generate(artifact, options, [&](const sh::SweepSpec& spec) {
+        sw::Result result = runner.run(spec);
+        for (auto& cell : result.cells) cell.result.pass_timings.clear();
+        return result;
+      });
+  EXPECT_EQ(untimed.volatile_text,
+            "Parallax per-pass compile time on " +
+                parallax::hardware::HardwareConfig::quera_aquila_256().name +
+                ": not shown (per-pass times are not carried over a serve "
+                "socket)");
+  EXPECT_EQ(rp::render_text(untimed, options),
+            rp::render_text(timed, options));
 }
 
 // --- renderers ----------------------------------------------------------------

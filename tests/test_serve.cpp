@@ -731,9 +731,9 @@ TEST(ServeEndToEnd, ClientReassemblyIsByteIdenticalAndWarmRepeatIsFree) {
   ::close(fds[0]);
 }
 
-// The one reassembly behind serve::Client::run and the report layer's
-// ServiceRunner: it refuses a repeated cell and a cell outside the matrix,
-// and labels every cell a cancelled request never streamed.
+// The reassembly behind serve::Client::run: it refuses a repeated cell and
+// a cell outside the matrix, and labels every cell a cancelled request
+// never streamed.
 TEST(ServeReassembly, RefusesBadCellsAndLabelsTheUnstreamed) {
   const sh::SweepSpec spec = small_spec();  // 3 circuits x 2 techniques
   const auto streamed = [](std::size_t circuit, std::size_t technique,

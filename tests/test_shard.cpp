@@ -231,31 +231,6 @@ TEST(ShardDifferential, FileRoundTripPreservesByteIdentity) {
   EXPECT_EQ(sh::canonical_bytes(sh::merge(runs)), expected);
 }
 
-TEST(ShardDifferential, RunShardedMatchesSweepRun) {
-  // The in-process path behind `bench --serve off --shards N`.
-  const auto spec = small_spec();
-  const auto options = spec.options;
-  const auto unsharded = sw::run(spec.circuits, spec.techniques,
-                                 spec.machines, options);
-  for (const std::uint32_t n : {2u, 5u}) {
-    const auto sharded = sh::run_sharded(spec.circuits, spec.techniques,
-                                         spec.machines, n, options);
-    EXPECT_EQ(sh::canonical_bytes(sharded), sh::canonical_bytes(unsharded))
-        << n << " shards";
-  }
-}
-
-TEST(ShardDifferential, RunShardedRejectsACallerCellFilter) {
-  // Silently replacing a caller's filter would compile cells the caller
-  // excluded; partitioning is the shard layer's job alone.
-  const auto spec = small_spec();
-  auto options = spec.options;
-  options.cell_filter = [](std::size_t) { return false; };
-  EXPECT_THROW((void)sh::run_sharded(spec.circuits, spec.techniques,
-                                     spec.machines, 2, options),
-               sh::ShardError);
-}
-
 // --- provenance ---------------------------------------------------------------
 
 TEST(ShardProvenance, ErrorCellsCarryOriginThroughMerge) {

@@ -84,7 +84,6 @@ struct Cli {
   std::uint64_t max_inflight = 0;      // 0 => ServerOptions default
   std::uint64_t max_client_bytes = 0;  // 0 => ServerOptions default
   std::string manifest_out;            // import --manifest OUT
-  std::string serve_mode = "auto";     // "auto" | "off" | a socket path
   std::string format = "table";
   bool all_artifacts = false;
   bool list_artifacts = false;
@@ -212,7 +211,6 @@ const Flag kFlags[] = {
     {"--manifest", "OUT", set_text<&Cli::manifest_out>},
     {"--list", nullptr, set_switch<&Cli::list_artifacts, true>},
     {"--all", nullptr, set_switch<&Cli::all_artifacts, true>},
-    {"--serve", "auto|off|SOCKET", set_text<&Cli::serve_mode>},
     {"--format", "table|csv|json", set_text<&Cli::format>},
     {"--full-scale", nullptr, set_switch<&Cli::full_scale, true>},
 };
@@ -290,12 +288,7 @@ void check_bench(const Cli& cli) {
   exactly_one(cli,
               "bench needs exactly one of --list, --all, or artifact names "
               "(see bench --list)");
-  if (cli.shards != 0 && cli.serve_mode != "off") {
-    reject(cli,
-           "--shards only applies to --serve off (a serve session executes "
-           "whole specs; sharding is the in-process campaign shape)");
-  }
-  if (cli.serve_mode != "off" && cli.serve_mode != "auto") {
+  if (!cli.socket_path.empty()) {
     // A socket session's threads and cache live in the server process;
     // silently ignoring these would e.g. report warm-cache numbers to a
     // user who asked for --no-cache.
@@ -304,7 +297,8 @@ void check_bench(const Cli& cli) {
       if (cli.given.count(local_only) != 0) {
         reject(cli, std::string(local_only) +
                         " configures this process, not the serve session "
-                        "--serve names (set it on `parallax serve` instead)");
+                        "--socket names (set it on `parallax serve` "
+                        "instead)");
       }
     }
   }
@@ -412,9 +406,9 @@ const std::vector<Command> kCommands = {
     {.words = "serve stop", .required = {"--socket"}, .run = run_serve_stop},
     {.words = "bench",
      .choice = {"--list", "--all", "NAME..."},
-     .optional = {"--serve", "--format", "--benchmarks", "--seed",
+     .optional = {"--socket", "--format", "--benchmarks", "--seed",
                   "--threads", "--full-scale", "--cache-dir", "--no-cache",
-                  "--max-disk-bytes", "--shards"},
+                  "--max-disk-bytes"},
      .positional = "NAME...",
      .cache_story = "the warm session story needs the cache",
      .check = check_bench,
@@ -1295,30 +1289,16 @@ int run_bench(const Cli& cli) {
   const std::vector<std::string> names =
       cli.all_artifacts ? registry.names() : cli.inputs;
 
-  // The executor behind the session: an in-process warm SweepService
-  // (auto), plain in-process sweeps (off), or a running socket session.
-  std::unique_ptr<parallax::serve::SweepService> service;
+  // The executor: plain in-process sweeps, or a running socket session.
   std::unique_ptr<parallax::serve::Client> client;
   std::unique_ptr<rp::Runner> runner;
-  if (cli.serve_mode == "off") {
+  if (cli.socket_path.empty()) {
     rp::InProcessRunner::Config config;
     config.n_threads = cli.threads;
-    config.shards = cli.shards == 0 ? 1 : cli.shards;
     config.cache = open_cache(cli);
     runner = std::make_unique<rp::InProcessRunner>(std::move(config));
-  } else if (cli.serve_mode == "auto") {
-    parallax::serve::ServiceOptions service_options;
-    service_options.n_threads = cli.threads;
-    service_options.cache = open_cache(cli);
-    service = std::make_unique<parallax::serve::SweepService>(
-        std::move(service_options));
-    if (service->cache()) {
-      std::fprintf(stderr, "bench: session cache at %s\n",
-                   service->cache()->directory().c_str());
-    }
-    runner = std::make_unique<rp::ServiceRunner>(*service);
   } else {
-    client = std::make_unique<parallax::serve::Client>(cli.serve_mode);
+    client = std::make_unique<parallax::serve::Client>(cli.socket_path);
     runner = std::make_unique<rp::ClientRunner>(*client);
   }
 
@@ -1336,8 +1316,6 @@ int run_bench(const Cli& cli) {
     // The server's lifetime numbers (this run plus every earlier one of
     // the session) — the STATS request over the wire.
     rp::print_server_stats(stderr, client->stats());
-  } else if (service) {
-    rp::print_server_stats(stderr, service->session_stats());
   }
   for (const auto& outcome : outcomes) {
     if (!outcome.ok) return 1;
