@@ -61,7 +61,6 @@ struct DualAnnealingOptions {
 struct EntrantAccount {
   std::string name;
   double value = 0.0;
-  double wall_seconds = 0.0;
   std::int64_t evaluations = 0;
   std::int64_t delta_evaluations = 0;
   bool winner = false;
@@ -80,8 +79,7 @@ struct AnnealResult {
   /// Times the temperature schedule re-annealed from the hot end.
   int restarts = 0;
   /// Portfolio accounting, filled only by anneal::race: the winning
-  /// entrant's name and every entrant's budget spend (wall time is
-  /// observational — selection never reads it).
+  /// entrant's name and every entrant's budget spend.
   std::string winner;
   std::vector<EntrantAccount> entrants;
 };

@@ -1,7 +1,6 @@
 #include "anneal/portfolio.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -91,20 +90,15 @@ AnnealResult race(
   }
 
   std::vector<AnnealResult> results(jobs.size());
-  std::vector<double> walls(jobs.size(), 0.0);
   const auto run_job = [&](std::size_t j) {
     const PortfolioEntrant& e = options.entrants[jobs[j].entrant];
     DualAnnealingOptions opts = e.anneal;
     opts.seed = jobs[j].seed;
     if (e.fresh_start) opts.initial.reset();
 
-    const auto start = std::chrono::steady_clock::now();
     const std::unique_ptr<IncrementalObjective> objective = make_objective();
     results[j] = e.polish_only ? run_polish(*objective, lower, upper, opts)
                                : dual_annealing(*objective, lower, upper, opts);
-    walls[j] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
   };
 
   if (options.pool != nullptr && jobs.size() > 1) {
@@ -114,7 +108,6 @@ AnnealResult race(
   }
 
   // Fixed selection order: the first minimum in job order, strict `<` only.
-  // Wall time is reported below but never read here.
   std::size_t winner = 0;
   for (std::size_t j = 1; j < jobs.size(); ++j) {
     if (results[j].value < results[winner].value) winner = j;
@@ -126,7 +119,6 @@ AnnealResult race(
     const AnnealResult& r = results[j];
     EntrantAccount& account = accounts[jobs[j].entrant];
     if (jobs[j].chain == 0 || r.value < account.value) account.value = r.value;
-    account.wall_seconds += walls[j];
     account.evaluations += r.evaluations;
     account.delta_evaluations += r.delta_evaluations;
     totals.evaluations += r.evaluations;

@@ -12,8 +12,7 @@
 // Budgeting: each entrant carries its own DualAnnealingOptions — the roster
 // builder (see placement::graphine) splits one anneal budget across the
 // entrants so a race costs about as much as the single-chain run it
-// replaces. Per-entrant wall time is measured and reported but NEVER read
-// by selection (wall clocks are not deterministic; objective values are).
+// replaces. Selection reads objective values only, never a clock.
 #pragma once
 
 #include <cstdint>

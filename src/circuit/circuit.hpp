@@ -22,7 +22,6 @@ class Circuit {
 
   [[nodiscard]] std::int32_t n_qubits() const noexcept { return n_qubits_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   [[nodiscard]] const std::vector<Gate>& gates() const noexcept {
     return gates_;

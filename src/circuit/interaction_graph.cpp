@@ -24,7 +24,6 @@ void InteractionGraphBuilder::add_pair(std::int32_t a, std::int32_t b) {
 void InteractionGraphBuilder::add_weighted(std::int32_t a, std::int32_t b,
                                            std::int64_t weight) {
   weights_[{std::min(a, b), std::max(a, b)}] += weight;
-  n_interactions_ += weight;
 }
 
 InteractionGraph InteractionGraphBuilder::build(std::int32_t n_qubits) {
@@ -44,7 +43,6 @@ InteractionGraph InteractionGraphBuilder::build(std::int32_t n_qubits) {
     graph.weighted_degree_[static_cast<std::size_t>(b)] += w;
   }
   weights_.clear();
-  n_interactions_ = 0;
   return graph;
 }
 

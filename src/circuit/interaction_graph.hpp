@@ -68,18 +68,12 @@ class InteractionGraphBuilder {
   /// existing graph into a subgraph).
   void add_weighted(std::int32_t a, std::int32_t b, std::int64_t weight);
 
-  /// Number of two-qubit gates accumulated so far.
-  [[nodiscard]] std::int64_t n_interactions() const noexcept {
-    return n_interactions_;
-  }
-
   /// Builds the graph over qubits [0, n_qubits); every accumulated pair must
   /// fall in that range. The builder resets to empty.
   [[nodiscard]] InteractionGraph build(std::int32_t n_qubits);
 
  private:
   std::map<std::pair<std::int32_t, std::int32_t>, std::int64_t> weights_;
-  std::int64_t n_interactions_ = 0;
 };
 
 }  // namespace parallax::circuit

@@ -1,9 +1,6 @@
 #include "hardware/aod.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 namespace parallax::hardware {
 
@@ -28,28 +25,6 @@ Aod::Aod(std::int32_t n_rows, std::int32_t n_cols, double extent_um,
   spread(cols_);
 }
 
-std::optional<std::int32_t> Aod::closest_free(const std::vector<Line>& lines,
-                                              double coord) const {
-  std::optional<std::int32_t> best;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].qubit >= 0) continue;
-    const double d = std::abs(lines[i].coord - coord);
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<std::int32_t>(i);
-    }
-  }
-  return best;
-}
-
-std::optional<std::int32_t> Aod::closest_free_row(double coord) const {
-  return closest_free(rows_, coord);
-}
-std::optional<std::int32_t> Aod::closest_free_col(double coord) const {
-  return closest_free(cols_, coord);
-}
-
 void Aod::assign(std::int32_t row, std::int32_t col, std::int32_t qubit) {
   auto& r = rows_[static_cast<std::size_t>(row)];
   auto& c = cols_[static_cast<std::size_t>(col)];
@@ -63,51 +38,11 @@ void Aod::release(std::int32_t row, std::int32_t col) {
   cols_[static_cast<std::size_t>(col)].qubit = -1;
 }
 
-bool Aod::move_valid(const std::vector<Line>& lines, std::int32_t index,
-                     double coord) const {
-  const auto i = static_cast<std::size_t>(index);
-  if (i > 0 && coord < lines[i - 1].coord + min_gap_) return false;
-  if (i + 1 < lines.size() && coord > lines[i + 1].coord - min_gap_) {
-    return false;
-  }
-  return true;
-}
-
-bool Aod::row_move_valid(std::int32_t row, double coord) const {
-  return move_valid(rows_, row, coord);
-}
-bool Aod::col_move_valid(std::int32_t col, double coord) const {
-  return move_valid(cols_, col, coord);
-}
-
 void Aod::set_row_coord(std::int32_t row, double coord) {
   rows_[static_cast<std::size_t>(row)].coord = coord;
 }
 void Aod::set_col_coord(std::int32_t col, double coord) {
   cols_[static_cast<std::size_t>(col)].coord = coord;
-}
-
-std::optional<std::int32_t> Aod::order_blocker(const std::vector<Line>& lines,
-                                               std::int32_t index,
-                                               double coord) const {
-  const auto i = static_cast<std::size_t>(index);
-  // Report the nearer blocker first; the movement engine recurses on it.
-  if (i > 0 && coord < lines[i - 1].coord + min_gap_) {
-    return static_cast<std::int32_t>(i - 1);
-  }
-  if (i + 1 < lines.size() && coord > lines[i + 1].coord - min_gap_) {
-    return static_cast<std::int32_t>(i + 1);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::int32_t> Aod::row_order_blocker(std::int32_t row,
-                                                   double coord) const {
-  return order_blocker(rows_, row, coord);
-}
-std::optional<std::int32_t> Aod::col_order_blocker(std::int32_t col,
-                                                   double coord) const {
-  return order_blocker(cols_, col, coord);
 }
 
 bool Aod::ordering_valid() const {

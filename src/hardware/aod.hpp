@@ -5,12 +5,14 @@
 //   (2) all traps on a line move in tandem (Parallax sidesteps this by
 //       placing at most one atom per row/column pair),
 //   (3) atoms obey the global minimum separation distance.
-// The Aod class owns line coordinates and occupancy; constraint (1) is
-// enforced by every mutation, (3) by the Machine that sees all atoms.
+// The Aod class owns line coordinates and occupancy. Its coordinate writes
+// are unchecked; ordering_valid() checks (1). The scheduler keeps (1)
+// through MovementEngine::make_room (parallax/movement.hpp), which pushes
+// neighbour lines aside before a line moves, and (3) through the Machine,
+// which sees all atoms.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace parallax::hardware {
@@ -43,35 +45,15 @@ class Aod {
     return cols_[static_cast<std::size_t>(col)].qubit;
   }
 
-  /// First unoccupied row/column, preferring the one whose current
-  /// coordinate is closest to `coord`.
-  [[nodiscard]] std::optional<std::int32_t> closest_free_row(
-      double coord) const;
-  [[nodiscard]] std::optional<std::int32_t> closest_free_col(
-      double coord) const;
-
   /// Assigns a qubit to a (row, col) pair. Both must be free.
   void assign(std::int32_t row, std::int32_t col, std::int32_t qubit);
   /// Releases the pair holding `qubit` (row and col become free).
   void release(std::int32_t row, std::int32_t col);
 
-  /// Whether moving `row` to `coord` keeps strict ordering with a gap of
-  /// min_line_gap against both neighbours.
-  [[nodiscard]] bool row_move_valid(std::int32_t row, double coord) const;
-  [[nodiscard]] bool col_move_valid(std::int32_t col, double coord) const;
-
-  /// Unchecked coordinate write (caller must have validated or be resolving
-  /// a violation recursively; the class asserts ordering in debug builds).
+  /// Unchecked coordinate write: the caller keeps the ordering (see the
+  /// file comment).
   void set_row_coord(std::int32_t row, double coord);
   void set_col_coord(std::int32_t col, double coord);
-
-  /// Neighbour line that would block `row` from reaching `coord`, if any.
-  /// Returns the neighbour index; the caller decides whether to displace it
-  /// recursively (Parallax movement engine) or give up (trap change).
-  [[nodiscard]] std::optional<std::int32_t> row_order_blocker(
-      std::int32_t row, double coord) const;
-  [[nodiscard]] std::optional<std::int32_t> col_order_blocker(
-      std::int32_t col, double coord) const;
 
   /// True if all row coordinates and all column coordinates are strictly
   /// increasing with the required gap (the non-crossing invariant).
@@ -82,13 +64,6 @@ class Aod {
     double coord = 0.0;
     std::int32_t qubit = -1;  // -1 = free
   };
-
-  [[nodiscard]] std::optional<std::int32_t> closest_free(
-      const std::vector<Line>& lines, double coord) const;
-  [[nodiscard]] bool move_valid(const std::vector<Line>& lines,
-                                std::int32_t index, double coord) const;
-  [[nodiscard]] std::optional<std::int32_t> order_blocker(
-      const std::vector<Line>& lines, std::int32_t index, double coord) const;
 
   std::vector<Line> rows_;  // indexed south-to-north; coord = y
   std::vector<Line> cols_;  // indexed west-to-east; coord = x

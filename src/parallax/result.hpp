@@ -62,9 +62,6 @@ struct PassTiming {
   /// memos or the persistent cache, and a whole-result cache hit marks
   /// every pass.
   bool cached = false;
-  /// Render emphasis (e.g. the winning portfolio entrant's row); purely
-  /// presentational.
-  bool highlight = false;
 };
 
 struct CompileResult {

@@ -59,13 +59,8 @@ Pass transpile() {
 
 Pass graphine_placement() {
   return Pass("graphine-placement", [](CompileContext& ctx) {
-    // Every path emits an "anneal" timing row (before the pass's own row,
-    // which Pipeline::run appends after) so table04's per-pass profile has
-    // a uniform shape whether the anneal ran here or came from a preset,
-    // the run's placement memo, or the persistent cache.
     if (ctx.options.preset_topology) {
       ctx.normalized = *ctx.options.preset_topology;
-      ctx.result.pass_timings.push_back({"anneal", 0.0, true});
       return;
     }
     placement::GraphineOptions options = ctx.options.placement;
@@ -89,15 +84,6 @@ Pass graphine_placement() {
     }
     ctx.normalized = std::move(placed.topology);
     ctx.pass_cached = !placed.annealed;
-    // Raced portfolios surface one row per entrant (winner highlighted)
-    // ahead of the total anneal row.
-    for (const auto& entrant : placed.stats.entrants) {
-      ctx.result.pass_timings.push_back({"anneal[" + entrant.name + "]",
-                                         entrant.wall_seconds, false,
-                                         entrant.winner});
-    }
-    ctx.result.pass_timings.push_back(
-        {"anneal", placed.stats.anneal_seconds, !placed.annealed});
   });
 }
 

@@ -14,7 +14,6 @@
 #include "anneal/portfolio.hpp"
 #include "geometry/uniform_grid.hpp"
 #include "placement/objective.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parallax::placement {
@@ -317,7 +316,6 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
   const bool portfolio = options.portfolio_entrants > 0;
   anneal::AnnealResult result;
   int chains_used = 1;
-  const util::Stopwatch anneal_watch;
   if (options.proposal == ProposalMode::kFullVector) {
     // Legacy reference path — kept bit-for-bit so existing cache entries
     // and goldens replay unchanged.
@@ -358,8 +356,6 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
         },
         lower, upper, race_options);
   }
-  const double anneal_seconds = anneal_watch.seconds();
-
   g_objective_evaluations.fetch_add(
       static_cast<std::uint64_t>(result.evaluations),
       std::memory_order_relaxed);
@@ -367,7 +363,6 @@ Topology graphine_place(const circuit::InteractionGraph& graph,
       static_cast<std::uint64_t>(result.delta_evaluations),
       std::memory_order_relaxed);
   if (stats != nullptr) {
-    stats->anneal_seconds = anneal_seconds;
     stats->evaluations = result.evaluations;
     stats->delta_evaluations = result.delta_evaluations;
     stats->restarts = result.restarts;

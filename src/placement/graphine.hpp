@@ -95,9 +95,6 @@ struct Topology {
 /// Observability counters for one graphine_place call — excluded from any
 /// serialized payload or fingerprint, like pass timings.
 struct PlacementStats {
-  /// Wall-clock spent inside the annealer (excludes graph prep and the
-  /// serpentine warm start).
-  double anneal_seconds = 0.0;
   std::int64_t evaluations = 0;        // full objective evaluations
   std::int64_t delta_evaluations = 0;  // incremental single-site scores
   int restarts = 0;

@@ -199,7 +199,6 @@ Topology windowed_place(const circuit::InteractionGraph& graph,
     PlacementStats wstats;
     layouts[w] = graphine_place(subgraph, wopts, &wstats);
     if (stats != nullptr) {
-      stats->anneal_seconds += wstats.anneal_seconds;
       stats->evaluations += wstats.evaluations;
       stats->delta_evaluations += wstats.delta_evaluations;
       stats->restarts += wstats.restarts;

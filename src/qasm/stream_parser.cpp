@@ -91,7 +91,6 @@ StreamTotals StreamParser::run(GateStreamVisitor& visitor) {
   visitor_ = &visitor;
   parse_header();
   while (!check(TokenKind::kEof)) parse_statement();
-  visitor.on_end(n_qubits_, n_clbits_);
   visitor_ = nullptr;
   return StreamTotals{n_qubits_, n_clbits_, n_gates_, lexer_.bytes_read()};
 }
@@ -263,13 +262,6 @@ void StreamParser::parse_reg(bool quantum) {
   }
   table[name.text] = Register{total, n};
   total += n;
-  if (visitor_ != nullptr) {
-    if (quantum) {
-      visitor_->on_qreg(name.text, total - n, n);
-    } else {
-      visitor_->on_creg(name.text, total - n, n);
-    }
-  }
 }
 
 // --- gate definitions --------------------------------------------------------

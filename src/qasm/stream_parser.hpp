@@ -31,16 +31,6 @@ class GateStreamVisitor {
  public:
   virtual ~GateStreamVisitor() = default;
 
-  /// A quantum register was declared; `offset` is its first flat index.
-  virtual void on_qreg(const std::string& name, std::int32_t offset,
-                       std::int32_t size) {
-    (void)name, (void)offset, (void)size;
-  }
-  /// A classical register was declared; `offset` is its first flat index.
-  virtual void on_creg(const std::string& name, std::int32_t offset,
-                       std::int32_t size) {
-    (void)name, (void)offset, (void)size;
-  }
   /// One resolved gate (U3/CZ/SWAP/measure/barrier) in program order.
   virtual void on_gate(const circuit::Gate& gate) = 0;
   /// Most gates this visitor accepts over one run. StreamParser rejects the
@@ -49,10 +39,6 @@ class GateStreamVisitor {
   /// streaming visitor keeps no per-gate state.
   [[nodiscard]] virtual std::uint64_t max_gates() const noexcept {
     return std::numeric_limits<std::uint64_t>::max();
-  }
-  /// End of input; the totals are final.
-  virtual void on_end(std::int32_t n_qubits, std::int32_t n_clbits) {
-    (void)n_qubits, (void)n_clbits;
   }
 };
 

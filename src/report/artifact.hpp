@@ -5,11 +5,11 @@
 // rendering. Here an artifact is data: a name, a sweep-spec planner, and a
 // renderer that turns sweep::Results into rows plus derived summary lines.
 // One orchestrator (report/orchestrator.hpp) drives any subset of the
-// registry against one executor — in-process sweeps or a remote
-// `parallax serve` socket — so regenerating the whole paper is a single
-// command against one warm cache, and the rendering logic lives once,
-// testably, in the library.
-// `parallax_cli bench` is its one front end.
+// registry against one executor, a RunSpec (below) — in-process sweeps or a
+// remote `parallax serve` socket (report/runner.hpp) — so regenerating the
+// whole paper is a single command against one warm cache, and the
+// rendering logic lives once, testably, in the library. `parallax_cli
+// bench` is its one front end.
 //
 // Determinism contract: everything a renderer puts into Rendered::blocks
 // and Rendered::summary is a pure function of (Options, sweep results) —
@@ -122,14 +122,18 @@ class Registry {
   std::vector<Artifact> artifacts_;
 };
 
-/// Drives one artifact's full plan through `run_spec` and renders it: the
-/// in-process path of the orchestrator and the reference implementation the
-/// differential tests compare serve-session rendering against. Throws
+/// The executor an artifact's sweeps run through: executes one spec and
+/// returns its flat circuit-major result. Request-level failures throw;
+/// per-cell compile errors come back in the cells. report/runner.hpp builds
+/// the in-process and serve-socket executors.
+using RunSpec = std::function<sweep::Result(const shard::SweepSpec&)>;
+
+/// Drives one artifact's full plan through `run_spec` and renders it. Throws
 /// ReportError when any cell reports a compile error or did not run
 /// (skipped or cancelled): an artifact built from partial results would
 /// silently misreport the paper.
-[[nodiscard]] Rendered generate(
-    const Artifact& artifact, const Options& options,
-    const std::function<sweep::Result(const shard::SweepSpec&)>& run_spec);
+[[nodiscard]] Rendered generate(const Artifact& artifact,
+                                const Options& options,
+                                const RunSpec& run_spec);
 
 }  // namespace parallax::report

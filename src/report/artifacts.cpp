@@ -290,10 +290,10 @@ Artifact make_table04() {
     for (const auto& timing : first_timings) headers.push_back(timing.pass);
     headers.push_back("total");
     util::Table timing_table(headers);
-    const auto format_pass = [](double seconds, bool cached, bool highlight) {
-      char buffer[48];
-      std::snprintf(buffer, sizeof(buffer), "%.1fms%s%s", seconds * 1e3,
-                    cached ? " (c)" : "", highlight ? " *" : "");
+    const auto format_pass = [](double seconds, bool cached) {
+      char buffer[40];
+      std::snprintf(buffer, sizeof(buffer), "%.1fms%s", seconds * 1e3,
+                    cached ? " (c)" : "");
       return std::string(buffer);
     };
     for (const auto& name : circuits) {
@@ -301,19 +301,14 @@ Artifact make_table04() {
       std::vector<std::string> row = {name};
       double total = 0.0;
       for (const auto& timing : cell.result.pass_timings) {
-        row.push_back(
-            format_pass(timing.seconds, timing.cached, timing.highlight));
-        // Portfolio entrant rows ("anneal[...]") are constituents of the
-        // anneal total, not additional wall time.
-        if (timing.pass.rfind("anneal[", 0) != 0) total += timing.seconds;
+        row.push_back(format_pass(timing.seconds, timing.cached));
+        total += timing.seconds;
       }
-      row.push_back(format_pass(total, cell.from_cache, false));
+      row.push_back(format_pass(total, cell.from_cache));
       timing_table.add_row(row);
     }
     rendered.volatile_text = "Parallax per-pass compile time on " +
-                             quera.name +
-                             " ((c) = cache hit, * = winning portfolio "
-                             "entrant):\n" +
+                             quera.name + " ((c) = cache hit):\n" +
                              timing_table.to_string();
     return rendered;
   };
@@ -1068,9 +1063,8 @@ const Registry& Registry::global() {
   return *instance;
 }
 
-Rendered generate(
-    const Artifact& artifact, const Options& options,
-    const std::function<sweep::Result(const shard::SweepSpec&)>& run_spec) {
+Rendered generate(const Artifact& artifact, const Options& options,
+                  const RunSpec& run_spec) {
   std::vector<sweep::Result> results;
   for (;;) {
     const std::vector<shard::SweepSpec> specs =

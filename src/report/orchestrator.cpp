@@ -6,14 +6,34 @@
 
 namespace parallax::report {
 
-std::vector<ArtifactOutcome> run_artifacts(
+namespace {
+
+void fold(RunTotals& totals, const sweep::Result& result) {
+  ++totals.sweeps;
+  totals.cells += result.cells.size();
+  for (const auto& cell : result.cells) {
+    if (cell.skipped || cell.cancelled) continue;
+    ++totals.executed_cells;
+    if (!cell.ok()) ++totals.failed_cells;
+  }
+  totals.result_cache_hits += result.result_cache_hits;
+  totals.result_cache_misses += result.result_cache_misses;
+  totals.placement_disk_hits += result.placement_disk_hits;
+  totals.anneals += result.anneals;
+  totals.sweep_seconds += result.wall_seconds;
+}
+
+}  // namespace
+
+std::pair<std::vector<ArtifactOutcome>, RunTotals> run_artifacts(
     const Registry& registry, const std::vector<std::string>& names,
-    Runner& runner, const OrchestratorOptions& options, std::FILE* out,
-    std::FILE* log) {
+    const RunSpec& run_spec, const OrchestratorOptions& options,
+    std::FILE* out, std::FILE* log) {
   // Validate every name up front: a typo must fail before hours of sweeps.
   for (const auto& name : names) (void)registry.at(name);
 
   std::vector<ArtifactOutcome> outcomes;
+  RunTotals totals;
   for (const auto& name : names) {
     const Artifact& artifact = registry.at(name);
     ArtifactOutcome outcome;
@@ -24,7 +44,8 @@ std::vector<ArtifactOutcome> run_artifacts(
       const Rendered rendered = generate(
           artifact, options.report, [&](const shard::SweepSpec& spec) {
             ++sweep_index;
-            sweep::Result result = runner.run(spec);
+            sweep::Result result = run_spec(spec);
+            fold(totals, result);
             std::fprintf(log,
                          "[%s] sweep %zu: %zu cells, %zu result hits, "
                          "anneals=%zu in %.1fs\n",
@@ -52,7 +73,7 @@ std::vector<ArtifactOutcome> run_artifacts(
     outcome.wall_seconds = stopwatch.seconds();
     outcomes.push_back(std::move(outcome));
   }
-  return outcomes;
+  return {std::move(outcomes), totals};
 }
 
 void print_accounting(std::FILE* log, std::size_t artifacts,

@@ -199,11 +199,6 @@ Result run(const std::vector<CircuitSpec>& circuits,
           cell.shot_plans = std::move(hit->shot_plans);
           cell.from_cache = true;
           for (const auto& pass : pl.pass_names()) {
-            // Mirror the live pipeline's timing shape: the graphine pass
-            // emits an "anneal" row ahead of its own.
-            if (pass == "graphine-placement") {
-              cell.result.pass_timings.push_back({"anneal", 0.0, true});
-            }
             cell.result.pass_timings.push_back({pass, 0.0, true});
           }
         }

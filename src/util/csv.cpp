@@ -1,8 +1,5 @@
 #include "util/csv.hpp"
 
-#include <cassert>
-#include <stdexcept>
-
 namespace parallax::util {
 
 std::string csv_escape(const std::string& cell) {
@@ -24,20 +21,6 @@ std::string csv_line(const std::vector<std::string>& cells) {
   }
   line += '\n';
   return line;
-}
-
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : out_(path), cols_(header.size()) {
-  if (!out_) {
-    throw std::runtime_error("CsvWriter: cannot open " + path);
-  }
-  out_ << csv_line(header);
-}
-
-void CsvWriter::add_row(const std::vector<std::string>& row) {
-  assert(row.size() == cols_);
-  out_ << csv_line(row);
 }
 
 }  // namespace parallax::util

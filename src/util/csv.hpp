@@ -1,9 +1,7 @@
-// Minimal CSV writing: RFC-4180-style escaping as reusable string helpers
-// (what the report layer's --format csv renderer emits) plus a small
-// file-backed writer around them.
+// Minimal CSV writing: RFC-4180-style escaping as string helpers (what the
+// report layer's --format csv renderer emits).
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,18 +13,5 @@ namespace parallax::util {
 
 /// One CSV record: escaped cells joined by commas, newline-terminated.
 [[nodiscard]] std::string csv_line(const std::vector<std::string>& cells);
-
-class CsvWriter {
- public:
-  /// Opens (truncates) `path` and writes the header line. Throws
-  /// std::runtime_error if the file cannot be opened.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
-
-  void add_row(const std::vector<std::string>& row);
-
- private:
-  std::ofstream out_;
-  std::size_t cols_;
-};
 
 }  // namespace parallax::util

@@ -1028,9 +1028,9 @@ TEST(SweepCache, PassTimingsSurfacedInCells) {
     names.push_back(timing.pass);
     EXPECT_GE(timing.seconds, 0.0);
   }
-  EXPECT_EQ(names, (std::vector<std::string>{
-                       "transpile", "anneal", "graphine-placement",
-                       "discretize", "aod-selection", "schedule"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"transpile", "graphine-placement",
+                                             "discretize", "aod-selection",
+                                             "schedule"}));
   // Exactly one of the two graphine-placement cells annealed; the other's
   // stage is marked as served from the shared memo.
   const auto& graphine_cell = swept.at("ghz8", "graphine");

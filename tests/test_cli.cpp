@@ -1,7 +1,8 @@
 // The parallax_cli command-line contract, tested against the built binary
 // (PARALLAX_CLI_PATH): the exit code and first stderr line of every parse
 // rejection and late rejection, the precedence between checks, the set of
-// flags each command accepts, the usage text, and the one error boundary.
+// flags each command accepts, the usage text, the one error boundary, and
+// that sim --json escapes the strings it prints.
 //
 // Every run is a fork/exec with no shell, in a fresh temporary working
 // directory, with stdin on /dev/null and a timeout. argv[0] is always
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
@@ -804,6 +806,25 @@ TEST(CliErrorBoundary, EveryCommandNamesItselfInTheFailure) {
        "graphine, static, parallax-fast, parallax-mc4, graphine-mc4, "
        "parallax-race)"},
   });
+}
+
+// --- sim --json escapes its strings -------------------------------------------
+
+TEST(CliSimJson, EscapesAQuoteInTheCircuitName) {
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("parallax_cli_sim_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path qasm = dir / "gh\"z.qasm";
+  std::ofstream(qasm) << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                         "qreg q[3];\ncreg c[3];\nh q[0];\ncx q[0],q[1];\n"
+                         "cx q[1],q[2];\nmeasure q -> c;\n";
+  const CliRun run = run_cli({"sim", "--circuit", qasm.string(), "--shots",
+                              "64", "--no-cache", "--json"});
+  fs::remove_all(dir);
+  ASSERT_FALSE(run.timed_out);
+  EXPECT_EQ(run.status, 0) << run.err;
+  EXPECT_NE(run.out.find("/gh\\\"z.qasm\",\"technique\":"), std::string::npos)
+      << run.out;
 }
 
 // --- --no-cache contradicts a cache location on every command -----------------

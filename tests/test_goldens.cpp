@@ -626,7 +626,7 @@ parallax::compiler::CompileResult wire_result() {
   result.stats.max_move_distance_um = 3.5;
   result.stats.total_move_distance_um = 6.75;
   result.runtime_us = 212.5;
-  result.pass_timings = {{"schedule", 0.125, false, false}};  // not encoded
+  result.pass_timings = {{"schedule", 0.125, false}};  // not encoded
   return result;
 }
 

@@ -54,29 +54,6 @@ TEST(Aod, AssignAndRelease) {
   EXPECT_EQ(aod.col_qubit(2), -1);
 }
 
-TEST(Aod, ClosestFreeSkipsOccupied) {
-  ph::Aod aod(3, 3, 10.0, 0.5);  // rows at 0, 5, 10
-  aod.assign(1, 1, 3);
-  const auto row = aod.closest_free_row(5.2);
-  ASSERT_TRUE(row.has_value());
-  EXPECT_NE(*row, 1);
-}
-
-TEST(Aod, MoveValidityRespectsNeighbours) {
-  ph::Aod aod(3, 3, 10.0, 1.0);  // rows at 0, 5, 10
-  EXPECT_TRUE(aod.row_move_valid(1, 7.0));
-  EXPECT_FALSE(aod.row_move_valid(1, 9.5));   // too close to row 2
-  EXPECT_FALSE(aod.row_move_valid(1, 0.5));   // too close to row 0
-  EXPECT_FALSE(aod.row_move_valid(1, -2.0));  // would cross row 0
-}
-
-TEST(Aod, OrderBlockerIdentifiesNeighbour) {
-  ph::Aod aod(3, 3, 10.0, 1.0);
-  EXPECT_EQ(aod.row_order_blocker(1, 9.5), 2);
-  EXPECT_EQ(aod.row_order_blocker(1, 0.5), 0);
-  EXPECT_FALSE(aod.row_order_blocker(1, 5.0).has_value());
-}
-
 TEST(Aod, OrderingInvalidAfterCross) {
   ph::Aod aod(3, 3, 10.0, 1.0);
   aod.set_row_coord(0, 6.0);  // crosses row 1 at 5.0

@@ -502,7 +502,6 @@ TEST(Graphine, BatchedModeDeterministicWithStats) {
   }
   EXPECT_EQ(a.interaction_radius, b.interaction_radius);
   EXPECT_GT(stats_a.delta_evaluations, 0);
-  EXPECT_GT(stats_a.anneal_seconds, 0.0);
   EXPECT_EQ(stats_a.chains, 1);
   for (const auto& p : a.positions) {
     EXPECT_GE(p.x, 0.0);

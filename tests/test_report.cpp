@@ -1,22 +1,22 @@
 // Report-layer tests. The acceptance core: every artifact renders an
-// identical document whether its sweeps run in-process or through a
-// serve::Client connection (the differential guarantee `parallax bench
-// --socket` rests on). Around it: registry integrity (eleven unique names,
-// unknown names rejected, duplicate registration rejected), spec
-// serializability round trips, generate's refusal of cells that failed or
-// never ran, renderer formats, and warm-session accounting through the
-// Runner layer.
+// identical document whether its sweeps run through report::in_process or
+// report::over_socket (the differential guarantee `parallax bench --socket`
+// rests on). Around it: registry integrity (eleven unique names, unknown
+// names rejected, duplicate registration rejected), spec serializability
+// round trips, generate's refusal of cells that failed or never ran,
+// renderer formats, and the orchestrator's warm-session accounting.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -58,12 +58,35 @@ rp::Options small_options() {
   return options;
 }
 
-std::string render_via(rp::Runner& runner, const rp::Artifact& artifact,
+std::string render_via(const rp::RunSpec& run_spec,
+                       const rp::Artifact& artifact,
                        const rp::Options& options) {
-  const rp::Rendered rendered =
-      rp::generate(artifact, options,
-                   [&](const sh::SweepSpec& spec) { return runner.run(spec); });
-  return rp::render_text(rendered, options);
+  return rp::render_text(rp::generate(artifact, options, run_spec), options);
+}
+
+/// In-process sweeps on hardware concurrency with no persistent cache.
+rp::RunSpec uncached() { return rp::in_process(0, nullptr); }
+
+/// run_artifacts over small_options(): the rendered documents land in
+/// `out`, the progress lines nowhere.
+std::pair<std::vector<rp::ArtifactOutcome>, rp::RunTotals> run_capturing(
+    const std::vector<std::string>& names, const rp::RunSpec& run_spec,
+    std::string& out) {
+  char* buffer = nullptr;
+  std::size_t size = 0;
+  std::FILE* out_stream = ::open_memstream(&buffer, &size);
+  std::FILE* log = std::fopen("/dev/null", "w");
+  EXPECT_NE(out_stream, nullptr);
+  EXPECT_NE(log, nullptr);
+  rp::OrchestratorOptions options;
+  options.report = small_options();
+  auto outcome = rp::run_artifacts(rp::Registry::global(), names, run_spec,
+                                   options, out_stream, log);
+  std::fclose(out_stream);
+  std::fclose(log);
+  out.assign(buffer, size);
+  std::free(buffer);
+  return outcome;
 }
 
 const std::vector<std::string> kExpectedNames = {
@@ -123,7 +146,7 @@ TEST(ArtifactRegistry, DuplicateRegistrationIsRejected) {
 // session (no cell filters, nothing process-local).
 TEST(ArtifactRegistry, EverySpecRoundTripsThroughTheWireCodec) {
   const rp::Options options = small_options();
-  rp::InProcessRunner runner;
+  const rp::RunSpec run = uncached();
   std::size_t specs_seen = 0;
   for (const auto& name : rp::Registry::global().names()) {
     const rp::Artifact& artifact = rp::Registry::global().at(name);
@@ -133,7 +156,7 @@ TEST(ArtifactRegistry, EverySpecRoundTripsThroughTheWireCodec) {
       const sh::SweepSpec reparsed = sh::parse_sweep_spec(bytes);
       EXPECT_EQ(sh::spec_digest(reparsed), sh::spec_digest(spec))
           << name << " spec does not round-trip";
-      return runner.run(spec);
+      return run(spec);
     });
   }
   // table02/table03 plan no sweeps; the other nine plan at least one each
@@ -145,7 +168,7 @@ TEST(ArtifactRegistry, EverySpecRoundTripsThroughTheWireCodec) {
 
 TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
   const rp::Options options = small_options();
-  rp::InProcessRunner in_process;
+  const rp::RunSpec in_process = uncached();
 
   sv::SweepService service({.n_threads = 2, .cache = nullptr});
   int fds[2];
@@ -156,7 +179,7 @@ TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
   });
   {
     sv::Client client(fds[1]);
-    rp::ClientRunner remote(client);
+    const rp::RunSpec remote = rp::over_socket(client);
     // The full wire path for every artifact, the multi-phase fig11 (whose
     // second phase depends on first-phase results) among them.
     for (const auto& name : rp::Registry::global().names()) {
@@ -168,42 +191,6 @@ TEST(ReportDifferential, SocketClientRendersIdenticalDocuments) {
     client.quit();
   }
   server.join();
-}
-
-// --- runner accounting --------------------------------------------------------
-
-TEST(Runner, WarmRerunReportsFullHitsAndZeroAnneals) {
-  const rp::Options options = small_options();
-  const auto cache =
-      pc::CompilationCache::open({.directory = fresh_dir("runner")});
-  rp::InProcessRunner::Config config;
-  config.cache = cache;
-  rp::InProcessRunner runner(std::move(config));
-  const rp::Artifact& artifact = rp::Registry::global().at("fig09");
-
-  const std::string cold = render_via(runner, artifact, options);
-  const rp::RunTotals after_cold = runner.totals();
-  EXPECT_EQ(after_cold.sweeps, 1u);
-  EXPECT_GT(after_cold.anneals, 0u);
-  EXPECT_EQ(after_cold.result_cache_hits, 0u);
-
-  const std::string warm = render_via(runner, artifact, options);
-  const rp::RunTotals after_warm = runner.totals();
-  EXPECT_EQ(warm, cold);
-  EXPECT_EQ(after_warm.sweeps, 2u);
-  EXPECT_EQ(after_warm.anneals, after_cold.anneals);  // nothing re-annealed
-  EXPECT_EQ(after_warm.result_cache_hits, after_cold.executed_cells);
-  EXPECT_EQ(after_warm.executed_cells, 2 * after_cold.executed_cells);
-  EXPECT_EQ(after_warm.failed_cells, 0u);
-}
-
-TEST(Runner, OnCellStreamsEveryExecutedCell) {
-  const rp::Options options = small_options();
-  rp::InProcessRunner runner;
-  std::atomic<std::size_t> streamed{0};
-  runner.set_on_cell([&](const sw::Cell&) { ++streamed; });
-  (void)render_via(runner, rp::Registry::global().at("fig09"), options);
-  EXPECT_EQ(streamed.load(), runner.totals().executed_cells);
 }
 
 TEST(Generate, FailedCellsFailTheArtifactLoudly) {
@@ -230,13 +217,8 @@ TEST(Generate, FailedCellsFailTheArtifactLoudly) {
   artifact.render = [](const rp::Options&, const std::vector<sw::Result>&) {
     return rp::Rendered{};
   };
-  rp::InProcessRunner runner;
-  EXPECT_THROW(
-      (void)rp::generate(artifact, rp::Options{},
-                         [&](const sh::SweepSpec& spec) {
-                           return runner.run(spec);
-                         }),
-      rp::ReportError);
+  EXPECT_THROW((void)rp::generate(artifact, rp::Options{}, uncached()),
+               rp::ReportError);
 }
 
 TEST(Generate, CellsThatNeverRanFailTheArtifact) {
@@ -245,13 +227,13 @@ TEST(Generate, CellsThatNeverRanFailTheArtifact) {
   // zeros averaged into the paper comparison.
   const rp::Options options = small_options();
   const rp::Artifact& artifact = rp::Registry::global().at("fig09");
-  rp::InProcessRunner runner;
+  const rp::RunSpec run = uncached();
   for (const bool cancelled : {true, false}) {
     SCOPED_TRACE(cancelled ? "cancelled" : "skipped");
     std::string last_cell;
     try {
       (void)rp::generate(artifact, options, [&](const sh::SweepSpec& spec) {
-        sw::Result result = runner.run(spec);
+        sw::Result result = run(spec);
         sw::Cell& last = result.cells.back();
         last_cell = last.circuit + "/" + last.technique + "/" + last.machine;
         sw::Cell never_ran;
@@ -280,15 +262,13 @@ TEST(Generate, Table04ProfileWithoutPassTimesIsOneLine) {
   // and the rendered document does not change.
   const rp::Options options = small_options();
   const rp::Artifact& artifact = rp::Registry::global().at("table04");
-  rp::InProcessRunner runner;
-  const rp::Rendered timed = rp::generate(
-      artifact, options,
-      [&](const sh::SweepSpec& spec) { return runner.run(spec); });
+  const rp::RunSpec run = uncached();
+  const rp::Rendered timed = rp::generate(artifact, options, run);
   EXPECT_NE(timed.volatile_text.find("Bench"), std::string::npos)
       << timed.volatile_text;
   const rp::Rendered untimed =
       rp::generate(artifact, options, [&](const sh::SweepSpec& spec) {
-        sw::Result result = runner.run(spec);
+        sw::Result result = run(spec);
         for (auto& cell : result.cells) cell.result.pass_timings.clear();
         return result;
       });
@@ -306,10 +286,8 @@ TEST(Generate, Table04ProfileWithoutPassTimesIsOneLine) {
 TEST(Render, TextReproducesTheBenchPreamble) {
   rp::Options options;
   options.seed = 11;
-  rp::InProcessRunner runner;
-  const rp::Rendered rendered = rp::generate(
-      rp::Registry::global().at("table02"), options,
-      [&](const sh::SweepSpec& spec) { return runner.run(spec); });
+  const rp::Rendered rendered =
+      rp::generate(rp::Registry::global().at("table02"), options, uncached());
   const std::string text = rp::render_text(rendered, options);
   EXPECT_EQ(text.rfind("=== Table II ===\n", 0), 0u);
   EXPECT_NE(text.find("\nseed=11 full_scale=0\n\n"), std::string::npos);
@@ -362,39 +340,52 @@ TEST(Render, FormatNamesRoundTrip) {
 // --- orchestrator -------------------------------------------------------------
 
 TEST(Orchestrator, UnknownNameFailsBeforeAnyWork) {
-  rp::InProcessRunner runner;
+  std::size_t calls = 0;
+  const rp::RunSpec counting = [&](const sh::SweepSpec& spec) {
+    ++calls;
+    return uncached()(spec);
+  };
   rp::OrchestratorOptions options;
   EXPECT_THROW((void)rp::run_artifacts(rp::Registry::global(),
-                                       {"table02", "fig99"}, runner, options,
+                                       {"fig09", "fig99"}, counting, options,
                                        stdout, stderr),
                rp::UnknownArtifactError);
-  EXPECT_EQ(runner.totals().sweeps, 0u);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST(Orchestrator, RendersEachArtifactAndReportsOutcomes) {
-  const std::string out_path = fresh_dir("orc") + ".out";
-  fs::create_directories(fs::path(out_path).parent_path());
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  ASSERT_NE(out, nullptr);
-  std::FILE* log = std::fopen("/dev/null", "w");
-  ASSERT_NE(log, nullptr);
-
-  rp::InProcessRunner runner;
-  rp::OrchestratorOptions options;
-  options.report = small_options();
-  const auto outcomes =
-      rp::run_artifacts(rp::Registry::global(), {"table02", "table03"},
-                        runner, options, out, log);
-  std::fclose(out);
-  std::fclose(log);
-
+  std::string text;
+  const auto [outcomes, totals] =
+      run_capturing({"table02", "table03"}, uncached(), text);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].ok);
   EXPECT_TRUE(outcomes[1].ok);
-
-  std::ifstream in(out_path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(totals.sweeps, 0u);  // both artifacts plan no sweep
   EXPECT_NE(text.find("=== Table II ==="), std::string::npos);
   EXPECT_NE(text.find("=== Table III ==="), std::string::npos);
+}
+
+TEST(Orchestrator, WarmRerunReportsFullHitsAndZeroAnneals) {
+  const rp::RunSpec run = rp::in_process(
+      0, pc::CompilationCache::open({.directory = fresh_dir("warm")}));
+
+  std::string cold;
+  const auto [cold_outcomes, cold_totals] = run_capturing({"fig09"}, run, cold);
+  ASSERT_EQ(cold_outcomes.size(), 1u);
+  EXPECT_TRUE(cold_outcomes[0].ok) << cold_outcomes[0].error;
+  EXPECT_EQ(cold_totals.sweeps, 1u);
+  EXPECT_GT(cold_totals.executed_cells, 0u);
+  EXPECT_GT(cold_totals.anneals, 0u);
+  EXPECT_EQ(cold_totals.result_cache_hits, 0u);
+
+  std::string warm;
+  const auto [warm_outcomes, warm_totals] = run_capturing({"fig09"}, run, warm);
+  ASSERT_EQ(warm_outcomes.size(), 1u);
+  EXPECT_TRUE(warm_outcomes[0].ok) << warm_outcomes[0].error;
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(warm_totals.sweeps, 1u);
+  EXPECT_EQ(warm_totals.anneals, 0u);  // nothing re-annealed
+  EXPECT_EQ(warm_totals.result_cache_hits, cold_totals.executed_cells);
+  EXPECT_EQ(warm_totals.result_cache_misses, 0u);
+  EXPECT_EQ(warm_totals.failed_cells, 0u);
 }

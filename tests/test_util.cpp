@@ -7,12 +7,9 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <new>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -141,23 +138,10 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(pu::format_percent(0.4567), "45.7%");
 }
 
-TEST(Csv, WritesEscapedCells) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "parallax_csv_test.csv")
-          .string();
-  {
-    pu::CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"plain", "with,comma"});
-    csv.add_row({"quote\"inside", "line\nbreak"});
-  }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string content = ss.str();
-  EXPECT_NE(content.find("a,b"), std::string::npos);
-  EXPECT_NE(content.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(content.find("\"quote\"\"inside\""), std::string::npos);
-  std::filesystem::remove(path);
+TEST(Csv, LineQuotesCommaQuoteAndNewlineCells) {
+  EXPECT_EQ(pu::csv_line({"plain", "with,comma"}), "plain,\"with,comma\"\n");
+  EXPECT_EQ(pu::csv_line({"quote\"inside", "x"}), "\"quote\"\"inside\",x\n");
+  EXPECT_EQ(pu::csv_line({"line\nbreak", ""}), "\"line\nbreak\",\n");
 }
 
 TEST(ThreadPool, RunsAllTasks) {

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "report/orchestrator.hpp"
+#include "report/runner.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -42,6 +44,7 @@
 #include "sim/simulator.hpp"
 #include "sweep/sweep.hpp"
 #include "technique/registry.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -1196,29 +1199,30 @@ int run_sim(const Cli& cli) {
     const double z = sigma > 0.0 ? diff / sigma : (diff == 0.0 ? 0.0 : 1e9);
 
     // Non-zero first-failure counts, channel-code order.
+    util::JsonValue failure_counts = util::JsonValue::object();
     std::string failures;
     for (std::uint8_t c = 1; c < sim::kOutcomeChannels; ++c) {
       if (estimate.failures[c] == 0) continue;
-      if (!failures.empty()) failures += cli.json ? "," : "  ";
-      if (cli.json) {
-        failures += std::string("\"") + sim::outcome_name(c) +
-                    "\":" + std::to_string(estimate.failures[c]);
-      } else {
-        failures += std::string(sim::outcome_name(c)) + "=" +
-                    std::to_string(estimate.failures[c]);
-      }
+      failure_counts[sim::outcome_name(c)] = estimate.failures[c];
+      if (!failures.empty()) failures += "  ";
+      failures += std::string(sim::outcome_name(c)) + "=" +
+                  std::to_string(estimate.failures[c]);
     }
 
     if (cli.json) {
-      std::printf(
-          "{\"circuit\":\"%s\",\"technique\":\"%s\",\"machine\":\"%s\","
-          "\"shots\":%lld,\"model_success\":%.17g,"
-          "\"simulated_success\":%.17g,\"std_error\":%.17g,\"z\":%.17g,"
-          "\"outcome_digest\":\"%s\",\"ledger_ok\":%s,\"failures\":{%s}}\n",
-          cell.circuit.c_str(), cell.technique.c_str(), cell.machine.c_str(),
-          static_cast<long long>(estimate.shots), model_p, estimate.mean(),
-          sigma, z, estimate.outcome_digest.hex().c_str(),
-          ledger.ok ? "true" : "false", failures.c_str());
+      util::JsonValue row = util::JsonValue::object();
+      row["circuit"] = cell.circuit;
+      row["technique"] = cell.technique;
+      row["machine"] = cell.machine;
+      row["shots"] = estimate.shots;
+      row["model_success"] = model_p;
+      row["simulated_success"] = estimate.mean();
+      row["std_error"] = sigma;
+      row["z"] = z;
+      row["outcome_digest"] = estimate.outcome_digest.hex();
+      row["ledger_ok"] = ledger.ok;
+      row["failures"] = std::move(failure_counts);
+      std::printf("%s\n", row.dump(-1).c_str());
     } else {
       std::printf("%-9s  CZ=%zu effCZ=%zu layers=%zu runtime=%.1fus%s\n",
                   cell.technique.c_str(), cell.result.stats.cz_gates,
@@ -1291,27 +1295,24 @@ int run_bench(const Cli& cli) {
 
   // The executor: plain in-process sweeps, or a running socket session.
   std::unique_ptr<parallax::serve::Client> client;
-  std::unique_ptr<rp::Runner> runner;
+  rp::RunSpec run_spec;
   if (cli.socket_path.empty()) {
-    rp::InProcessRunner::Config config;
-    config.n_threads = cli.threads;
-    config.cache = open_cache(cli);
-    runner = std::make_unique<rp::InProcessRunner>(std::move(config));
+    run_spec = rp::in_process(cli.threads, open_cache(cli));
   } else {
     client = std::make_unique<parallax::serve::Client>(cli.socket_path);
-    runner = std::make_unique<rp::ClientRunner>(*client);
+    run_spec = rp::over_socket(*client);
   }
 
   const parallax::util::Stopwatch stopwatch;
   std::vector<rp::ArtifactOutcome> outcomes;
+  rp::RunTotals totals;
   try {
-    outcomes =
-        rp::run_artifacts(registry, names, *runner, options, stdout, stderr);
+    std::tie(outcomes, totals) =
+        rp::run_artifacts(registry, names, run_spec, options, stdout, stderr);
   } catch (const rp::UnknownArtifactError& error) {
     reject(cli, error.what());
   }
-  rp::print_accounting(stderr, outcomes.size(), runner->totals(),
-                       stopwatch.seconds());
+  rp::print_accounting(stderr, outcomes.size(), totals, stopwatch.seconds());
   if (client) {
     // The server's lifetime numbers (this run plus every earlier one of
     // the session) — the STATS request over the wire.
